@@ -343,9 +343,9 @@ def _stage_verify(ws: _Workspace, report: RunReport):
     norms.lambda_coer = tuned.lambda_coer
     norms.slack = slack
     report.results["corrector"] = norms.as_dict()
-    for name, excess in zip(("bound_A", "bound_LaA", "bound_ALa_fast"), norms.excess):
-        report.add_verdict(name, "pass" if excess <= BOUND_SLACK else "fail",
-                           BOUND_SLACK - excess)
+    for name, ratio in zip(("bound_A", "bound_LaA", "bound_ALa_fast"), norms.ratios):
+        margin = BOUND_SLACK - (ratio - 1.0)
+        report.add_verdict(name, "pass" if margin >= 0 else "fail", margin)
     coercive = min_eig >= tuned.lambda_coer * (1 - BOUND_SLACK)
     report.add_verdict("dissipation_coercive", "pass" if coercive else "fail",
                        min_eig / tuned.lambda_coer - (1 - BOUND_SLACK))

@@ -74,6 +74,17 @@ class TestRunExperiment:
         assert name.startswith("decay_quadratic_")
         assert len(list(trace.csv_rows())) == 2  # header plus the t=0 row
 
+    def test_verify_bound_margins_are_signed(self):
+        cfg = cli.build_config({"grid.N_x": "64", "grid.N_v": "12"})
+        report = cli.run_experiment("verify", cfg)
+        margins = {v["name"]: v["margin"] for v in report.verdicts}
+        ratios = report.results["corrector"]["ratios"]
+        for name, ratio in zip(("bound_A", "bound_LaA", "bound_ALa_fast"), ratios):
+            assert margins[name] == cli.BOUND_SLACK - (ratio - 1.0)
+        # ||L_a A|| < 1 strictly, so its margin exceeds the slack
+        assert margins["bound_LaA"] > 0.05
+        assert report.results["corrector"]["norm_A_exact_residual"] <= 1e-12
+
     def test_unknown_command(self):
         cfg = cli.build_config({})
         with pytest.raises(ConfigurationError):
