@@ -12,12 +12,10 @@ __version__ = "0.1.0"
 from .corrector import (
     Corrector,
     DissipationReport,
+    ModifiedFunctional,
     bochner_residual,
-    bochner_test_suite,
     build_corrector,
-    dissipation,
     dissipation_form_min_eig,
-    lyapunov,
     operator_norm,
     verify_corrector_bounds,
 )
@@ -27,6 +25,7 @@ from .discretize import (
     StructureReport,
     WeightedGrid,
     assemble_operators,
+    bochner_test_suite,
     build_grid,
     build_velocity_basis,
     check_structure,
@@ -60,7 +59,6 @@ from .sampler import (
     step_baoab,
 )
 from .tuning import (
-    TuningInputs,
     TuningResult,
     check_ratio_consistency,
     dissipation_matrix,
@@ -76,11 +74,11 @@ __all__ = [
     "EnsembleTrace",
     "GibbsModel",
     "HermiteBasis",
+    "ModifiedFunctional",
     "OperatorSet",
     "Potential",
     "SdeConfig",
     "StructureReport",
-    "TuningInputs",
     "TuningResult",
     "WeightedGrid",
     "assemble_operators",
@@ -94,7 +92,6 @@ __all__ = [
     "compose_generator",
     "cosine_bump",
     "default_domain",
-    "dissipation",
     "dissipation_form_min_eig",
     "dissipation_matrix",
     "double_well",
@@ -105,7 +102,6 @@ __all__ = [
     "hessian_lower_bound",
     "initial_condition",
     "integrate",
-    "lyapunov",
     "lyapunov_derivative_check",
     "operator_norm",
     "optimize_friction",

@@ -18,6 +18,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -25,13 +26,13 @@ import numpy as np
 from . import __version__
 from .corrector import (
     bochner_residual,
-    bochner_test_suite,
     build_corrector,
     dissipation_form_min_eig,
     verify_corrector_bounds,
 )
 from .discretize import (
     assemble_operators,
+    bochner_test_suite,
     build_grid,
     build_velocity_basis,
     check_structure,
@@ -45,9 +46,9 @@ from .evolve import (
     lyapunov_derivative_check,
     verify_decay_bound,
 )
-from .model import Potential, default_domain, gibbs_model
+from .model import POTENTIAL_KINDS, Potential, default_domain, gibbs_model
 from .sampler import SdeConfig, estimate_observable_decay, run_ensemble
-from .tuning import TuningInputs, check_ratio_consistency, optimize_friction
+from .tuning import TuningResult, check_ratio_consistency, optimize_friction
 
 SUBCOMMANDS = ("gap", "tune", "verify", "evolve", "sample", "sweep", "all")
 BOUND_SLACK = 0.05  # acceptance tolerance on the corrector bounds
@@ -165,8 +166,11 @@ def _validate(cfg: ExperimentConfig):
     def bad(key, msg):
         raise ConfigurationError(f"{key}: {msg}")
 
-    if cfg.potential_kind not in ("quadratic", "double_well", "cosine_bump"):
-        bad("potential.kind", f"unknown kind {cfg.potential_kind!r}")
+    try:
+        Potential(cfg.potential_kind, cfg.potential_params)
+    except ConfigurationError as exc:
+        known = cfg.potential_kind in POTENTIAL_KINDS
+        bad("potential.params" if known else "potential.kind", exc)
     if cfg.grid_n_x < 16:
         bad("grid.N_x", "must be >= 16")
     if cfg.grid_n_v < 4:
@@ -246,14 +250,13 @@ def report_json(report: RunReport) -> str:
 
 
 class _Workspace:
-    """Lazily built grid/operators shared across subcommand stages."""
+    """Lazily built grid/operators and tuned parameters shared across
+    subcommand stages; each is resolved once."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
         self.potential = Potential(cfg.potential_kind, cfg.potential_params)
         self.model = gibbs_model(self.potential)
-        self._ops = None
-        self._corr = None
 
     @property
     def l_dom(self) -> float:
@@ -261,35 +264,43 @@ class _Workspace:
             return self.cfg.grid_l_dom
         return default_domain(self.potential)
 
+    @cached_property
     def ops(self):
-        if self._ops is None:
-            grid = build_grid(self.model, self.l_dom, self.cfg.grid_n_x)
-            basis = build_velocity_basis(self.cfg.grid_n_v)
-            self._ops = assemble_operators(grid, basis)
-            poincare_constant(self._ops)
-        return self._ops
+        grid = build_grid(self.model, self.l_dom, self.cfg.grid_n_x)
+        basis = build_velocity_basis(self.cfg.grid_n_v)
+        ops = assemble_operators(grid, basis)
+        poincare_constant(ops)
+        return ops
 
-    def tuning_inputs(self) -> TuningInputs:
-        m = self.cfg.tuning_m if self.cfg.tuning_m is not None else self.ops().m_h
+    @cached_property
+    def tuned(self) -> TuningResult:
+        """Closed-form pipeline at (tuning.m, tuning.K), defaulting to (m_h, K)."""
+        m = self.cfg.tuning_m if self.cfg.tuning_m is not None else self.ops.m_h
         k = self.cfg.tuning_k if self.cfg.tuning_k is not None else self.model.K
-        return TuningInputs(
-            m=m, K=k, gamma=self.cfg.tuning_gamma, eps=self.cfg.tuning_eps
-        )
+        return optimize_friction(m, k)
 
-    def tuned(self):
-        inputs = self.tuning_inputs()
-        return optimize_friction(inputs.m, inputs.K)
+    @cached_property
+    def gamma(self) -> float:
+        """tuning.gamma, defaulting to gamma_star."""
+        if self.cfg.tuning_gamma is not None:
+            return self.cfg.tuning_gamma
+        return self.tuned.gamma_star
 
+    @cached_property
+    def eps(self) -> float:
+        """tuning.eps, defaulting to eps_star."""
+        if self.cfg.tuning_eps is not None:
+            return self.cfg.tuning_eps
+        return self.tuned.eps_star
+
+    @cached_property
     def corrector(self):
-        if self._corr is None:
-            alpha = self.cfg.tuning_alpha
-            self._corr = build_corrector(self.ops(), alpha)
-        return self._corr
+        return build_corrector(self.ops, self.cfg.tuning_alpha)
 
 
 def _stage_gap(ws: _Workspace, report: RunReport):
     t0 = time.perf_counter()
-    ops = ws.ops()
+    ops = ws.ops
     report.results["gap"] = {
         "m_h": ops.m_h,
         "K": ws.model.K,
@@ -304,7 +315,7 @@ def _stage_gap(ws: _Workspace, report: RunReport):
 
 def _stage_tune(ws: _Workspace, report: RunReport):
     t0 = time.perf_counter()
-    tuned = ws.tuned()
+    tuned = ws.tuned
     report.results["tuning"] = tuned.as_dict()
     chain = check_ratio_consistency(tuned.m, tuned.K)
     report.results["tuning"]["ratio_chain"] = chain
@@ -322,9 +333,8 @@ def _stage_tune(ws: _Workspace, report: RunReport):
 
 
 def _stage_verify(ws: _Workspace, report: RunReport):
-    cfg = ws.cfg
     t0 = time.perf_counter()
-    ops = ws.ops()
+    ops = ws.ops
     structure = check_structure(ops)
     report.results["structure"] = structure.as_dict()
     report.add_verdict(
@@ -333,22 +343,21 @@ def _stage_verify(ws: _Workspace, report: RunReport):
     report.timings["structure"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    corr = ws.corrector()
-    norms = verify_corrector_bounds(corr)
-    tuned = ws.tuned()
-    gamma = cfg.tuning_gamma if cfg.tuning_gamma is not None else tuned.gamma_star
-    eps = cfg.tuning_eps if cfg.tuning_eps is not None else tuned.eps_star
-    min_eig, slack = dissipation_form_min_eig(corr, eps, gamma)
-    norms.min_eig_q = min_eig
-    norms.lambda_coer = tuned.lambda_coer
-    norms.slack = slack
+    norms = verify_corrector_bounds(ws.corrector)
+    norms.min_eig_q, norms.min_eig_residual, norms.min_eig_iterations = (
+        dissipation_form_min_eig(ws.corrector, ws.eps, ws.gamma)
+    )
+    norms.lambda_coer = ws.tuned.lambda_coer
     report.results["corrector"] = norms.as_dict()
     for name, ratio in zip(("bound_A", "bound_LaA", "bound_ALa_fast"), norms.ratios):
         margin = BOUND_SLACK - (ratio - 1.0)
         report.add_verdict(name, "pass" if margin >= 0 else "fail", margin)
-    coercive = min_eig >= tuned.lambda_coer * (1 - BOUND_SLACK)
+    # the Rayleigh quotient bounds the eigenvalue from above; subtracting the
+    # residual gives the lower bound that coercivity needs
+    lower = norms.min_eig_q - norms.min_eig_residual
+    coercive = lower >= norms.lambda_coer * (1 - BOUND_SLACK)
     report.add_verdict("dissipation_coercive", "pass" if coercive else "fail",
-                       min_eig / tuned.lambda_coer - (1 - BOUND_SLACK))
+                       lower / norms.lambda_coer - (1 - BOUND_SLACK))
     report.timings["corrector"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -364,11 +373,10 @@ def _stage_verify(ws: _Workspace, report: RunReport):
 def _stage_evolve(ws: _Workspace, report: RunReport):
     cfg = ws.cfg
     t0 = time.perf_counter()
-    ops = ws.ops()
-    tuned = ws.tuned()
-    gamma = cfg.tuning_gamma if cfg.tuning_gamma is not None else tuned.gamma_star
-    eps = cfg.tuning_eps if cfg.tuning_eps is not None else tuned.eps_star
-    corr = ws.corrector()
+    ops = ws.ops
+    tuned = ws.tuned
+    gamma, eps = ws.gamma, ws.eps
+    corr = ws.corrector
     is_tuned_gamma = abs(gamma - tuned.gamma_star) <= 1e-12 * tuned.gamma_star
     t_end = cfg.evolve_t_end_factor / tuned.Lambda
     kinds = ("gap", "velocity", "random") if cfg.evolve_f0 == "all" else (cfg.evolve_f0,)
@@ -415,12 +423,7 @@ def _stage_evolve(ws: _Workspace, report: RunReport):
 
 def _sde_config(ws: _Workspace) -> SdeConfig:
     cfg = ws.cfg
-    if cfg.sde_gamma is not None:
-        gamma = cfg.sde_gamma
-    elif cfg.tuning_gamma is not None:
-        gamma = cfg.tuning_gamma
-    else:
-        gamma = ws.tuned().gamma_star
+    gamma = cfg.sde_gamma if cfg.sde_gamma is not None else ws.gamma
     return SdeConfig(
         potential=ws.potential,
         d=cfg.sde_d,
@@ -492,9 +495,9 @@ def _stage_sweep(ws: _Workspace, report: RunReport):
             sde = replace(base, gamma=gamma)
             rates[f"{gamma:g}"] = estimate_observable_decay(sde, cfg.sde_init_shift)
     else:
-        ops = ws.ops()
-        tuned = ws.tuned()
-        corr = ws.corrector()
+        ops = ws.ops
+        tuned = ws.tuned
+        corr = ws.corrector
         for gamma in cfg.sweep_gammas:
             dt = min(cfg.evolve_dt, 0.1 / gamma * 0.999)
             f0 = initial_condition(ops, "random", seed=cfg.seed)

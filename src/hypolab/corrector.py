@@ -33,8 +33,6 @@ from .errors import ConfigurationError, NumericalError, PreconditionError
 from .model import eval_potential
 from .tuning import rate
 
-MEAN_ZERO_TOL = 1e-10
-
 
 @dataclass
 class Corrector:
@@ -69,25 +67,39 @@ def build_corrector(ops: OperatorSet, alpha: float | None = None) -> Corrector:
     return Corrector(ops=ops, alpha=float(alpha), block=block, matrix=matrix)
 
 
-def _require_mean_zero(ops: OperatorSet, f: np.ndarray):
-    scale = max(np.linalg.norm(f), 1.0)
-    if abs(ops.mean(f)) > MEAN_ZERO_TOL * scale:
-        raise PreconditionError("state is not mean-zero")
+@dataclass
+class ModifiedFunctional:
+    """The modified L^2 functional of a corrector at (L, eps), the one place
+    its formulas are written:
 
+        H(f) = (1/2)||f||^2 - eps <A f, f>
+        D(f) = -<L f, f> + eps (<A L f, f> + <A f, L f>)
 
-def lyapunov(f: np.ndarray, c: Corrector, eps: float) -> float:
-    """Modified functional  (1/2)||f||^2 - eps <A f, f>."""
-    _require_mean_zero(c.ops, f)
-    return 0.5 * float(f @ f) - eps * float((c.matrix @ f) @ f)
+    D = -dH/dt along df/dt = L f.  Both are meant for mean-zero states; the
+    caller checks that.
+    """
 
+    corrector: Corrector
+    L: sp.spmatrix
+    eps: float
 
-def dissipation(f: np.ndarray, c: Corrector, eps: float, gamma: float) -> float:
-    """D_eps(f) = -<Lf, f> + eps (<A L f, f> + <A f, L f>)."""
-    _require_mean_zero(c.ops, f)
-    L = compose_generator(c.ops, gamma)
-    lf = L @ f
-    af = c.matrix @ f
-    return -float(lf @ f) + eps * (float((c.matrix @ lf) @ f) + float(af @ lf))
+    def values(self, f: np.ndarray):
+        """(H(f), D(f)) from three matvecs: A f, L f and A (L f)."""
+        A, eps = self.corrector.matrix, self.eps
+        af = A @ f
+        lf = self.L @ f
+        return (
+            0.5 * f @ f - eps * (af @ f),
+            -(lf @ f) + eps * ((A @ lf) @ f + af @ lf),
+        )
+
+    def form(self) -> sp.csc_matrix:
+        """Sparse symmetric matrix Q with D(f) = f^T Q f."""
+        A, L = self.corrector.matrix, self.L
+        al = (A @ L).tocsr()
+        atl = (A.T @ L).tocsr()
+        q = -(L + L.T) / 2 + self.eps * ((al + al.T) / 2 + (atl + atl.T) / 2)
+        return q.tocsc()
 
 
 def operator_norm(matrix) -> float:
@@ -112,8 +124,13 @@ class DissipationReport:
     bound_la_a: float
     bound_a_la_fast: float
     min_eig_q: float | None = None
+    min_eig_residual: float | None = None
+    min_eig_iterations: int | None = None
     lambda_coer: float | None = None
-    slack: float | None = None
+
+    @property
+    def slack(self) -> float:
+        return self.min_eig_q - self.lambda_coer
 
     @property
     def ratios(self):
@@ -147,6 +164,8 @@ class DissipationReport:
         if self.min_eig_q is not None:
             d.update(
                 min_eig_Q=self.min_eig_q,
+                min_eig_residual=self.min_eig_residual,
+                min_eig_iterations=self.min_eig_iterations,
                 lambda_coer=self.lambda_coer,
                 slack=self.slack,
             )
@@ -177,20 +196,14 @@ def verify_corrector_bounds(c: Corrector) -> DissipationReport:
     )
 
 
-def dissipation_form(c: Corrector, eps: float, gamma: float) -> sp.csc_matrix:
-    """Sparse symmetric matrix Q with D_eps(f) = f^T Q f."""
-    L = compose_generator(c.ops, gamma)
-    al = (c.matrix @ L).tocsr()
-    atl = (c.matrix.T @ L).tocsr()
-    q = -(L + L.T) / 2 + eps * ((al + al.T) / 2 + (atl + atl.T) / 2)
-    return q.tocsc()
-
-
 def _min_eig_shift_invert(q, u, sigma, tol=1e-12, max_iter=10000, seed=0):
-    """Smallest eigenvalue of q + penalty*u u^T by shifted inverse iteration.
+    """Smallest eigenvalue of q on the complement of u by shifted inverse
+    iteration: (Rayleigh quotient rho, residual ||P(q x) - rho x||, iterations).
 
     The mean direction u is pushed out of the window by a rank-one penalty,
-    handled through the Sherman-Morrison update of the factorized shift.
+    handled through the Sherman-Morrison update of the factorized shift.  rho
+    is an upper bound on the eigenvalue it converged to; rho - residual is a
+    lower bound on it.
     """
     n = q.shape[0]
     penalty = 10.0 * float(abs(q).max()) * n
@@ -210,45 +223,33 @@ def _min_eig_shift_invert(q, u, sigma, tol=1e-12, max_iter=10000, seed=0):
     x -= u * (u @ x)
     x /= np.linalg.norm(x)
     rho = 0.0
-    for _ in range(max_iter):
+    for iteration in range(1, max_iter + 1):
         y = solve(x)
         y -= u * (u @ y)  # keep the iterate in the mean-zero subspace
         ny = np.linalg.norm(y)
         if ny == 0.0:
             raise NumericalError("inverse iteration collapsed to zero")
         x = y / ny
-        rho_new = float(x @ (q @ x))
+        qx = q @ x
+        rho_new = float(x @ qx)
         if abs(rho_new - rho) <= tol * max(abs(rho_new), 1.0):
-            return rho_new
+            qx -= u * (u @ qx) + rho_new * x
+            return rho_new, float(np.linalg.norm(qx)), iteration
         rho = rho_new
     raise NumericalError(f"inverse iteration did not converge in {max_iter} steps")
 
 
 def dissipation_form_min_eig(c: Corrector, eps: float, gamma: float):
-    """(min eigenvalue of the dissipation form on the mean-zero subspace,
-    slack against lambda_coer).
-
-    Smallest eigenvalue by shifted inverse iteration on the sparse form.
+    """Smallest eigenvalue of the dissipation form on the mean-zero subspace,
+    as (value, residual, iterations) of shifted inverse iteration on the
+    sparse form; value - residual is a lower bound on it.
     """
     ops = c.ops
     if ops.m_h is None or abs(c.alpha - ops.m_h) > 1e-12 * max(ops.m_h or 1.0, 1.0):
         raise PreconditionError("coercivity is stated for alpha = m_h")
     lam = rate(ops.m_h, ops.grid.model.K)[0]
-    q = dissipation_form(c, eps, gamma)
-    min_eig = _min_eig_shift_invert(q, ops.const_vec, sigma=-max(lam, 1e-3))
-    return min_eig, min_eig - lam
-
-
-def bochner_test_suite(grid) -> dict:
-    """Pure-position test functions sampled on the grid."""
-    x = grid.nodes
-    return {
-        "one": np.ones_like(x),
-        "hermite1": x,
-        "hermite2": x**2,
-        "gauss_bump": np.exp(-(x**2) / 2),
-        "sine": np.sin(x),
-    }
+    q = ModifiedFunctional(c, compose_generator(ops, gamma), eps).form()
+    return _min_eig_shift_invert(q, ops.const_vec, sigma=-max(lam, 1e-3))
 
 
 def bochner_residual(ops: OperatorSet, h_values: np.ndarray) -> float:

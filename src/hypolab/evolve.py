@@ -19,7 +19,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .corrector import Corrector, build_corrector
+from .corrector import Corrector, ModifiedFunctional
 from .discretize import OperatorSet, compose_generator
 from .errors import (
     ConfigurationError,
@@ -95,14 +95,15 @@ def integrate(
     gamma: float,
     t_end: float,
     dt: float,
-    corrector: Corrector | None = None,
-    eps: float | None = None,
-    Lambda: float | None = None,
+    corrector: Corrector,
+    eps: float,
+    Lambda: float,
 ) -> DecayTrace:
     """Advance f0 to t_end by the trapezoidal map, sampling every step.
 
-    corrector/eps/Lambda default to the tuned pipeline at (m_h, K); pass them
-    explicitly to amortize the corrector build across runs.
+    Each sample records the norm, the corrector's modified functional and its
+    dissipation at eps, and the mean; the envelope is
+    sqrt(3) e^{-Lambda t} ||f0||.
     """
     if dt <= 0:
         raise ConfigurationError("dt must be positive")
@@ -114,16 +115,6 @@ def integrate(
     norm0 = np.linalg.norm(f0)
     if abs(ops.mean(f0)) > MEAN_TOL * max(norm0, 1.0):
         raise PreconditionError("f0 is not mean-zero")
-    if corrector is None or eps is None or Lambda is None:
-        if ops.m_h is None:
-            raise PreconditionError("tuned defaults need m_h; run poincare_constant")
-        tuned = optimize_friction(ops.m_h, ops.grid.model.K)
-        if eps is None:
-            eps = tuned.eps_star
-        if Lambda is None:
-            Lambda = tuned.Lambda
-        if corrector is None:
-            corrector = build_corrector(ops)
 
     L = compose_generator(ops, gamma).tocsc()
     n_steps = max(0, int(round(t_end / dt)))
@@ -140,14 +131,11 @@ def integrate(
     diss = np.empty(n_steps + 1)
     mean = np.empty(n_steps + 1)
 
-    A = corrector.matrix
+    functional = ModifiedFunctional(corrector, L, eps)
     f = f0.copy()
     for k in range(n_steps + 1):
         norm[k] = np.linalg.norm(f)
-        af = A @ f
-        lf = L @ f
-        lyap[k] = 0.5 * f @ f - eps * (af @ f)
-        diss[k] = -(lf @ f) + eps * ((A @ lf) @ f + af @ lf)
+        lyap[k], diss[k] = functional.values(f)
         mean[k] = ops.mean(f)
         if k < n_steps:
             f = lu.solve(forward @ f)

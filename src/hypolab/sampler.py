@@ -97,21 +97,25 @@ def _force(potential: Potential, x: np.ndarray) -> np.ndarray:
     return du
 
 
+def _baoab_inplace(x, v, potential: Potential, gamma: float, dt: float, noise):
+    """One BAOAB step that overwrites the float arrays x and v."""
+    c1 = np.exp(-gamma * dt)
+    v -= (dt / 2) * _force(potential, x)
+    x += (dt / 2) * v
+    v *= c1
+    v += np.sqrt(1.0 - c1 * c1) * noise
+    x += (dt / 2) * v
+    v -= (dt / 2) * _force(potential, x)
+
+
 def step_baoab(state, potential: Potential, gamma: float, dt: float, noise):
     """One BAOAB step; the potential acts coordinate-wise.
 
     state is (x, v) with matching shapes (..., d); noise has the same shape,
-    standard normal.  Returns the updated (x, v).
+    standard normal.  Returns the updated (x, v); state is left unchanged.
     """
-    x, v = state
-    x = np.array(x, dtype=float, copy=True)
-    v = np.array(v, dtype=float, copy=True)
-    v -= (dt / 2) * _force(potential, x)
-    x += (dt / 2) * v
-    c1 = np.exp(-gamma * dt)
-    v = c1 * v + np.sqrt(1.0 - c1 * c1) * np.asarray(noise, dtype=float)
-    x += (dt / 2) * v
-    v -= (dt / 2) * _force(potential, x)
+    x, v = (np.array(s, dtype=float, copy=True) for s in state)
+    _baoab_inplace(x, v, potential, gamma, dt, np.asarray(noise, dtype=float))
     return x, v
 
 
@@ -128,8 +132,6 @@ def run_ensemble(cfg: SdeConfig) -> EnsembleTrace:
     values = {n: np.zeros((n_rec, cfg.particles)) for n in names}
     final_x = np.zeros((cfg.particles, cfg.d))
     final_v = np.zeros((cfg.particles, cfg.d))
-    c1 = np.exp(-cfg.gamma * cfg.dt)
-    c2 = np.sqrt(1.0 - c1 * c1)
     diverged = False
     done_records = n_rec
     processed = 0
@@ -153,11 +155,7 @@ def run_ensemble(cfg: SdeConfig) -> EnsembleTrace:
             values[n][rec, cols] = cfg.observables[n](x, v)
         try:
             for t in range(cfg.steps):
-                v -= (cfg.dt / 2) * _force(cfg.potential, x)
-                x += (cfg.dt / 2) * v
-                v = c1 * v + c2 * noise[t]
-                x += (cfg.dt / 2) * v
-                v -= (cfg.dt / 2) * _force(cfg.potential, x)
+                _baoab_inplace(x, v, cfg.potential, cfg.gamma, cfg.dt, noise[t])
                 if (t + 1) % cfg.record_every == 0:
                     rec += 1
                     for n in names:

@@ -30,24 +30,6 @@ from .errors import ConfigurationError
 
 
 @dataclass(frozen=True)
-class TuningInputs:
-    m: float
-    K: float
-    gamma: float | None = None
-    eps: float | None = None
-
-    def __post_init__(self):
-        if self.m <= 0:
-            raise ConfigurationError("Poincare constant m must be positive")
-        if self.K < 0:
-            raise ConfigurationError("Hessian bound K must be nonnegative")
-        if self.gamma is not None and self.gamma <= 0:
-            raise ConfigurationError("gamma override must be positive")
-        if self.eps is not None and self.eps <= 0:
-            raise ConfigurationError("eps override must be positive")
-
-
-@dataclass(frozen=True)
 class TuningResult:
     m: float
     K: float

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import hypolab as hl
 import hypolab.cli as cli
 from hypolab.errors import ConfigurationError
 
@@ -33,6 +34,16 @@ class TestConfigParsing:
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigurationError, match="evolve.dt"):
             cli.build_config({"evolve.dt": "fast"})
+
+    def test_potential_checked_by_the_model(self):
+        with pytest.raises(ConfigurationError, match="potential.params"):
+            cli.build_config({"potential.params": "-1"})
+        with pytest.raises(ConfigurationError, match="potential.kind"):
+            cli.build_config({"potential.kind": "sombrero"})
+
+    def test_nonpositive_tuning_gamma_rejected(self):
+        with pytest.raises(ConfigurationError, match="tuning.gamma"):
+            cli.build_config({"tuning.gamma": "0"})
 
     def test_round_trip(self):
         raw = {
@@ -83,7 +94,23 @@ class TestRunExperiment:
             assert margins[name] == cli.BOUND_SLACK - (ratio - 1.0)
         # ||L_a A|| < 1 strictly, so its margin exceeds the slack
         assert margins["bound_LaA"] > 0.05
-        assert report.results["corrector"]["norm_A_exact_residual"] <= 1e-12
+        corrector = report.results["corrector"]
+        assert corrector["norm_A_exact_residual"] <= 1e-12
+        # coercivity is judged on the lower bound min_eig_Q - residual
+        lower = corrector["min_eig_Q"] - corrector["min_eig_residual"]
+        assert 0.0 < corrector["min_eig_residual"] <= 1e-6
+        assert corrector["min_eig_iterations"] >= 1
+        assert margins["dissipation_coercive"] == (
+            lower / corrector["lambda_coer"] - (1 - cli.BOUND_SLACK)
+        )
+
+    def test_slack_uses_the_reported_lambda_coer(self):
+        cfg = cli.build_config(
+            {"grid.N_x": "64", "grid.N_v": "12", "tuning.m": "0.5"}
+        )
+        corrector = cli.run_experiment("verify", cfg).results["corrector"]
+        assert corrector["lambda_coer"] == hl.rate(0.5, 0.0)[0]
+        assert corrector["slack"] == corrector["min_eig_Q"] - corrector["lambda_coer"]
 
     def test_unknown_command(self):
         cfg = cli.build_config({})

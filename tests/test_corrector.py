@@ -9,6 +9,18 @@ from hypolab.errors import ConfigurationError, PreconditionError
 from conftest import make_ops, random_mean_zero
 
 
+def functional(corr, eps, gamma=4.0):
+    return hl.ModifiedFunctional(corr, hl.compose_generator(corr.ops, gamma), eps)
+
+
+def lyapunov(f, corr, eps):
+    return functional(corr, eps).values(f)[0]
+
+
+def dissipation(f, corr, eps, gamma):
+    return functional(corr, eps, gamma).values(f)[1]
+
+
 def position_eigenpair(ops, index=1):
     """Eigenpair of -L_o on the position factor (index 0 is the kernel)."""
     vals, vecs = sla.eigh(-ops.lo_x)
@@ -88,20 +100,20 @@ class TestBuildCorrector:
 
 class TestLyapunov:
     def test_zero_state(self, corr_quad):
-        assert hl.lyapunov(np.zeros(corr_quad.ops.n), corr_quad, 0.3) == 0.0
+        assert lyapunov(np.zeros(corr_quad.ops.n), corr_quad, 0.3) == 0.0
 
     def test_pure_position_state(self, corr_quad, ops_quad):
         _, phi = position_eigenpair(ops_quad)
         f = np.zeros((ops_quad.n_x, ops_quad.n_v))
         f[:, 0] = phi
         f = f.ravel()
-        val = hl.lyapunov(f, corr_quad, 0.29)
+        val = lyapunov(f, corr_quad, 0.29)
         assert val == pytest.approx(0.5 * np.dot(f, f), rel=1e-12)
 
     def test_bracket_at_tuned_eps(self, corr_quad, ops_quad, tuned_quad):
         for seed in range(20):
             f = random_mean_zero(ops_quad, seed)
-            val = hl.lyapunov(f, corr_quad, tuned_quad.eps_star)
+            val = lyapunov(f, corr_quad, tuned_quad.eps_star)
             n2 = np.dot(f, f)
             assert 0.25 * n2 <= val <= 0.75 * n2
 
@@ -115,19 +127,15 @@ class TestLyapunov:
                 f = rng.standard_normal(ops_quad.n)
                 f = ops_quad.project_mean_zero(f)
                 f /= np.linalg.norm(f)
-                val = hl.lyapunov(f, corr_quad, eps)
+                val = lyapunov(f, corr_quad, eps)
                 lo = (1 - 2 * eps * norm_a) / 2
                 hi = (1 + 2 * eps * norm_a) / 2
                 assert lo - 1e-8 <= val <= hi + 1e-8
 
-    def test_requires_mean_zero(self, corr_quad, ops_quad):
-        with pytest.raises(PreconditionError):
-            hl.lyapunov(ops_quad.const_vec, corr_quad, 0.3)
-
 
 class TestDissipation:
     def test_zero_state(self, corr_quad):
-        assert hl.dissipation(np.zeros(corr_quad.ops.n), corr_quad, 0.3, 4.0) == 0.0
+        assert dissipation(np.zeros(corr_quad.ops.n), corr_quad, 0.3, 4.0) == 0.0
 
     def test_position_eigenvector_value(self, corr_quad, ops_quad):
         # pure-position eigenvector at eigenvalue lam: D = eps*lam/(m+lam)*||f||^2
@@ -137,21 +145,21 @@ class TestDissipation:
             f = np.zeros((ops_quad.n_x, ops_quad.n_v))
             f[:, 0] = phi
             f = f.ravel()
-            val = hl.dissipation(f, corr_quad, eps, 4.0)
+            val = dissipation(f, corr_quad, eps, 4.0)
             expected = eps * lam / (ops_quad.m_h + lam)
             assert val == pytest.approx(expected, rel=1e-9)
 
     def test_nonnegative_at_tuned_parameters(self, corr_quad, ops_quad, tuned_quad):
         for seed in range(20):
             f = random_mean_zero(ops_quad, 100 + seed)
-            val = hl.dissipation(f, corr_quad, tuned_quad.eps_star,
+            val = dissipation(f, corr_quad, tuned_quad.eps_star,
                                  tuned_quad.gamma_star)
             assert val >= 0.0
 
     def test_rejects_bad_gamma(self, corr_quad, ops_quad):
         f = random_mean_zero(ops_quad, 0)
         with pytest.raises(ConfigurationError):
-            hl.dissipation(f, corr_quad, 0.3, -1.0)
+            dissipation(f, corr_quad, 0.3, -1.0)
 
 
 class TestOperatorNorm:
@@ -248,15 +256,15 @@ class TestCorrectorBounds:
 
 class TestDissipationFormMinEig:
     def test_coercive_at_tuned_parameters(self, corr_quad, ops_quad, tuned_quad):
-        min_eig, slack = hl.dissipation_form_min_eig(
+        min_eig, residual, iterations = hl.dissipation_form_min_eig(
             corr_quad, tuned_quad.eps_star, tuned_quad.gamma_star
         )
-        assert min_eig >= tuned_quad.lambda_coer * 0.95
-        assert slack == pytest.approx(min_eig - tuned_quad.lambda_coer, abs=1e-14)
+        assert min_eig - residual >= tuned_quad.lambda_coer * 0.95
+        assert 0.0 <= residual <= 1e-6 and iterations >= 1
 
     def test_vanishing_eps_loses_coercivity(self, corr_quad, tuned_quad):
         # without the corrector term the slow subspace is undamped
-        min_eig, _ = hl.dissipation_form_min_eig(
+        min_eig, _, _ = hl.dissipation_form_min_eig(
             corr_quad, 0.0, tuned_quad.gamma_star
         )
         assert abs(min_eig) <= 1e-8
@@ -265,7 +273,7 @@ class TestDissipationFormMinEig:
         ops = make_ops(hl.quadratic(1.0), n_x=256, n_v=20)
         corr = hl.build_corrector(ops)
         tuned = hl.optimize_friction(ops.m_h, 0.0)
-        min_eig, _ = hl.dissipation_form_min_eig(
+        min_eig, _, _ = hl.dissipation_form_min_eig(
             corr, tuned.eps_star, tuned.gamma_star
         )
         assert min_eig >= tuned.lambda_coer * 0.95
@@ -273,10 +281,10 @@ class TestDissipationFormMinEig:
     def test_form_matches_dissipation(self, corr_quad_small, ops_quad_small):
         tuned = hl.optimize_friction(ops_quad_small.m_h, 0.0)
         eps, gamma = tuned.eps_star, tuned.gamma_star
-        q = hl.corrector.dissipation_form(corr_quad_small, eps, gamma)
+        q = functional(corr_quad_small, eps, gamma).form()
         for seed in range(5):
             f = random_mean_zero(ops_quad_small, 300 + seed)
-            expected = hl.dissipation(f, corr_quad_small, eps, gamma)
+            expected = dissipation(f, corr_quad_small, eps, gamma)
             assert f @ (q @ f) == pytest.approx(expected, rel=1e-12, abs=1e-14)
 
     @pytest.mark.parametrize("potential", sorted(SMALL_POTENTIALS))
@@ -285,15 +293,17 @@ class TestDissipationFormMinEig:
         corr = hl.build_corrector(ops)
         tuned = hl.optimize_friction(ops.m_h, ops.grid.model.K)
         eps, gamma = tuned.eps_star, tuned.gamma_star
-        min_eig, _ = hl.dissipation_form_min_eig(corr, eps, gamma)
+        min_eig, residual, _ = hl.dissipation_form_min_eig(corr, eps, gamma)
         # dense eigensolve of the form deflated to the mean-zero subspace,
         # with the constant direction pushed far above the spectrum
-        Q = hl.corrector.dissipation_form(corr, eps, gamma).toarray()
+        Q = functional(corr, eps, gamma).form().toarray()
         u = ops.const_vec
         P = np.eye(ops.n) - np.outer(u, u)
         deflated = P @ Q @ P + 10.0 * np.abs(Q).max() * ops.n * np.outer(u, u)
         dense_min = sla.eigvalsh(deflated)[0]
         assert min_eig == pytest.approx(dense_min, abs=1e-9)
+        # the reported lower bound brackets the eigenvalue from below
+        assert dense_min - 1e-6 <= min_eig - residual <= dense_min
 
 
 class TestBochner:

@@ -65,8 +65,37 @@ class TestStepBaoab:
                                rng.standard_normal((32, 3)))
         assert xn.shape == vn.shape == (32, 3)
 
+    def test_leaves_caller_state_unchanged(self):
+        rng = np.random.default_rng(1)
+        x, v = rng.standard_normal((2, 8, 2))
+        x0, v0 = x.copy(), v.copy()
+        hl.step_baoab((x, v), hl.double_well(), 2.0, 0.01, rng.standard_normal((8, 2)))
+        np.testing.assert_array_equal(x, x0)
+        np.testing.assert_array_equal(v, v0)
+
 
 class TestRunEnsemble:
+    def test_matches_step_baoab_per_trajectory(self):
+        cfg = hl.SdeConfig(potential=hl.double_well(), d=2, particles=100,
+                           steps=50, gamma=2.0, seed=5, init_shift=0.5)
+        trace = hl.run_ensemble(cfg)
+        x = np.full((cfg.particles, cfg.d), cfg.init_shift)
+        v = np.empty_like(x)
+        x_sq = np.empty((len(trace.times), cfg.particles))
+        for i in range(cfg.particles):
+            gen = np.random.Generator(np.random.Philox(key=[cfg.seed, i]))
+            draws = gen.standard_normal((cfg.steps + 1, cfg.d))
+            v[i] = draws[0]
+            x_sq[0, i] = (x[i] ** 2).mean()
+            for t in range(cfg.steps):
+                x[i], v[i] = hl.step_baoab((x[i], v[i]), cfg.potential,
+                                           cfg.gamma, cfg.dt, draws[t + 1])
+                if (t + 1) % cfg.record_every == 0:
+                    x_sq[(t + 1) // cfg.record_every, i] = (x[i] ** 2).mean()
+        np.testing.assert_array_equal(trace.means["x_sq"], x_sq.mean(axis=1))
+        np.testing.assert_array_equal(trace.final_x_mean, x.mean(axis=0))
+        np.testing.assert_array_equal(trace.final_v_var, v.var(axis=0))
+
     def test_same_seed_is_bitwise_identical(self):
         cfg = hl.SdeConfig(potential=hl.quadratic(), particles=300, steps=100,
                            gamma=4.0, seed=7)

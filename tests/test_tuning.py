@@ -173,12 +173,3 @@ class TestHighPrecisionOracle:
         assert res.lambda_coer == pytest.approx(float(lam), rel=1e-14)
         assert res.Lambda == pytest.approx(float(2 * lam / 3), rel=1e-14)
 
-
-class TestTuningInputs:
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            hl.TuningInputs(m=-1.0, K=0.0)
-        with pytest.raises(ConfigurationError):
-            hl.TuningInputs(m=1.0, K=0.0, gamma=0.0)
-        inputs = hl.TuningInputs(m=1.0, K=0.5, gamma=3.0, eps=0.1)
-        assert inputs.gamma == 3.0
