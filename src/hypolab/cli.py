@@ -38,8 +38,9 @@ from .discretize import (
     check_structure,
     poincare_constant,
 )
-from .errors import ConfigurationError, PreconditionError
+from .errors import ConfigurationError, NumericalError, PreconditionError
 from .evolve import (
+    DT_GUARD,
     estimate_rate,
     initial_condition,
     integrate,
@@ -48,10 +49,16 @@ from .evolve import (
 )
 from .model import POTENTIAL_KINDS, Potential, default_domain, gibbs_model
 from .sampler import SdeConfig, estimate_observable_decay, run_ensemble
-from .tuning import TuningResult, check_ratio_consistency, optimize_friction
+from .tuning import (
+    TuningResult,
+    check_ratio_consistency,
+    dissipation_matrix,
+    optimize_friction,
+)
 
 SUBCOMMANDS = ("gap", "tune", "verify", "evolve", "sample", "sweep", "all")
 BOUND_SLACK = 0.05  # acceptance tolerance on the corrector bounds
+TUNED_RTOL = 1e-12  # relative distance at which a parameter counts as tuned
 
 
 @dataclass
@@ -65,7 +72,6 @@ class ExperimentConfig:
     tuning_k: float | None = None
     tuning_gamma: float | None = None
     tuning_eps: float | None = None
-    tuning_alpha: float | None = None
     evolve_t_end_factor: float = 5.0
     evolve_dt: float = 0.02
     evolve_f0: str = "random"
@@ -74,7 +80,6 @@ class ExperimentConfig:
     sde_particles: int = 10000
     sde_dt: float = 0.01
     sde_steps: int = 2000
-    sde_gamma: float | None = None
     sde_record_every: int = 10
     sde_init_shift: float = 2.0
     sweep_gammas: tuple = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
@@ -83,7 +88,7 @@ class ExperimentConfig:
     def echo(self) -> dict:
         """Flat dotted-key view; parsing the echo reproduces the config."""
         out = {}
-        for key, name in _KEYMAP.items():
+        for key, (name, _) in _KEYS.items():
             value = getattr(self, name)
             if value is None:
                 continue
@@ -94,36 +99,34 @@ class ExperimentConfig:
         return out
 
 
-_KEYMAP = {
-    "potential.kind": "potential_kind",
-    "potential.params": "potential_params",
-    "grid.L_dom": "grid_l_dom",
-    "grid.N_x": "grid_n_x",
-    "grid.N_v": "grid_n_v",
-    "tuning.m": "tuning_m",
-    "tuning.K": "tuning_k",
-    "tuning.gamma": "tuning_gamma",
-    "tuning.eps": "tuning_eps",
-    "tuning.alpha": "tuning_alpha",
-    "evolve.t_end_factor": "evolve_t_end_factor",
-    "evolve.dt": "evolve_dt",
-    "evolve.f0": "evolve_f0",
-    "seed": "seed",
-    "sde.d": "sde_d",
-    "sde.particles": "sde_particles",
-    "sde.dt": "sde_dt",
-    "sde.steps": "sde_steps",
-    "sde.gamma": "sde_gamma",
-    "sde.record_every": "sde_record_every",
-    "sde.init_shift": "sde_init_shift",
-    "sweep.gammas": "sweep_gammas",
-    "sweep.target": "sweep_target",
-}
+def _floats(text: str) -> tuple:
+    return tuple(float(v) for v in text.split(",") if v.strip())
 
-_FLOAT_TUPLES = {"potential.params", "sweep.gammas"}
-_STRINGS = {"potential.kind", "evolve.f0", "sweep.target"}
-_INTS = {"grid.N_x", "grid.N_v", "seed", "sde.d", "sde.particles", "sde.steps",
-         "sde.record_every"}
+
+# config key -> (ExperimentConfig attribute, parser of the value text)
+_KEYS = {
+    "potential.kind": ("potential_kind", str),
+    "potential.params": ("potential_params", _floats),
+    "grid.L_dom": ("grid_l_dom", float),
+    "grid.N_x": ("grid_n_x", int),
+    "grid.N_v": ("grid_n_v", int),
+    "tuning.m": ("tuning_m", float),
+    "tuning.K": ("tuning_k", float),
+    "tuning.gamma": ("tuning_gamma", float),
+    "tuning.eps": ("tuning_eps", float),
+    "evolve.t_end_factor": ("evolve_t_end_factor", float),
+    "evolve.dt": ("evolve_dt", float),
+    "evolve.f0": ("evolve_f0", str),
+    "seed": ("seed", int),
+    "sde.d": ("sde_d", int),
+    "sde.particles": ("sde_particles", int),
+    "sde.dt": ("sde_dt", float),
+    "sde.steps": ("sde_steps", int),
+    "sde.record_every": ("sde_record_every", int),
+    "sde.init_shift": ("sde_init_shift", float),
+    "sweep.gammas": ("sweep_gammas", _floats),
+    "sweep.target": ("sweep_target", str),
+}
 
 
 def parse_config_text(text: str) -> dict:
@@ -136,7 +139,7 @@ def parse_config_text(text: str) -> dict:
         if "=" not in line:
             raise ConfigurationError(f"line {lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _KEYMAP:
+        if key not in _KEYS:
             raise ConfigurationError(f"{key}: unknown configuration key")
         out[key] = value
     return out
@@ -145,19 +148,11 @@ def parse_config_text(text: str) -> dict:
 def build_config(raw: dict) -> ExperimentConfig:
     cfg = ExperimentConfig()
     for key, value in raw.items():
-        name = _KEYMAP[key]
+        name, parse = _KEYS[key]
         try:
-            if key in _FLOAT_TUPLES:
-                parsed = tuple(float(v) for v in str(value).split(",") if v.strip())
-            elif key in _STRINGS:
-                parsed = str(value)
-            elif key in _INTS:
-                parsed = int(str(value))
-            else:
-                parsed = float(str(value))
+            setattr(cfg, name, parse(str(value)))
         except ValueError as exc:
             raise ConfigurationError(f"{key}: {exc}")
-        setattr(cfg, name, parsed)
     _validate(cfg)
     return cfg
 
@@ -181,7 +176,6 @@ def _validate(cfg: ExperimentConfig):
         ("tuning.m", cfg.tuning_m),
         ("tuning.gamma", cfg.tuning_gamma),
         ("tuning.eps", cfg.tuning_eps),
-        ("tuning.alpha", cfg.tuning_alpha),
     ):
         if value is not None and value <= 0:
             bad(key, "must be positive")
@@ -199,6 +193,8 @@ def _validate(cfg: ExperimentConfig):
         bad("sde.d", "must be >= 1")
     if cfg.sde_dt <= 0 or cfg.sde_steps < 1:
         bad("sde.dt", "dt and steps must be positive")
+    if cfg.sde_record_every < 1:
+        bad("sde.record_every", "must be >= 1")
     if cfg.sweep_target not in ("evolve", "sample"):
         bad("sweep.target", "must be 'evolve' or 'sample'")
     if not cfg.sweep_gammas:
@@ -250,8 +246,8 @@ def report_json(report: RunReport) -> str:
 
 
 class _Workspace:
-    """Lazily built grid/operators and tuned parameters shared across
-    subcommand stages; each is resolved once."""
+    """Lazily built grid/operators and the operating point shared across
+    subcommand stages; each is resolved once, and only here."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
@@ -294,8 +290,22 @@ class _Workspace:
         return self.tuned.eps_star
 
     @cached_property
+    def gamma_is_tuned(self) -> bool:
+        """gamma is gamma_star: the decay bound and the rate are certified."""
+        return abs(self.gamma - self.tuned.gamma_star) <= (
+            TUNED_RTOL * self.tuned.gamma_star
+        )
+
+    @cached_property
+    def point_is_tuned(self) -> bool:
+        """(gamma, eps) is (gamma_star, eps_star): the functional decreases."""
+        return self.gamma_is_tuned and abs(self.eps - self.tuned.eps_star) <= (
+            TUNED_RTOL * self.tuned.eps_star
+        )
+
+    @cached_property
     def corrector(self):
-        return build_corrector(self.ops, self.cfg.tuning_alpha)
+        return build_corrector(self.ops)
 
 
 def _stage_gap(ws: _Workspace, report: RunReport):
@@ -317,8 +327,15 @@ def _stage_tune(ws: _Workspace, report: RunReport):
     t0 = time.perf_counter()
     tuned = ws.tuned
     report.results["tuning"] = tuned.as_dict()
-    chain = check_ratio_consistency(tuned.m, tuned.K)
+    chain = check_ratio_consistency(tuned)
     report.results["tuning"]["ratio_chain"] = chain
+    M, _, _, admissible = dissipation_matrix(ws.gamma, ws.eps, tuned.m, tuned.K)
+    report.results["tuning"]["operating_point"] = {
+        "gamma": ws.gamma,
+        "eps": ws.eps,
+        "admissible": admissible,
+        "lambda_min_M": float(np.linalg.eigvalsh(M)[0]),
+    }
     ordering = 0 < tuned.eps_star < tuned.eps_max < 2 * tuned.gamma_star / tuned.a
     report.add_verdict(
         "eps_ordering", "pass" if ordering else "fail", tuned.eps_max - tuned.eps_star
@@ -377,7 +394,6 @@ def _stage_evolve(ws: _Workspace, report: RunReport):
     tuned = ws.tuned
     gamma, eps = ws.gamma, ws.eps
     corr = ws.corrector
-    is_tuned_gamma = abs(gamma - tuned.gamma_star) <= 1e-12 * tuned.gamma_star
     t_end = cfg.evolve_t_end_factor / tuned.Lambda
     kinds = ("gap", "velocity", "random") if cfg.evolve_f0 == "all" else (cfg.evolve_f0,)
     rates = {}
@@ -398,7 +414,7 @@ def _stage_evolve(ws: _Workspace, report: RunReport):
         if kind == "zero":
             report.add_verdict(f"decay_bound{suffix}", "pass", 1.0)
             continue
-        if is_tuned_gamma:
+        if ws.gamma_is_tuned:
             holds, margin = verify_decay_bound(trace)
             report.add_verdict(f"decay_bound{suffix}",
                                "pass" if holds else "fail", margin)
@@ -408,7 +424,7 @@ def _stage_evolve(ws: _Workspace, report: RunReport):
             report.add_verdict(f"rate_above_Lambda{suffix}",
                                "pass" if above else "fail",
                                fitted / tuned.Lambda - 1)
-            resid = lyapunov_derivative_check(ops, corr, trace)
+            resid = lyapunov_derivative_check(trace, monotone=ws.point_is_tuned)
             report.results.setdefault("lyapunov_residuals", {})[kind] = resid
         else:
             report.add_verdict(f"decay_bound{suffix}", "skipped", None)
@@ -423,14 +439,13 @@ def _stage_evolve(ws: _Workspace, report: RunReport):
 
 def _sde_config(ws: _Workspace) -> SdeConfig:
     cfg = ws.cfg
-    gamma = cfg.sde_gamma if cfg.sde_gamma is not None else ws.gamma
     return SdeConfig(
         potential=ws.potential,
         d=cfg.sde_d,
         particles=cfg.sde_particles,
         dt=cfg.sde_dt,
         steps=cfg.sde_steps,
-        gamma=gamma,
+        gamma=ws.gamma,
         seed=cfg.seed,
         record_every=cfg.sde_record_every,
         init_shift=cfg.sde_init_shift,
@@ -469,7 +484,7 @@ def _stage_sample(ws: _Workspace, report: RunReport):
         report.add_verdict("equilibrium_x_sq", "pass" if z_x <= 3.0 else "fail",
                            3.0 - z_x)
         if cfg.sde_init_shift != 0.0:
-            rate = estimate_observable_decay(sde, cfg.sde_init_shift)
+            rate = estimate_observable_decay(sde)
             oracle = _first_moment_rate(sde.gamma, a)
             rel = abs(rate - oracle) / oracle
             report.results["rates"] = report.results.get("rates", {})
@@ -493,17 +508,16 @@ def _stage_sweep(ws: _Workspace, report: RunReport):
         base = _sde_config(ws)
         for gamma in cfg.sweep_gammas:
             sde = replace(base, gamma=gamma)
-            rates[f"{gamma:g}"] = estimate_observable_decay(sde, cfg.sde_init_shift)
+            rates[f"{gamma:g}"] = estimate_observable_decay(sde)
     else:
         ops = ws.ops
         tuned = ws.tuned
         corr = ws.corrector
         for gamma in cfg.sweep_gammas:
-            dt = min(cfg.evolve_dt, 0.1 / gamma * 0.999)
+            dt = min(cfg.evolve_dt, DT_GUARD / gamma * 0.999)
             f0 = initial_condition(ops, "random", seed=cfg.seed)
             trace = integrate(ops, f0, gamma, cfg.evolve_t_end_factor / tuned.Lambda,
-                              dt, corrector=corr, eps=tuned.eps_star,
-                              Lambda=tuned.Lambda)
+                              dt, corrector=corr, eps=ws.eps, Lambda=tuned.Lambda)
             rates[f"{gamma:g}"] = estimate_rate(trace)
     report.results["sweep"] = {"target": cfg.sweep_target, "rates": rates}
     if ws.potential.kind == "quadratic" and "2" in rates and len(rates) > 1:
@@ -578,29 +592,22 @@ def main(argv=None) -> int:
             raw["seed"] = str(args.seed)
         if args.gamma is not None:
             raw["tuning.gamma"] = repr(args.gamma)
-            raw["sde.gamma"] = repr(args.gamma)
         if args.eps is not None:
             raw["tuning.eps"] = repr(args.eps)
         if args.nx is not None:
             raw["grid.N_x"] = str(args.nx)
         if args.nv is not None:
             raw["grid.N_v"] = str(args.nv)
-        cfg = build_config(raw)
+        report = run_experiment(args.command, build_config(raw))
     except (ConfigurationError, PreconditionError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    except (NumericalError, np.linalg.LinAlgError) as exc:
+        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 4
-
-    try:
-        report = run_experiment(args.command, cfg)
-    except (ConfigurationError, PreconditionError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # numerical failures
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
 
     try:
         if args.out:

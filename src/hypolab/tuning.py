@@ -114,15 +114,16 @@ def _sanity_check_maximizer(m, K, x_star, factor=1.0 + 1e-7):
         )
 
 
-def check_ratio_consistency(m: float, K: float) -> dict:
+def check_ratio_consistency(tuned: TuningResult) -> dict:
     """Evaluate the bound chain det/tr <= lambda_min(M) at (gamma*, eps*)."""
-    res = optimize_friction(m, K)
-    M, det, trace, admissible = dissipation_matrix(res.gamma_star, res.eps_star, m, K)
+    M, det, trace, admissible = dissipation_matrix(
+        tuned.gamma_star, tuned.eps_star, tuned.m, tuned.K
+    )
     lam_min = float(np.linalg.eigvalsh(M)[0])
     return {
         "det_over_trace": det / trace,
         "lambda_min_M": lam_min,
-        "lambda_coer": res.lambda_coer,
+        "lambda_coer": tuned.lambda_coer,
         "admissible": admissible,
-        "chain_holds": lam_min >= det / trace >= res.lambda_coer,
+        "chain_holds": lam_min >= det / trace >= tuned.lambda_coer,
     }

@@ -4,7 +4,7 @@ import pytest
 
 import hypolab as hl
 import hypolab.cli as cli
-from hypolab.errors import ConfigurationError
+from hypolab.errors import ConfigurationError, DivergenceError
 
 
 class TestConfigParsing:
@@ -41,6 +41,15 @@ class TestConfigParsing:
         with pytest.raises(ConfigurationError, match="potential.kind"):
             cli.build_config({"potential.kind": "sombrero"})
 
+    def test_removed_keys_are_unknown(self):
+        for key in ("tuning.alpha", "sde.gamma"):
+            with pytest.raises(ConfigurationError, match="unknown configuration key"):
+                cli.parse_config_text(f"{key} = 1.0")
+
+    def test_record_every_rejected_at_the_boundary(self):
+        with pytest.raises(ConfigurationError, match="sde.record_every"):
+            cli.build_config({"sde.record_every": "0"})
+
     def test_nonpositive_tuning_gamma_rejected(self):
         with pytest.raises(ConfigurationError, match="tuning.gamma"):
             cli.build_config({"tuning.gamma": "0"})
@@ -68,6 +77,36 @@ class TestRunExperiment:
         assert tuning["gamma_star"] == 4.0
         assert tuning["Lambda"] == pytest.approx(0.04881554, abs=1e-7)
         assert not report.failed
+
+    def test_tune_operating_point_follows_the_flags(self, capsys):
+        assert cli.main(["tune", "--nx", "32", "--nv", "6",
+                         "--gamma", "3.0", "--eps", "0.2"]) == 0
+        point = json.loads(capsys.readouterr().out)["results"]["tuning"][
+            "operating_point"]
+        assert (point["gamma"], point["eps"]) == (3.0, 0.2)
+        tuned = hl.optimize_friction(1.0, 0.0)  # the flags leave m, K alone
+        cfg = cli.build_config({"tuning.m": "1.0", "tuning.K": "0.0"})
+        point = cli.run_experiment("tune", cfg).results["tuning"]["operating_point"]
+        assert (point["gamma"], point["eps"]) == (tuned.gamma_star, tuned.eps_star)
+        assert point["admissible"]
+        assert point["lambda_min_M"] == hl.check_ratio_consistency(tuned)[
+            "lambda_min_M"]
+
+    def test_tuned_m_checks_monotonicity(self, monkeypatch):
+        calls = []
+        original = cli.lyapunov_derivative_check
+
+        def record(trace, monotone, t_min=0.0):
+            calls.append(monotone)
+            return original(trace, monotone, t_min)
+
+        monkeypatch.setattr(cli, "lyapunov_derivative_check", record)
+        raw = {"grid.N_x": "32", "grid.N_v": "6", "tuning.m": "0.5",
+               "evolve.t_end_factor": "0.5"}
+        assert not cli.run_experiment("evolve", cli.build_config(raw)).failed
+        raw["tuning.eps"] = "0.01"
+        cli.run_experiment("evolve", cli.build_config(raw))
+        assert calls == [True, False]
 
     def test_gap_subcommand(self):
         cfg = cli.build_config({"grid.N_x": "64", "grid.N_v": "8"})
@@ -190,6 +229,22 @@ class TestMain:
         bad = tmp_path / "bad.conf"
         bad.write_text("grid.N_x = 4\n")
         assert cli.main(["gap", "--config", str(bad)]) == 2
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        def broken(command, cfg):
+            raise TypeError("not a numerical failure")
+
+        monkeypatch.setattr(cli, "run_experiment", broken)
+        with pytest.raises(TypeError):
+            cli.main(["gap"])
+
+    def test_numerical_failure_names_the_class(self, monkeypatch, capsys):
+        def diverge(command, cfg):
+            raise DivergenceError("non-finite force", coordinate=3)
+
+        monkeypatch.setattr(cli, "run_experiment", diverge)
+        assert cli.main(["gap"]) == 3
+        assert "DivergenceError" in capsys.readouterr().err
 
     def test_missing_config_file_is_io_error(self):
         assert cli.main(["gap", "--config", "/nonexistent/x.conf"]) == 4

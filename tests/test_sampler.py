@@ -30,8 +30,8 @@ class TestConfig:
             hl.SdeConfig(potential=hl.quadratic(), particles=10)
 
     def test_default_observables_present(self):
-        cfg = hl.SdeConfig(potential=hl.quadratic(), particles=100)
-        assert set(cfg.observables) >= {"x0", "x_sq", "v_sq", "energy"}
+        cfg = hl.SdeConfig(potential=hl.quadratic(), particles=100, steps=10)
+        assert set(hl.run_ensemble(cfg).means) >= {"x0", "x_sq", "v_sq", "energy"}
 
 
 class TestStepBaoab:
@@ -169,22 +169,24 @@ class TestRunEnsemble:
 class TestObservableDecay:
     def test_overdamped_regime_rate(self):
         cfg = hl.SdeConfig(potential=hl.quadratic(1.0), particles=10000,
-                           steps=2000, dt=0.01, gamma=4.0, seed=2024)
-        r = hl.estimate_observable_decay(cfg, init_shift=2.0)
+                           steps=2000, dt=0.01, gamma=4.0, seed=2024,
+                           init_shift=2.0)
+        r = hl.estimate_observable_decay(cfg)
         oracle = 2.0 - np.sqrt(3.0)
         assert abs(r - oracle) <= 0.15 * oracle
 
     def test_underdamped_regime_rate(self):
         cfg = hl.SdeConfig(potential=hl.quadratic(1.0), particles=10000,
-                           steps=4000, dt=0.01, gamma=0.2, seed=2024)
-        r = hl.estimate_observable_decay(cfg, init_shift=2.0)
+                           steps=4000, dt=0.01, gamma=0.2, seed=2024,
+                           init_shift=2.0)
+        r = hl.estimate_observable_decay(cfg)
         assert abs(r - 0.1) <= 0.2 * 0.1
 
     def test_no_signal_rejected(self):
         cfg = hl.SdeConfig(potential=hl.quadratic(1.0), particles=500,
                            steps=100, dt=0.01, gamma=4.0, seed=1)
         with pytest.raises(InsufficientSignalError):
-            hl.estimate_observable_decay(cfg, init_shift=0.0)
+            hl.estimate_observable_decay(cfg)
 
 
 class TestGammaSweep:
@@ -195,8 +197,9 @@ class TestGammaSweep:
             theory = gamma / 2 if gamma <= 2 else (gamma - np.sqrt(gamma**2 - 4)) / 2
             steps = int(min(40.0 / theory, 60.0) / 0.01)
             cfg = hl.SdeConfig(potential=hl.quadratic(1.0), particles=4000,
-                               steps=steps, dt=0.01, gamma=gamma, seed=11)
-            rates[gamma] = hl.estimate_observable_decay(cfg, init_shift=2.0)
+                               steps=steps, dt=0.01, gamma=gamma, seed=11,
+                               init_shift=2.0)
+            rates[gamma] = hl.estimate_observable_decay(cfg)
         assert max(rates, key=rates.get) == 2.0
         tuned = rates[4.0]
         assert tuned >= hl.rate(1.0, 0.0)[1]  # certified rate is a lower bound

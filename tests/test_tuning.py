@@ -135,7 +135,7 @@ class TestRate:
 
 class TestRatioConsistency:
     def test_convex_chain_values(self):
-        chain = hl.check_ratio_consistency(1.0, 0.0)
+        chain = hl.check_ratio_consistency(hl.optimize_friction(1.0, 0.0))
         assert chain["det_over_trace"] == pytest.approx(0.0760062, abs=1e-6)
         assert chain["lambda_coer"] == pytest.approx(0.0732233, abs=1e-6)
         assert chain["chain_holds"]
@@ -143,7 +143,7 @@ class TestRatioConsistency:
     @given(m=positive_m, K=nonneg_k)
     @settings(max_examples=100, deadline=None)
     def test_chain_holds_generically(self, m, K):
-        chain = hl.check_ratio_consistency(m, K)
+        chain = hl.check_ratio_consistency(hl.optimize_friction(m, K))
         assert chain["admissible"]
         assert chain["chain_holds"]
 
