@@ -361,16 +361,16 @@ def _stage_verify(ws: _Workspace, report: RunReport):
 
     t0 = time.perf_counter()
     norms = verify_corrector_bounds(ws.corrector)
-    norms.min_eig_q, norms.min_eig_residual, norms.min_eig_iterations = (
-        dissipation_form_min_eig(ws.corrector, ws.eps, ws.gamma)
+    norms.min_eig_q, norms.min_eig_residual = dissipation_form_min_eig(
+        ws.corrector, ws.eps, ws.gamma
     )
     norms.lambda_coer = ws.tuned.lambda_coer
     report.results["corrector"] = norms.as_dict()
     for name, ratio in zip(("bound_A", "bound_LaA", "bound_ALa_fast"), norms.ratios):
         margin = BOUND_SLACK - (ratio - 1.0)
         report.add_verdict(name, "pass" if margin >= 0 else "fail", margin)
-    # the Rayleigh quotient bounds the eigenvalue from above; subtracting the
-    # residual gives the lower bound that coercivity needs
+    # subtracting the eigenvector's residual gives the lower bound that
+    # coercivity needs
     lower = norms.min_eig_q - norms.min_eig_residual
     coercive = lower >= norms.lambda_coer * (1 - BOUND_SLACK)
     report.add_verdict("dissipation_coercive", "pass" if coercive else "fail",

@@ -16,8 +16,11 @@ the lowering coefficient sqrt(2)):
 
 The first bound is attained: the singular values of B are s / (m_h + s^2)
 over the singular values s of Grad, and s = sqrt(m_h) is one of them.
-Also checked: coercivity of the dissipation quadratic form on the mean-zero
-subspace against lambda_coer.
+Also checked: coercivity of the dissipation quadratic form Q on the mean-zero
+subspace against lambda_coer.  A maps mode 1 to mode 0 and L moves one mode,
+so the corrector terms of Q live on Hermite modes 0-2, and the rest of Q is
+-(L + L^T)/2 = gamma k on mode k >= 3: one dense eigensolve of the 3 n_x x 3 n_x
+mode 0-2 block gives the smallest eigenvalue.
 """
 from __future__ import annotations
 
@@ -26,12 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg.blas import dsyr, dsyr2
 
 from .discretize import OperatorSet, compose_generator
 from .errors import ConfigurationError, NumericalError, PreconditionError
 from .model import eval_potential
-from .tuning import rate
 
 
 @dataclass
@@ -125,7 +127,6 @@ class DissipationReport:
     bound_a_la_fast: float
     min_eig_q: float | None = None
     min_eig_residual: float | None = None
-    min_eig_iterations: int | None = None
     lambda_coer: float | None = None
 
     @property
@@ -165,11 +166,18 @@ class DissipationReport:
             d.update(
                 min_eig_Q=self.min_eig_q,
                 min_eig_residual=self.min_eig_residual,
-                min_eig_iterations=self.min_eig_iterations,
                 lambda_coer=self.lambda_coer,
                 slack=self.slack,
             )
         return d
+
+
+def _require_gap_shift(c: Corrector, statement: str) -> None:
+    """Raise PreconditionError, naming the statement, unless c was built with
+    the gap shift alpha = m_h."""
+    m_h = c.ops.m_h
+    if m_h is None or abs(c.alpha - m_h) > 1e-12 * max(m_h, 1.0):
+        raise PreconditionError(f"{statement} requires alpha = m_h")
 
 
 def verify_corrector_bounds(c: Corrector) -> DissipationReport:
@@ -178,9 +186,8 @@ def verify_corrector_bounds(c: Corrector) -> DissipationReport:
     Each norm is the largest singular value of one position block (see the
     module docstring).  Requires the gap-shifted corrector (alpha = m_h).
     """
+    _require_gap_shift(c, "verifying the corrector bounds")
     ops = c.ops
-    if ops.m_h is None or abs(c.alpha - ops.m_h) > 1e-12 * max(ops.m_h or 1.0, 1.0):
-        raise PreconditionError("corrector bounds are stated for alpha = m_h")
     m = ops.m_h
     K = ops.grid.model.K
     norm_a = operator_norm(c.block)
@@ -196,60 +203,48 @@ def verify_corrector_bounds(c: Corrector) -> DissipationReport:
     )
 
 
-def _min_eig_shift_invert(q, u, sigma, tol=1e-12, max_iter=10000, seed=0):
-    """Smallest eigenvalue of q on the complement of u by shifted inverse
-    iteration: (Rayleigh quotient rho, residual ||P(q x) - rho x||, iterations).
-
-    The mean direction u is pushed out of the window by a rank-one penalty,
-    handled through the Sherman-Morrison update of the factorized shift.  rho
-    is an upper bound on the eigenvalue it converged to; rho - residual is a
-    lower bound on it.
-    """
-    n = q.shape[0]
-    penalty = 10.0 * float(abs(q).max()) * n
-    try:
-        lu = spla.splu(q - sigma * sp.identity(n, format="csc"))
-    except RuntimeError as exc:
-        raise NumericalError(f"shift-invert factorization failed: {exc}")
-    mu = lu.solve(u)
-    denom = 1.0 + penalty * float(u @ mu)
-
-    def solve(b):
-        y = lu.solve(b)
-        return y - mu * (penalty * float(u @ y) / denom)
-
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(n)
-    x -= u * (u @ x)
-    x /= np.linalg.norm(x)
-    rho = 0.0
-    for iteration in range(1, max_iter + 1):
-        y = solve(x)
-        y -= u * (u @ y)  # keep the iterate in the mean-zero subspace
-        ny = np.linalg.norm(y)
-        if ny == 0.0:
-            raise NumericalError("inverse iteration collapsed to zero")
-        x = y / ny
-        qx = q @ x
-        rho_new = float(x @ qx)
-        if abs(rho_new - rho) <= tol * max(abs(rho_new), 1.0):
-            qx -= u * (u @ qx) + rho_new * x
-            return rho_new, float(np.linalg.norm(qx)), iteration
-        rho = rho_new
-    raise NumericalError(f"inverse iteration did not converge in {max_iter} steps")
-
-
 def dissipation_form_min_eig(c: Corrector, eps: float, gamma: float):
-    """Smallest eigenvalue of the dissipation form on the mean-zero subspace,
-    as (value, residual, iterations) of shifted inverse iteration on the
-    sparse form; value - residual is a lower bound on it.
+    """Smallest eigenvalue of the dissipation form Q on the mean-zero subspace,
+    as (value, residual); value - residual is a lower bound on it.
+
+    Q couples Hermite modes 0-2 (the slow block, which holds the mean
+    direction u) to no higher mode; that is checked, not assumed.  The slow
+    block is deflated to u^perp as P Q P + s u u^T, with s above its norm, and
+    solved densely; the residual ||P(Q x) - value x|| of the eigenvector is
+    reported.  The fast block is bounded below by Gershgorin (gamma k on mode
+    k >= 3); when that bound is below value - residual it is returned with
+    residual 0.
     """
+    _require_gap_shift(c, "the coercivity check")
     ops = c.ops
-    if ops.m_h is None or abs(c.alpha - ops.m_h) > 1e-12 * max(ops.m_h or 1.0, 1.0):
-        raise PreconditionError("coercivity is stated for alpha = m_h")
-    lam = rate(ops.m_h, ops.grid.model.K)[0]
     q = ModifiedFunctional(c, compose_generator(ops, gamma), eps).form()
-    return _min_eig_shift_invert(q, ops.const_vec, sigma=-max(lam, 1e-3))
+    slow = np.arange(ops.n) % ops.n_v < 3
+    fast = q[:, ~slow]
+    q = q[:, slow]  # column slices of the CSC form; no full copy stays alive
+    if q[~slow].count_nonzero() or fast[slow].count_nonzero():
+        raise NumericalError("the dissipation form couples modes 0-2 to higher modes")
+    fast = fast[~slow]
+    diag = fast.diagonal()
+    off = np.asarray(abs(fast).sum(axis=0)).ravel() - np.abs(diag)
+    fast_bound = float(np.min(diag - off, initial=np.inf))
+
+    q = q[slow]
+    u = ops.const_vec[slow]
+    qu = q @ u
+    dense = q.toarray(order="F")
+    shift = 2.0 * sla.norm(dense, 1)
+    dense = dsyr2(-1.0, u, qu, lower=1, a=dense, overwrite_a=1)
+    dense = dsyr(float(u @ qu) + shift, u, lower=1, a=dense, overwrite_a=1)
+    (rho,), x = sla.eigh(dense, lower=True, overwrite_a=True, check_finite=False,
+                         subset_by_index=[0, 0])
+    x = x[:, 0] - u * (u @ x[:, 0])
+    x /= np.linalg.norm(x)
+    r = q @ x
+    r -= u * (u @ r) + rho * x
+    residual = float(np.linalg.norm(r))
+    if fast_bound < rho - residual:
+        return fast_bound, 0.0
+    return float(rho), residual
 
 
 def bochner_residual(ops: OperatorSet, h_values: np.ndarray) -> float:

@@ -35,7 +35,7 @@ class StructuralAssemblyError(NumericalError):
 
 
 class DegenerateTraceError(NumericalError):
-    """A decay trace contains nonpositive norms inside the fit window."""
+    """A decay trace has too few samples above the roundoff floor to fit a rate."""
 
 
 class InsufficientSignalError(NumericalError):

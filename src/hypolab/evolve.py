@@ -30,6 +30,8 @@ from .errors import (
 
 DT_GUARD = 0.1
 MEAN_TOL = 1e-10
+ROUNDOFF_FLOOR = 1e-12
+MIN_FIT_SAMPLES = 8
 
 
 @dataclass
@@ -153,15 +155,16 @@ def integrate(
     )
 
 
-def estimate_rate(trace: DecayTrace, window: float = 0.5) -> float:
-    """Least-squares slope of -log||f(t)|| over the trailing window fraction."""
-    n = len(trace.times)
-    start = int(np.floor((1.0 - window) * (n - 1)))
-    ts = trace.times[start:]
-    ns = trace.norm[start:]
-    if np.any(ns <= 0.0):
-        raise DegenerateTraceError("nonpositive norm inside the fit window")
-    slope = np.polyfit(ts, -np.log(ns), 1)[0]
+def estimate_rate(trace: DecayTrace) -> float:
+    """Least-squares slope of -log||f(t)|| over the trailing half of the
+    samples taken before the norm first drops to the roundoff floor
+    ROUNDOFF_FLOOR ||f(0)||, below which the trace decays no further."""
+    above = trace.norm > ROUNDOFF_FLOOR * trace.norm[0]
+    n = len(above) if above.all() else int(np.argmin(above))
+    if n < MIN_FIT_SAMPLES:
+        raise DegenerateTraceError(f"only {n} samples above the roundoff floor")
+    start = (n - 1) // 2
+    slope = np.polyfit(trace.times[start:n], -np.log(trace.norm[start:n]), 1)[0]
     return float(slope)
 
 

@@ -87,7 +87,7 @@ def test_criterion_6_dissipation_coercivity(ops_quad, corr_quad, ops_dw, corr_dw
     with criterion(6, "dissipation form coercive at (gamma*, eps*)"):
         for ops, corr in ((ops_quad, corr_quad), (ops_dw, corr_dw)):
             tuned = hl.optimize_friction(ops.m_h, ops.grid.model.K)
-            min_eig, _, _ = hl.dissipation_form_min_eig(
+            min_eig, _ = hl.dissipation_form_min_eig(
                 corr, tuned.eps_star, tuned.gamma_star
             )
             assert min_eig >= tuned.lambda_coer * 0.95

@@ -137,8 +137,8 @@ class TestRunExperiment:
         assert corrector["norm_A_exact_residual"] <= 1e-12
         # coercivity is judged on the lower bound min_eig_Q - residual
         lower = corrector["min_eig_Q"] - corrector["min_eig_residual"]
-        assert 0.0 < corrector["min_eig_residual"] <= 1e-6
-        assert corrector["min_eig_iterations"] >= 1
+        assert 0.0 <= corrector["min_eig_residual"] <= 1e-12
+        assert "min_eig_iterations" not in corrector
         assert margins["dissipation_coercive"] == (
             lower / corrector["lambda_coer"] - (1 - cli.BOUND_SLACK)
         )

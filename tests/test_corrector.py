@@ -4,7 +4,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 import hypolab as hl
-from hypolab.errors import ConfigurationError, PreconditionError
+from hypolab.errors import ConfigurationError, NumericalError, PreconditionError
 
 from conftest import make_ops, random_mean_zero
 
@@ -250,21 +250,23 @@ class TestCorrectorBounds:
 
     def test_requires_gap_shift(self, ops_quad):
         offset = hl.build_corrector(ops_quad, alpha=2 * ops_quad.m_h)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="corrector bounds"):
             hl.verify_corrector_bounds(offset)
+        with pytest.raises(PreconditionError, match="coercivity"):
+            hl.dissipation_form_min_eig(offset, 0.1, 4.0)
 
 
 class TestDissipationFormMinEig:
     def test_coercive_at_tuned_parameters(self, corr_quad, ops_quad, tuned_quad):
-        min_eig, residual, iterations = hl.dissipation_form_min_eig(
+        min_eig, residual = hl.dissipation_form_min_eig(
             corr_quad, tuned_quad.eps_star, tuned_quad.gamma_star
         )
         assert min_eig - residual >= tuned_quad.lambda_coer * 0.95
-        assert 0.0 <= residual <= 1e-6 and iterations >= 1
+        assert 0.0 <= residual <= 1e-12
 
     def test_vanishing_eps_loses_coercivity(self, corr_quad, tuned_quad):
         # without the corrector term the slow subspace is undamped
-        min_eig, _, _ = hl.dissipation_form_min_eig(
+        min_eig, _ = hl.dissipation_form_min_eig(
             corr_quad, 0.0, tuned_quad.gamma_star
         )
         assert abs(min_eig) <= 1e-8
@@ -273,7 +275,7 @@ class TestDissipationFormMinEig:
         ops = make_ops(hl.quadratic(1.0), n_x=256, n_v=20)
         corr = hl.build_corrector(ops)
         tuned = hl.optimize_friction(ops.m_h, 0.0)
-        min_eig, _, _ = hl.dissipation_form_min_eig(
+        min_eig, _ = hl.dissipation_form_min_eig(
             corr, tuned.eps_star, tuned.gamma_star
         )
         assert min_eig >= tuned.lambda_coer * 0.95
@@ -288,22 +290,44 @@ class TestDissipationFormMinEig:
             assert f @ (q @ f) == pytest.approx(expected, rel=1e-12, abs=1e-14)
 
     @pytest.mark.parametrize("potential", sorted(SMALL_POTENTIALS))
+    def test_form_decouples_above_mode_2(self, potential):
+        ops = make_ops(SMALL_POTENTIALS[potential](), n_x=64, n_v=12)
+        tuned = hl.optimize_friction(ops.m_h, ops.grid.model.K)
+        gamma = tuned.gamma_star
+        Q = functional(hl.build_corrector(ops), tuned.eps_star, gamma).form().toarray()
+        k = np.arange(ops.n) % ops.n_v
+        slow = k < 3
+        assert np.all(Q[np.ix_(slow, ~slow)] == 0.0)
+        assert np.all(Q[np.ix_(~slow, slow)] == 0.0)
+        assert np.array_equal(Q[np.ix_(~slow, ~slow)], np.diag(gamma * k[~slow]))
+
+    def test_coupling_above_mode_2_rejected(self, corr_quad_small, monkeypatch):
+        original = hl.ModifiedFunctional.form
+
+        def coupled(self):
+            q = original(self).tolil()
+            q[0, 3] = q[3, 0] = 1e-3  # position 0: mode 0 <-> mode 3
+            return q.tocsc()
+
+        monkeypatch.setattr(hl.ModifiedFunctional, "form", coupled)
+        with pytest.raises(NumericalError):
+            hl.dissipation_form_min_eig(corr_quad_small, 0.1, 4.0)
+
+    @pytest.mark.parametrize("potential", sorted(SMALL_POTENTIALS))
     def test_matches_dense_eigensolve(self, potential):
         ops = make_ops(SMALL_POTENTIALS[potential](), n_x=64, n_v=12)
         corr = hl.build_corrector(ops)
         tuned = hl.optimize_friction(ops.m_h, ops.grid.model.K)
         eps, gamma = tuned.eps_star, tuned.gamma_star
-        min_eig, residual, _ = hl.dissipation_form_min_eig(corr, eps, gamma)
-        # dense eigensolve of the form deflated to the mean-zero subspace,
-        # with the constant direction pushed far above the spectrum
+        min_eig, residual = hl.dissipation_form_min_eig(corr, eps, gamma)
+        # dense eigensolve of the full form on an orthonormal basis of the
+        # mean-zero subspace
         Q = functional(corr, eps, gamma).form().toarray()
-        u = ops.const_vec
-        P = np.eye(ops.n) - np.outer(u, u)
-        deflated = P @ Q @ P + 10.0 * np.abs(Q).max() * ops.n * np.outer(u, u)
-        dense_min = sla.eigvalsh(deflated)[0]
-        assert min_eig == pytest.approx(dense_min, abs=1e-9)
-        # the reported lower bound brackets the eigenvalue from below
-        assert dense_min - 1e-6 <= min_eig - residual <= dense_min
+        basis = sla.null_space(ops.const_vec[None, :])
+        dense_min = sla.eigvalsh(basis.T @ Q @ basis)[0]
+        assert abs(min_eig - dense_min) <= 1e-12
+        # the eigenvector's residual keeps min_eig - residual a lower bound
+        assert 0.0 <= residual <= 1e-12
 
 
 class TestBochner:

@@ -110,10 +110,17 @@ class TestEstimateRate:
         assert abs(rate) <= 1e-12
 
     def test_zero_norm_rejected(self):
+        # the norm reaches zero within the first 8 samples: too few to fit
         t = np.linspace(0.0, 1.0, 11)
-        norms = np.r_[np.ones(10), 0.0]
+        norms = np.r_[np.ones(5), np.zeros(6)]
         with pytest.raises(DegenerateTraceError):
             hl.estimate_rate(synthetic_trace(t, norms))
+
+    def test_roundoff_floor_excluded(self):
+        # a trace that decays like e^{-t} until it sinks into a 1e-16 floor
+        t = np.linspace(0.0, 100.0, 1001)
+        rate = hl.estimate_rate(synthetic_trace(t, np.maximum(np.exp(-t), 1e-16)))
+        assert rate == pytest.approx(1.0, rel=1e-9)
 
     def test_tuned_quadratic_rate(self, quad_trace, tuned_quad):
         fitted = hl.estimate_rate(quad_trace)
