@@ -63,11 +63,26 @@ def eval_potential(p: Potential, x):
     if not np.all(np.isfinite(x)):
         raise PreconditionError("potential evaluated at non-finite x")
     (par,) = p.params
+    du = potential_gradient(p, x)
     if p.kind == "quadratic":
-        return par * x**2 / 2, par * x, par * np.ones_like(x)
+        return par * x**2 / 2, du, par * np.ones_like(x)
     if p.kind == "double_well":
-        return par * (x**2 - 1) ** 2 / 4, par * (x**3 - x), par * (3 * x**2 - 1)
-    return x**2 / 2 + par * np.cos(x), x - par * np.sin(x), 1 - par * np.cos(x)
+        return par * (x**2 - 1) ** 2 / 4, du, par * (3 * x**2 - 1)
+    return x**2 / 2 + par * np.cos(x), du, 1 - par * np.cos(x)
+
+
+def potential_gradient(p: Potential, x: np.ndarray) -> np.ndarray:
+    """U'(x) alone for a float array x, the one place its formulas are written.
+
+    No finiteness check on x: for every kind U' is non-finite wherever x is,
+    so a caller that checks the result checks both.
+    """
+    (par,) = p.params
+    if p.kind == "quadratic":
+        return par * x
+    if p.kind == "double_well":
+        return par * (x**3 - x)
+    return x - par * np.sin(x)
 
 
 def hessian_lower_bound(p: Potential) -> float:

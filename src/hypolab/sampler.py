@@ -2,11 +2,17 @@
 
 BAOAB splitting with the exact Ornstein-Uhlenbeck velocity update: the noise
 amplitude sqrt(1 - e^{-2 gamma dt}) realizes the fluctuation-dissipation
-pairing, so the velocity marginal is sampled with only O(dt^2) bias.
+pairing, so the velocity marginal is sampled with only O(dt^2) bias.  The
+force at the end of one step is the force at the start of the next, so it is
+carried over and evaluated once per step.
 
 Reproducibility: every trajectory draws from its own counter-based Philox
 stream keyed by (seed, trajectory index).  Results are therefore independent
 of chunking/execution order; reductions accumulate in fixed trajectory order.
+Each stream stays alive for its chunk and is drawn from in time blocks of
+BLOCK steps; consecutive draws give the same bits as one draw of the whole
+path, so the block length changes no output byte.  The noise held at any time
+is O(CHUNK * BLOCK * d) values, independent of the number of steps.
 """
 from __future__ import annotations
 
@@ -15,9 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, InsufficientSignalError
-from .model import Potential, eval_potential
+from .model import Potential, eval_potential, potential_gradient
 
-CHUNK = 4096
+CHUNK = 4096  # trajectories advanced together
+BLOCK = 256  # steps of noise drawn per stream at a time
 
 
 def default_observables(potential: Potential) -> dict:
@@ -71,7 +78,13 @@ class EnsembleTrace:
     final_v_mean: np.ndarray
     final_v_var: np.ndarray
     particles: int
-    diverged: bool = False
+    # {"trajectory", "step"} of the first non-finite force (step 0 is the
+    # initial position), None when every trajectory ran to the end
+    divergence: dict | None = None
+
+    @property
+    def diverged(self) -> bool:
+        return self.divergence is not None
 
     def csv_rows(self):
         names = list(self.means)
@@ -85,7 +98,7 @@ class EnsembleTrace:
 
 
 def _force(potential: Potential, x: np.ndarray) -> np.ndarray:
-    du = eval_potential(potential, x)[1]
+    du = potential_gradient(potential, x)
     if not np.all(np.isfinite(du)):
         bad = int(np.argmax(~np.isfinite(du).ravel()))
         raise DivergenceError(
@@ -94,15 +107,20 @@ def _force(potential: Potential, x: np.ndarray) -> np.ndarray:
     return du
 
 
-def _baoab_inplace(x, v, potential: Potential, gamma: float, dt: float, noise):
-    """One BAOAB step that overwrites the float arrays x and v."""
+def _baoab_inplace(x, v, force, potential: Potential, gamma: float, dt: float,
+                   noise):
+    """One BAOAB step that overwrites the float arrays x and v.
+
+    force holds U'(x) on entry and is overwritten with U' at the new x.
+    """
     c1 = np.exp(-gamma * dt)
-    v -= (dt / 2) * _force(potential, x)
+    v -= (dt / 2) * force
     x += (dt / 2) * v
     v *= c1
     v += np.sqrt(1.0 - c1 * c1) * noise
     x += (dt / 2) * v
-    v -= (dt / 2) * _force(potential, x)
+    force[...] = _force(potential, x)
+    v -= (dt / 2) * force
 
 
 def step_baoab(state, potential: Potential, gamma: float, dt: float, noise):
@@ -112,7 +130,9 @@ def step_baoab(state, potential: Potential, gamma: float, dt: float, noise):
     standard normal.  Returns the updated (x, v); state is left unchanged.
     """
     x, v = (np.array(s, dtype=float, copy=True) for s in state)
-    _baoab_inplace(x, v, potential, gamma, dt, np.asarray(noise, dtype=float))
+    force = np.array(_force(potential, x), dtype=float)
+    _baoab_inplace(x, v, force, potential, gamma, dt,
+                   np.asarray(noise, dtype=float))
     return x, v
 
 
@@ -130,41 +150,50 @@ def run_ensemble(cfg: SdeConfig) -> EnsembleTrace:
     values = {n: np.zeros((n_rec, cfg.particles)) for n in names}
     final_x = np.zeros((cfg.particles, cfg.d))
     final_v = np.zeros((cfg.particles, cfg.d))
-    diverged = False
+    divergence = None
     done_records = n_rec
     processed = 0
 
     for start in range(0, cfg.particles, CHUNK):
         count = min(CHUNK, cfg.particles - start)
         cols = slice(start, start + count)
-        noise = np.empty((cfg.steps, count, cfg.d))
+        gens = [
+            np.random.Generator(np.random.Philox(key=[cfg.seed, start + i]))
+            for i in range(count)
+        ]
         v = np.empty((count, cfg.d))
-        for i in range(count):
-            gen = np.random.Generator(
-                np.random.Philox(key=[cfg.seed, start + i])
-            )
-            draws = gen.standard_normal((cfg.steps + 1, cfg.d))
-            v[i] = draws[0]
-            noise[:, i, :] = draws[1:]
+        for i, gen in enumerate(gens):
+            v[i] = gen.standard_normal(cfg.d)
         x = np.full((count, cfg.d), cfg.init_shift, dtype=float)
+        # particle-major, so each stream fills one contiguous (b, d) slab
+        noise = np.empty((count, min(BLOCK, cfg.steps), cfg.d))
 
         rec = 0
         for n in names:
             values[n][rec, cols] = observables[n](x, v)
+        t = -1  # a force that fails in step t belongs to position t + 1
         try:
+            force = _force(cfg.potential, x)
             for t in range(cfg.steps):
-                _baoab_inplace(x, v, cfg.potential, cfg.gamma, cfg.dt, noise[t])
+                k = t % BLOCK
+                if k == 0:
+                    b = min(BLOCK, cfg.steps - t)
+                    for i, gen in enumerate(gens):
+                        gen.standard_normal((b, cfg.d), out=noise[i, :b])
+                _baoab_inplace(x, v, force, cfg.potential, cfg.gamma, cfg.dt,
+                               noise[:, k])
                 if (t + 1) % cfg.record_every == 0:
                     rec += 1
                     for n in names:
                         values[n][rec, cols] = observables[n](x, v)
-        except DivergenceError:
-            diverged = True
-            done_records = min(done_records, rec + 1)
+        except DivergenceError as err:
+            divergence = {"trajectory": start + err.coordinate // cfg.d,
+                          "step": t + 1}
+            done_records = rec + 1
         final_x[cols] = x
         final_v[cols] = v
         processed += count
-        if diverged:
+        if divergence is not None:
             break
 
     keep = slice(0, done_records)
@@ -188,7 +217,7 @@ def run_ensemble(cfg: SdeConfig) -> EnsembleTrace:
         final_v_mean=fv.mean(axis=0),
         final_v_var=fv.var(axis=0),
         particles=n_used,
-        diverged=diverged,
+        divergence=divergence,
     )
 
 

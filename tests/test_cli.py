@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -124,6 +125,36 @@ class TestRunExperiment:
         assert name.startswith("decay_quadratic_")
         assert len(list(trace.csv_rows())) == 2  # header plus the t=0 row
 
+    def test_zero_state_decay_bound_is_skipped(self):
+        # the bound holds for f = 0 by construction, so it is not reported
+        # as a pass
+        cfg = cli.build_config(
+            {"grid.N_x": "32", "grid.N_v": "6", "evolve.f0": "zero"}
+        )
+        report = cli.run_experiment("evolve", cfg)
+        verdicts = {v["name"]: v for v in report.verdicts}
+        assert verdicts["decay_bound"]["status"] == "skipped"
+        assert verdicts["decay_bound"]["margin"] is None
+
+    def test_lambda_relation_checks_the_closed_form(self, monkeypatch):
+        def verdict(report):
+            return next(v for v in report.verdicts if v["name"] == "lambda_relation")
+
+        cfg = cli.build_config({})
+        honest = verdict(cli.run_experiment("tune", cfg))
+        assert honest["status"] == "pass"
+        assert 0 < honest["margin"] <= cli.LAMBDA_RTOL
+        true_rate = hl.tuning.rate
+
+        def scaled(m, K):  # off by 1 %, yet self-consistent: Lambda = 2 lam / 3
+            lam, Lam, pref = true_rate(m, K)
+            return 1.01 * lam, 1.01 * Lam, pref
+
+        monkeypatch.setattr("hypolab.tuning.rate", scaled)
+        wrong = verdict(cli.run_experiment("tune", cfg))
+        assert wrong["status"] == "fail"
+        assert wrong["margin"] < 0
+
     def test_verify_bound_margins_are_signed(self):
         cfg = cli.build_config({"grid.N_x": "64", "grid.N_v": "12"})
         report = cli.run_experiment("verify", cfg)
@@ -245,6 +276,37 @@ class TestMain:
         monkeypatch.setattr(cli, "run_experiment", diverge)
         assert cli.main(["gap"]) == 3
         assert "DivergenceError" in capsys.readouterr().err
+
+    def test_diverged_sample_fails(self, tmp_path, capsys):
+        conf = tmp_path / "diverge.conf"
+        conf.write_text("potential.kind = double_well\nsde.particles = 300\n"
+                        "sde.steps = 50\nsde.init_shift = 1e103\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = cli.main(["sample", "--config", str(conf)])
+        data = json.loads(capsys.readouterr().out)
+        sample = data["results"]["sample"]
+        assert sample["diverged"]
+        assert sample["divergence"] == {"trajectory": 0, "step": 0}
+        statuses = {v["name"]: v["status"] for v in data["verdicts"]}
+        assert statuses["equilibrium_v_sq"] == "fail"
+        assert code == 1
+
+    def test_diverged_quadratic_fails_both_moments(self, monkeypatch):
+        run_ensemble = cli.run_ensemble
+
+        def diverged(cfg):
+            trace = run_ensemble(cfg)
+            trace.divergence = {"trajectory": 7, "step": 3}
+            return trace
+
+        monkeypatch.setattr(cli, "run_ensemble", diverged)
+        cfg = cli.build_config({"sde.particles": "200", "sde.steps": "50",
+                                "sde.init_shift": "0"})
+        report = cli.run_experiment("sample", cfg)
+        statuses = {v["name"]: v["status"] for v in report.verdicts}
+        assert statuses["equilibrium_v_sq"] == statuses["equilibrium_x_sq"] == "fail"
+        assert report.results["sample"]["divergence"] == {"trajectory": 7, "step": 3}
 
     def test_missing_config_file_is_io_error(self):
         assert cli.main(["gap", "--config", "/nonexistent/x.conf"]) == 4

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 import hypolab as hl
-from hypolab.errors import ConfigurationError, InsufficientSignalError
+from hypolab.errors import (
+    ConfigurationError,
+    DivergenceError,
+    InsufficientSignalError,
+)
+from hypolab.sampler import default_observables
 
 
 def scalar_baoab_reference(x, v, a, gamma, dt, xi):
@@ -74,27 +79,42 @@ class TestStepBaoab:
         np.testing.assert_array_equal(v, v0)
 
 
+def assert_traces_equal(a, b):
+    assert list(a.means) == list(b.means)
+    np.testing.assert_array_equal(a.times, b.times)
+    for name in a.means:
+        np.testing.assert_array_equal(a.means[name], b.means[name])
+        np.testing.assert_array_equal(a.stderrs[name], b.stderrs[name])
+    for name in ("final_x_mean", "final_x_var", "final_v_mean", "final_v_var"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    assert a.divergence == b.divergence
+
+
 class TestRunEnsemble:
-    def test_matches_step_baoab_per_trajectory(self):
-        cfg = hl.SdeConfig(potential=hl.double_well(), d=2, particles=100,
-                           steps=50, gamma=2.0, seed=5, init_shift=0.5)
-        trace = hl.run_ensemble(cfg)
-        x = np.full((cfg.particles, cfg.d), cfg.init_shift)
-        v = np.empty_like(x)
-        x_sq = np.empty((len(trace.times), cfg.particles))
-        for i in range(cfg.particles):
-            gen = np.random.Generator(np.random.Philox(key=[cfg.seed, i]))
-            draws = gen.standard_normal((cfg.steps + 1, cfg.d))
-            v[i] = draws[0]
-            x_sq[0, i] = (x[i] ** 2).mean()
-            for t in range(cfg.steps):
-                x[i], v[i] = hl.step_baoab((x[i], v[i]), cfg.potential,
-                                           cfg.gamma, cfg.dt, draws[t + 1])
-                if (t + 1) % cfg.record_every == 0:
-                    x_sq[(t + 1) // cfg.record_every, i] = (x[i] ** 2).mean()
-        np.testing.assert_array_equal(trace.means["x_sq"], x_sq.mean(axis=1))
-        np.testing.assert_array_equal(trace.final_x_mean, x.mean(axis=0))
-        np.testing.assert_array_equal(trace.final_v_var, v.var(axis=0))
+    def test_matches_step_baoab_per_trajectory(self, monkeypatch):
+        # 600 steps cross noise blocks and end in a partial one; CHUNK = 64
+        # splits the 100 particles into a full and a partial chunk
+        monkeypatch.setattr("hypolab.sampler.CHUNK", 64)
+        for pot in (hl.quadratic(), hl.double_well(), hl.cosine_bump(2.0)):
+            cfg = hl.SdeConfig(potential=pot, d=2, particles=100,
+                               steps=600, gamma=2.0, seed=5, init_shift=0.5)
+            trace = hl.run_ensemble(cfg)
+            x = np.full((cfg.particles, cfg.d), cfg.init_shift)
+            v = np.empty_like(x)
+            x_sq = np.empty((len(trace.times), cfg.particles))
+            for i in range(cfg.particles):
+                gen = np.random.Generator(np.random.Philox(key=[cfg.seed, i]))
+                draws = gen.standard_normal((cfg.steps + 1, cfg.d))
+                v[i] = draws[0]
+                x_sq[0, i] = (x[i] ** 2).mean()
+                for t in range(cfg.steps):
+                    x[i], v[i] = hl.step_baoab((x[i], v[i]), cfg.potential,
+                                               cfg.gamma, cfg.dt, draws[t + 1])
+                    if (t + 1) % cfg.record_every == 0:
+                        x_sq[(t + 1) // cfg.record_every, i] = (x[i] ** 2).mean()
+            np.testing.assert_array_equal(trace.means["x_sq"], x_sq.mean(axis=1))
+            np.testing.assert_array_equal(trace.final_x_mean, x.mean(axis=0))
+            np.testing.assert_array_equal(trace.final_v_var, v.var(axis=0))
 
     def test_same_seed_is_bitwise_identical(self):
         cfg = hl.SdeConfig(potential=hl.quadratic(), particles=300, steps=100,
@@ -104,16 +124,42 @@ class TestRunEnsemble:
         for name in a.means:
             np.testing.assert_array_equal(a.means[name], b.means[name])
         np.testing.assert_array_equal(a.final_x_mean, b.final_x_mean)
+        assert a.divergence is None and not a.diverged
 
     def test_chunking_does_not_change_results(self, monkeypatch):
         cfg = hl.SdeConfig(potential=hl.quadratic(), particles=300, steps=80,
                            gamma=4.0, seed=13)
         a = hl.run_ensemble(cfg)
         monkeypatch.setattr("hypolab.sampler.CHUNK", 64)
-        b = hl.run_ensemble(cfg)
-        for name in a.means:
-            np.testing.assert_allclose(a.means[name], b.means[name],
-                                       rtol=0, atol=1e-14)
+        assert_traces_equal(a, hl.run_ensemble(cfg))
+
+    @pytest.mark.parametrize("block", [7, 80])
+    def test_noise_block_length_does_not_change_results(self, block, monkeypatch):
+        cfg = hl.SdeConfig(potential=hl.double_well(), d=3, particles=150,
+                           steps=80, gamma=3.0, seed=21, init_shift=1.0)
+        a = hl.run_ensemble(cfg)
+        monkeypatch.setattr("hypolab.sampler.BLOCK", block)
+        assert_traces_equal(a, hl.run_ensemble(cfg))
+
+    def test_memory_does_not_grow_with_steps(self):
+        """Beyond the recorded observables, the peak is independent of steps."""
+        import tracemalloc
+
+        def peak(steps):
+            cfg = hl.SdeConfig(potential=hl.double_well(), d=2, particles=1000,
+                               steps=steps, gamma=2.0, seed=3)
+            tracemalloc.start()
+            try:
+                hl.run_ensemble(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short, long = 1000, 4000
+        n_obs = len(default_observables(hl.double_well()))
+        records = (long - short) // 10  # record_every = 10
+        observable_growth = n_obs * records * 1000 * 8
+        assert peak(long) - peak(short) <= observable_growth + 4 * 2**20
 
     def test_equilibrium_moments_quadratic(self):
         cfg = hl.SdeConfig(potential=hl.quadratic(1.0), particles=4000,
@@ -164,6 +210,34 @@ class TestRunEnsemble:
             trace = hl.run_ensemble(cfg)
         assert trace.diverged
         assert len(trace.times) < cfg.steps // cfg.record_every + 1
+
+    def test_divergence_names_trajectory_and_step(self):
+        # near the stability edge only some trajectories blow up; the report
+        # names the first to do so, in step and then trajectory order
+        cfg = hl.SdeConfig(potential=hl.double_well(), d=2, particles=200,
+                           steps=200, dt=0.2, gamma=4.0, seed=0, init_shift=11.4)
+        first = {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            trace = hl.run_ensemble(cfg)
+            for i in range(cfg.particles):
+                gen = np.random.Generator(np.random.Philox(key=[cfg.seed, i]))
+                draws = gen.standard_normal((cfg.steps + 1, cfg.d))
+                state = (np.full(cfg.d, cfg.init_shift), draws[0])
+                for t in range(cfg.steps):
+                    try:
+                        state = hl.step_baoab(state, cfg.potential, cfg.gamma,
+                                              cfg.dt, draws[t + 1])
+                    except DivergenceError:
+                        first[i] = t + 1
+                        break
+        step = min(first.values())
+        assert 0 < len(first) < cfg.particles
+        assert trace.divergence == {
+            "trajectory": min(i for i, s in first.items() if s == step),
+            "step": step,
+        }
+        assert trace.diverged
 
 
 class TestObservableDecay:
