@@ -472,31 +472,34 @@ def _stage_sample(ws: _Workspace, report: RunReport):
     sde = _sde_config(ws)
     trace = run_ensemble(sde)
     report.traces.append((f"sde_{ws.potential.name}_{sde.gamma:g}.csv", trace))
-    v_sq = float((trace.final_v_var + trace.final_v_mean**2).mean())
-    se_v = np.sqrt(2.0 / (sde.particles * sde.d))  # var of v^2 under kappa is 2
+
+    def moment(values):
+        # a diverged ensemble has no common final state: its moments are null
+        return None if values is None else values.tolist()
+
     report.results["sample"] = {
         "gamma": sde.gamma,
-        "final_v_var": trace.final_v_var.tolist(),
-        "final_x_var": trace.final_x_var.tolist(),
-        "final_v_mean": trace.final_v_mean.tolist(),
-        "final_x_mean": trace.final_x_mean.tolist(),
+        "final_v_var": moment(trace.final_v_var),
+        "final_x_var": moment(trace.final_x_var),
+        "final_v_mean": moment(trace.final_v_mean),
+        "final_x_mean": moment(trace.final_x_mean),
         "diverged": trace.diverged,
         "divergence": trace.divergence,
     }
+    se_v = np.sqrt(2.0 / (sde.particles * sde.d))  # var of v^2 under kappa is 2
 
-    def equilibrium(name, z):
-        # a diverged ensemble holds unstepped draws: no moment can pass
+    def equilibrium(name, var, mean, target, se):
         if trace.diverged:
             report.add_verdict(name, "fail", None)
         else:
+            z = abs(float((var + mean**2).mean()) - target) / se
             report.add_verdict(name, "pass" if z <= 3.0 else "fail", 3.0 - z)
 
-    equilibrium("equilibrium_v_sq", abs(v_sq - 1.0) / se_v)
+    equilibrium("equilibrium_v_sq", trace.final_v_var, trace.final_v_mean, 1.0, se_v)
     if ws.potential.kind == "quadratic":
         a = ws.potential.params[0]
-        x_sq = float((trace.final_x_var + trace.final_x_mean**2).mean())
-        se_x = np.sqrt(2.0 / (sde.particles * sde.d)) / a
-        equilibrium("equilibrium_x_sq", abs(x_sq - 1.0 / a) / se_x)
+        equilibrium("equilibrium_x_sq", trace.final_x_var, trace.final_x_mean,
+                     1.0 / a, se_v / a)
         if cfg.sde_init_shift != 0.0:
             rate = estimate_observable_decay(sde)
             oracle = _first_moment_rate(sde.gamma, a)

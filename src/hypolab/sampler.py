@@ -7,12 +7,25 @@ force at the end of one step is the force at the start of the next, so it is
 carried over and evaluated once per step.
 
 Reproducibility: every trajectory draws from its own counter-based Philox
-stream keyed by (seed, trajectory index).  Results are therefore independent
-of chunking/execution order; reductions accumulate in fixed trajectory order.
-Each stream stays alive for its chunk and is drawn from in time blocks of
-BLOCK steps; consecutive draws give the same bits as one draw of the whole
-path, so the block length changes no output byte.  The noise held at any time
-is O(CHUNK * BLOCK * d) values, independent of the number of steps.
+stream keyed by (seed, trajectory index), built once per run.  Time blocks of
+BLOCK steps are the outer loop and chunks of CHUNK trajectories the inner one;
+each stream is drawn from one block at a time, and consecutive draws give the
+same bits as one draw of the whole path.  When every chunk has finished a
+block, each record it completed is one contiguous row over all particles and
+is reduced on the spot; numpy's pairwise sum over that row runs in the same
+order as a reduction of the whole (records, particles) array.  Results are
+therefore independent of CHUNK, BLOCK and execution order.
+
+Memory held at any time: the noise, O(CHUNK * BLOCK * d); the records of the
+current block, O(particles * BLOCK / record_every); the state,
+O(particles * d); and one generator per particle (about 0.65 KiB each).  Only
+the per-record means and standard errors grow with the number of steps.
+
+Divergence: a chunk stops at its own first non-finite force (step 0 is the
+initial force), the other chunks finish the block, and the run ends.  The
+ensemble's divergence is the smallest (step, trajectory) pair over all
+chunks, compared step first; the trace keeps the records at steps
+0 ... max(step - 1, 0) and has no final moments.
 """
 from __future__ import annotations
 
@@ -24,7 +37,7 @@ from .errors import ConfigurationError, DivergenceError, InsufficientSignalError
 from .model import Potential, eval_potential, potential_gradient
 
 CHUNK = 4096  # trajectories advanced together
-BLOCK = 256  # steps of noise drawn per stream at a time
+BLOCK = 256  # steps advanced, and drawn per stream, before a reduction
 
 
 def default_observables(potential: Potential) -> dict:
@@ -73,10 +86,11 @@ class EnsembleTrace:
     times: np.ndarray
     means: dict
     stderrs: dict
-    final_x_mean: np.ndarray
-    final_x_var: np.ndarray
-    final_v_mean: np.ndarray
-    final_v_var: np.ndarray
+    # moments of the final state, None for a diverged ensemble
+    final_x_mean: np.ndarray | None
+    final_x_var: np.ndarray | None
+    final_v_mean: np.ndarray | None
+    final_v_var: np.ndarray | None
     particles: int
     # {"trajectory", "step"} of the first non-finite force (step 0 is the
     # initial position), None when every trajectory ran to the end
@@ -139,84 +153,86 @@ def step_baoab(state, potential: Potential, gamma: float, dt: float, noise):
 def run_ensemble(cfg: SdeConfig) -> EnsembleTrace:
     """Evolve independent trajectories; fully deterministic given cfg.seed.
 
-    Per-particle observable values are buffered and reduced at the end over
-    the full, fixed-length particle axis, so the output is bit-identical no
-    matter how the particles are partitioned for execution.
+    Time blocks of BLOCK steps are the outer loop and chunks of CHUNK
+    trajectories the inner one.  When every chunk has finished a block, each
+    record the block completed is held for all particles in one contiguous
+    row and reduced on the spot, in fixed trajectory order, so the output is
+    bit-identical no matter how the particles are partitioned for execution.
+
+    A chunk stops at its own first non-finite force; the others finish the
+    block and the run ends there.  The divergence is the smallest (step,
+    trajectory) pair over all chunks, the trace keeps the records at steps
+    0 ... max(step - 1, 0), and the final moments are None.
     """
-    n_rec = cfg.steps // cfg.record_every + 1
-    times = np.arange(n_rec) * (cfg.dt * cfg.record_every)
+    p, d, every = cfg.particles, cfg.d, cfg.record_every
+    n_rec = cfg.steps // every + 1
+    times = np.arange(n_rec) * (cfg.dt * every)
     observables = default_observables(cfg.potential)
-    names = list(observables)
-    values = {n: np.zeros((n_rec, cfg.particles)) for n in names}
-    final_x = np.zeros((cfg.particles, cfg.d))
-    final_v = np.zeros((cfg.particles, cfg.d))
-    divergence = None
-    done_records = n_rec
-    processed = 0
+    gens = [np.random.Generator(np.random.Philox(key=[cfg.seed, i]))
+            for i in range(p)]
+    v = np.empty((p, d))
+    for i, gen in enumerate(gens):
+        v[i] = gen.standard_normal(d)
+    x = np.full((p, d), cfg.init_shift, dtype=float)
+    force = np.empty((p, d))
+    # particle-major, so each stream fills one contiguous (b, d) slab
+    noise = np.empty((min(CHUNK, p), min(BLOCK, cfg.steps), d))
+    # the records completed in the current block, one row each
+    rows = {n: np.empty((BLOCK // every + 1, p)) for n in observables}
+    means = {n: np.empty(n_rec) for n in observables}
+    stderrs = {n: np.empty(n_rec) for n in observables}
+    hits = []  # (step, trajectory) of each chunk's first non-finite force
+    done = 0  # records reduced so far
 
-    for start in range(0, cfg.particles, CHUNK):
-        count = min(CHUNK, cfg.particles - start)
-        cols = slice(start, start + count)
-        gens = [
-            np.random.Generator(np.random.Philox(key=[cfg.seed, start + i]))
-            for i in range(count)
-        ]
-        v = np.empty((count, cfg.d))
-        for i, gen in enumerate(gens):
-            v[i] = gen.standard_normal(cfg.d)
-        x = np.full((count, cfg.d), cfg.init_shift, dtype=float)
-        # particle-major, so each stream fills one contiguous (b, d) slab
-        noise = np.empty((count, min(BLOCK, cfg.steps), cfg.d))
-
-        rec = 0
-        for n in names:
-            values[n][rec, cols] = observables[n](x, v)
-        t = -1  # a force that fails in step t belongs to position t + 1
-        try:
-            force = _force(cfg.potential, x)
-            for t in range(cfg.steps):
-                k = t % BLOCK
-                if k == 0:
-                    b = min(BLOCK, cfg.steps - t)
-                    for i, gen in enumerate(gens):
-                        gen.standard_normal((b, cfg.d), out=noise[i, :b])
-                _baoab_inplace(x, v, force, cfg.potential, cfg.gamma, cfg.dt,
-                               noise[:, k])
-                if (t + 1) % cfg.record_every == 0:
-                    rec += 1
-                    for n in names:
-                        values[n][rec, cols] = observables[n](x, v)
-        except DivergenceError as err:
-            divergence = {"trajectory": start + err.coordinate // cfg.d,
-                          "step": t + 1}
-            done_records = rec + 1
-        final_x[cols] = x
-        final_v[cols] = v
-        processed += count
-        if divergence is not None:
+    for t0 in range(0, cfg.steps, BLOCK):
+        b = min(BLOCK, cfg.steps - t0)
+        for start in range(0, p, CHUNK):
+            cols = slice(start, min(start + CHUNK, p))
+            xc, vc, fc = x[cols], v[cols], force[cols]
+            for i, gen in enumerate(gens[cols]):
+                gen.standard_normal((b, d), out=noise[i, :b])
+            t = t0 - 1  # a force that fails in step t belongs to position t + 1
+            try:
+                if t0 == 0:
+                    for n, obs in observables.items():
+                        rows[n][0, cols] = obs(xc, vc)
+                    fc[...] = _force(cfg.potential, xc)
+                for t in range(t0, t0 + b):
+                    _baoab_inplace(xc, vc, fc, cfg.potential, cfg.gamma, cfg.dt,
+                                   noise[:len(xc), t - t0])
+                    if (t + 1) % every == 0:
+                        for n, obs in observables.items():
+                            rows[n][(t + 1) // every - done, cols] = obs(xc, vc)
+            except DivergenceError as err:
+                hits.append((t + 1, start + err.coordinate // d))
+        end = (t0 + b) // every + 1
+        if hits:
+            end = min(end, max(min(hits)[0] - 1, 0) // every + 1)
+        for n in observables:
+            for j in range(done, end):
+                row = rows[n][j - done]
+                means[n][j] = row.mean()
+                stderrs[n][j] = row.std(ddof=1) / np.sqrt(p)
+        done = end
+        if hits:
             break
 
-    keep = slice(0, done_records)
-    used = slice(0, processed)
-    n_used = processed
-    means = {}
-    stderrs = {}
-    for n in names:
-        block = values[n][keep, used]
-        means[n] = block.mean(axis=1)
-        spread = block.std(axis=1, ddof=1) if n_used > 1 else np.zeros(done_records)
-        stderrs[n] = spread / np.sqrt(n_used)
-    fx = final_x[used]
-    fv = final_v[used]
+    divergence = None
+    final = (None,) * 4  # a diverged ensemble has no common final state
+    if hits:
+        step, trajectory = min(hits)
+        divergence = {"trajectory": trajectory, "step": step}
+    else:
+        final = (x.mean(axis=0), x.var(axis=0), v.mean(axis=0), v.var(axis=0))
     return EnsembleTrace(
-        times=times[keep],
-        means=means,
-        stderrs=stderrs,
-        final_x_mean=fx.mean(axis=0),
-        final_x_var=fx.var(axis=0),
-        final_v_mean=fv.mean(axis=0),
-        final_v_var=fv.var(axis=0),
-        particles=n_used,
+        times=times[:done],
+        means={n: m[:done] for n, m in means.items()},
+        stderrs={n: s[:done] for n, s in stderrs.items()},
+        final_x_mean=final[0],
+        final_x_var=final[1],
+        final_v_mean=final[2],
+        final_v_var=final[3],
+        particles=p,
         divergence=divergence,
     )
 

@@ -288,6 +288,8 @@ class TestMain:
         sample = data["results"]["sample"]
         assert sample["diverged"]
         assert sample["divergence"] == {"trajectory": 0, "step": 0}
+        for name in ("final_v_var", "final_x_var", "final_v_mean", "final_x_mean"):
+            assert sample[name] is None
         statuses = {v["name"]: v["status"] for v in data["verdicts"]}
         assert statuses["equilibrium_v_sq"] == "fail"
         assert code == 1

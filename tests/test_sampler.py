@@ -93,26 +93,35 @@ def assert_traces_equal(a, b):
 class TestRunEnsemble:
     def test_matches_step_baoab_per_trajectory(self, monkeypatch):
         # 600 steps cross noise blocks and end in a partial one; CHUNK = 64
-        # splits the 100 particles into a full and a partial chunk
+        # splits the 100 particles into a full and a partial chunk.  Every
+        # record is reduced as its block ends, and must equal the reduction
+        # of the whole (records, particles) array bit for bit.
         monkeypatch.setattr("hypolab.sampler.CHUNK", 64)
         for pot in (hl.quadratic(), hl.double_well(), hl.cosine_bump(2.0)):
             cfg = hl.SdeConfig(potential=pot, d=2, particles=100,
                                steps=600, gamma=2.0, seed=5, init_shift=0.5)
             trace = hl.run_ensemble(cfg)
+            observables = default_observables(pot)
             x = np.full((cfg.particles, cfg.d), cfg.init_shift)
             v = np.empty_like(x)
-            x_sq = np.empty((len(trace.times), cfg.particles))
+            ref = {n: np.empty((len(trace.times), cfg.particles))
+                   for n in observables}
             for i in range(cfg.particles):
                 gen = np.random.Generator(np.random.Philox(key=[cfg.seed, i]))
                 draws = gen.standard_normal((cfg.steps + 1, cfg.d))
                 v[i] = draws[0]
-                x_sq[0, i] = (x[i] ** 2).mean()
-                for t in range(cfg.steps):
-                    x[i], v[i] = hl.step_baoab((x[i], v[i]), cfg.potential,
-                                               cfg.gamma, cfg.dt, draws[t + 1])
-                    if (t + 1) % cfg.record_every == 0:
-                        x_sq[(t + 1) // cfg.record_every, i] = (x[i] ** 2).mean()
-            np.testing.assert_array_equal(trace.means["x_sq"], x_sq.mean(axis=1))
+                for t in range(cfg.steps + 1):  # t is the position index
+                    if t > 0:
+                        x[i], v[i] = hl.step_baoab((x[i], v[i]), cfg.potential,
+                                                   cfg.gamma, cfg.dt, draws[t])
+                    if t % cfg.record_every == 0:
+                        for n, obs in observables.items():
+                            ref[n][t // cfg.record_every, i] = obs(x[i], v[i])
+            for n in observables:
+                np.testing.assert_array_equal(trace.means[n], ref[n].mean(axis=1))
+                np.testing.assert_array_equal(
+                    trace.stderrs[n],
+                    ref[n].std(axis=1, ddof=1) / np.sqrt(cfg.particles))
             np.testing.assert_array_equal(trace.final_x_mean, x.mean(axis=0))
             np.testing.assert_array_equal(trace.final_v_var, v.var(axis=0))
 
@@ -142,7 +151,7 @@ class TestRunEnsemble:
         assert_traces_equal(a, hl.run_ensemble(cfg))
 
     def test_memory_does_not_grow_with_steps(self):
-        """Beyond the recorded observables, the peak is independent of steps."""
+        """Only the per-record means and stderrs grow with the steps."""
         import tracemalloc
 
         def peak(steps):
@@ -155,11 +164,7 @@ class TestRunEnsemble:
             finally:
                 tracemalloc.stop()
 
-        short, long = 1000, 4000
-        n_obs = len(default_observables(hl.double_well()))
-        records = (long - short) // 10  # record_every = 10
-        observable_growth = n_obs * records * 1000 * 8
-        assert peak(long) - peak(short) <= observable_growth + 4 * 2**20
+        assert peak(4000) - peak(1000) <= 2**20
 
     def test_equilibrium_moments_quadratic(self):
         cfg = hl.SdeConfig(potential=hl.quadratic(1.0), particles=4000,
@@ -238,6 +243,28 @@ class TestRunEnsemble:
             "step": step,
         }
         assert trace.diverged
+
+
+    def test_divergence_does_not_depend_on_partitioning(self, monkeypatch):
+        # at CHUNK = 64 every chunk diverges, chunk 1 first (step 8) and
+        # chunk 0 at step 9; BLOCK = 8 ends the run before chunk 0 diverges
+        cfg = hl.SdeConfig(potential=hl.double_well(), d=2, particles=300,
+                           steps=200, dt=0.2, gamma=4.0, seed=0, init_shift=11.4)
+        traces = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for chunk, block in [(4096, 256), (64, 256), (4096, 7), (64, 7),
+                                 (64, 8)]:
+                monkeypatch.setattr("hypolab.sampler.CHUNK", chunk)
+                monkeypatch.setattr("hypolab.sampler.BLOCK", block)
+                traces.append(hl.run_ensemble(cfg))
+        first = traces[0]
+        step = first.divergence["step"]
+        assert len(first.times) == max(step - 1, 0) // cfg.record_every + 1
+        for name in ("final_x_mean", "final_x_var", "final_v_mean", "final_v_var"):
+            assert getattr(first, name) is None
+        for trace in traces[1:]:
+            assert_traces_equal(first, trace)
 
 
 class TestObservableDecay:
