@@ -46,6 +46,7 @@ from .evolve import (
     initial_condition,
     integrate,
     lyapunov_derivative_check,
+    lyapunov_identity,
     verify_decay_bound,
 )
 from .model import POTENTIAL_KINDS, Potential, default_domain, gibbs_model
@@ -416,6 +417,7 @@ def _stage_evolve(ws: _Workspace, report: RunReport):
         suffix = f"_{tag}" if tag else ""
         name = f"decay_{ws.potential.name}_{gamma:g}{suffix}.csv"
         report.traces.append((name, trace))
+        report.results.setdefault("lyapunov_identity", {})[kind] = lyapunov_identity(trace)
         drift = float(np.abs(trace.mean - trace.mean[0]).max())
         report.add_verdict(f"mean_conserved{suffix}",
                            "pass" if drift <= 1e-10 else "fail", 1e-10 - drift)
@@ -441,6 +443,7 @@ def _stage_evolve(ws: _Workspace, report: RunReport):
     report.results["evolve"] = {
         "gamma": gamma, "eps": eps, "Lambda": tuned.Lambda,
         "t_end": t_end, "dt": cfg.evolve_dt, "kinds": list(kinds),
+        "band": trace.band,  # every kind factors the same I - (dt/2) L
     }
     report.timings["evolve"] = time.perf_counter() - t0
 

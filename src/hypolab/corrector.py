@@ -46,6 +46,13 @@ class Corrector:
     block: np.ndarray
     matrix: sp.csr_matrix
 
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """A x from the position block: B times x's Hermite mode 1, on mode 0."""
+        n_v = self.ops.n_v
+        out = np.zeros_like(x)
+        out[::n_v] = self.block @ x[1::n_v]
+        return out
+
 
 def build_corrector(ops: OperatorSet, alpha: float | None = None) -> Corrector:
     """Assemble A = (alpha I - L_o)^{-1} (L_a Pi_v)^T = kron(B, e_0 e_1^T).
@@ -85,15 +92,25 @@ class ModifiedFunctional:
     L: sp.spmatrix
     eps: float
 
-    def values(self, f: np.ndarray):
-        """(H(f), D(f)) from three matvecs: A f, L f and A (L f)."""
-        A, eps = self.corrector.matrix, self.eps
-        af = A @ f
+    def products(self, f: np.ndarray):
+        """The three matvecs H and D are built from: (A f, L f, A L f)."""
         lf = self.L @ f
+        return self.corrector.apply(f), lf, self.corrector.apply(lf)
+
+    def values(self, f: np.ndarray, products=None):
+        """(H(f), D(f)); products, when given, are f's (A f, L f, A L f)."""
+        if products is None:
+            products = self.products(f)
         return (
-            0.5 * f @ f - eps * (af @ f),
-            -(lf @ f) + eps * ((A @ lf) @ f + af @ lf),
+            0.5 * f @ f - self.eps * (products[0] @ f),
+            self.dissipation(f, products, f, products),
         )
+
+    def dissipation(self, f, f_products, g, g_products) -> float:
+        """d(f, g) = -<L f, g> + eps (<A L f, g> + <A f, L g>), the bilinear
+        form with D(f) = d(f, f), from the products of f and of g."""
+        af, lf, alf = f_products
+        return -(lf @ g) + self.eps * (alf @ g + af @ g_products[1])
 
     def form(self) -> sp.csc_matrix:
         """Sparse symmetric matrix Q with D(f) = f^T Q f."""

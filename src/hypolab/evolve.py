@@ -2,13 +2,32 @@
 
 The one-step map is trapezoidal (Crank-Nicolson),
 
-    f_{n+1} = (I - dt/2 L)^{-1} (I + dt/2 L) f_n,
+    f_{n+1} = M^{-1} (f_n + (dt/2) L f_n),    M = I - (dt/2) L,
 
-applied through a sparse LU factorization computed once.  Because the
-symmetric part of L is gamma * L_s <= 0 the map is non-expansive, so failures
-of the decay bound can only be mathematical, never stability artifacts.  The
+with L f_n the product the diagnostics already take.  Because the symmetric
+part of L is gamma * L_s <= 0 the map is non-expansive, so failures of the
+decay bound can only be mathematical, never stability artifacts.  The
 constant function is a two-sided null vector of L, hence the weighted mean is
 conserved to machine precision and the mean-zero subspace is invariant.
+
+In position-major order M is banded, kl = ku = n_v - 1.  It is factored once
+per run as M = L_1 U by band elimination without pivoting, and each step is
+two BLAS banded triangular solves.  Pivoting is not needed: L_a is
+antisymmetric and L_s = -N, so the symmetric part of M is
+I + (dt/2) gamma N >= I.  Every Schur complement of M then has a symmetric
+part >= I too, so the elimination exists and every pivot is >= 1; element
+growth is bounded by n (||T|| + ||S||^2) with T and S the symmetric and
+skew parts of M (Golub & Van Loan, unsymmetric positive-definite systems).
+A pivot that is not finite and positive raises NumericalError; the growth
+max|factors| / max|M| and the smallest pivot are reported with the trace.
+
+The step obeys the discrete Lyapunov identity H(f_{n+1}) - H(f_n) =
+-dt D(g_n), g_n = (f_n + f_{n+1}) / 2, exactly: H is a quadratic form with a
+symmetric matrix and f_{n+1} - f_n = dt L g_n.  With d the bilinear form of
+D, D(g_n) = (D(f_n) + D(f_{n+1}) + d(f_n, f_{n+1}) + d(f_{n+1}, f_n)) / 4 is
+a few dot products of the A f, L f and A L f that both ends of the step
+already take, so the residual (lyapunov_identity) goes through real products
+with L and checks every solve.
 """
 from __future__ import annotations
 
@@ -17,7 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from numpy.lib.stride_tricks import as_strided
+from scipy.linalg.blas import dtbsv
 
 from .corrector import Corrector, ModifiedFunctional
 from .discretize import OperatorSet, compose_generator
@@ -36,17 +56,23 @@ MIN_FIT_SAMPLES = 8
 
 @dataclass
 class DecayTrace:
-    """Per-step samples of the decaying state and the certified envelope."""
+    """Per-step samples of the decaying state and the certified envelope.
+
+    diss_mid holds D(g_n) at the step midpoints g_n = (f_n + f_{n+1}) / 2,
+    one per step; band holds the factorization diagnostics of BandLU.
+    """
 
     times: np.ndarray
     norm: np.ndarray
     lyap: np.ndarray
     diss: np.ndarray
+    diss_mid: np.ndarray
     bound: np.ndarray
     mean: np.ndarray
     gamma: float
     eps: float
     Lambda: float
+    band: dict
 
     def csv_rows(self):
         header = "t,norm,lyap,diss,bound,mean"
@@ -90,6 +116,76 @@ def initial_condition(ops: OperatorSet, kind: str, seed: int = 0) -> np.ndarray:
     raise ConfigurationError(f"unknown initial-condition kind {kind!r}")
 
 
+@dataclass
+class BandLU:
+    """Pivot-free factors M = L_1 U of a banded matrix in BLAS band storage.
+
+    lower (kl+1, n) holds the unit-lower factor with its unreferenced diagonal
+    in row 0; upper (ku+1, n) holds U with its diagonal in row ku.
+    """
+
+    kl: int
+    ku: int
+    lower: np.ndarray
+    upper: np.ndarray
+    growth: float
+    min_pivot: float
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """M^{-1} b by two banded triangular solves."""
+        y = dtbsv(self.kl, self.lower, b, lower=1, diag=1)
+        return dtbsv(self.ku, self.upper, y, overwrite_x=1)
+
+    def diagnostics(self) -> dict:
+        return {"kl": self.kl, "ku": self.ku, "growth": self.growth,
+                "min_pivot": self.min_pivot}
+
+
+def band_lu(matrix: sp.spmatrix) -> BandLU:
+    """Factor a sparse banded matrix by elimination without pivoting.
+
+    The matrix goes into LAPACK band storage ab[ku + i - j, j], Fortran
+    order.  Seen through the strided view V[i, j] = flat[ku + i + j (ldab - 1)]
+    of the column-major flat = ab.ravel("F"), V[i, j] is entry (i, j) for
+    every (i, j) in the band, so each column's elimination is plain slicing:
+    scale the kl multipliers below the pivot, then subtract their outer
+    product with the pivot row from the kl x ku window to the lower right.
+    Raises NumericalError unless every pivot is finite and positive (the
+    errstate keeps a zero pivot from surfacing as a warning first).
+    """
+    dia = sp.dia_matrix(matrix)
+    n = dia.shape[0]
+    kl, ku = max(0, -int(dia.offsets.min())), max(0, int(dia.offsets.max()))
+    ldab = kl + ku + 1
+    ab = np.zeros((ldab, n), order="F")
+    ab[ku - dia.offsets] = dia.data  # dia.data[k, j] = M[j - offsets[k], j]
+    scale = np.abs(ab).max()
+    flat = ab.reshape(-1, order="F")  # a view: ab is Fortran-ordered
+    view = as_strided(flat[ku:], shape=(n, n),
+                      strides=(flat.itemsize, (ldab - 1) * flat.itemsize))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in range(n - 1):
+            below, right = min(n, j + kl + 1), min(n, j + ku + 1)
+            col = view[j + 1:below, j]
+            col /= view[j, j]
+            view[j + 1:below, j + 1:right] -= col[:, None] * view[j, j + 1:right]
+    pivots = ab[ku]
+    bad = np.flatnonzero(~(np.isfinite(pivots) & (pivots > 0)))
+    if bad.size:
+        raise NumericalError(
+            f"pivot-free band LU: pivot {pivots[bad[0]]!r} at column {bad[0]} "
+            "is not finite and positive"
+        )
+    return BandLU(
+        kl=kl,
+        ku=ku,
+        lower=np.asfortranarray(ab[ku:]),
+        upper=np.asfortranarray(ab[:ku + 1]),
+        growth=float(np.abs(ab).max() / scale),
+        min_pivot=float(pivots.min()),
+    )
+
+
 def integrate(
     ops: OperatorSet,
     f0: np.ndarray,
@@ -102,9 +198,11 @@ def integrate(
 ) -> DecayTrace:
     """Advance f0 to t_end by the trapezoidal map, sampling every step.
 
-    Each sample records the norm, the corrector's modified functional and its
-    dissipation at eps, and the mean; the envelope is
-    sqrt(3) e^{-Lambda t} ||f0||.
+    M = I - (dt/2) L is factored once by band_lu; each step solves
+    M f_{n+1} = f_n + (dt/2) L f_n with the L f_n of the diagnostics.  Each
+    sample records the norm, the corrector's modified functional and its
+    dissipation at eps, and the mean; each step records D at its midpoint for
+    lyapunov_identity.  The envelope is sqrt(3) e^{-Lambda t} ||f0||.
     """
     if dt <= 0:
         raise ConfigurationError("dt must be positive")
@@ -117,29 +215,30 @@ def integrate(
     if abs(ops.mean(f0)) > MEAN_TOL * max(norm0, 1.0):
         raise PreconditionError("f0 is not mean-zero")
 
-    L = compose_generator(ops, gamma).tocsc()
+    L = compose_generator(ops, gamma)
+    lu = band_lu(sp.identity(ops.n, format="csr") - (dt / 2) * L)
     n_steps = max(0, int(round(t_end / dt)))
-    if n_steps:
-        identity = sp.identity(ops.n, format="csc")
-        try:
-            lu = spla.splu(identity - (dt / 2) * L)
-        except RuntimeError as exc:  # pragma: no cover - well conditioned
-            raise NumericalError(f"Crank-Nicolson factorization failed: {exc}")
-        forward = (identity + (dt / 2) * L).tocsr()
     times = np.arange(n_steps + 1) * dt
     norm = np.empty(n_steps + 1)
     lyap = np.empty(n_steps + 1)
     diss = np.empty(n_steps + 1)
+    cross = np.empty(n_steps)
     mean = np.empty(n_steps + 1)
 
     functional = ModifiedFunctional(corrector, L, eps)
     f = f0.copy()
+    products = functional.products(f)
     for k in range(n_steps + 1):
         norm[k] = np.linalg.norm(f)
-        lyap[k], diss[k] = functional.values(f)
+        lyap[k], diss[k] = functional.values(f, products)
         mean[k] = ops.mean(f)
         if k < n_steps:
-            f = lu.solve(forward @ f)
+            f_next = lu.solve(f + (dt / 2) * products[1])
+            next_products = functional.products(f_next)
+            cross[k] = functional.dissipation(
+                f, products, f_next, next_products
+            ) + functional.dissipation(f_next, next_products, f, products)
+            f, products = f_next, next_products
 
     bound = np.sqrt(3.0) * np.exp(-Lambda * times) * norm0
     return DecayTrace(
@@ -147,11 +246,13 @@ def integrate(
         norm=norm,
         lyap=lyap,
         diss=diss,
+        diss_mid=(diss[:-1] + diss[1:] + cross) / 4,
         bound=bound,
         mean=mean,
         gamma=float(gamma),
         eps=float(eps),
         Lambda=float(Lambda),
+        band=lu.diagnostics(),
     )
 
 
@@ -206,3 +307,18 @@ def lyapunov_derivative_check(
         if np.any(np.diff(trace.lyap) > 1e-10 * scale):
             raise NumericalError("Lyapunov functional increased on a tuned run")
     return float(resid[keep].max())
+
+
+def lyapunov_identity(trace: DecayTrace) -> float:
+    """max_n |H(f_{n+1}) - H(f_n) + dt D(g_n)| / |H(f_0)|.
+
+    The discrete Lyapunov identity of the trapezoidal step (see the module
+    docstring) makes this zero in exact arithmetic at any (gamma, eps); what
+    remains is roundoff, including that of every solve.  A trace without steps
+    gives 0.
+    """
+    if len(trace.times) < 2:
+        return 0.0
+    dt = trace.times[1] - trace.times[0]
+    resid = np.abs(np.diff(trace.lyap) + dt * trace.diss_mid)
+    return float(resid.max() / max(abs(trace.lyap[0]), 1e-300))

@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 
 import hypolab as hl
+from hypolab.evolve import lyapunov_identity
 
 from conftest import make_ops
 
@@ -133,6 +134,8 @@ def test_criterion_8_lyapunov_identity(ops_quad, corr_quad, tuned_quad):
             residuals.append(
                 hl.lyapunov_derivative_check(trace, monotone=True, t_min=2.0)
             )
+            # the trapezoidal step satisfies the discrete identity exactly
+            assert lyapunov_identity(trace) <= 1e-12
         for coarse, fine in zip(residuals, residuals[1:]):
             assert 3.5 <= coarse / fine <= 4.5
 

@@ -1,6 +1,7 @@
 import json
 import warnings
 
+import numpy as np
 import pytest
 
 import hypolab as hl
@@ -124,6 +125,20 @@ class TestRunExperiment:
         name, trace = report.traces[0]
         assert name.startswith("decay_quadratic_")
         assert len(list(trace.csv_rows())) == 2  # header plus the t=0 row
+
+    def test_evolve_reports_identity_and_band(self):
+        cfg = cli.build_config(
+            {"grid.N_x": "32", "grid.N_v": "6", "evolve.f0": "all",
+             "evolve.t_end_factor": "0.2"}
+        )
+        report = cli.run_experiment("evolve", cfg)
+        identity = report.results["lyapunov_identity"]
+        assert sorted(identity) == ["gap", "random", "velocity"]
+        assert 0.0 < max(identity.values()) <= 1e-12
+        band = report.results["evolve"]["band"]
+        assert (band["kl"], band["ku"]) == (5, 5)
+        assert band["min_pivot"] >= 1.0 - 1e-12
+        assert 0.0 < band["growth"] < np.inf
 
     def test_zero_state_decay_bound_is_skipped(self):
         # the bound holds for f = 0 by construction, so it is not reported

@@ -213,6 +213,12 @@ class TestBlockReduction:
         assert np.array_equal(old != 0.0, new != 0.0)
         assert np.abs(old - new).max() <= 1e-14 * np.abs(new).max()
 
+    def test_apply_matches_matrix(self, corr_small):
+        x = np.random.default_rng(3).standard_normal(corr_small.ops.n)
+        expected = corr_small.matrix @ x
+        assert np.abs(corr_small.apply(x) - expected).max() <= 1e-14 * np.abs(
+            expected).max()
+
     def test_block_norms_match_full_dense_svd(self, corr_small):
         ops, A = corr_small.ops, corr_small.matrix
         fast = sp.identity(ops.n, format="csr") - ops.pi_v

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 import hypolab as hl
+from hypolab.evolve import DT_GUARD, band_lu, lyapunov_identity
 from hypolab.errors import (
     ConfigurationError,
     DegenerateTraceError,
@@ -10,7 +12,35 @@ from hypolab.errors import (
     PreconditionError,
 )
 
-from conftest import random_mean_zero
+from conftest import make_ops, random_mean_zero
+
+POTENTIALS = {
+    "quadratic": lambda: hl.quadratic(1.0),
+    "double_well": hl.double_well,
+    "cosine_bump": lambda: hl.cosine_bump(2.0),
+}
+
+
+def tuned_system(kind, n_x, n_v):
+    """(ops, corrector, tuning, M = I - (dt/2) L, L, dt) at gamma_star and the
+    largest step the guard allows, dt = DT_GUARD / gamma_star."""
+    ops = make_ops(POTENTIALS[kind](), n_x=n_x, n_v=n_v)
+    tuned = hl.optimize_friction(ops.m_h, ops.grid.model.K)
+    dt = DT_GUARD / tuned.gamma_star
+    L = hl.compose_generator(ops, tuned.gamma_star)
+    M = sp.identity(ops.n, format="csr") - (dt / 2) * L
+    return ops, hl.build_corrector(ops), tuned, M, L, dt
+
+
+def dense_factors(lu, n):
+    """The unit-lower and upper factors of a BandLU as dense matrices."""
+    lower = np.eye(n)
+    for r in range(1, lu.kl + 1):
+        lower += np.diag(lu.lower[r, :n - r], -r)
+    upper = np.zeros((n, n))
+    for r in range(lu.ku + 1):
+        upper += np.diag(lu.upper[lu.ku - r, r:], r)
+    return lower, upper
 
 
 def synthetic_trace(times, norms):
@@ -20,11 +50,13 @@ def synthetic_trace(times, norms):
         norm=np.asarray(norms, dtype=float),
         lyap=np.zeros(n),
         diss=np.zeros(n),
+        diss_mid=np.zeros(n - 1),
         bound=np.full(n, np.inf),
         mean=np.zeros(n),
         gamma=4.0,
         eps=0.3,
         Lambda=0.05,
+        band={},
     )
 
 
@@ -98,6 +130,104 @@ class TestIntegrate:
         assert np.all(quad_trace.lyap <= envelope * (1 + 1e-6))
 
 
+class TestBandLU:
+    @pytest.mark.parametrize("kind", sorted(POTENTIALS))
+    def test_factors_pivots_and_one_step(self, kind):
+        ops, _, _, M, L, dt = tuned_system(kind, 64, 12)
+        lu = band_lu(M)
+        dense = M.toarray()
+        assert lu.kl == lu.ku == ops.n_v - 1
+        lower, upper = dense_factors(lu, ops.n)
+        scale = np.abs(dense).max()
+        assert np.abs(lower @ upper - dense).max() <= 1e-14 * scale
+        # the symmetric part of M is >= I, so every pivot is >= 1
+        assert np.all(lu.upper[lu.ku] > 0)
+        assert lu.min_pivot >= 1.0 - 1e-12
+        assert lu.growth <= 10.0
+        f = random_mean_zero(ops, 5)
+        rhs = f + (dt / 2) * (L @ f)
+        expected = sla.solve(dense, rhs)
+        step = lu.solve(rhs)
+        assert np.linalg.norm(step - expected) <= 1e-13 * np.linalg.norm(expected)
+
+    def test_double_well_case_needs_pivoting_under_lapack(self):
+        # LAPACK's partially pivoted band LU swaps rows on this matrix, so the
+        # pivot-free factorization of test_factors_pivots_and_one_step is
+        # exercised where pivoting would otherwise act
+        _, _, _, M, _, _ = tuned_system("double_well", 64, 12)
+        dia = sp.dia_matrix(M)
+        kl = ku = -int(dia.offsets.min())
+        ab = np.zeros((2 * kl + ku + 1, M.shape[0]))
+        ab[kl + ku - dia.offsets] = dia.data
+        _, piv, info = sla.lapack.dgbtrf(ab, kl, ku)
+        assert info == 0
+        assert np.any(piv != np.arange(M.shape[0]))
+
+    def test_solve_leaves_its_argument(self):
+        _, _, _, M, _, _ = tuned_system("quadratic", 32, 8)
+        b = np.arange(M.shape[0], dtype=float)
+        band_lu(M).solve(b)
+        assert np.all(b == np.arange(M.shape[0]))
+
+    @pytest.mark.parametrize("diagonal", [-0.25, -1.0, np.nan],
+                             ids=["zero", "negative", "nan"])
+    def test_pivot_guard(self, diagonal):
+        # the second pivot is diagonal + 0.25
+        m = sp.diags([[1.0, diagonal, 1.0], [0.5, 0.5], [-0.5, -0.5]], [0, 1, -1])
+        with pytest.raises(NumericalError, match="column 1"):
+            band_lu(m)
+
+    @pytest.mark.parametrize("kind", sorted(POTENTIALS))
+    def test_integrate_matches_dense_crank_nicolson(self, kind):
+        ops, corr, tuned, M, L, dt = tuned_system(kind, 32, 8)
+        f0 = hl.initial_condition(ops, "random", seed=11)
+        trace = hl.integrate(ops, f0, tuned.gamma_star, 50 * dt, dt,
+                             corrector=corr, eps=tuned.eps_star, Lambda=tuned.Lambda)
+        assert len(trace.times) == 51
+        functional = hl.ModifiedFunctional(corr, L, tuned.eps_star)
+        forward = np.eye(ops.n) + (dt / 2) * L.toarray()
+        f, ref = f0, []
+        for _ in range(51):
+            ref.append((np.linalg.norm(f), *functional.values(f)))
+            f = sla.solve(M.toarray(), forward @ f)
+        norm, lyap, diss = np.array(ref).T
+        np.testing.assert_allclose(trace.norm, norm, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(trace.lyap, lyap, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(trace.diss, diss, rtol=1e-12, atol=0)
+        assert trace.band == band_lu(M).diagnostics()
+
+
+class TestLyapunovIdentity:
+    def test_holds_to_roundoff_on_tuned_run(self, quad_trace):
+        assert len(quad_trace.diss_mid) == len(quad_trace.times) - 1
+        assert lyapunov_identity(quad_trace) <= 1e-12
+
+    @pytest.mark.parametrize("kind", sorted(POTENTIALS))
+    def test_holds_off_the_tuned_point(self, kind):
+        # the identity is algebraic: any (gamma, eps) satisfies it
+        ops, corr, tuned, _, _, _ = tuned_system(kind, 32, 8)
+        f0 = hl.initial_condition(ops, "velocity")
+        trace = hl.integrate(ops, f0, 2.0, 2.0, 0.02, corrector=corr, eps=0.05,
+                             Lambda=tuned.Lambda)
+        assert lyapunov_identity(trace) <= 1e-12
+
+    def test_detects_a_wrong_step(self, quad_trace):
+        lyap = quad_trace.lyap.copy()
+        lyap[7] *= 1 + 1e-9
+        doctored = hl.DecayTrace(**{**quad_trace.__dict__, "lyap": lyap})
+        assert lyapunov_identity(doctored) >= 0.5e-9 * lyap[7] / lyap[0]
+
+    def test_zero_state_and_no_steps(self, ops_quad_small, corr_quad_small):
+        trace = hl.integrate(ops_quad_small, np.zeros(ops_quad_small.n), 4.0, 1.0,
+                             0.02, corrector=corr_quad_small, eps=0.3, Lambda=0.05)
+        assert lyapunov_identity(trace) == 0.0
+        f0 = hl.initial_condition(ops_quad_small, "random")
+        trace = hl.integrate(ops_quad_small, f0, 4.0, 0.0, 0.02,
+                             corrector=corr_quad_small, eps=0.3, Lambda=0.05)
+        assert len(trace.diss_mid) == 0
+        assert lyapunov_identity(trace) == 0.0
+
+
 class TestEstimateRate:
     def test_pure_exponential(self):
         t = np.linspace(0.0, 10.0, 401)
@@ -152,11 +282,13 @@ class TestLyapunovDerivative:
             norm=quad_trace.norm[:5],
             lyap=np.array([1.0, 0.5, 0.8, 0.4, 0.3]),
             diss=quad_trace.diss[:5],
+            diss_mid=quad_trace.diss_mid[:4],
             bound=quad_trace.bound[:5],
             mean=quad_trace.mean[:5],
             gamma=tuned_quad.gamma_star,
             eps=tuned_quad.eps_star,
             Lambda=tuned_quad.Lambda,
+            band=quad_trace.band,
         )
         with pytest.raises(NumericalError):
             hl.lyapunov_derivative_check(doctored, monotone=True)
