@@ -16,11 +16,30 @@ the lowering coefficient sqrt(2)):
 
 The first bound is attained: the singular values of B are s / (m_h + s^2)
 over the singular values s of Grad, and s = sqrt(m_h) is one of them.
-Also checked: coercivity of the dissipation quadratic form Q on the mean-zero
-subspace against lambda_coer.  A maps mode 1 to mode 0 and L moves one mode,
-so the corrector terms of Q live on Hermite modes 0-2, and the rest of Q is
--(L + L^T)/2 = gamma k on mode k >= 3: one dense eigensolve of the 3 n_x x 3 n_x
-mode 0-2 block gives the smallest eigenvalue.
+Also checked: coercivity of the dissipation quadratic form
+
+    Q = -(L + L^T)/2 + eps (sym(A L) + sym(A^T L)),   sym(X) = (X + X^T)/2,
+
+on the mean-zero subspace against lambda_coer.  With the Hermite raising
+matrix R, N = diag(k) and L = Grad (x) R - Grad^T (x) R^T - gamma I (x) N,
+
+    A L   = B Grad (x) e_0 e_0^T - sqrt(2) B Grad^T (x) e_0 e_2^T
+            - gamma B (x) e_0 e_1^T,
+    A^T L = -B^T Grad^T (x) e_1 e_1^T,
+
+so Q is gamma k on each Hermite mode k >= 3, coupled to no other mode, and
+on modes 0-2 it is the 3 x 3 matrix of n_x x n_x position blocks
+
+    Q_00 = eps sym(B Grad)
+    Q_01 = -(eps gamma / 2) B
+    Q_02 = -(eps / sqrt(2)) B Grad^T
+    Q_11 = gamma I - eps sym(B^T Grad^T)
+    Q_12 = 0
+    Q_22 = 2 gamma I
+
+One dense eigensolve of that 3 n_x x 3 n_x block gives the smallest
+eigenvalue of Q on the mean-zero subspace: it is at most 2 gamma (Q_22), and
+the rest of Q is 3 gamma or more.
 """
 from __future__ import annotations
 
@@ -31,7 +50,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.linalg.blas import dsyr, dsyr2
 
-from .discretize import OperatorSet, compose_generator
+from .discretize import OperatorSet
 from .errors import ConfigurationError, NumericalError, PreconditionError
 from .model import eval_potential
 
@@ -39,7 +58,12 @@ from .model import eval_potential
 @dataclass
 class Corrector:
     """Shifted corrector: its mode-1 -> mode-0 position block and the
-    assembled phase-space matrix, with the operator set and shift."""
+    assembled phase-space matrix, with the operator set and shift.
+
+    Every computation goes through the block; matrix is kept because the
+    benchmark reports its nonzero count (corrector.nnz_A) and the tests use
+    it as the phase-space reference for the block algebra.
+    """
 
     ops: OperatorSet
     alpha: float
@@ -112,14 +136,6 @@ class ModifiedFunctional:
         af, lf, alf = f_products
         return -(lf @ g) + self.eps * (alf @ g + af @ g_products[1])
 
-    def form(self) -> sp.csc_matrix:
-        """Sparse symmetric matrix Q with D(f) = f^T Q f."""
-        A, L = self.corrector.matrix, self.L
-        al = (A @ L).tocsr()
-        atl = (A.T @ L).tocsr()
-        q = -(L + L.T) / 2 + self.eps * ((al + al.T) / 2 + (atl + atl.T) / 2)
-        return q.tocsc()
-
 
 def operator_norm(matrix) -> float:
     """Largest singular value by a dense SVD.
@@ -128,8 +144,7 @@ def operator_norm(matrix) -> float:
     algebra, never a phase-space matrix, so a dense SVD is cheap and accurate
     to roundoff.
     """
-    dense = matrix.toarray() if sp.issparse(matrix) else np.asarray(matrix)
-    return float(sla.svdvals(dense)[0])
+    return float(sla.svdvals(matrix)[0])
 
 
 @dataclass
@@ -220,48 +235,54 @@ def verify_corrector_bounds(c: Corrector) -> DissipationReport:
     )
 
 
+def dissipation_block(c: Corrector, eps: float, gamma: float) -> np.ndarray:
+    """The Hermite mode 0-2 block of Q in position-major order,
+    dense[k::3, l::3] = Q_kl (see the module docstring), Fortran-ordered."""
+    b, g = c.block, c.ops.grad_x
+    n_x = len(b)
+    eye = np.eye(n_x)
+    bg = b @ g
+    gb = g @ b
+    dense = np.zeros((3 * n_x, 3 * n_x), order="F")
+    dense[::3, ::3] = (eps / 2) * (bg + bg.T)
+    dense[::3, 1::3] = -(eps * gamma / 2) * b
+    dense[::3, 2::3] = -(eps / np.sqrt(2.0)) * (b @ g.T)
+    dense[1::3, 1::3] = gamma * eye - (eps / 2) * (gb + gb.T)  # B^T G^T = (G B)^T
+    dense[2::3, 2::3] = 2.0 * gamma * eye
+    dense[1::3, ::3] = dense[::3, 1::3].T
+    dense[2::3, ::3] = dense[::3, 2::3].T
+    return dense
+
+
 def dissipation_form_min_eig(c: Corrector, eps: float, gamma: float):
     """Smallest eigenvalue of the dissipation form Q on the mean-zero subspace,
     as (value, residual); value - residual is a lower bound on it.
 
-    Q couples Hermite modes 0-2 (the slow block, which holds the mean
-    direction u) to no higher mode; that is checked, not assumed.  The slow
-    block is deflated to u^perp as P Q P + s u u^T, with s above its norm, and
-    solved densely; the residual ||P(Q x) - value x|| of the eigenvector is
-    reported.  The fast block is bounded below by Gershgorin (gamma k on mode
-    k >= 3); when that bound is below value - residual it is returned with
-    residual 0.
+    Q is the mode 0-2 block, which holds the mean direction u, next to
+    gamma k on each mode k >= 3 (see the module docstring).  The higher modes
+    need no solve: the block's smallest eigenvalue on u^perp is at most
+    2 gamma, the value of Q on any mode-2 state (Q_22 = 2 gamma I, and mode 2
+    is orthogonal to u), so it is below their 3 gamma.  The block is deflated
+    to u^perp as P Q P + s u u^T, with s above its norm, and solved densely;
+    it is then built again for the residual ||P(Q x) - value x|| of the
+    eigenvector, so one 3 n_x x 3 n_x buffer is alive at a time.
     """
     _require_gap_shift(c, "the coercivity check")
-    ops = c.ops
-    q = ModifiedFunctional(c, compose_generator(ops, gamma), eps).form()
-    slow = np.arange(ops.n) % ops.n_v < 3
-    fast = q[:, ~slow]
-    q = q[:, slow]  # column slices of the CSC form; no full copy stays alive
-    if q[~slow].count_nonzero() or fast[slow].count_nonzero():
-        raise NumericalError("the dissipation form couples modes 0-2 to higher modes")
-    fast = fast[~slow]
-    diag = fast.diagonal()
-    off = np.asarray(abs(fast).sum(axis=0)).ravel() - np.abs(diag)
-    fast_bound = float(np.min(diag - off, initial=np.inf))
-
-    q = q[slow]
-    u = ops.const_vec[slow]
-    qu = q @ u
-    dense = q.toarray(order="F")
+    u = np.zeros(3 * c.ops.n_x)
+    u[::3] = c.ops.grid.sqrt_weights
+    dense = dissipation_block(c, eps, gamma)
+    qu = dense @ u
     shift = 2.0 * sla.norm(dense, 1)
     dense = dsyr2(-1.0, u, qu, lower=1, a=dense, overwrite_a=1)
     dense = dsyr(float(u @ qu) + shift, u, lower=1, a=dense, overwrite_a=1)
     (rho,), x = sla.eigh(dense, lower=True, overwrite_a=True, check_finite=False,
                          subset_by_index=[0, 0])
+    del dense
     x = x[:, 0] - u * (u @ x[:, 0])
     x /= np.linalg.norm(x)
-    r = q @ x
+    r = dissipation_block(c, eps, gamma) @ x
     r -= u * (u @ r) + rho * x
-    residual = float(np.linalg.norm(r))
-    if fast_bound < rho - residual:
-        return fast_bound, 0.0
-    return float(rho), residual
+    return float(rho), float(np.linalg.norm(r))
 
 
 def bochner_residual(ops: OperatorSet, h_values: np.ndarray) -> float:

@@ -14,8 +14,8 @@ Operator factorization over kron(position, velocity):
     L_s     = -number operator            (diagonal, entry -k on Hermite mode k)
     L_a     = kron(Grad, raise) - kron(Grad^T, lower)
 
-The ladder form of L_a discretizes v.grad_x - U'(x).grad_v through
-v = lower + raise, grad_v = lower, grad_x ~ Grad, grad_x^* ~ Grad^T.  It is
+The ladder form of L_a discretizes v d_x - U'(x) d_v through
+v = lower + raise, d_v = lower, d_x ~ Grad, d_x^* ~ Grad^T.  It is
 antisymmetric by structure, annihilates constants exactly (mean conservation
 to machine precision), and closes the operator algebra used by the dissipation
 estimates: (L_a Pi_v)^T (L_a Pi_v) = -L_o Pi_v holds exactly, so the corrector
@@ -96,33 +96,26 @@ class HermiteBasis:
     """Truncated Hermite ladder data in velocity.
 
     lowering maps mode k to sqrt(k) * mode (k-1)  (the derivative d/dv);
-    raising is its transpose; v_mult = lowering + raising (multiplication by
-    v, with the raising term out of the top mode dropped by truncation);
-    eigenvalues k of the number operator raising @ lowering.
+    raising is its transpose; eigenvalues k of the number operator
+    raising @ lowering.
     """
 
     n_v: int
     eigenvalues: np.ndarray
-    lower_coeffs: np.ndarray
     lowering: np.ndarray
     raising: np.ndarray
-    v_mult: np.ndarray
 
 
 def build_velocity_basis(n_v: int) -> HermiteBasis:
     if n_v < 4:
         raise ConfigurationError(f"n_v = {n_v}: need at least 4 Hermite modes")
     k = np.arange(n_v)
-    coeffs = np.sqrt(k[1:].astype(float))
-    lowering = np.diag(coeffs, 1)
-    raising = lowering.T.copy()
+    lowering = np.diag(np.sqrt(k[1:].astype(float)), 1)
     return HermiteBasis(
         n_v=n_v,
         eigenvalues=k.astype(float),
-        lower_coeffs=coeffs,
         lowering=lowering,
-        raising=raising,
-        v_mult=lowering + raising,
+        raising=lowering.T.copy(),
     )
 
 
@@ -144,8 +137,6 @@ class OperatorSet:
     ls: sp.csr_matrix
     lo: sp.csr_matrix
     pi_v: sp.csr_matrix
-    grad: sp.csr_matrix
-    grad_v: sp.csr_matrix
     const_vec: np.ndarray
     m_h: float | None = field(default=None)
 
@@ -196,8 +187,6 @@ def assemble_operators(grid: WeightedGrid, basis: HermiteBasis) -> OperatorSet:
     lo = sp.kron(sp.csr_matrix(lo_x), iv, format="csr")
     e00 = sp.diags(np.r_[1.0, np.zeros(n_v - 1)])
     pi_v = sp.kron(ix, e00, format="csr")
-    grad = sp.kron(gx, iv, format="csr")
-    grad_v = sp.kron(ix, low, format="csr")
 
     const = np.zeros((n_x, n_v))
     const[:, 0] = sq
@@ -212,8 +201,6 @@ def assemble_operators(grid: WeightedGrid, basis: HermiteBasis) -> OperatorSet:
         ls=ls,
         lo=lo,
         pi_v=pi_v,
-        grad=grad,
-        grad_v=grad_v,
         const_vec=const.ravel(),
     )
 
@@ -294,7 +281,7 @@ def check_structure(ops: OperatorSet) -> StructureReport:
         np.abs(la @ ops.const_vec).max() + np.abs(ls @ ops.const_vec).max()
     )
 
-    # Gaussian velocity Poincare: ||(1-Pi)f||^2 <= ||grad_v f||^2 is the
+    # Gaussian velocity Poincare: ||(1-Pi)f||^2 <= ||d_v f||^2 is the
     # diagonal comparison k >= 1 on Hermite modes; exact in this basis.
     k = ops.basis.eigenvalues
     exact["velocity_poincare"] = float(max(0.0, np.max((k >= 1) * 1.0 - k)))
@@ -311,10 +298,11 @@ def check_structure(ops: OperatorSet) -> StructureReport:
         lhs = lapi.T @ (lapi @ f)
         rhs = -(lo @ (pi @ f))
         lift_worst = max(lift_worst, float(np.linalg.norm(lhs - rhs)))
-        # fourth-moment consequence: ||(1-Pi) L_a^2 h||^2 = 2 ||D^2 h||^2
+        # fourth-moment consequence: ||(1-Pi) L_a^2 h||^2 = 2 ||D^2 h||^2,
+        # with D^2 applied to f's mode-0 column (its only nonzero one)
         la2 = la @ (la @ f)
         left = np.linalg.norm(la2 - pi @ la2) ** 2
-        d2 = ops.grad @ (ops.grad @ f)
+        d2 = ops.grad_x @ (ops.grad_x @ f[::ops.n_v])
         right = 2 * np.linalg.norm(d2) ** 2
         scale = max(right, 1e-30)
         moment_worst = max(moment_worst, abs(left - right) / scale)
@@ -328,8 +316,6 @@ def check_structure(ops: OperatorSet) -> StructureReport:
     return StructureReport(exact=exact, recorded=recorded)
 
 
-def _spmax(matrix) -> float:
+def _spmax(matrix: sp.spmatrix) -> float:
     m = abs(matrix)
-    if sp.issparse(m):
-        return float(m.max()) if m.nnz else 0.0
-    return float(np.max(m))
+    return float(m.max()) if m.nnz else 0.0

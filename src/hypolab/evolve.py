@@ -5,10 +5,14 @@ The one-step map is trapezoidal (Crank-Nicolson),
     f_{n+1} = M^{-1} (f_n + (dt/2) L f_n),    M = I - (dt/2) L,
 
 with L f_n the product the diagnostics already take.  Because the symmetric
-part of L is gamma * L_s <= 0 the map is non-expansive, so failures of the
-decay bound can only be mathematical, never stability artifacts.  The
-constant function is a two-sided null vector of L, hence the weighted mean is
-conserved to machine precision and the mean-zero subspace is invariant.
+part of L is gamma * L_s <= 0 the map is non-expansive, but it is not
+L-stable: on a mode with dt |lambda| >> 1 its amplification factor tends to 1
+in modulus, so stiff modes are barely damped.  On under-resolved grids a
+decay-bound failure can therefore be a time-stepping artifact rather than a
+mathematical one (double_well at N_x = 32, N_v = 8: dt |lambda| ~ 220 and the
+random state's decay_bound margin is -13.7).  The constant function is a
+two-sided null vector of L, hence the weighted mean is conserved to machine
+precision and the mean-zero subspace is invariant.
 
 In position-major order M is banded, kl = ku = n_v - 1.  It is factored once
 per run as M = L_1 U by band elimination without pivoting, and each step is

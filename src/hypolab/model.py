@@ -121,15 +121,6 @@ class GibbsModel:
         if self.K < 0:
             raise ConfigurationError("Hessian lower bound K must be >= 0")
 
-    def hamiltonian(self, x, v):
-        """H(x, v) = |v|^2/2 + sum_j U(x_j) for states of shape (..., d)."""
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        U = eval_potential(self.potential, x)[0]
-        if x.ndim == 0:
-            return v**2 / 2 + U
-        return (v**2).sum(axis=-1) / 2 + U.sum(axis=-1)
-
 
 def gibbs_model(p: Potential) -> GibbsModel:
     analytic = p.params[0] if p.kind == "quadratic" else None

@@ -137,19 +137,6 @@ def _baoab_inplace(x, v, force, potential: Potential, gamma: float, dt: float,
     v -= (dt / 2) * force
 
 
-def step_baoab(state, potential: Potential, gamma: float, dt: float, noise):
-    """One BAOAB step; the potential acts coordinate-wise.
-
-    state is (x, v) with matching shapes (..., d); noise has the same shape,
-    standard normal.  Returns the updated (x, v); state is left unchanged.
-    """
-    x, v = (np.array(s, dtype=float, copy=True) for s in state)
-    force = np.array(_force(potential, x), dtype=float)
-    _baoab_inplace(x, v, force, potential, gamma, dt,
-                   np.asarray(noise, dtype=float))
-    return x, v
-
-
 def run_ensemble(cfg: SdeConfig) -> EnsembleTrace:
     """Evolve independent trajectories; fully deterministic given cfg.seed.
 

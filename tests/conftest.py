@@ -79,6 +79,17 @@ def quad_trace(ops_quad, corr_quad, tuned_quad):
     )
 
 
+def dissipation_form(functional):
+    """Sparse symmetric Q with D(f) = f^T Q f, from the phase-space matrices
+    A and L: the reference for the closed-form Hermite mode 0-2 block that
+    the coercivity check solves, and for its exact gamma k tail."""
+    A, L = functional.corrector.matrix, functional.L
+    al = (A @ L).tocsr()
+    atl = (A.T @ L).tocsr()
+    q = -(L + L.T) / 2 + functional.eps * ((al + al.T) / 2 + (atl + atl.T) / 2)
+    return q.tocsc()
+
+
 def random_mean_zero(ops, seed):
     rng = np.random.default_rng(seed)
     f = rng.standard_normal(ops.n)

@@ -4,9 +4,10 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 import hypolab as hl
-from hypolab.errors import ConfigurationError, NumericalError, PreconditionError
+from hypolab.corrector import dissipation_block
+from hypolab.errors import ConfigurationError, PreconditionError
 
-from conftest import make_ops, random_mean_zero
+from conftest import dissipation_form, make_ops, random_mean_zero
 
 
 def functional(corr, eps, gamma=4.0):
@@ -167,10 +168,6 @@ class TestOperatorNorm:
         M = np.diag([3.0, 1.0, -4.0])
         assert hl.operator_norm(M) == pytest.approx(4.0, abs=1e-12)
 
-    def test_sparse_dense_path(self):
-        M = sp.diags([2.0, 7.0, 1.0]).tocsr()
-        assert hl.operator_norm(M) == pytest.approx(7.0, abs=1e-12)
-
 
 def mode_loop_corrector(ops):
     """A assembled one Hermite mode at a time from the phase-space form
@@ -289,7 +286,7 @@ class TestDissipationFormMinEig:
     def test_form_matches_dissipation(self, corr_quad_small, ops_quad_small):
         tuned = hl.optimize_friction(ops_quad_small.m_h, 0.0)
         eps, gamma = tuned.eps_star, tuned.gamma_star
-        q = functional(corr_quad_small, eps, gamma).form()
+        q = dissipation_form(functional(corr_quad_small, eps, gamma))
         for seed in range(5):
             f = random_mean_zero(ops_quad_small, 300 + seed)
             expected = dissipation(f, corr_quad_small, eps, gamma)
@@ -300,24 +297,34 @@ class TestDissipationFormMinEig:
         ops = make_ops(SMALL_POTENTIALS[potential](), n_x=64, n_v=12)
         tuned = hl.optimize_friction(ops.m_h, ops.grid.model.K)
         gamma = tuned.gamma_star
-        Q = functional(hl.build_corrector(ops), tuned.eps_star, gamma).form().toarray()
+        Q = dissipation_form(
+            functional(hl.build_corrector(ops), tuned.eps_star, gamma)).toarray()
         k = np.arange(ops.n) % ops.n_v
         slow = k < 3
         assert np.all(Q[np.ix_(slow, ~slow)] == 0.0)
         assert np.all(Q[np.ix_(~slow, slow)] == 0.0)
         assert np.array_equal(Q[np.ix_(~slow, ~slow)], np.diag(gamma * k[~slow]))
 
-    def test_coupling_above_mode_2_rejected(self, corr_quad_small, monkeypatch):
-        original = hl.ModifiedFunctional.form
-
-        def coupled(self):
-            q = original(self).tolil()
-            q[0, 3] = q[3, 0] = 1e-3  # position 0: mode 0 <-> mode 3
-            return q.tocsc()
-
-        monkeypatch.setattr(hl.ModifiedFunctional, "form", coupled)
-        with pytest.raises(NumericalError):
-            hl.dissipation_form_min_eig(corr_quad_small, 0.1, 4.0)
+    @pytest.mark.parametrize("n_x, n_v", [(64, 12), (128, 20)])
+    @pytest.mark.parametrize("potential", sorted(SMALL_POTENTIALS))
+    def test_closed_form_block_matches_form(self, potential, n_x, n_v):
+        # The coercivity check solves only the closed-form mode 0-2 block:
+        # the full form must couple modes 0-2 to no higher mode, be exactly
+        # gamma k above mode 2, and equal the block on modes 0-2 to roundoff.
+        ops = make_ops(SMALL_POTENTIALS[potential](), n_x=n_x, n_v=n_v)
+        corr = hl.build_corrector(ops)
+        tuned = hl.optimize_friction(ops.m_h, ops.grid.model.K)
+        eps, gamma = tuned.eps_star, tuned.gamma_star
+        Q = dissipation_form(functional(corr, eps, gamma))
+        k = np.arange(ops.n) % ops.n_v
+        slow = k < 3
+        assert Q[:, slow][~slow].count_nonzero() == 0
+        assert Q[:, ~slow][slow].count_nonzero() == 0
+        tail = Q[:, ~slow][~slow]
+        assert (tail - sp.diags(gamma * k[~slow])).count_nonzero() == 0
+        reference = Q[:, slow][slow].toarray()
+        block = dissipation_block(corr, eps, gamma)
+        assert np.abs(block - reference).max() <= 1e-15 * np.abs(reference).max()
 
     @pytest.mark.parametrize("potential", sorted(SMALL_POTENTIALS))
     def test_matches_dense_eigensolve(self, potential):
@@ -328,7 +335,7 @@ class TestDissipationFormMinEig:
         min_eig, residual = hl.dissipation_form_min_eig(corr, eps, gamma)
         # dense eigensolve of the full form on an orthonormal basis of the
         # mean-zero subspace
-        Q = functional(corr, eps, gamma).form().toarray()
+        Q = dissipation_form(functional(corr, eps, gamma)).toarray()
         basis = sla.null_space(ops.const_vec[None, :])
         dense_min = sla.eigvalsh(basis.T @ Q @ basis)[0]
         assert abs(min_eig - dense_min) <= 1e-12

@@ -69,7 +69,7 @@ class TestVelocityBasis:
 
     def test_lowering_coefficient(self):
         b = hl.build_velocity_basis(8)
-        assert b.lower_coeffs[3] == 2.0  # sqrt(4)
+        assert b.lowering[3, 4] == 2.0  # sqrt(4)
 
     def test_ladder_actions_exact(self):
         b = hl.build_velocity_basis(6)
@@ -85,7 +85,8 @@ class TestVelocityBasis:
                 expected += np.sqrt(k + 1) * eye[k + 1]
             if k >= 1:
                 expected += np.sqrt(k) * eye[k - 1]
-            np.testing.assert_array_equal(b.v_mult @ eye[k], expected)
+            np.testing.assert_array_equal((b.lowering + b.raising) @ eye[k],
+                                          expected)
 
     def test_number_operator_is_raise_lower(self):
         b = hl.build_velocity_basis(9)
@@ -203,13 +204,15 @@ class TestStructureReport:
         assert report.worst_exact() <= 1e-12
 
     def test_velocity_poincare_mode_three(self, ops_quad_small):
-        # mode-3 state: fast part is the whole state, gradient norm is 3x
-        f = np.zeros((ops_quad_small.n_x, ops_quad_small.n_v))
-        f[:, 3] = ops_quad_small.grid.sqrt_weights
-        f = f.ravel()
-        fast = f - ops_quad_small.pi_v @ f
+        # mode-3 state: fast part is the whole state, gradient norm is 3x;
+        # d_v is the lowering matrix on each node's Hermite coefficients
+        ops = ops_quad_small
+        state = np.zeros((ops.n_x, ops.n_v))
+        state[:, 3] = ops.grid.sqrt_weights
+        f = state.ravel()
+        fast = f - ops.pi_v @ f
         assert np.linalg.norm(fast) ** 2 == pytest.approx(1.0, rel=1e-12)
-        gv = ops_quad_small.grad_v @ f
+        gv = state @ ops.basis.lowering.T
         assert np.linalg.norm(gv) ** 2 == pytest.approx(3.0, rel=1e-12)
 
     def test_lift_identity_is_exact(self, ops_quad):

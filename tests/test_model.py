@@ -94,15 +94,6 @@ def test_gibbs_model_fields():
     assert hl.gibbs_model(hl.double_well()).K == 1.0
 
 
-def test_hamiltonian():
-    gm = hl.gibbs_model(hl.quadratic(1.0))
-    assert gm.hamiltonian(2.0, 1.0) == 0.5 + 2.0
-    x = np.array([[1.0, 0.0], [0.0, 2.0]])
-    v = np.array([[1.0, 1.0], [0.0, 0.0]])
-    h = gm.hamiltonian(x, v)
-    np.testing.assert_allclose(h, [1.0 + 0.5, 2.0])
-
-
 def test_default_domains():
     assert hl.default_domain(hl.quadratic()) == 8.0
     assert hl.default_domain(hl.double_well()) == 4.0

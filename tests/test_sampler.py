@@ -9,7 +9,8 @@ from hypolab.errors import (
     DivergenceError,
     InsufficientSignalError,
 )
-from hypolab.sampler import default_observables
+from hypolab.model import potential_gradient
+from hypolab.sampler import _baoab_inplace, _force, default_observables
 
 
 def scalar_baoab_reference(x, v, a, gamma, dt, xi):
@@ -22,6 +23,15 @@ def scalar_baoab_reference(x, v, a, gamma, dt, xi):
     v = c1 * v + math.sqrt(1 - c1 * c1) * xi
     x = x + dt / 2 * v
     v = v - dt / 2 * a * x
+    return x, v
+
+
+def baoab_step(state, potential, gamma, dt, noise):
+    """One step of the sampler's in-place BAOAB kernel on copies of
+    state = (x, v), with the starting force evaluated afresh."""
+    x, v = (np.array(s, dtype=float) for s in state)
+    force = np.array(_force(potential, x), dtype=float)
+    _baoab_inplace(x, v, force, potential, gamma, dt, np.asarray(noise, dtype=float))
     return x, v
 
 
@@ -41,14 +51,14 @@ class TestConfig:
 
 class TestStepBaoab:
     def test_frictionless_step_is_velocity_verlet(self):
-        x, v = hl.step_baoab((1.0, 0.0), hl.quadratic(1.0), gamma=1e-300,
-                             dt=0.1, noise=0.0)
+        x, v = baoab_step((1.0, 0.0), hl.quadratic(1.0), gamma=1e-300,
+                          dt=0.1, noise=0.0)
         assert float(x) == pytest.approx(0.995, abs=1e-12)
         assert float(v) == pytest.approx(-0.09975, abs=1e-12)
 
     def test_critical_point_is_fixed(self):
-        x, v = hl.step_baoab((0.0, 0.0), hl.double_well(), gamma=1e-300,
-                             dt=0.05, noise=0.0)
+        x, v = baoab_step((0.0, 0.0), hl.double_well(), gamma=1e-300,
+                          dt=0.05, noise=0.0)
         assert float(x) == 0.0 and float(v) == 0.0
 
     def test_matches_scalar_reference(self):
@@ -57,7 +67,7 @@ class TestStepBaoab:
         xs, vs = x, v
         for _ in range(50):
             xi = rng.standard_normal()
-            x, v = hl.step_baoab((x, v), hl.quadratic(1.0), 4.0, 0.01, xi)
+            x, v = baoab_step((x, v), hl.quadratic(1.0), 4.0, 0.01, xi)
             xs, vs = scalar_baoab_reference(xs, vs, 1.0, 4.0, 0.01, xi)
         assert float(x) == pytest.approx(xs, abs=1e-14)
         assert float(v) == pytest.approx(vs, abs=1e-14)
@@ -66,17 +76,25 @@ class TestStepBaoab:
         rng = np.random.default_rng(0)
         x = rng.standard_normal((32, 3))
         v = rng.standard_normal((32, 3))
-        xn, vn = hl.step_baoab((x, v), hl.quadratic(1.0), 2.0, 0.01,
-                               rng.standard_normal((32, 3)))
+        xn, vn = baoab_step((x, v), hl.quadratic(1.0), 2.0, 0.01,
+                            rng.standard_normal((32, 3)))
         assert xn.shape == vn.shape == (32, 3)
 
-    def test_leaves_caller_state_unchanged(self):
+    def test_overwrites_state_and_carries_force(self):
+        # x and v are advanced in place, force leaves holding U' at the new x
+        # (the next step's starting force), and the noise is only read
         rng = np.random.default_rng(1)
+        pot = hl.double_well()
         x, v = rng.standard_normal((2, 8, 2))
-        x0, v0 = x.copy(), v.copy()
-        hl.step_baoab((x, v), hl.double_well(), 2.0, 0.01, rng.standard_normal((8, 2)))
-        np.testing.assert_array_equal(x, x0)
-        np.testing.assert_array_equal(v, v0)
+        noise = rng.standard_normal((8, 2))
+        expected = baoab_step((x, v), pot, 2.0, 0.01, noise)
+        noise0 = noise.copy()
+        force = potential_gradient(pot, x)
+        _baoab_inplace(x, v, force, pot, 2.0, 0.01, noise)
+        np.testing.assert_array_equal(x, expected[0])
+        np.testing.assert_array_equal(v, expected[1])
+        np.testing.assert_array_equal(force, potential_gradient(pot, x))
+        np.testing.assert_array_equal(noise, noise0)
 
 
 def assert_traces_equal(a, b):
@@ -112,8 +130,8 @@ class TestRunEnsemble:
                 v[i] = draws[0]
                 for t in range(cfg.steps + 1):  # t is the position index
                     if t > 0:
-                        x[i], v[i] = hl.step_baoab((x[i], v[i]), cfg.potential,
-                                                   cfg.gamma, cfg.dt, draws[t])
+                        x[i], v[i] = baoab_step((x[i], v[i]), cfg.potential,
+                                                cfg.gamma, cfg.dt, draws[t])
                     if t % cfg.record_every == 0:
                         for n, obs in observables.items():
                             ref[n][t // cfg.record_every, i] = obs(x[i], v[i])
@@ -231,8 +249,8 @@ class TestRunEnsemble:
                 state = (np.full(cfg.d, cfg.init_shift), draws[0])
                 for t in range(cfg.steps):
                     try:
-                        state = hl.step_baoab(state, cfg.potential, cfg.gamma,
-                                              cfg.dt, draws[t + 1])
+                        state = baoab_step(state, cfg.potential, cfg.gamma,
+                                           cfg.dt, draws[t + 1])
                     except DivergenceError:
                         first[i] = t + 1
                         break
