@@ -30,10 +30,6 @@ class DegenerateGapError(NumericalError):
     """The second eigenvalue of -L_o is numerically zero."""
 
 
-class StructuralAssemblyError(NumericalError):
-    """An exact structural identity of the assembled operators failed."""
-
-
 class DegenerateTraceError(NumericalError):
     """A decay trace has too few samples above the roundoff floor to fit a rate."""
 

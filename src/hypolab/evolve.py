@@ -99,10 +99,8 @@ def initial_condition(ops: OperatorSet, kind: str, seed: int = 0) -> np.ndarray:
     """Initial states exercising slow, fast, and mixed subspaces.
 
     gap: the spectral-gap eigenvector of -L_o lifted to phase space;
-    velocity: Hermite mode 1;  random: seeded mean-zero unit vector;  zero.
+    velocity: Hermite mode 1;  random: seeded mean-zero unit vector.
     """
-    if kind == "zero":
-        return np.zeros(ops.n)
     if kind == "gap":
         _, vecs = sla.eigh(-ops.lo_x)
         state = np.zeros((ops.n_x, ops.n_v))
@@ -273,18 +271,14 @@ def estimate_rate(trace: DecayTrace) -> float:
     return float(slope)
 
 
-def verify_decay_bound(trace: DecayTrace):
-    """(holds, min_margin) for  norm <= sqrt(3) e^{-Lambda t} norm0."""
-    ok = np.ones(len(trace.times), dtype=bool)
-    margin = np.ones(len(trace.times))
-    positive = trace.bound > 0
-    ok[positive] = trace.norm[positive] <= trace.bound[positive] * (1 + 1e-8)
-    margin[positive] = (trace.bound[positive] - trace.norm[positive]) / trace.bound[
-        positive
-    ]
-    zero = ~positive
-    ok[zero] = trace.norm[zero] == 0.0
-    return bool(np.all(ok)), float(margin.min())
+def verify_decay_bound(trace: DecayTrace) -> float:
+    """Smallest relative margin (bound - norm) / bound of
+    norm <= sqrt(3) e^{-Lambda t} norm0 over the samples; negative where the
+    bound fails.  The zero state meets the bound by construction, so it is
+    rejected."""
+    if trace.norm[0] == 0.0:
+        raise PreconditionError("the zero state meets the decay bound trivially")
+    return float(((trace.bound - trace.norm) / trace.bound).min())
 
 
 def lyapunov_derivative_check(

@@ -110,8 +110,8 @@ def test_criterion_7_decay_bound(ops_quad, corr_quad, ops_dw, corr_dw, ops_cos):
                     ops, f0, tuned.gamma_star, 5.0 / tuned.Lambda, 0.02,
                     corrector=corr, eps=tuned.eps_star, Lambda=tuned.Lambda,
                 )
-                holds, margin = hl.verify_decay_bound(trace)
-                assert holds, (model.potential.name, kind, margin)
+                margin = hl.verify_decay_bound(trace)
+                assert margin >= 0, (model.potential.name, kind, margin)
                 fitted = hl.estimate_rate(trace)
                 assert fitted >= tuned.Lambda * (1 - 1e-6)
                 if ops is ops_quad and kind == "random":
@@ -172,7 +172,7 @@ def test_criterion_10_bochner_residual():
             ops = make_ops(hl.quadratic(1.0), n_x=n_x, n_v=4)
             for name, values in hl.bochner_test_suite(ops.grid).items():
                 suites.setdefault(name, []).append(
-                    abs(hl.bochner_residual(ops, values))
+                    abs(hl.bochner_residual(ops, values)[0])
                 )
         for name, residuals in suites.items():
             if name == "one":  # identically zero
@@ -182,5 +182,6 @@ def test_criterion_10_bochner_residual():
             for coarse, fine in zip(residuals, residuals[1:]):
                 assert 3.0 <= coarse / fine <= 7.0
         ops_dw = make_ops(hl.double_well(), n_x=256, n_v=4)
-        for values in hl.bochner_test_suite(ops_dw.grid).values():
-            hl.bochner_residual(ops_dw, values)  # raises if K-form violated
+        for name, values in hl.bochner_test_suite(ops_dw.grid).items():
+            if name != "one":  # both sides of the K-form are roundoff
+                assert hl.bochner_residual(ops_dw, values)[1] >= 0, name

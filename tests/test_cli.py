@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 
 import numpy as np
@@ -55,6 +56,11 @@ class TestConfigParsing:
     def test_nonpositive_tuning_gamma_rejected(self):
         with pytest.raises(ConfigurationError, match="tuning.gamma"):
             cli.build_config({"tuning.gamma": "0"})
+
+    def test_zero_initial_state_rejected(self):
+        # f = 0 would meet every evolve verdict by construction
+        with pytest.raises(ConfigurationError, match="evolve.f0"):
+            cli.build_config({"evolve.f0": "zero"})
 
     def test_round_trip(self):
         raw = {
@@ -116,16 +122,6 @@ class TestRunExperiment:
         assert report.results["gap"]["m_h"] == pytest.approx(0.9684, abs=1e-3)
         assert report.results["gap"]["K"] == 0.0
 
-    def test_evolve_zero_state_trivial(self):
-        cfg = cli.build_config(
-            {"grid.N_x": "32", "grid.N_v": "6", "evolve.f0": "zero"}
-        )
-        report = cli.run_experiment("evolve", cfg)
-        assert not report.failed
-        name, trace = report.traces[0]
-        assert name.startswith("decay_quadratic_")
-        assert len(list(trace.csv_rows())) == 2  # header plus the t=0 row
-
     def test_evolve_reports_identity_and_band(self):
         cfg = cli.build_config(
             {"grid.N_x": "32", "grid.N_v": "6", "evolve.f0": "all",
@@ -139,17 +135,6 @@ class TestRunExperiment:
         assert (band["kl"], band["ku"]) == (5, 5)
         assert band["min_pivot"] >= 1.0 - 1e-12
         assert 0.0 < band["growth"] < np.inf
-
-    def test_zero_state_decay_bound_is_skipped(self):
-        # the bound holds for f = 0 by construction, so it is not reported
-        # as a pass
-        cfg = cli.build_config(
-            {"grid.N_x": "32", "grid.N_v": "6", "evolve.f0": "zero"}
-        )
-        report = cli.run_experiment("evolve", cfg)
-        verdicts = {v["name"]: v for v in report.verdicts}
-        assert verdicts["decay_bound"]["status"] == "skipped"
-        assert verdicts["decay_bound"]["margin"] is None
 
     def test_lambda_relation_checks_the_closed_form(self, monkeypatch):
         def verdict(report):
@@ -222,6 +207,84 @@ class TestRunExperiment:
         rates = report.results["sweep"]["rates"]
         assert max(rates, key=rates.get) == "2"
         assert report.verdicts[0]["status"] == "pass"
+
+
+SMALL = {"grid.N_x": "32", "grid.N_v": "6"}
+SMALL_SDE = {"sde.particles": "1000", "sde.steps": "600"}
+RULE_CONFIGS = {
+    "gap": SMALL,
+    "tune": SMALL,
+    "verify": SMALL,
+    "evolve": {**SMALL, "evolve.f0": "all"},
+    "sample": SMALL_SDE,
+    "sweep": {**SMALL, "sweep.target": "evolve", "sweep.gammas": "1,2,4",
+              "evolve.t_end_factor": "0.3"},
+    "all": {**SMALL, **SMALL_SDE},
+}
+
+
+class TestVerdictRule:
+    @pytest.mark.parametrize("command", cli.SUBCOMMANDS)
+    def test_status_is_the_sign_of_the_margin(self, command):
+        report = cli.run_experiment(command, cli.build_config(RULE_CONFIGS[command]))
+        verdicts = json.loads(cli.report_json(report))["verdicts"]
+        assert verdicts
+        for v in verdicts:
+            if v["status"] == "skipped":
+                assert v["margin"] is None, v
+            else:
+                assert isinstance(v["margin"], float), v
+                assert v["status"] == ("pass" if v["margin"] >= 0 else "fail"), v
+
+    def test_check_and_skip(self):
+        report = cli.RunReport(version="", command="", config={})
+        for margin in (0.0, 1.5, -1e-300, None, math.nan, math.inf):
+            report.check("c", margin)
+        report.skip("s")
+        assert [v["status"] for v in report.verdicts] == (
+            ["pass", "pass"] + ["fail"] * 4 + ["skipped"]
+        )
+        assert report.verdicts[-1]["margin"] is None
+
+    def test_ratio_chain_margin_is_the_smaller_gap(self):
+        report = cli.run_experiment("tune", cli.build_config({}))
+        chain = report.results["tuning"]["ratio_chain"]
+        upper = chain["lambda_min_M"] - chain["det_over_trace"]
+        lower = chain["det_over_trace"] - chain["lambda_coer"]
+        margin = next(v["margin"] for v in report.verdicts
+                      if v["name"] == "ratio_chain")
+        # at the default config lambda_min(M) - det/tr is the binding gap
+        assert margin == min(upper, lower) == upper
+        assert margin == pytest.approx(0.00156, abs=5e-6)
+
+    def test_understated_k_fails_bochner(self, monkeypatch):
+        gibbs_model = cli.gibbs_model
+
+        def understated(potential):
+            model = gibbs_model(potential)
+            # the double well's true bound is K = 1.  K = 0 is understated
+            # too, but every test function keeps a positive slack there, so
+            # the model gets K = -1, past the frozen dataclass's own check
+            object.__setattr__(model, "K", -1.0)
+            return model
+
+        monkeypatch.setattr(cli, "gibbs_model", understated)
+        cfg = cli.build_config({"potential.kind": "double_well", "grid.N_x": "64",
+                                "grid.N_v": "8", "tuning.K": "1.0"})
+        report = cli.run_experiment("verify", cfg)
+        verdict = next(v for v in report.verdicts if v["name"] == "bochner_inequality")
+        assert verdict["status"] == "fail"
+        assert verdict["margin"] < 0
+
+    def test_rate_above_lambda_skipped_off_tuned_gamma(self):
+        cfg = cli.build_config({**SMALL, "tuning.gamma": "3.0",
+                                "evolve.t_end_factor": "0.5"})
+        report = cli.run_experiment("evolve", cfg)
+        verdicts = {v["name"]: v for v in report.verdicts}
+        for name in ("decay_bound", "rate_above_Lambda"):
+            assert verdicts[name] == {"name": name, "status": "skipped",
+                                      "margin": None}
+        assert report.results["rates"]["evolve_random"] > 0
 
 
 class TestEmitReport:
@@ -305,8 +368,9 @@ class TestMain:
         assert sample["divergence"] == {"trajectory": 0, "step": 0}
         for name in ("final_v_var", "final_x_var", "final_v_mean", "final_x_mean"):
             assert sample[name] is None
-        statuses = {v["name"]: v["status"] for v in data["verdicts"]}
-        assert statuses["equilibrium_v_sq"] == "fail"
+        verdicts = {v["name"]: v for v in data["verdicts"]}
+        assert verdicts["equilibrium_v_sq"]["status"] == "fail"
+        assert verdicts["equilibrium_v_sq"]["margin"] is None
         assert code == 1
 
     def test_diverged_quadratic_fails_both_moments(self, monkeypatch):
@@ -324,6 +388,45 @@ class TestMain:
         statuses = {v["name"]: v["status"] for v in report.verdicts}
         assert statuses["equilibrium_v_sq"] == statuses["equilibrium_x_sq"] == "fail"
         assert report.results["sample"]["divergence"] == {"trajectory": 7, "step": 3}
+
+    def test_zero_initial_state_exits_2(self, tmp_path, capsys):
+        conf = tmp_path / "zero.conf"
+        conf.write_text("evolve.f0 = zero\n")
+        assert cli.main(["evolve", "--config", str(conf)]) == 2
+        assert "evolve.f0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("gammas", ["0,2", "2,-1"])
+    def test_nonpositive_sweep_gamma_exits_2(self, gammas, tmp_path, capsys,
+                                             monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the sweep ran before its config was checked")
+
+        monkeypatch.setattr(cli, "integrate", no_work)
+        conf = tmp_path / "sweep.conf"
+        conf.write_text(f"sweep.target = evolve\nsweep.gammas = {gammas}\n")
+        assert cli.main(["sweep", "--config", str(conf)]) == 2
+        assert "sweep.gammas" in capsys.readouterr().err
+
+    def test_broken_assembly_fails_with_its_residuals(self, monkeypatch, tmp_path,
+                                                      capsys):
+        assemble_operators = cli.assemble_operators
+
+        def broken(grid, basis):
+            ops = assemble_operators(grid, basis)
+            la = ops.la.tolil()
+            la[0, 1] += 1e-6
+            ops.la = la.tocsr()
+            return ops
+
+        monkeypatch.setattr(cli, "assemble_operators", broken)
+        code = cli.main(["verify", "--nx", "32", "--nv", "6", "--out", str(tmp_path)])
+        data = json.loads((tmp_path / "report.json").read_text())
+        verdict = next(v for v in data["verdicts"] if v["name"] == "structure_exact")
+        exact = data["results"]["structure"]["exact"]
+        assert exact["la_antisymmetry"] == pytest.approx(1e-6, rel=1e-6)
+        assert verdict["status"] == "fail"
+        assert verdict["margin"] == 1e-12 - exact["la_antisymmetry"]
+        assert code == 1
 
     def test_missing_config_file_is_io_error(self):
         assert cli.main(["gap", "--config", "/nonexistent/x.conf"]) == 4

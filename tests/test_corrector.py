@@ -345,14 +345,14 @@ class TestDissipationFormMinEig:
 
 class TestBochner:
     def test_constant_function_zero_residual(self, ops_quad):
-        r = hl.bochner_residual(ops_quad, np.ones(ops_quad.n_x))
+        r, _ = hl.bochner_residual(ops_quad, np.ones(ops_quad.n_x))
         assert abs(r) <= 1e-20
 
     def test_refinement_is_second_order(self):
         residuals = []
         for n_x in (64, 128, 256):
             ops = make_ops(hl.quadratic(1.0), n_x=n_x, n_v=4)
-            r = hl.bochner_residual(ops, ops.grid.nodes**2)
+            r, _ = hl.bochner_residual(ops, ops.grid.nodes**2)
             residuals.append(abs(r))
         assert residuals[0] > residuals[1] > residuals[2]
         for coarse, fine in zip(residuals, residuals[1:]):
@@ -360,8 +360,10 @@ class TestBochner:
 
     def test_double_well_inequality_with_k(self):
         ops = make_ops(hl.double_well(), n_x=256, n_v=4)
-        for values in hl.bochner_test_suite(ops.grid).values():
-            hl.bochner_residual(ops, values)  # raises if the K-form fails
+        for name, values in hl.bochner_test_suite(ops.grid).items():
+            if name != "one":  # both sides of the K-form are roundoff
+                _, slack = hl.bochner_residual(ops, values)
+                assert 0.27 <= slack <= 1.0, name
 
     def test_suite_contents(self, ops_quad):
         suite = hl.bochner_test_suite(ops_quad.grid)

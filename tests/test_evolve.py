@@ -68,7 +68,9 @@ class TestInitialConditions:
         assert np.linalg.norm(f) == pytest.approx(1.0, rel=1e-12)
 
     def test_zero_kind(self, ops_quad_small):
-        assert np.all(hl.initial_condition(ops_quad_small, "zero") == 0.0)
+        # f = 0 would meet every evolve verdict by construction
+        with pytest.raises(ConfigurationError, match="'zero'"):
+            hl.initial_condition(ops_quad_small, "zero")
 
     def test_unknown_kind(self, ops_quad_small):
         with pytest.raises(ConfigurationError):
@@ -96,8 +98,9 @@ class TestIntegrate:
         trace = hl.integrate(ops_quad_small, np.zeros(ops_quad_small.n), 4.0, 1.0,
                              0.02, corrector=corr_quad_small, eps=0.3, Lambda=0.05)
         assert np.all(trace.norm == 0.0)
-        holds, margin = hl.verify_decay_bound(trace)
-        assert holds and margin == 1.0
+        # the bound holds by construction, so there is no margin to report
+        with pytest.raises(PreconditionError, match="zero state"):
+            hl.verify_decay_bound(trace)
 
     def test_eigenvector_decays_at_its_eigenvalue(self, ops_quad_small,
                                                   corr_quad_small):
@@ -260,9 +263,16 @@ class TestEstimateRate:
 
 class TestDecayBound:
     def test_holds_on_tuned_run(self, quad_trace):
-        holds, margin = hl.verify_decay_bound(quad_trace)
-        assert holds
+        margin = hl.verify_decay_bound(quad_trace)
         assert margin > 0.0
+        bound, norm = quad_trace.bound, quad_trace.norm
+        assert margin == ((bound - norm) / bound).min()
+
+    def test_margin_has_no_hidden_slack(self):
+        # a norm 1e-9 above the envelope is a failure, with a negative margin
+        trace = synthetic_trace([0.0, 1.0], [1.0, 1.0])
+        trace.bound = np.array([np.sqrt(3.0), 1.0 - 1e-9])
+        assert hl.verify_decay_bound(trace) == pytest.approx(-1e-9, rel=1e-6)
 
 
 class TestLyapunovDerivative:
