@@ -382,18 +382,21 @@ def _stage_verify(ws: _Workspace, report: RunReport):
 
     t0 = time.perf_counter()
     norms = verify_corrector_bounds(ws.corrector)
-    norms.min_eig_q, norms.min_eig_residual = dissipation_form_min_eig(
-        ws.corrector, ws.eps, ws.gamma
-    )
-    norms.lambda_coer = ws.tuned.lambda_coer
-    report.results["corrector"] = norms.as_dict()
+    min_eig, residual = dissipation_form_min_eig(ws.corrector, ws.eps, ws.gamma)
+    lambda_coer = ws.tuned.lambda_coer
+    report.results["corrector"] = {
+        **norms.as_dict(),
+        "min_eig_Q": min_eig,
+        "min_eig_residual": residual,
+        "lambda_coer": lambda_coer,
+        "slack": min_eig - lambda_coer,
+    }
     for name, ratio in zip(("bound_A", "bound_LaA", "bound_ALa_fast"), norms.ratios):
         report.check(name, BOUND_SLACK - (ratio - 1.0))
     # subtracting the eigenvector's residual gives the lower bound that
     # coercivity needs
-    lower = norms.min_eig_q - norms.min_eig_residual
     report.check("dissipation_coercive",
-                 lower / norms.lambda_coer - (1 - BOUND_SLACK))
+                 (min_eig - residual) / lambda_coer - (1 - BOUND_SLACK))
     report.timings["corrector"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -539,12 +542,19 @@ def _stage_sweep(ws: _Workspace, report: RunReport):
                               dt, corrector=corr, eps=ws.eps, Lambda=tuned.Lambda)
             rates[f"{gamma:g}"] = estimate_rate(trace)
     report.results["sweep"] = {"target": cfg.sweep_target, "rates": rates}
-    if ws.potential.kind == "quadratic" and "2" in rates and len(rates) > 1:
-        critical = rates["2"]
-        other = max(r for g, r in rates.items() if g != "2")
-        report.check("sweep_argmax_critical", (critical - other) / critical)
-    else:
+    # the first-moment ODE x'' + gamma x' + a x = 0 is critically damped at
+    # gamma_c = 2 sqrt(a)
+    critical = None
+    if ws.potential.kind == "quadratic" and len(rates) > 1:
+        gamma_c = 2.0 * math.sqrt(ws.potential.params[0])
+        critical = next((f"{g:g}" for g in cfg.sweep_gammas
+                         if abs(g - gamma_c) <= TUNED_RTOL * gamma_c), None)
+    if critical is None:
         report.skip("sweep_argmax_critical")
+    else:
+        other = max(r for g, r in rates.items() if g != critical)
+        report.check("sweep_argmax_critical",
+                     (rates[critical] - other) / rates[critical])
     report.timings["sweep"] = time.perf_counter() - t0
 
 

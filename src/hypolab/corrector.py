@@ -1,10 +1,10 @@
 """Gap-shifted corrector, modified Lyapunov/dissipation functionals, bounds.
 
-The corrector is A = (alpha - L_o)^{-1} (L_a Pi_v)^T with alpha = m_h by
-default.  (L_a Pi_v)^T = -Pi_v L_a = kron(Grad^T, e_0 e_1^T) maps Hermite
-mode 1 to mode 0 only, so A = kron(B, e_0 e_1^T) with the n_x x n_x position
-block B = (alpha - L_o)^{-1} Grad^T: one Cholesky solve of the SPD shifted
-position operator.
+The corrector is the paper's A_m = (m - L_o)^{-1} (L_a Pi_v)^T, shifted by
+the discrete gap m = m_h.  (L_a Pi_v)^T = -Pi_v L_a = kron(Grad^T, e_0 e_1^T)
+maps Hermite mode 1 to mode 0 only, so A = kron(B, e_0 e_1^T) with the
+n_x x n_x position block B = (m_h - L_o)^{-1} Grad^T: one Cholesky solve of
+the shifted position operator, SPD because m_h > 0.
 
 Verified bounds, each the norm of one position block of the ladder algebra
 (L_a A maps mode 1 to mode 1; A L_a (1 - Pi_v) maps mode 2 to mode 0 through
@@ -52,14 +52,14 @@ import scipy.sparse as sp
 from scipy.linalg.blas import dsyr, dsyr2
 
 from .discretize import OperatorSet
-from .errors import ConfigurationError, NumericalError, PreconditionError
+from .errors import PreconditionError
 from .model import eval_potential
 
 
 @dataclass
 class Corrector:
-    """Shifted corrector: its mode-1 -> mode-0 position block and the
-    assembled phase-space matrix, with the operator set and shift.
+    """Gap-shifted corrector: its mode-1 -> mode-0 position block and the
+    assembled phase-space matrix, with the operator set.
 
     Every computation goes through the block; matrix is kept because the
     benchmark reports its nonzero count (corrector.nnz_A) and the tests use
@@ -67,7 +67,6 @@ class Corrector:
     """
 
     ops: OperatorSet
-    alpha: float
     block: np.ndarray
     matrix: sp.csr_matrix
 
@@ -79,26 +78,16 @@ class Corrector:
         return out
 
 
-def build_corrector(ops: OperatorSet, alpha: float | None = None) -> Corrector:
-    """Assemble A = (alpha I - L_o)^{-1} (L_a Pi_v)^T = kron(B, e_0 e_1^T).
-
-    alpha defaults to the discrete gap m_h (requires poincare_constant first).
-    """
-    if alpha is None:
-        if ops.m_h is None:
-            raise PreconditionError("corrector needs m_h; run poincare_constant")
-        alpha = ops.m_h
-    if alpha <= 0:
-        raise ConfigurationError(f"corrector shift alpha = {alpha} must be positive")
-
-    try:
-        chol = sla.cho_factor(alpha * np.eye(ops.n_x) - ops.lo_x)
-    except sla.LinAlgError as exc:  # pragma: no cover - SPD by construction
-        raise NumericalError(f"factorization of (alpha - L_o) failed: {exc}")
+def build_corrector(ops: OperatorSet) -> Corrector:
+    """Assemble A = (m_h I - L_o)^{-1} (L_a Pi_v)^T = kron(B, e_0 e_1^T);
+    needs m_h from poincare_constant."""
+    if ops.m_h is None:
+        raise PreconditionError("corrector needs m_h; run poincare_constant")
+    chol = sla.cho_factor(ops.m_h * np.eye(ops.n_x) - ops.lo_x)
     block = sla.cho_solve(chol, ops.grad_x.T)
     e01 = sp.csr_matrix(([1.0], ([0], [1])), shape=(ops.n_v, ops.n_v))
     matrix = sp.kron(block, e01, format="csr")
-    return Corrector(ops=ops, alpha=float(alpha), block=block, matrix=matrix)
+    return Corrector(ops=ops, block=block, matrix=matrix)
 
 
 @dataclass
@@ -122,10 +111,8 @@ class ModifiedFunctional:
         lf = self.L @ f
         return self.corrector.apply(f), lf, self.corrector.apply(lf)
 
-    def values(self, f: np.ndarray, products=None):
-        """(H(f), D(f)); products, when given, are f's (A f, L f, A L f)."""
-        if products is None:
-            products = self.products(f)
+    def values(self, f: np.ndarray, products):
+        """(H(f), D(f)) from f's products (A f, L f, A L f)."""
         return (
             0.5 * f @ f - self.eps * (products[0] @ f),
             self.dissipation(f, products, f, products),
@@ -150,7 +137,7 @@ def operator_norm(matrix) -> float:
 
 @dataclass
 class DissipationReport:
-    """Measured corrector norms and coercivity numbers vs their bounds."""
+    """Measured corrector norms vs their bounds."""
 
     norm_a: float
     norm_la_a: float
@@ -158,13 +145,6 @@ class DissipationReport:
     bound_a: float
     bound_la_a: float
     bound_a_la_fast: float
-    min_eig_q: float | None = None
-    min_eig_residual: float | None = None
-    lambda_coer: float | None = None
-
-    @property
-    def slack(self) -> float:
-        return self.min_eig_q - self.lambda_coer
 
     @property
     def ratios(self):
@@ -175,17 +155,12 @@ class DissipationReport:
         )
 
     @property
-    def excess(self):
-        """Positive part of (measured/bound - 1) for each norm bound."""
-        return tuple(max(0.0, r - 1.0) for r in self.ratios)
-
-    @property
     def norm_a_exact_residual(self) -> float:
         """|norm_A - bound_A| / bound_A: the bound on ||A|| is attained."""
         return abs(self.norm_a - self.bound_a) / self.bound_a
 
     def as_dict(self) -> dict:
-        d = {
+        return {
             "norm_A": self.norm_a,
             "norm_LaA": self.norm_la_a,
             "norm_ALa_fast": self.norm_a_la_fast,
@@ -195,31 +170,14 @@ class DissipationReport:
             "ratios": list(self.ratios),
             "norm_A_exact_residual": self.norm_a_exact_residual,
         }
-        if self.min_eig_q is not None:
-            d.update(
-                min_eig_Q=self.min_eig_q,
-                min_eig_residual=self.min_eig_residual,
-                lambda_coer=self.lambda_coer,
-                slack=self.slack,
-            )
-        return d
-
-
-def _require_gap_shift(c: Corrector, statement: str) -> None:
-    """Raise PreconditionError, naming the statement, unless c was built with
-    the gap shift alpha = m_h."""
-    m_h = c.ops.m_h
-    if m_h is None or abs(c.alpha - m_h) > 1e-12 * max(m_h, 1.0):
-        raise PreconditionError(f"{statement} requires alpha = m_h")
 
 
 def verify_corrector_bounds(c: Corrector) -> DissipationReport:
     """Measure ||A||, ||L_a A||, ||A L_a (1 - Pi_v)|| against the bounds.
 
     Each norm is the largest singular value of one position block (see the
-    module docstring).  Requires the gap-shifted corrector (alpha = m_h).
+    module docstring).
     """
-    _require_gap_shift(c, "verifying the corrector bounds")
     ops = c.ops
     m = ops.m_h
     K = ops.grid.model.K
@@ -268,7 +226,6 @@ def dissipation_form_min_eig(c: Corrector, eps: float, gamma: float):
     it is then built again for the residual ||P(Q x) - value x|| of the
     eigenvector, so one 3 n_x x 3 n_x buffer is alive at a time.
     """
-    _require_gap_shift(c, "the coercivity check")
     u = np.zeros(3 * c.ops.n_x)
     u[::3] = c.ops.grid.sqrt_weights
     dense = dissipation_block(c, eps, gamma)

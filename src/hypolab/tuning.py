@@ -8,7 +8,8 @@ lower bound K >= 0, the pipeline produces
     eps_star    = gamma / a                  (clean suboptimal choice)
     eps_max     = 2 gamma / (sqrt(a)(sqrt(a) + sqrt(a-1)))
     gamma_star  = sqrt(16 m + 2 K)
-    x_star      = sqrt(4 + K/(2m))           (maximizer of Phi)
+    x_star      = sqrt(4 + K/(2m))           (maximizer of Phi(x) =
+                  x / (2 ((x + sqrt(2 + K/2m))^2 + 2)))
     lambda_coer = sqrt(m) / (4 (sqrt(2+K/2m) + sqrt(4+K/2m)))
     Lambda      = (2/3) lambda_coer
     prefactor   = sqrt(3)
@@ -74,7 +75,6 @@ def optimize_friction(m: float, K: float) -> TuningResult:
     eps_max = 2 * gamma_star / (math.sqrt(a) * (math.sqrt(a) + math.sqrt(a - 1)))
     x_star = math.sqrt(4 + K / (2 * m))
     lam, Lam, pref = rate(m, K)
-    _sanity_check_maximizer(m, K, x_star)
     return TuningResult(
         m=m,
         K=K,
@@ -98,20 +98,6 @@ def rate(m: float, K: float):
     root4 = math.sqrt(4 + K / (2 * m))
     lam = math.sqrt(m) / (4 * (root2 + root4))
     return lam, 2 * lam / 3, math.sqrt(3)
-
-
-def _phi(x: float, m: float, K: float) -> float:
-    return x / (2 * ((x + math.sqrt(2 + K / (2 * m))) ** 2 + 2))
-
-
-def _sanity_check_maximizer(m, K, x_star, factor=1.0 + 1e-7):
-    # guards transcription errors only; the closed form is the authority
-    xs = x_star * np.logspace(-1, 1, 41)
-    best = max(_phi(x, m, K) for x in xs)
-    if best > _phi(x_star, m, K) * factor:
-        raise ConfigurationError(
-            "x_star fails the grid sanity check; tuning formulas inconsistent"
-        )
 
 
 def check_ratio_consistency(tuned: TuningResult) -> dict:

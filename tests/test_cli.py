@@ -208,6 +208,30 @@ class TestRunExperiment:
         assert max(rates, key=rates.get) == "2"
         assert report.verdicts[0]["status"] == "pass"
 
+    def test_sweep_critical_gamma_follows_curvature(self):
+        # U = 2 x^2: the first-moment ODE is critically damped at
+        # gamma_c = 2 sqrt(4) = 4, not at 2
+        cfg = cli.build_config(
+            {"potential.params": "4", "sweep.gammas": "1,2,4,8",
+             "sde.particles": "2000"}
+        )
+        report = cli.run_experiment("sweep", cfg)
+        rates = report.results["sweep"]["rates"]
+        assert max(rates, key=rates.get) == "4"
+        (verdict,) = report.verdicts
+        assert verdict["name"] == "sweep_argmax_critical"
+        assert verdict["status"] == "pass"
+        assert verdict["margin"] == (rates["4"] - rates["2"]) / rates["4"]
+
+    def test_sweep_skips_without_critical_gamma(self):
+        cfg = cli.build_config(
+            {"sweep.target": "evolve", "sweep.gammas": "1,4", **SMALL,
+             "evolve.t_end_factor": "0.3"}
+        )
+        report = cli.run_experiment("sweep", cfg)
+        assert report.verdicts == [{"name": "sweep_argmax_critical",
+                                    "status": "skipped", "margin": None}]
+
 
 SMALL = {"grid.N_x": "32", "grid.N_v": "6"}
 SMALL_SDE = {"sde.particles": "1000", "sde.steps": "600"}
@@ -262,15 +286,13 @@ class TestVerdictRule:
 
         def understated(potential):
             model = gibbs_model(potential)
-            # the double well's true bound is K = 1.  K = 0 is understated
-            # too, but every test function keeps a positive slack there, so
-            # the model gets K = -1, past the frozen dataclass's own check
-            object.__setattr__(model, "K", -1.0)
+            # the double well's true bound is K = 1; tanh, whose gradient
+            # peaks on the barrier where U'' < 0, must expose K = 0
+            object.__setattr__(model, "K", 0.0)
             return model
 
         monkeypatch.setattr(cli, "gibbs_model", understated)
-        cfg = cli.build_config({"potential.kind": "double_well", "grid.N_x": "64",
-                                "grid.N_v": "8", "tuning.K": "1.0"})
+        cfg = cli.build_config({"potential.kind": "double_well", "tuning.K": "1.0"})
         report = cli.run_experiment("verify", cfg)
         verdict = next(v for v in report.verdicts if v["name"] == "bochner_inequality")
         assert verdict["status"] == "fail"

@@ -191,7 +191,8 @@ class TestBandLU:
         forward = np.eye(ops.n) + (dt / 2) * L.toarray()
         f, ref = f0, []
         for _ in range(51):
-            ref.append((np.linalg.norm(f), *functional.values(f)))
+            ref.append((np.linalg.norm(f),
+                        *functional.values(f, functional.products(f))))
             f = sla.solve(M.toarray(), forward @ f)
         norm, lyap, diss = np.array(ref).T
         np.testing.assert_allclose(trace.norm, norm, rtol=1e-12, atol=0)

@@ -67,6 +67,17 @@ class TestOptimizeFriction:
         assert res.x_star == pytest.approx(2.0, abs=1e-12)
         assert res.eps_star == pytest.approx(1.0 / (2.0 + math.sqrt(2.0)), abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "m, K", [(1.0, 0.0), (1.0, 1.0), (0.3, 8.0), (4.0, 0.5), (2.0, 50.0)]
+    )
+    def test_x_star_maximizes_phi(self, m, K):
+        # Phi(x) = x / (2 ((x + sqrt(2 + K/2m))^2 + 2)), written out apart
+        # from the closed form x_star = sqrt(4 + K/2m) it must maximize
+        x_star = hl.optimize_friction(m, K).x_star
+        xs = np.linspace(0.0, 10.0 * x_star, 100001)
+        phi = xs / (2 * ((xs + math.sqrt(2 + K / (2 * m))) ** 2 + 2))
+        assert abs(xs[np.argmax(phi)] - x_star) <= xs[1] - xs[0]
+
     def test_nonconvex_shift(self):
         res = hl.optimize_friction(1.0, 8.0)
         assert res.gamma_star == pytest.approx(math.sqrt(32.0), abs=1e-12)
