@@ -20,7 +20,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -43,7 +43,6 @@ from .discretize import (
 )
 from .errors import ConfigurationError, NumericalError, PreconditionError
 from .evolve import (
-    DT_GUARD,
     estimate_rate,
     initial_condition,
     integrate,
@@ -74,8 +73,6 @@ class ExperimentConfig:
     grid_l_dom: float | None = None
     grid_n_x: int = 128
     grid_n_v: int = 20
-    tuning_m: float | None = None
-    tuning_k: float | None = None
     tuning_gamma: float | None = None
     tuning_eps: float | None = None
     evolve_t_end_factor: float = 5.0
@@ -116,8 +113,6 @@ _KEYS = {
     "grid.L_dom": ("grid_l_dom", float),
     "grid.N_x": ("grid_n_x", int),
     "grid.N_v": ("grid_n_v", int),
-    "tuning.m": ("tuning_m", float),
-    "tuning.K": ("tuning_k", float),
     "tuning.gamma": ("tuning_gamma", float),
     "tuning.eps": ("tuning_eps", float),
     "evolve.t_end_factor": ("evolve_t_end_factor", float),
@@ -179,14 +174,11 @@ def _validate(cfg: ExperimentConfig):
     if cfg.grid_l_dom is not None and cfg.grid_l_dom <= 0:
         bad("grid.L_dom", "must be positive")
     for key, value in (
-        ("tuning.m", cfg.tuning_m),
         ("tuning.gamma", cfg.tuning_gamma),
         ("tuning.eps", cfg.tuning_eps),
     ):
         if value is not None and value <= 0:
             bad(key, "must be positive")
-    if cfg.tuning_k is not None and cfg.tuning_k < 0:
-        bad("tuning.K", "must be nonnegative")
     if cfg.evolve_dt <= 0:
         bad("evolve.dt", "must be positive")
     if cfg.evolve_t_end_factor <= 0:
@@ -197,14 +189,19 @@ def _validate(cfg: ExperimentConfig):
         bad("sde.particles", "must be >= 100")
     if cfg.sde_d < 1:
         bad("sde.d", "must be >= 1")
-    if cfg.sde_dt <= 0 or cfg.sde_steps < 1:
-        bad("sde.dt", "dt and steps must be positive")
+    if cfg.sde_dt <= 0:
+        bad("sde.dt", "must be positive")
+    if cfg.sde_steps < 1:
+        bad("sde.steps", "must be >= 1")
     if cfg.sde_record_every < 1:
         bad("sde.record_every", "must be >= 1")
     if cfg.sweep_target not in ("evolve", "sample"):
         bad("sweep.target", "must be 'evolve' or 'sample'")
     if not cfg.sweep_gammas or not all(g > 0 for g in cfg.sweep_gammas):
         bad("sweep.gammas", "must list one or more gammas, each positive")
+    labels = [f"{g:g}" for g in cfg.sweep_gammas]
+    if len(set(labels)) < len(labels):
+        bad("sweep.gammas", f"gammas share a report label: {', '.join(labels)}")
 
 
 @dataclass
@@ -285,10 +282,9 @@ class _Workspace:
 
     @cached_property
     def tuned(self) -> TuningResult:
-        """Closed-form pipeline at (tuning.m, tuning.K), defaulting to (m_h, K)."""
-        m = self.cfg.tuning_m if self.cfg.tuning_m is not None else self.ops.m_h
-        k = self.cfg.tuning_k if self.cfg.tuning_k is not None else self.model.K
-        return optimize_friction(m, k)
+        """Closed-form pipeline at the run's (m_h, K), the constants the
+        corrector and its checks read too."""
+        return optimize_friction(self.ops.m_h, self.model.K)
 
     @cached_property
     def gamma(self) -> float:
@@ -445,13 +441,13 @@ def _stage_evolve(ws: _Workspace, report: RunReport):
     report.results.setdefault("rates", {}).update(rates)
     report.results["evolve"] = {
         "gamma": gamma, "eps": eps, "Lambda": tuned.Lambda,
-        "t_end": t_end, "dt": cfg.evolve_dt, "kinds": list(kinds),
+        "t_end": t_end, "dt": trace.dt, "kinds": list(kinds),
         "band": trace.band,  # every kind factors the same I - (dt/2) L
     }
     report.timings["evolve"] = time.perf_counter() - t0
 
 
-def _sde_config(ws: _Workspace) -> SdeConfig:
+def _sde_config(ws: _Workspace, gamma: float) -> SdeConfig:
     cfg = ws.cfg
     return SdeConfig(
         potential=ws.potential,
@@ -459,7 +455,7 @@ def _sde_config(ws: _Workspace) -> SdeConfig:
         particles=cfg.sde_particles,
         dt=cfg.sde_dt,
         steps=cfg.sde_steps,
-        gamma=ws.gamma,
+        gamma=gamma,
         seed=cfg.seed,
         record_every=cfg.sde_record_every,
         init_shift=cfg.sde_init_shift,
@@ -475,7 +471,7 @@ def _first_moment_rate(gamma: float, a: float) -> float:
 def _stage_sample(ws: _Workspace, report: RunReport):
     cfg = ws.cfg
     t0 = time.perf_counter()
-    sde = _sde_config(ws)
+    sde = _sde_config(ws, ws.gamma)
     trace = run_ensemble(sde)
     report.traces.append((f"sde_{ws.potential.name}_{sde.gamma:g}.csv", trace))
 
@@ -527,19 +523,17 @@ def _stage_sweep(ws: _Workspace, report: RunReport):
     t0 = time.perf_counter()
     rates = {}
     if cfg.sweep_target == "sample":
-        base = _sde_config(ws)
         for gamma in cfg.sweep_gammas:
-            sde = replace(base, gamma=gamma)
-            rates[f"{gamma:g}"] = estimate_observable_decay(sde)
+            rates[f"{gamma:g}"] = estimate_observable_decay(_sde_config(ws, gamma))
     else:
         ops = ws.ops
         tuned = ws.tuned
         corr = ws.corrector
         for gamma in cfg.sweep_gammas:
-            dt = min(cfg.evolve_dt, DT_GUARD / gamma * 0.999)
             f0 = initial_condition(ops, "random", seed=cfg.seed)
             trace = integrate(ops, f0, gamma, cfg.evolve_t_end_factor / tuned.Lambda,
-                              dt, corrector=corr, eps=ws.eps, Lambda=tuned.Lambda)
+                              cfg.evolve_dt, corrector=corr, eps=ws.eps,
+                              Lambda=tuned.Lambda)
             rates[f"{gamma:g}"] = estimate_rate(trace)
     report.results["sweep"] = {"target": cfg.sweep_target, "rates": rates}
     # the first-moment ODE x'' + gamma x' + a x = 0 is critically damped at

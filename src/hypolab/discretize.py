@@ -29,12 +29,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .errors import (
-    ConfigurationError,
-    DegenerateGapError,
-    DomainTooSmallError,
-    WeightUnderflowError,
-)
+from .errors import DegenerateGapError, DomainTooSmallError, WeightUnderflowError
 from .model import GibbsModel, eval_potential
 
 CONFINEMENT_MARGIN = 10.0
@@ -55,10 +50,6 @@ class WeightedGrid:
 
 def build_grid(model: GibbsModel, half_width: float, n_x: int) -> WeightedGrid:
     """Build the weighted position grid; checks confinement and weight floor."""
-    if n_x < 16:
-        raise ConfigurationError(f"grid.n_x = {n_x}: need n_x >= 16")
-    if half_width <= 0:
-        raise ConfigurationError("grid half_width must be positive")
     nodes = np.linspace(-half_width, half_width, n_x)
     U = eval_potential(model.potential, nodes)[0]
     u_min = U.min()
@@ -104,8 +95,6 @@ class HermiteBasis:
 
 
 def build_velocity_basis(n_v: int) -> HermiteBasis:
-    if n_v < 4:
-        raise ConfigurationError(f"n_v = {n_v}: need at least 4 Hermite modes")
     k = np.arange(n_v)
     lowering = np.diag(np.sqrt(k[1:].astype(float)), 1)
     return HermiteBasis(
@@ -218,8 +207,6 @@ def poincare_constant(ops: OperatorSet) -> float:
 
 def compose_generator(ops: OperatorSet, gamma: float) -> sp.csr_matrix:
     """L = L_a + gamma * L_s."""
-    if gamma <= 0:
-        raise ConfigurationError(f"gamma = {gamma}: friction must be positive")
     return (ops.la + gamma * ops.ls).tocsr()
 
 

@@ -117,10 +117,6 @@ class GibbsModel:
     K: float
     analytic_m: float | None = None
 
-    def __post_init__(self):
-        if self.K < 0:
-            raise ConfigurationError("Hessian lower bound K must be >= 0")
-
 
 def gibbs_model(p: Potential) -> GibbsModel:
     analytic = p.params[0] if p.kind == "quadratic" else None

@@ -67,18 +67,8 @@ class SdeConfig:
     init_shift: float = 0.0
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ConfigurationError("sde.d must be >= 1")
-        if self.particles < 100:
-            raise ConfigurationError("sde.particles must be >= 100 for statistics")
-        if self.dt <= 0 or self.steps < 1:
-            raise ConfigurationError("sde.dt and sde.steps must be positive")
-        if self.gamma <= 0:
-            raise ConfigurationError("friction gamma must be positive")
         if self.dt * self.gamma >= 1.0:
             raise ConfigurationError("integrator guard: need dt * gamma < 1")
-        if self.record_every < 1:
-            raise ConfigurationError("sde.record_every must be >= 1")
 
 
 @dataclass

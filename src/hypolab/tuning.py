@@ -27,8 +27,6 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .errors import ConfigurationError
-
 
 @dataclass(frozen=True)
 class TuningResult:
@@ -54,8 +52,6 @@ def _zeta(gamma: float, m: float, K: float) -> float:
 
 def dissipation_matrix(gamma: float, eps: float, m: float, K: float):
     """2x2 coercivity matrix with its determinant, trace, admissibility."""
-    if gamma <= 0 or eps <= 0 or m <= 0 or K < 0:
-        raise ConfigurationError("dissipation_matrix needs gamma, eps, m > 0, K >= 0")
     z = _zeta(gamma, m, K)
     M = np.array([[gamma - eps, -eps * z / 2], [-eps * z / 2, eps / 2]])
     det = eps * (gamma - eps) / 2 - eps**2 * z**2 / 4
@@ -66,8 +62,6 @@ def dissipation_matrix(gamma: float, eps: float, m: float, K: float):
 
 def optimize_friction(m: float, K: float) -> TuningResult:
     """Full tuned pipeline at gamma = gamma_star = sqrt(16 m + 2 K)."""
-    if m <= 0 or K < 0:
-        raise ConfigurationError("optimize_friction needs m > 0, K >= 0")
     gamma_star = math.sqrt(16 * m + 2 * K)
     z = _zeta(gamma_star, m, K)
     a = 2 + z**2
@@ -92,8 +86,6 @@ def optimize_friction(m: float, K: float) -> TuningResult:
 
 def rate(m: float, K: float):
     """(lambda_coer, Lambda, prefactor) from the closed forms."""
-    if m <= 0 or K < 0:
-        raise ConfigurationError("rate needs m > 0, K >= 0")
     root2 = math.sqrt(2 + K / (2 * m))
     root4 = math.sqrt(4 + K / (2 * m))
     lam = math.sqrt(m) / (4 * (root2 + root4))

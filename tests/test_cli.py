@@ -8,6 +8,7 @@ import pytest
 import hypolab as hl
 import hypolab.cli as cli
 from hypolab.errors import ConfigurationError, DivergenceError
+from hypolab.evolve import DT_GUARD
 
 
 class TestConfigParsing:
@@ -45,7 +46,7 @@ class TestConfigParsing:
             cli.build_config({"potential.kind": "sombrero"})
 
     def test_removed_keys_are_unknown(self):
-        for key in ("tuning.alpha", "sde.gamma"):
+        for key in ("tuning.alpha", "sde.gamma", "tuning.m", "tuning.K"):
             with pytest.raises(ConfigurationError, match="unknown configuration key"):
                 cli.parse_config_text(f"{key} = 1.0")
 
@@ -56,6 +57,21 @@ class TestConfigParsing:
     def test_nonpositive_tuning_gamma_rejected(self):
         with pytest.raises(ConfigurationError, match="tuning.gamma"):
             cli.build_config({"tuning.gamma": "0"})
+
+    @pytest.mark.parametrize("key, value", [
+        ("grid.N_v", "3"), ("grid.L_dom", "-2"), ("sde.d", "0"),
+        ("sde.particles", "10"), ("sde.dt", "0"), ("sde.steps", "0"),
+        ("tuning.eps", "0"),
+    ])
+    def test_range_checked_at_the_boundary(self, key, value):
+        # the library below the config trusts these values: this is their check
+        with pytest.raises(ConfigurationError, match=f"^{key}: "):
+            cli.build_config({key: value})
+
+    def test_colliding_sweep_labels_rejected(self):
+        # rates are keyed by f"{gamma:g}": two gammas may not share a label
+        with pytest.raises(ConfigurationError, match="sweep.gammas"):
+            cli.build_config({"sweep.gammas": "2,2.0000001,4"})
 
     def test_zero_initial_state_rejected(self):
         # f = 0 would meet every evolve verdict by construction
@@ -79,11 +95,14 @@ class TestConfigParsing:
 
 class TestRunExperiment:
     def test_tune_reports_closed_form_constants(self):
-        cfg = cli.build_config({"tuning.m": "1.0", "tuning.K": "0.0"})
+        cfg = cli.build_config(SMALL)
         report = cli.run_experiment("tune", cfg)
         tuning = report.results["tuning"]
-        assert tuning["gamma_star"] == 4.0
-        assert tuning["Lambda"] == pytest.approx(0.04881554, abs=1e-7)
+        # the pipeline runs at the run's own (m_h, K)
+        m_h = cli.run_experiment("gap", cfg).results["gap"]["m_h"]
+        assert (tuning["m"], tuning["K"]) == (m_h, 0.0)
+        assert tuning["gamma_star"] == math.sqrt(16 * m_h)
+        assert tuning["Lambda"] == hl.rate(m_h, 0.0)[1]
         assert not report.failed
 
     def test_tune_operating_point_follows_the_flags(self, capsys):
@@ -92,9 +111,9 @@ class TestRunExperiment:
         point = json.loads(capsys.readouterr().out)["results"]["tuning"][
             "operating_point"]
         assert (point["gamma"], point["eps"]) == (3.0, 0.2)
-        tuned = hl.optimize_friction(1.0, 0.0)  # the flags leave m, K alone
-        cfg = cli.build_config({"tuning.m": "1.0", "tuning.K": "0.0"})
-        point = cli.run_experiment("tune", cfg).results["tuning"]["operating_point"]
+        tuning = cli.run_experiment("tune", cli.build_config(SMALL)).results["tuning"]
+        tuned = hl.optimize_friction(tuning["m"], tuning["K"])
+        point = tuning["operating_point"]
         assert (point["gamma"], point["eps"]) == (tuned.gamma_star, tuned.eps_star)
         assert point["admissible"]
         assert point["lambda_min_M"] == hl.check_ratio_consistency(tuned)[
@@ -109,8 +128,7 @@ class TestRunExperiment:
             return original(trace, monotone, t_min)
 
         monkeypatch.setattr(cli, "lyapunov_derivative_check", record)
-        raw = {"grid.N_x": "32", "grid.N_v": "6", "tuning.m": "0.5",
-               "evolve.t_end_factor": "0.5"}
+        raw = {"grid.N_x": "32", "grid.N_v": "6", "evolve.t_end_factor": "0.5"}
         assert not cli.run_experiment("evolve", cli.build_config(raw)).failed
         raw["tuning.eps"] = "0.01"
         cli.run_experiment("evolve", cli.build_config(raw))
@@ -175,11 +193,10 @@ class TestRunExperiment:
         )
 
     def test_slack_uses_the_reported_lambda_coer(self):
-        cfg = cli.build_config(
-            {"grid.N_x": "64", "grid.N_v": "12", "tuning.m": "0.5"}
-        )
+        cfg = cli.build_config({"grid.N_x": "64", "grid.N_v": "12"})
         corrector = cli.run_experiment("verify", cfg).results["corrector"]
-        assert corrector["lambda_coer"] == hl.rate(0.5, 0.0)[0]
+        m_h = cli.run_experiment("gap", cfg).results["gap"]["m_h"]
+        assert corrector["lambda_coer"] == hl.rate(m_h, 0.0)[0]
         assert corrector["slack"] == corrector["min_eig_Q"] - corrector["lambda_coer"]
 
     def test_unknown_command(self):
@@ -200,13 +217,34 @@ class TestRunExperiment:
     def test_sweep_sample_target(self):
         cfg = cli.build_config(
             {"sweep.target": "sample", "sweep.gammas": "1,2,4",
-             "sde.particles": "1000", "sde.steps": "600", "tuning.m": "1.0",
-             "tuning.K": "0.0"}
+             "sde.particles": "1000", "sde.steps": "600"}
         )
         report = cli.run_experiment("sweep", cfg)
         rates = report.results["sweep"]["rates"]
         assert max(rates, key=rates.get) == "2"
         assert report.verdicts[0]["status"] == "pass"
+
+    def test_sample_sweep_builds_no_operators(self, monkeypatch):
+        # every sampler run takes its gamma from the sweep: no gap is needed
+        calls = []
+        assemble_operators = cli.assemble_operators
+        monkeypatch.setattr(cli, "assemble_operators",
+                            lambda *args: calls.append(args) or assemble_operators(*args))
+        cfg = cli.build_config({"sweep.gammas": "1,2", **SMALL_SDE})
+        assert set(cli.run_experiment("sweep", cfg).results["sweep"]["rates"]) == {
+            "1", "2"}
+        assert calls == []
+
+    def test_evolve_clamps_the_step_to_the_guard(self):
+        # U = x^2: gamma* = 5.48 at 64x12, so the default dt = 0.02 is above
+        # DT_GUARD / gamma* and the run takes that largest allowed step
+        cfg = cli.build_config({"grid.N_x": "64", "grid.N_v": "12",
+                                "potential.params": "2"})
+        report = cli.run_experiment("evolve", cfg)
+        gamma_star = report.results["tuning"]["gamma_star"]
+        assert gamma_star > DT_GUARD / 0.02
+        assert report.results["evolve"]["dt"] == DT_GUARD / gamma_star
+        assert not report.failed
 
     def test_sweep_critical_gamma_follows_curvature(self):
         # U = 2 x^2: the first-moment ODE is critically damped at
@@ -292,7 +330,7 @@ class TestVerdictRule:
             return model
 
         monkeypatch.setattr(cli, "gibbs_model", understated)
-        cfg = cli.build_config({"potential.kind": "double_well", "tuning.K": "1.0"})
+        cfg = cli.build_config({"potential.kind": "double_well"})
         report = cli.run_experiment("verify", cfg)
         verdict = next(v for v in report.verdicts if v["name"] == "bochner_inequality")
         assert verdict["status"] == "fail"
@@ -339,7 +377,7 @@ class TestEmitReport:
         ).read_bytes()
 
     def test_report_floats_round_trip(self, tmp_path):
-        cfg = cli.build_config({"tuning.m": "1.0", "tuning.K": "0.0"})
+        cfg = cli.build_config(SMALL)
         report = cli.run_experiment("tune", cfg)
         cli.emit_report(report, tmp_path)
         data = json.loads((tmp_path / "report.json").read_text())
@@ -455,7 +493,7 @@ class TestMain:
 
     def test_flag_overrides(self, tmp_path, capsys):
         conf = tmp_path / "ok.conf"
-        conf.write_text("tuning.m = 1.0\ntuning.K = 0.0\n")
+        conf.write_text("grid.N_x = 32\ngrid.N_v = 6\ntuning.gamma = 2.0\n")
         code = cli.main(["tune", "--config", str(conf), "--gamma", "3.0"])
         assert code == 0
         data = json.loads(capsys.readouterr().out)

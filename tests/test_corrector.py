@@ -5,7 +5,6 @@ import scipy.sparse as sp
 
 import hypolab as hl
 from hypolab.corrector import dissipation_block
-from hypolab.errors import ConfigurationError
 
 from conftest import dissipation_form, make_ops, random_mean_zero
 
@@ -148,11 +147,6 @@ class TestDissipation:
             val = dissipation(f, corr_quad, tuned_quad.eps_star,
                                  tuned_quad.gamma_star)
             assert val >= 0.0
-
-    def test_rejects_bad_gamma(self, corr_quad, ops_quad):
-        f = random_mean_zero(ops_quad, 0)
-        with pytest.raises(ConfigurationError):
-            dissipation(f, corr_quad, 0.3, -1.0)
 
 
 class TestOperatorNorm:

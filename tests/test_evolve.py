@@ -46,6 +46,7 @@ def dense_factors(lu, n):
 def synthetic_trace(times, norms):
     n = len(times)
     return hl.DecayTrace(
+        dt=times[1] - times[0],
         times=np.asarray(times, dtype=float),
         norm=np.asarray(norms, dtype=float),
         lyap=np.zeros(n),
@@ -84,10 +85,14 @@ class TestInitialConditions:
 
 class TestIntegrate:
     def test_dt_guard(self, ops_quad_small, corr_quad_small):
+        # dt is the largest step: above DT_GUARD / gamma it is clamped there
         f = random_mean_zero(ops_quad_small, 0)
-        with pytest.raises(ConfigurationError):
-            hl.integrate(ops_quad_small, f, 4.0, 1.0, 0.05,
-                         corrector=corr_quad_small, eps=0.3, Lambda=0.05)
+        for dt, taken in ((0.05, DT_GUARD / 4.0), (0.02, 0.02)):
+            trace = hl.integrate(ops_quad_small, f, 4.0, 1.0, dt,
+                                 corrector=corr_quad_small, eps=0.3, Lambda=0.05)
+            assert trace.dt == taken
+            assert trace.times[1] == taken
+            assert len(trace.times) == round(1.0 / taken) + 1
 
     def test_mean_zero_precondition(self, ops_quad_small, corr_quad_small):
         with pytest.raises(PreconditionError):
@@ -289,6 +294,7 @@ class TestLyapunovDerivative:
 
     def test_monotonicity_enforced_on_tuned_runs(self, quad_trace, tuned_quad):
         doctored = hl.DecayTrace(
+            dt=quad_trace.dt,
             times=quad_trace.times[:5],
             norm=quad_trace.norm[:5],
             lyap=np.array([1.0, 0.5, 0.8, 0.4, 0.3]),

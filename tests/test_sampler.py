@@ -40,10 +40,6 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             hl.SdeConfig(potential=hl.quadratic(), dt=0.3, gamma=4.0)
 
-    def test_particle_floor(self):
-        with pytest.raises(ConfigurationError):
-            hl.SdeConfig(potential=hl.quadratic(), particles=10)
-
     def test_default_observables_present(self):
         cfg = hl.SdeConfig(potential=hl.quadratic(), particles=100, steps=10)
         assert set(hl.run_ensemble(cfg).means) >= {"x0", "x_sq", "v_sq", "energy"}

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hypolab as hl
-from hypolab.errors import ConfigurationError
 
 positive_m = st.floats(min_value=1e-3, max_value=1e3)
 nonneg_k = st.floats(min_value=0.0, max_value=1e3)
@@ -36,12 +35,6 @@ class TestDissipationMatrix:
         assert M[0, 0] == pytest.approx(4.0, rel=1e-9)
         assert abs(det) <= 1e-11
         assert admissible
-
-    def test_rejects_nonpositive_inputs(self):
-        with pytest.raises(ConfigurationError):
-            hl.dissipation_matrix(-1.0, 0.1, 1.0, 0.0)
-        with pytest.raises(ConfigurationError):
-            hl.dissipation_matrix(1.0, 0.1, 1.0, -0.1)
 
     @given(
         gamma=st.floats(min_value=1e-2, max_value=1e2),
@@ -102,12 +95,6 @@ class TestOptimizeFriction:
     def test_eps_ordering(self, m, K):
         res = hl.optimize_friction(m, K)
         assert 0 < res.eps_star < res.eps_max < 2 * res.gamma_star / res.a
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ConfigurationError):
-            hl.optimize_friction(0.0, 0.0)
-        with pytest.raises(ConfigurationError):
-            hl.optimize_friction(1.0, -1.0)
 
 
 class TestRate:
