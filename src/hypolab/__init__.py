@@ -28,6 +28,7 @@ from .discretize import (
 )
 from .evolve import (
     DecayTrace,
+    crank_nicolson,
     estimate_rate,
     initial_condition,
     integrate,
@@ -69,6 +70,7 @@ __all__ = [
     "check_structure",
     "compose_generator",
     "cosine_bump",
+    "crank_nicolson",
     "default_domain",
     "dissipation_form_min_eig",
     "dissipation_matrix",

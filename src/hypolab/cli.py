@@ -43,6 +43,7 @@ from .discretize import (
 )
 from .errors import ConfigurationError, NumericalError, PreconditionError
 from .evolve import (
+    crank_nicolson,
     estimate_rate,
     initial_condition,
     integrate,
@@ -415,13 +416,12 @@ def _stage_evolve(ws: _Workspace, report: RunReport):
     corr = ws.corrector
     t_end = cfg.evolve_t_end_factor / tuned.Lambda
     kinds = ("gap", "velocity", "random") if cfg.evolve_f0 == "all" else (cfg.evolve_f0,)
+    cn = crank_nicolson(ops, gamma, cfg.evolve_dt)  # one factorization, every kind
     rates = {}
     for kind in kinds:
         f0 = initial_condition(ops, kind, seed=cfg.seed)
-        trace = integrate(
-            ops, f0, gamma, t_end, cfg.evolve_dt,
-            corrector=corr, eps=eps, Lambda=tuned.Lambda,
-        )
+        trace = integrate(ops, f0, cn, t_end, corrector=corr, eps=eps,
+                          Lambda=tuned.Lambda)
         tag = f"{kind}" if len(kinds) > 1 else None
         suffix = f"_{tag}" if tag else ""
         name = f"decay_{ws.potential.name}_{gamma:g}{suffix}.csv"
@@ -441,8 +441,8 @@ def _stage_evolve(ws: _Workspace, report: RunReport):
     report.results.setdefault("rates", {}).update(rates)
     report.results["evolve"] = {
         "gamma": gamma, "eps": eps, "Lambda": tuned.Lambda,
-        "t_end": t_end, "dt": trace.dt, "kinds": list(kinds),
-        "band": trace.band,  # every kind factors the same I - (dt/2) L
+        "t_end": t_end, "dt": cn.dt, "kinds": list(kinds),
+        "band": cn.lu.diagnostics(),
     }
     report.timings["evolve"] = time.perf_counter() - t0
 
@@ -531,9 +531,9 @@ def _stage_sweep(ws: _Workspace, report: RunReport):
         corr = ws.corrector
         for gamma in cfg.sweep_gammas:
             f0 = initial_condition(ops, "random", seed=cfg.seed)
-            trace = integrate(ops, f0, gamma, cfg.evolve_t_end_factor / tuned.Lambda,
-                              cfg.evolve_dt, corrector=corr, eps=ws.eps,
-                              Lambda=tuned.Lambda)
+            trace = integrate(ops, f0, crank_nicolson(ops, gamma, cfg.evolve_dt),
+                              cfg.evolve_t_end_factor / tuned.Lambda,
+                              corrector=corr, eps=ws.eps, Lambda=tuned.Lambda)
             rates[f"{gamma:g}"] = estimate_rate(trace)
     report.results["sweep"] = {"target": cfg.sweep_target, "rates": rates}
     # the first-moment ODE x'' + gamma x' + a x = 0 is critically damped at
@@ -552,11 +552,33 @@ def _stage_sweep(ws: _Workspace, report: RunReport):
     report.timings["sweep"] = time.perf_counter() - t0
 
 
+def _check_sampled_gammas(command: str, ws: _Workspace):
+    """The sampler's guard sde.dt * gamma < 1 (BAOAB), for each gamma the run
+    samples at, before any stage runs; the message names the key to change.
+    A run that does not sample is not held to sde.dt."""
+    cfg = ws.cfg
+    if command == "sweep" and cfg.sweep_target == "sample":
+        sampled = [("sweep.gammas", g) for g in cfg.sweep_gammas]
+    elif command in ("sample", "all"):
+        key = "tuning.gamma" if cfg.tuning_gamma is not None else (
+            "tuning.gamma (unset, so gamma*)")
+        sampled = [(key, ws.gamma)]
+    else:
+        return
+    for key, gamma in sampled:
+        if cfg.sde_dt * gamma >= 1.0:
+            raise ConfigurationError(
+                f"{key}: the sampler needs sde.dt * gamma < 1, and "
+                f"{cfg.sde_dt:g} * {gamma:g} = {cfg.sde_dt * gamma:g}"
+            )
+
+
 def run_experiment(command: str, cfg: ExperimentConfig) -> RunReport:
     if command not in SUBCOMMANDS:
         raise ConfigurationError(f"unknown subcommand {command!r}")
     report = RunReport(version=__version__, command=command, config=dict(cfg.echo()))
     ws = _Workspace(cfg)
+    _check_sampled_gammas(command, ws)
     stages = {
         "gap": (_stage_gap,),
         "tune": (_stage_tune,),

@@ -37,9 +37,46 @@ on modes 0-2 it is the 3 x 3 matrix of n_x x n_x position blocks
     Q_12 = 0
     Q_22 = 2 gamma I
 
-One dense eigensolve of that 3 n_x x 3 n_x block gives the smallest
-eigenvalue of Q on the mean-zero subspace: it is at most 2 gamma (Q_22), and
-the rest of Q is 3 gamma or more.
+The smallest eigenvalue of Q on the mean-zero subspace u^perp (u = sqrt(w)
+on mode 0) needs no 3 n_x x 3 n_x matrix.  Take the singular pairs of the
+gradient, Grad = U diag(sigma) V^T, from the tridiagonal eigensolve
+-L_o = V diag(sigma^2) V^T, with U = Grad V / sigma.  Then B = V diag(t) U^T,
+B Grad = V diag(s^2) V^T and Grad B = U diag(s^2) U^T, with
+s^2 = sigma^2 / (m_h + sigma^2) and t = sigma / (m_h + sigma^2).  In the
+coordinates V^T x_0 and U^T x_1, modes 0 and 1 split into independent pairs
+
+    [[a, -b], [-b, c]],   a = eps s^2,  b = (eps gamma / 2) t,  c = gamma - a,
+
+and mode 2 (2 gamma I) couples to mode 0 only, through the
+(n_x - 1) x n_x block C = -(eps / sqrt(2)) diag(t) (Grad U)^T.  The pair at
+sigma = 0 is diag(0, gamma): its mode-0 vector is u, an exact null vector of
+Q.  Eliminating modes 1 and 2 from (Q - lam) x = 0 leaves the
+(n_x - 1)-square secular matrix
+
+    S(lam) = diag(a - lam - b^2 / (c - lam)) - C C^T / (2 gamma - lam).
+
+Below the smallest pole p = min c (<= gamma), the eliminated block
+diag(c - lam, 2 gamma - lam) is positive definite, so by Haynsworth inertia
+Q - lam is positive definite on u^perp exactly when S(lam) is (the pair
+left out at sigma = 0 is gamma - lam > 0 on mode 1, and modes k >= 3 give
+gamma k - lam > 0).  S' <= -I and S'' <= 0 there, so phi(lam) = mu_min(S(lam))
+is concave and strictly decreasing on (-inf, p); it tends to -inf at p when
+eps > 0 (b > 0) and is -lam when eps = 0.  Its one root below p is
+therefore the smallest eigenvalue of Q on u^perp.  At the smallest
+eigenvalue of the decoupled pairs (C = 0) the diagonal is >= 0 with a zero
+and -C C^T <= 0, so phi <= 0: Newton's method started there stays above the
+root, because a concave function lies below its tangents, and decreases to
+it monotonically.  It runs in delta = p - lam, so c - lam = (c - p) + delta
+keeps its relative accuracy when the root is within rounding of the pole
+(small gamma), and it stops once |mu| is at the rounding level of the terms
+S is summed from.  The eigenvector lifts back to
+x_0 = V y, x_1 = U (b y / (c - lam)), x_2 = -C^T y / (2 gamma - lam).
+
+Each Newton step is one (n_x - 1)-square eigensolve.  The eigenbasis of
+Grad^T Grad is accurate to about machine epsilon times ||Grad^T Grad||, so
+the residual of the lifted vector, measured against Q in position
+coordinates, grows with n_x (about 1e-12 at n_x = 512); it is subtracted on
+the safe side.
 """
 from __future__ import annotations
 
@@ -49,11 +86,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.linalg.blas import dsyr, dsyr2
 
 from .discretize import OperatorSet
-from .errors import PreconditionError
+from .errors import NumericalError, PreconditionError
 from .model import eval_potential
+
+NEWTON_CAP = 50  # secular Newton steps before NumericalError
+NEWTON_FLOOR = 8 * np.finfo(float).eps  # rounding level of mu, per unit of S
 
 
 @dataclass
@@ -194,53 +233,81 @@ def verify_corrector_bounds(c: Corrector) -> DissipationReport:
     )
 
 
-def dissipation_block(c: Corrector, eps: float, gamma: float) -> np.ndarray:
-    """The Hermite mode 0-2 block of Q in position-major order,
-    dense[k::3, l::3] = Q_kl (see the module docstring), Fortran-ordered."""
+def dissipation_apply(c: Corrector, eps: float, gamma: float,
+                      x: np.ndarray) -> np.ndarray:
+    """Q x on Hermite modes 0-2, with x[k] the mode-k position vector
+    (shape (3, n_x)): matvecs with the blocks Q_kl of the module docstring,
+    written through B and Grad."""
     b, g = c.block, c.ops.grad_x
-    n_x = len(b)
-    eye = np.eye(n_x)
-    bg = b @ g
-    gb = g @ b
-    dense = np.zeros((3 * n_x, 3 * n_x), order="F")
-    dense[::3, ::3] = (eps / 2) * (bg + bg.T)
-    dense[::3, 1::3] = -(eps * gamma / 2) * b
-    dense[::3, 2::3] = -(eps / np.sqrt(2.0)) * (b @ g.T)
-    dense[1::3, 1::3] = gamma * eye - (eps / 2) * (gb + gb.T)  # B^T G^T = (G B)^T
-    dense[2::3, 2::3] = 2.0 * gamma * eye
-    dense[1::3, ::3] = dense[::3, 1::3].T
-    dense[2::3, ::3] = dense[::3, 2::3].T
-    return dense
+    x0, x1, x2 = x
+    bt0 = b.T @ x0
+    bx1 = b @ x1
+    return np.stack((
+        b @ ((eps / 2) * (g @ x0) - (eps * gamma / 2) * x1
+             - (eps / math.sqrt(2.0)) * (g.T @ x2)) + (eps / 2) * (g.T @ bt0),
+        -(eps * gamma / 2) * bt0 + gamma * x1
+        - (eps / 2) * (g @ bx1 + b.T @ (g.T @ x1)),
+        -(eps / math.sqrt(2.0)) * (g @ bt0) + 2.0 * gamma * x2,
+    ))
 
 
 def dissipation_form_min_eig(c: Corrector, eps: float, gamma: float):
     """Smallest eigenvalue of the dissipation form Q on the mean-zero subspace,
     as (value, residual); value - residual is a lower bound on it.
 
-    Q is the mode 0-2 block, which holds the mean direction u, next to
-    gamma k on each mode k >= 3 (see the module docstring).  The higher modes
-    need no solve: the block's smallest eigenvalue on u^perp is at most
-    2 gamma, the value of Q on any mode-2 state (Q_22 = 2 gamma I, and mode 2
-    is orthogonal to u), so it is below their 3 gamma.  The block is deflated
-    to u^perp as P Q P + s u u^T, with s above its norm, and solved densely;
-    it is then built again for the residual ||P(Q x) - value x|| of the
-    eigenvector, so one 3 n_x x 3 n_x buffer is alive at a time.
+    The secular solve of the module docstring, in delta = p - lam.  value is
+    the Rayleigh quotient of the lifted root vector x and residual is
+    ||P(Q x) - value x||, both through dissipation_apply in position
+    coordinates.  Raises NumericalError if |mu| is not at its rounding level
+    within NEWTON_CAP steps.
     """
-    u = np.zeros(3 * c.ops.n_x)
-    u[::3] = c.ops.grid.sqrt_weights
-    dense = dissipation_block(c, eps, gamma)
-    qu = dense @ u
-    shift = 2.0 * sla.norm(dense, 1)
-    dense = dsyr2(-1.0, u, qu, lower=1, a=dense, overwrite_a=1)
-    dense = dsyr(float(u @ qu) + shift, u, lower=1, a=dense, overwrite_a=1)
-    (rho,), x = sla.eigh(dense, lower=True, overwrite_a=True, check_finite=False,
-                         subset_by_index=[0, 0])
-    del dense
-    x = x[:, 0] - u * (u @ x[:, 0])
+    ops = c.ops
+    g = ops.grad_x
+    sigma2, right = sla.eigh_tridiagonal(-np.diag(ops.lo_x), -np.diag(ops.lo_x, 1))
+    sigma2, right = sigma2[1:], right[:, 1:]  # the kernel's pair is (u, gamma)
+    sigma = np.sqrt(sigma2)
+    left = (g @ right) / sigma
+    t = sigma / (ops.m_h + sigma2)
+    a = eps * sigma * t
+    b = eps * gamma / 2 * t
+    b2 = b * b
+    c1 = gamma - a  # c of the module docstring
+    c_t = (-eps / math.sqrt(2.0)) * (g @ left) * t  # C^T
+    cct = c_t.T @ c_t
+    cct_norm = sla.norm(cct, 1)
+    pole = float(c1.min())
+    # each pair's smaller eigenvalue is c1 - e, e^2 + (a - c1) e = b^2
+    d = a - c1
+    root = np.hypot(d, 2 * b)
+    e = np.where(d > 0, 2 * b2 / (root + np.abs(d)), (root - d) / 2)
+    delta = float(np.max(pole - c1 + e))
+    for _ in range(NEWTON_CAP):
+        gap1 = (c1 - pole) + delta  # c1 - lam
+        gap2 = (2.0 * gamma - pole) + delta  # 2 gamma - lam
+        s = cct * (-1.0 / gap2)
+        s[np.diag_indices_from(s)] += (a - pole) + delta - b2 / gap1
+        floor = NEWTON_FLOOR * (
+            cct_norm / gap2 + np.max(np.abs(a - pole) + delta + b2 / gap1))
+        (mu,), w = sla.eigh(s, overwrite_a=True, check_finite=False,
+                            subset_by_index=[0, 0])
+        w = w[:, 0]
+        if abs(mu) <= floor:
+            break
+        z = c_t @ w
+        delta -= mu / (1.0 + (b2 / gap1**2) @ (w * w) + (z @ z) / gap2**2)
+    else:
+        raise NumericalError(
+            f"secular Newton solve: |mu| = {abs(mu):.3e} is above its rounding "
+            f"level {floor:.3e} after {NEWTON_CAP} steps"
+        )
+    x = np.stack((right @ w, left @ (b * w / gap1), -(c_t @ w) / gap2))
+    sq = ops.grid.sqrt_weights
+    x[0] -= sq * (sq @ x[0])
     x /= np.linalg.norm(x)
-    r = dissipation_block(c, eps, gamma) @ x
-    r -= u * (u @ r) + rho * x
-    return float(rho), float(np.linalg.norm(r))
+    qx = dissipation_apply(c, eps, gamma, x)
+    rho = float(np.vdot(x, qx))
+    qx[0] -= sq * (sq @ qx[0])
+    return rho, float(np.linalg.norm(qx - rho * x))
 
 
 def bochner_residual(ops: OperatorSet, h_values: np.ndarray) -> tuple[float, float]:

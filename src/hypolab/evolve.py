@@ -14,10 +14,10 @@ random state's decay_bound margin is -13.7).  The constant function is a
 two-sided null vector of L, hence the weighted mean is conserved to machine
 precision and the mean-zero subspace is invariant.
 
-In position-major order M is banded, kl = ku = n_v - 1.  It is factored once
-per run as M = L_1 U by band elimination without pivoting, and each step is
-two BLAS banded triangular solves.  Pivoting is not needed: L_a is
-antisymmetric and L_s = -N, so the symmetric part of M is
+In position-major order M is banded, kl = ku = n_v - 1.  crank_nicolson
+factors it once per (gamma, dt) as M = L_1 U by band elimination without
+pivoting, and each step is two BLAS banded triangular solves.  Pivoting is
+not needed: L_a is antisymmetric and L_s = -N, so the symmetric part of M is
 I + (dt/2) gamma N >= I.  Every Schur complement of M then has a symmetric
 part >= I too, so the elimination exists and every pivot is >= 1; element
 growth is bounded by n (||T|| + ||S||^2) with T and S the symmetric and
@@ -190,34 +190,51 @@ def band_lu(matrix: sp.spmatrix) -> BandLU:
     )
 
 
+@dataclass
+class CrankNicolson:
+    """The trapezoidal map of L = L_a + gamma L_s at step dt: L and the band
+    factors of M = I - (dt/2) L.  Built once per (gamma, dt) and shared by
+    every trace integrated there."""
+
+    gamma: float
+    dt: float
+    L: sp.csr_matrix
+    lu: BandLU
+
+
+def crank_nicolson(ops: OperatorSet, gamma: float, dt: float) -> CrankNicolson:
+    """Factor the trapezoidal map at gamma by band_lu.  dt is the largest
+    step: the step taken is min(dt, DT_GUARD / gamma)."""
+    dt = min(dt, DT_GUARD / gamma)
+    L = compose_generator(ops, gamma)
+    lu = band_lu(sp.identity(ops.n, format="csr") - (dt / 2) * L)
+    return CrankNicolson(gamma=float(gamma), dt=float(dt), L=L, lu=lu)
+
+
 def integrate(
     ops: OperatorSet,
     f0: np.ndarray,
-    gamma: float,
+    cn: CrankNicolson,
     t_end: float,
-    dt: float,
     corrector: Corrector,
     eps: float,
     Lambda: float,
 ) -> DecayTrace:
-    """Advance f0 to t_end by the trapezoidal map, sampling every step.
+    """Advance f0 to t_end by the factored trapezoidal map cn, sampling every
+    step.
 
-    dt is the largest step: the step taken is min(dt, DT_GUARD / gamma), and
-    the trace records it.  M = I - (dt/2) L is factored once by band_lu; each
-    step solves M f_{n+1} = f_n + (dt/2) L f_n with the L f_n of the
+    Each step solves M f_{n+1} = f_n + (dt/2) L f_n with the L f_n of the
     diagnostics.  Each sample records the norm, the corrector's modified
     functional and its dissipation at eps, and the mean; each step records D
     at its midpoint for lyapunov_identity.  The envelope is
     sqrt(3) e^{-Lambda t} ||f0||.
     """
-    dt = min(dt, DT_GUARD / gamma)
+    dt, L, lu = cn.dt, cn.L, cn.lu
     f0 = np.asarray(f0, dtype=float)
     norm0 = np.linalg.norm(f0)
     if abs(ops.mean(f0)) > MEAN_TOL * max(norm0, 1.0):
         raise PreconditionError("f0 is not mean-zero")
 
-    L = compose_generator(ops, gamma)
-    lu = band_lu(sp.identity(ops.n, format="csr") - (dt / 2) * L)
     n_steps = max(0, int(round(t_end / dt)))
     times = np.arange(n_steps + 1) * dt
     norm = np.empty(n_steps + 1)
@@ -243,7 +260,7 @@ def integrate(
 
     bound = np.sqrt(3.0) * np.exp(-Lambda * times) * norm0
     return DecayTrace(
-        dt=float(dt),
+        dt=dt,
         times=times,
         norm=norm,
         lyap=lyap,
@@ -251,7 +268,7 @@ def integrate(
         diss_mid=(diss[:-1] + diss[1:] + cross) / 4,
         bound=bound,
         mean=mean,
-        gamma=float(gamma),
+        gamma=cn.gamma,
         eps=float(eps),
         Lambda=float(Lambda),
         band=lu.diagnostics(),

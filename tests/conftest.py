@@ -59,6 +59,12 @@ def corr_quad_small(ops_quad_small):
 
 
 @pytest.fixture(scope="session")
+def cn_small(ops_quad_small):
+    """The trapezoidal map at gamma = 4, dt = 0.02 on the 64x12 grid."""
+    return hl.crank_nicolson(ops_quad_small, 4.0, 0.02)
+
+
+@pytest.fixture(scope="session")
 def tuned_quad(ops_quad):
     return hl.optimize_friction(ops_quad.m_h, 0.0)
 
@@ -70,9 +76,8 @@ def quad_trace(ops_quad, corr_quad, tuned_quad):
     return hl.integrate(
         ops_quad,
         f0,
-        tuned_quad.gamma_star,
+        hl.crank_nicolson(ops_quad, tuned_quad.gamma_star, 0.02),
         5.0 / tuned_quad.Lambda,
-        0.02,
         corrector=corr_quad,
         eps=tuned_quad.eps_star,
         Lambda=tuned_quad.Lambda,
@@ -88,6 +93,26 @@ def dissipation_form(functional):
     atl = (A.T @ L).tocsr()
     q = -(L + L.T) / 2 + functional.eps * ((al + al.T) / 2 + (atl + atl.T) / 2)
     return q.tocsc()
+
+
+def dissipation_block(corrector, eps, gamma):
+    """Dense Hermite mode 0-2 block of Q in position-major order,
+    block[k::3, l::3] = Q_kl (the blocks of the corrector module docstring):
+    the reference for the blockwise apply and the secular solve."""
+    b, g = corrector.block, corrector.ops.grad_x
+    n_x = len(b)
+    eye = np.eye(n_x)
+    bg = b @ g
+    gb = g @ b
+    block = np.zeros((3 * n_x, 3 * n_x))
+    block[::3, ::3] = (eps / 2) * (bg + bg.T)
+    block[::3, 1::3] = -(eps * gamma / 2) * b
+    block[::3, 2::3] = -(eps / np.sqrt(2.0)) * (b @ g.T)
+    block[1::3, 1::3] = gamma * eye - (eps / 2) * (gb + gb.T)  # B^T G^T = (G B)^T
+    block[2::3, 2::3] = 2.0 * gamma * eye
+    block[1::3, ::3] = block[::3, 1::3].T
+    block[2::3, ::3] = block[::3, 2::3].T
+    return block
 
 
 def random_mean_zero(ops, seed):

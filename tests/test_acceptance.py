@@ -110,7 +110,8 @@ def test_criterion_7_decay_bound(ops_quad, corr_quad, ops_dw, corr_dw, ops_cos):
             for kind in ("gap", "velocity", "random"):
                 f0 = hl.initial_condition(ops, kind, seed=2024)
                 trace = hl.integrate(
-                    ops, f0, tuned.gamma_star, 5.0 / tuned.Lambda, 0.02,
+                    ops, f0, hl.crank_nicolson(ops, tuned.gamma_star, 0.02),
+                    5.0 / tuned.Lambda,
                     corrector=corr, eps=tuned.eps_star, Lambda=tuned.Lambda,
                 )
                 margin = hl.verify_decay_bound(trace)
@@ -129,8 +130,8 @@ def test_criterion_8_lyapunov_identity(ops_quad, corr_quad, tuned_quad):
         residuals = []
         for dt in (0.02, 0.01, 0.005):
             trace = hl.integrate(
-                ops_quad, f0, tuned_quad.gamma_star, 4.0, dt,
-                corrector=corr_quad, eps=tuned_quad.eps_star,
+                ops_quad, f0, hl.crank_nicolson(ops_quad, tuned_quad.gamma_star, dt),
+                4.0, corrector=corr_quad, eps=tuned_quad.eps_star,
                 Lambda=tuned_quad.Lambda,
             )
             # the check raises if the functional ever increases on a tuned run

@@ -7,6 +7,8 @@ import pytest
 
 import hypolab as hl
 import hypolab.cli as cli
+import hypolab.evolve as evolve
+import hypolab.sampler as sampler
 from hypolab.errors import ConfigurationError, DivergenceError
 from hypolab.evolve import DT_GUARD
 
@@ -246,6 +248,35 @@ class TestRunExperiment:
         assert report.results["evolve"]["dt"] == DT_GUARD / gamma_star
         assert not report.failed
 
+    def test_evolve_all_factors_once(self, monkeypatch, tmp_path):
+        calls = []
+        band_lu = evolve.band_lu
+        monkeypatch.setattr(evolve, "band_lu",
+                            lambda m: calls.append(m) or band_lu(m))
+        cfg = cli.build_config({**SMALL, "evolve.f0": "all"})
+        cli.emit_report(cli.run_experiment("evolve", cfg), tmp_path)
+        assert len(calls) == 1
+        # each kind integrated alone, with a factorization of its own, gives
+        # the same bytes
+        ws = cli._Workspace(cfg)
+        for kind in ("gap", "velocity", "random"):
+            trace = hl.integrate(
+                ws.ops, hl.initial_condition(ws.ops, kind, seed=cfg.seed),
+                hl.crank_nicolson(ws.ops, ws.gamma, cfg.evolve_dt),
+                cfg.evolve_t_end_factor / ws.tuned.Lambda,
+                corrector=ws.corrector, eps=ws.eps, Lambda=ws.tuned.Lambda,
+            )
+            name = f"decay_{ws.potential.name}_{ws.gamma:g}_{kind}.csv"
+            expected = "".join(row + "\n" for row in trace.csv_rows())
+            assert (tmp_path / name).read_text() == expected
+
+    def test_sampler_guard_holds_only_runs_that_sample(self):
+        # tune, verify and evolve never sample, so sde.dt does not bound gamma
+        cfg = cli.build_config({**SMALL, "tuning.gamma": "150",
+                                "sweep.gammas": "1,120"})
+        assert cli.run_experiment("tune", cfg).results["tuning"][
+            "operating_point"]["gamma"] == 150.0
+
     def test_sweep_critical_gamma_follows_curvature(self):
         # U = 2 x^2: the first-moment ODE is critically damped at
         # gamma_c = 2 sqrt(4) = 4, not at 2
@@ -466,6 +497,26 @@ class TestMain:
         conf.write_text(f"sweep.target = evolve\nsweep.gammas = {gammas}\n")
         assert cli.main(["sweep", "--config", str(conf)]) == 2
         assert "sweep.gammas" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, text, key", [
+        ("sweep", "sweep.gammas = 1,120\n", "sweep.gammas"),
+        ("sample", "tuning.gamma = 150\n", "tuning.gamma"),
+        ("all", "tuning.gamma = 150\n", "tuning.gamma"),
+        ("sample", "sde.dt = 0.3\n", "tuning.gamma (unset, so gamma*)"),
+    ], ids=["sweep", "sample", "all", "sample-gamma-star"])
+    def test_sampler_guard_exits_2_naming_the_key(self, command, text, key,
+                                                  tmp_path, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the sampler guard")
+
+        for name in ("run_ensemble", "estimate_observable_decay", "check_structure",
+                     "integrate"):
+            monkeypatch.setattr(cli, name, no_work)
+        monkeypatch.setattr(sampler, "run_ensemble", no_work)
+        conf = tmp_path / "guard.conf"
+        conf.write_text(text)
+        assert cli.main([command, "--config", str(conf)]) == 2
+        assert f"{key}: the sampler needs sde.dt * gamma < 1" in capsys.readouterr().err
 
     def test_broken_assembly_fails_with_its_residuals(self, monkeypatch, tmp_path,
                                                       capsys):

@@ -1,12 +1,17 @@
+import functools
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
 import hypolab as hl
-from hypolab.corrector import dissipation_block
+from hypolab import corrector as corrector_module
+from hypolab.cli import main
+from hypolab.corrector import dissipation_apply
+from hypolab.errors import NumericalError
 
-from conftest import dissipation_form, make_ops, random_mean_zero
+from conftest import dissipation_block, dissipation_form, make_ops, random_mean_zero
 
 
 def functional(corr, eps, gamma=4.0):
@@ -320,6 +325,78 @@ class TestDissipationFormMinEig:
         assert abs(min_eig - dense_min) <= 1e-12
         # the eigenvector's residual keeps min_eig - residual a lower bound
         assert 0.0 <= residual <= 1e-12
+
+
+@functools.lru_cache(maxsize=None)
+def tuned_corrector(potential, n_x, n_v):
+    """Corrector and tuned (eps*, gamma*) at one grid, built once per module."""
+    ops = make_ops(SMALL_POTENTIALS[potential](), n_x=n_x, n_v=n_v)
+    tuned = hl.optimize_friction(ops.m_h, ops.grid.model.K)
+    return hl.build_corrector(ops), tuned.eps_star, tuned.gamma_star
+
+
+def dense_min_eig(corr, eps, gamma):
+    """Smallest eigenvalue of the dense mode 0-2 block on an orthonormal basis
+    of the complement of the mean direction."""
+    u = np.zeros(3 * corr.ops.n_x)
+    u[::3] = corr.ops.grid.sqrt_weights
+    basis = sla.null_space(u[None, :])
+    return sla.eigvalsh(basis.T @ dissipation_block(corr, eps, gamma) @ basis)[0]
+
+
+# (eps, gamma) as multiples of (eps*, gamma*): tuned, no corrector, a large
+# eps, and friction far below (root within rounding of the pole) and far
+# above gamma* (indefinite Q)
+OPERATING_POINTS = {
+    "tuned": (1.0, 1.0),
+    "eps0": (0.0, 1.0),
+    "3eps": (3.0, 1.0),
+    "gamma_over_20": (1.0, 1 / 20),
+    "50gamma": (1.0, 50.0),
+}
+
+
+class TestSecularSolve:
+    """The secular solve against a dense eigensolve of the closed-form block."""
+
+    @pytest.mark.parametrize("potential", sorted(SMALL_POTENTIALS))
+    def test_apply_matches_reference_block(self, potential):
+        corr, eps, gamma = tuned_corrector(potential, 64, 12)
+        x = np.random.default_rng(11).standard_normal((3, corr.ops.n_x))
+        expected = dissipation_block(corr, eps, gamma) @ x.T.ravel()
+        got = dissipation_apply(corr, eps, gamma, x).T.ravel()
+        assert np.linalg.norm(got - expected) <= 1e-14 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("point", list(OPERATING_POINTS))
+    @pytest.mark.parametrize("n_x, n_v", [(16, 4), (64, 12), (128, 20)])
+    @pytest.mark.parametrize("potential", sorted(SMALL_POTENTIALS))
+    def test_matches_dense_block(self, potential, n_x, n_v, point):
+        corr, eps_star, gamma_star = tuned_corrector(potential, n_x, n_v)
+        eps = OPERATING_POINTS[point][0] * eps_star
+        gamma = OPERATING_POINTS[point][1] * gamma_star
+        min_eig, residual = hl.dissipation_form_min_eig(corr, eps, gamma)
+        dense_min = dense_min_eig(corr, eps, gamma)
+        assert abs(min_eig - dense_min) <= 1e-12 * max(1.0, abs(dense_min))
+        assert 0.0 <= residual <= 1e-12
+
+    def test_matches_dense_block_at_512x32(self):
+        corr, eps, gamma = tuned_corrector("double_well", 512, 32)
+        min_eig, residual = hl.dissipation_form_min_eig(corr, eps, gamma)
+        dense_min = dense_min_eig(corr, eps, gamma)
+        assert abs(min_eig - dense_min) <= 1e-12 * max(1.0, abs(dense_min))
+        # the singular pairs of Grad are accurate to eps ||Grad^T Grad||
+        assert 0.0 <= residual <= 1e-11
+
+    def test_newton_cap_raises(self, monkeypatch):
+        corr, eps, gamma = tuned_corrector("quadratic", 64, 12)
+        monkeypatch.setattr(corrector_module, "NEWTON_CAP", 1)
+        with pytest.raises(NumericalError, match="secular Newton"):
+            hl.dissipation_form_min_eig(corr, eps, gamma)
+
+    def test_newton_cap_exits_3(self, monkeypatch, capsys):
+        monkeypatch.setattr(corrector_module, "NEWTON_CAP", 1)
+        assert main(["verify", "--nx", "64", "--nv", "12"]) == 3
+        assert "secular Newton" in capsys.readouterr().err
 
 
 class TestBochner:

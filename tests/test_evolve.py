@@ -88,20 +88,22 @@ class TestIntegrate:
         # dt is the largest step: above DT_GUARD / gamma it is clamped there
         f = random_mean_zero(ops_quad_small, 0)
         for dt, taken in ((0.05, DT_GUARD / 4.0), (0.02, 0.02)):
-            trace = hl.integrate(ops_quad_small, f, 4.0, 1.0, dt,
+            cn = hl.crank_nicolson(ops_quad_small, 4.0, dt)
+            trace = hl.integrate(ops_quad_small, f, cn, 1.0,
                                  corrector=corr_quad_small, eps=0.3, Lambda=0.05)
             assert trace.dt == taken
             assert trace.times[1] == taken
             assert len(trace.times) == round(1.0 / taken) + 1
 
-    def test_mean_zero_precondition(self, ops_quad_small, corr_quad_small):
+    def test_mean_zero_precondition(self, ops_quad_small, corr_quad_small,
+                                    cn_small):
         with pytest.raises(PreconditionError):
-            hl.integrate(ops_quad_small, ops_quad_small.const_vec, 4.0, 1.0, 0.02,
+            hl.integrate(ops_quad_small, ops_quad_small.const_vec, cn_small, 1.0,
                          corrector=corr_quad_small, eps=0.3, Lambda=0.05)
 
-    def test_zero_state_trace(self, ops_quad_small, corr_quad_small):
-        trace = hl.integrate(ops_quad_small, np.zeros(ops_quad_small.n), 4.0, 1.0,
-                             0.02, corrector=corr_quad_small, eps=0.3, Lambda=0.05)
+    def test_zero_state_trace(self, ops_quad_small, corr_quad_small, cn_small):
+        trace = hl.integrate(ops_quad_small, np.zeros(ops_quad_small.n), cn_small,
+                             1.0, corrector=corr_quad_small, eps=0.3, Lambda=0.05)
         assert np.all(trace.norm == 0.0)
         # the bound holds by construction, so there is no margin to report
         with pytest.raises(PreconditionError, match="zero state"):
@@ -117,7 +119,8 @@ class TestIntegrate:
         f0 = np.real(vecs[:, slow])
         f0 = ops_quad_small.project_mean_zero(f0)
         f0 /= np.linalg.norm(f0)
-        trace = hl.integrate(ops_quad_small, f0, 4.0, 5.0, 0.01,
+        trace = hl.integrate(ops_quad_small, f0,
+                             hl.crank_nicolson(ops_quad_small, 4.0, 0.01), 5.0,
                              corrector=corr_quad_small, eps=0.29, Lambda=0.05)
         predicted = np.exp(-mu * trace.times)
         assert np.abs(trace.norm / trace.norm[0] - predicted).max() <= 1e-4
@@ -189,8 +192,9 @@ class TestBandLU:
     def test_integrate_matches_dense_crank_nicolson(self, kind):
         ops, corr, tuned, M, L, dt = tuned_system(kind, 32, 8)
         f0 = hl.initial_condition(ops, "random", seed=11)
-        trace = hl.integrate(ops, f0, tuned.gamma_star, 50 * dt, dt,
-                             corrector=corr, eps=tuned.eps_star, Lambda=tuned.Lambda)
+        trace = hl.integrate(ops, f0, hl.crank_nicolson(ops, tuned.gamma_star, dt),
+                             50 * dt, corrector=corr, eps=tuned.eps_star,
+                             Lambda=tuned.Lambda)
         assert len(trace.times) == 51
         functional = hl.ModifiedFunctional(corr, L, tuned.eps_star)
         forward = np.eye(ops.n) + (dt / 2) * L.toarray()
@@ -216,8 +220,8 @@ class TestLyapunovIdentity:
         # the identity is algebraic: any (gamma, eps) satisfies it
         ops, corr, tuned, _, _, _ = tuned_system(kind, 32, 8)
         f0 = hl.initial_condition(ops, "velocity")
-        trace = hl.integrate(ops, f0, 2.0, 2.0, 0.02, corrector=corr, eps=0.05,
-                             Lambda=tuned.Lambda)
+        trace = hl.integrate(ops, f0, hl.crank_nicolson(ops, 2.0, 0.02), 2.0,
+                             corrector=corr, eps=0.05, Lambda=tuned.Lambda)
         assert lyapunov_identity(trace) <= 1e-12
 
     def test_detects_a_wrong_step(self, quad_trace):
@@ -226,12 +230,13 @@ class TestLyapunovIdentity:
         doctored = hl.DecayTrace(**{**quad_trace.__dict__, "lyap": lyap})
         assert lyapunov_identity(doctored) >= 0.5e-9 * lyap[7] / lyap[0]
 
-    def test_zero_state_and_no_steps(self, ops_quad_small, corr_quad_small):
-        trace = hl.integrate(ops_quad_small, np.zeros(ops_quad_small.n), 4.0, 1.0,
-                             0.02, corrector=corr_quad_small, eps=0.3, Lambda=0.05)
+    def test_zero_state_and_no_steps(self, ops_quad_small, corr_quad_small,
+                                     cn_small):
+        trace = hl.integrate(ops_quad_small, np.zeros(ops_quad_small.n), cn_small,
+                             1.0, corrector=corr_quad_small, eps=0.3, Lambda=0.05)
         assert lyapunov_identity(trace) == 0.0
         f0 = hl.initial_condition(ops_quad_small, "random")
-        trace = hl.integrate(ops_quad_small, f0, 4.0, 0.0, 0.02,
+        trace = hl.integrate(ops_quad_small, f0, cn_small, 0.0,
                              corrector=corr_quad_small, eps=0.3, Lambda=0.05)
         assert len(trace.diss_mid) == 0
         assert lyapunov_identity(trace) == 0.0
@@ -282,9 +287,9 @@ class TestDecayBound:
 
 
 class TestLyapunovDerivative:
-    def test_zero_trace_residual(self, ops_quad_small, corr_quad_small):
-        trace = hl.integrate(ops_quad_small, np.zeros(ops_quad_small.n), 4.0, 1.0,
-                             0.02, corrector=corr_quad_small, eps=0.3, Lambda=0.05)
+    def test_zero_trace_residual(self, ops_quad_small, corr_quad_small, cn_small):
+        trace = hl.integrate(ops_quad_small, np.zeros(ops_quad_small.n), cn_small,
+                             1.0, corrector=corr_quad_small, eps=0.3, Lambda=0.05)
         resid = hl.lyapunov_derivative_check(trace, monotone=False)
         assert resid == 0.0
 

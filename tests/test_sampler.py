@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 import hypolab as hl
-from hypolab.errors import (
-    ConfigurationError,
-    DivergenceError,
-    InsufficientSignalError,
-)
+from hypolab.errors import DivergenceError, InsufficientSignalError
 from hypolab.model import potential_gradient
 from hypolab.sampler import _baoab_inplace, _force, default_observables
 
@@ -36,10 +32,6 @@ def baoab_step(state, potential, gamma, dt, noise):
 
 
 class TestConfig:
-    def test_integrator_guard(self):
-        with pytest.raises(ConfigurationError):
-            hl.SdeConfig(potential=hl.quadratic(), dt=0.3, gamma=4.0)
-
     def test_default_observables_present(self):
         cfg = hl.SdeConfig(potential=hl.quadratic(), particles=100, steps=10)
         assert set(hl.run_ensemble(cfg).means) >= {"x0", "x_sq", "v_sq", "energy"}
