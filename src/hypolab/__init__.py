@@ -9,6 +9,15 @@ simulation.
 
 __version__ = "0.1.0"
 
+import os
+
+# Every dense product and eigensolve here is on one n_x x n_x position block;
+# at the grids run (n_x <= 512) a second BLAS thread costs more than it saves.
+# Set before the first numpy import; a value already in the environment wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
 from .corrector import (
     ModifiedFunctional,
     bochner_residual,

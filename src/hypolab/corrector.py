@@ -165,13 +165,20 @@ class ModifiedFunctional:
 
 
 def operator_norm(matrix) -> float:
-    """Largest singular value by a dense SVD.
+    """Largest singular value, as the square root of the largest eigenvalue
+    of the Gram matrix X^T X.
 
     The bound checks pass the n_x x n_x position blocks of the corrector
-    algebra, never a phase-space matrix, so a dense SVD is cheap and accurate
-    to roundoff.
+    algebra, never a phase-space matrix.  Squaring loses accuracy only at the
+    bottom of the spectrum: forming X^T X and its symmetric eigensolve each
+    err by a few machine epsilons times ||X^T X|| = s_max^2 in absolute
+    terms, which is a few epsilons relative to s_max^2 itself, and the square
+    root halves that.  So s_max comes out to roundoff, as from an SVD, in
+    about a third of its time (one product and one selected eigenvalue).
     """
-    return float(sla.svdvals(matrix)[0])
+    n = matrix.shape[1]
+    gram = matrix.T @ matrix
+    return float(np.sqrt(sla.eigvalsh(gram, subset_by_index=[n - 1, n - 1])[0]))
 
 
 @dataclass
@@ -263,7 +270,7 @@ def dissipation_form_min_eig(c: Corrector, eps: float, gamma: float):
     """
     ops = c.ops
     g = ops.grad_x
-    sigma2, right = sla.eigh_tridiagonal(-np.diag(ops.lo_x), -np.diag(ops.lo_x, 1))
+    sigma2, right = sla.eigh_tridiagonal(*ops.lo_bands)
     sigma2, right = sigma2[1:], right[:, 1:]  # the kernel's pair is (u, gamma)
     sigma = np.sqrt(sigma2)
     left = (g @ right) / sigma

@@ -100,13 +100,24 @@ class DecayTrace:
 def initial_condition(ops: OperatorSet, kind: str, seed: int = 0) -> np.ndarray:
     """Initial states exercising slow, fast, and mixed subspaces.
 
-    gap: the spectral-gap eigenvector of -L_o lifted to phase space;
-    velocity: Hermite mode 1;  random: seeded mean-zero unit vector.
+    gap: the spectral-gap eigenvector of -L_o lifted to phase space, from
+    the tridiagonal eigensolve, with the sign that correlates it positively
+    with position;  velocity: Hermite mode 1;  random: seeded mean-zero unit
+    vector.
     """
     if kind == "gap":
-        _, vecs = sla.eigh(-ops.lo_x)
+        (_,), vec = sla.eigh_tridiagonal(*ops.lo_bands, select="i",
+                                         select_range=(1, 1))
+        # v is orthogonal to sqrt(w) and changes sign once, at some c (-L_o
+        # is tridiagonal with negative off-diagonal, and this is its second
+        # eigenvector).  So sum sqrt(w_i) x_i v_i = sum sqrt(w_i) (x_i - c) v_i
+        # sums terms of one sign: its sign is far from roundoff and fixes
+        # v's sign whatever LAPACK driver computed it.
+        vec = vec[:, 0]
+        if (ops.grid.sqrt_weights * ops.grid.nodes) @ vec < 0:
+            vec = -vec
         state = np.zeros((ops.n_x, ops.n_v))
-        state[:, 0] = vecs[:, 1]
+        state[:, 0] = vec
         return state.ravel()
     if kind == "velocity":
         state = np.zeros((ops.n_x, ops.n_v))

@@ -1,6 +1,11 @@
+import ast
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -561,3 +566,25 @@ class TestMain:
         blocker = tmp_path / "file"
         blocker.write_text("x")
         assert cli.main(["tune", "--out", str(blocker / "sub")]) == 4
+
+
+class TestBlasThreads:
+    """Importing the package sets one BLAS thread before numpy loads, unless
+    the environment already names a count."""
+
+    VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+    def thread_settings(self, **preset):
+        env = {k: v for k, v in os.environ.items() if k not in self.VARS}
+        env.update(preset)
+        env["PYTHONPATH"] = str(Path(hl.__file__).resolve().parents[1])
+        code = f"import os, hypolab; print([os.environ[v] for v in {self.VARS!r}])"
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        return ast.literal_eval(done.stdout)
+
+    def test_one_thread_when_unset(self):
+        assert self.thread_settings() == ["1", "1", "1"]
+
+    def test_preset_value_is_kept(self):
+        assert self.thread_settings(OPENBLAS_NUM_THREADS="2") == ["2", "1", "1"]

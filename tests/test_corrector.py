@@ -154,10 +154,26 @@ class TestDissipation:
             assert val >= 0.0
 
 
+SMALL_POTENTIALS = {
+    "quadratic": lambda: hl.quadratic(1.0),
+    "double_well": hl.double_well,
+    "cosine_bump": lambda: hl.cosine_bump(2.0),
+}
+
+
 class TestOperatorNorm:
     def test_dense_small_matrix(self):
         M = np.diag([3.0, 1.0, -4.0])
         assert hl.operator_norm(M) == pytest.approx(4.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n_x,n_v", [(64, 12), (128, 20)])
+    @pytest.mark.parametrize("potential", sorted(SMALL_POTENTIALS))
+    def test_gram_eigenvalue_matches_svd(self, potential, n_x, n_v):
+        ops = make_ops(SMALL_POTENTIALS[potential](), n_x=n_x, n_v=n_v)
+        b, g = hl.build_corrector(ops).block, ops.grad_x
+        for block in (b, g @ b, b @ g.T):
+            svd = sla.svdvals(block)[0]
+            assert abs(hl.operator_norm(block) - svd) <= 1e-14 * svd
 
 
 def mode_loop_corrector(ops):
@@ -177,13 +193,6 @@ def mode_loop_corrector(ops):
                                 shape=(ops.n, n_x))
         matrix = matrix + scatter @ solved
     return matrix.tocsr()
-
-
-SMALL_POTENTIALS = {
-    "quadratic": lambda: hl.quadratic(1.0),
-    "double_well": hl.double_well,
-    "cosine_bump": lambda: hl.cosine_bump(2.0),
-}
 
 
 class TestBlockReduction:

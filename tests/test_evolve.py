@@ -82,6 +82,15 @@ class TestInitialConditions:
         resid = -(ops_quad_small.lo @ f) - ops_quad_small.m_h * f
         assert np.linalg.norm(resid) <= 1e-10
 
+    @pytest.mark.parametrize("potential", sorted(POTENTIALS))
+    def test_gap_kind_matches_dense_eigenvector_with_pinned_sign(self, potential):
+        ops = make_ops(POTENTIALS[potential](), n_x=128, n_v=4)
+        vec = hl.initial_condition(ops, "gap")[::ops.n_v]
+        dense = sla.eigh(-ops.lo_x)[1][:, 1]
+        assert min(np.abs(vec - dense).max(), np.abs(vec + dense).max()) <= 1e-12
+        # positively correlated with position, far from roundoff
+        assert (ops.grid.sqrt_weights * ops.grid.nodes) @ vec >= 0.1
+
 
 class TestIntegrate:
     def test_dt_guard(self, ops_quad_small, corr_quad_small):
