@@ -80,6 +80,7 @@ the safe side.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -97,17 +98,24 @@ NEWTON_FLOOR = 8 * np.finfo(float).eps  # rounding level of mu, per unit of S
 
 @dataclass
 class Corrector:
-    """Gap-shifted corrector: its mode-1 -> mode-0 position block and the
-    assembled phase-space matrix, with the operator set.
+    """Gap-shifted corrector: its mode-1 -> mode-0 position block, with the
+    operator set.
 
-    Every computation goes through the block; matrix is kept because the
-    benchmark reports its nonzero count (corrector.nnz_A) and the tests use
-    it as the phase-space reference for the block algebra.
+    Every computation goes through the block.  The phase-space matrix is
+    assembled only when read: the benchmark reports its nonzero count
+    (corrector.nnz_A) and the tests use it as the phase-space reference for
+    the block algebra.
     """
 
     ops: OperatorSet
     block: np.ndarray
-    matrix: sp.csr_matrix
+
+    @functools.cached_property
+    def matrix(self) -> sp.csr_matrix:
+        """A = kron(B, e_0 e_1^T) on the phase space."""
+        n_v = self.ops.n_v
+        e01 = sp.csr_matrix(([1.0], ([0], [1])), shape=(n_v, n_v))
+        return sp.kron(self.block, e01, format="csr")
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """A x from the position block: B times x's Hermite mode 1, on mode 0."""
@@ -118,15 +126,12 @@ class Corrector:
 
 
 def build_corrector(ops: OperatorSet) -> Corrector:
-    """Assemble A = (m_h I - L_o)^{-1} (L_a Pi_v)^T = kron(B, e_0 e_1^T);
-    needs m_h from poincare_constant."""
+    """A = (m_h I - L_o)^{-1} (L_a Pi_v)^T = kron(B, e_0 e_1^T) by one
+    Cholesky solve for its block B; needs m_h from poincare_constant."""
     if ops.m_h is None:
         raise PreconditionError("corrector needs m_h; run poincare_constant")
     chol = sla.cho_factor(ops.m_h * np.eye(ops.n_x) - ops.lo_x)
-    block = sla.cho_solve(chol, ops.grad_x.T)
-    e01 = sp.csr_matrix(([1.0], ([0], [1])), shape=(ops.n_v, ops.n_v))
-    matrix = sp.kron(block, e01, format="csr")
-    return Corrector(ops=ops, block=block, matrix=matrix)
+    return Corrector(ops=ops, block=sla.cho_solve(chol, ops.grad_x.T))
 
 
 @dataclass

@@ -5,6 +5,7 @@ parts; tests treat these objects as read-only.
 """
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import hypolab as hl
 
@@ -82,6 +83,55 @@ def quad_trace(ops_quad, corr_quad, tuned_quad):
         eps=tuned_quad.eps_star,
         Lambda=tuned_quad.Lambda,
     )
+
+
+def phase_lo(ops):
+    """L_o (x) I on the phase space, from the position factor lo_x.  The
+    program never assembles it: it is the tests' phase-space reference."""
+    return sp.kron(sp.csr_matrix(ops.lo_x), sp.identity(ops.n_v), format="csr")
+
+
+def phase_pi_v(ops):
+    """Pi_v = I (x) e_0 e_0^T, the projection on Hermite mode 0 (the velocity
+    average); the program zeroes mode 0's entries instead."""
+    e00 = sp.csr_matrix(([1.0], ([0], [0])), shape=(ops.n_v, ops.n_v))
+    return sp.kron(sp.identity(ops.n_x), e00, format="csr")
+
+
+def lift_position(ops, values):
+    """Orthonormalized phase-space state of a pure-position function."""
+    state = np.zeros((ops.n_x, ops.n_v))
+    state[:, 0] = ops.grid.sqrt_weights * np.asarray(values, dtype=float)
+    return state.ravel()
+
+
+def spmax(matrix):
+    """Largest absolute entry of a sparse matrix (0 when it has none)."""
+    m = abs(matrix)
+    return float(m.max()) if m.nnz else 0.0
+
+
+def phase_identities(ops):
+    """Residuals of the assembly identities that hold by construction, on
+    phase_lo and phase_pi_v: symmetry and projector algebra, the transport
+    average adjoint (L_a Pi_v)^T = -Pi_v L_a, the sandwich Pi_v L_a Pi_v = 0,
+    ker L_s = ran Pi_v with rate >= 1 on every other mode, and the Gaussian
+    velocity Poincare inequality, which is k >= 1 on Hermite modes k >= 1."""
+    la, ls, lo, pi = ops.la, ops.ls, phase_lo(ops), phase_pi_v(ops)
+    k = ops.basis.eigenvalues
+    fast_rates = -ls.diagonal()[np.tile(k >= 1, ops.n_x)]
+    return {
+        "ls_symmetry": spmax(ls - ls.T),
+        "lo_symmetry": spmax(lo - lo.T),
+        "pi_idempotent": spmax(pi @ pi - pi),
+        "pi_symmetric": spmax(pi - pi.T),
+        "pi_commutes_lo": spmax(pi @ lo - lo @ pi),
+        "transport_average_adjoint": spmax((la @ pi).T + pi @ la),
+        "average_sandwich_zero": spmax(pi @ la @ pi),
+        "ls_kernel_is_ran_pi": spmax(ls @ pi),
+        "ls_gap_on_fast_modes": float(max(0.0, 1.0 - fast_rates.min())),
+        "velocity_poincare": float(max(0.0, np.max((k >= 1) * 1.0 - k))),
+    }
 
 
 def dissipation_form(functional):

@@ -544,6 +544,30 @@ class TestMain:
         assert verdict["margin"] == 1e-12 - exact["la_antisymmetry"]
         assert code == 1
 
+    def test_broken_mode_zero_block_fails_structure_exact(self, monkeypatch,
+                                                          tmp_path):
+        # antisymmetric, so only the sandwich on la's mode-0 block sees it
+        assemble_operators = cli.assemble_operators
+
+        def broken(grid, basis):
+            ops = assemble_operators(grid, basis)
+            la = ops.la.tolil()
+            la[0, ops.n_v] += 1e-6
+            la[ops.n_v, 0] -= 1e-6
+            ops.la = la.tocsr()
+            return ops
+
+        monkeypatch.setattr(cli, "assemble_operators", broken)
+        code = cli.main(["verify", "--nx", "32", "--nv", "6", "--out", str(tmp_path)])
+        data = json.loads((tmp_path / "report.json").read_text())
+        statuses = {v["name"]: v["status"] for v in data["verdicts"]}
+        exact = data["results"]["structure"]["exact"]
+        assert exact["la_antisymmetry"] == 0.0
+        assert exact["average_sandwich_zero"] == pytest.approx(1e-6, rel=1e-6)
+        assert statuses["structure_exact"] == "fail"
+        assert [k for k, v in statuses.items() if v == "fail"] == ["structure_exact"]
+        assert code == 1
+
     def test_missing_config_file_is_io_error(self):
         assert cli.main(["gap", "--config", "/nonexistent/x.conf"]) == 4
 

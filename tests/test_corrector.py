@@ -11,7 +11,14 @@ from hypolab.cli import main
 from hypolab.corrector import dissipation_apply
 from hypolab.errors import NumericalError
 
-from conftest import dissipation_block, dissipation_form, make_ops, random_mean_zero
+from conftest import (
+    dissipation_block,
+    dissipation_form,
+    make_ops,
+    phase_lo,
+    phase_pi_v,
+    random_mean_zero,
+)
 
 
 def functional(corr, eps, gamma=4.0):
@@ -45,32 +52,40 @@ class TestBuildCorrector:
         assert np.abs(corr_quad.block - expected).max() <= (
             1e-12 * np.abs(expected).max())
 
+    def test_matrix_is_built_only_when_read(self, ops_quad_small):
+        corr = hl.build_corrector(ops_quad_small)
+        assert "matrix" not in corr.__dict__
+        e01 = np.zeros((ops_quad_small.n_v, ops_quad_small.n_v))
+        e01[0, 1] = 1.0
+        assert np.array_equal(corr.matrix.toarray(), np.kron(corr.block, e01))
+        assert corr.matrix is corr.__dict__["matrix"]
+
     def test_annihilates_constants(self, corr_quad, ops_quad):
         assert np.abs(corr_quad.matrix @ ops_quad.const_vec).max() <= 1e-12
 
     def test_kills_velocity_averaged_states(self, corr_quad, ops_quad):
         f = random_mean_zero(ops_quad, 5)
-        slow = ops_quad.pi_v @ f
+        slow = phase_pi_v(ops_quad) @ f
         assert np.abs(corr_quad.matrix @ slow).max() <= 1e-12
 
     def test_range_in_velocity_average(self, corr_quad, ops_quad):
         f = random_mean_zero(ops_quad, 6)
         af = corr_quad.matrix @ f
-        assert np.abs(af - ops_quad.pi_v @ af).max() <= 1e-12
+        assert np.abs(af - phase_pi_v(ops_quad) @ af).max() <= 1e-12
 
     def test_structure_for_every_potential(self, corr_quad, corr_dw, ops_cos):
         corr_cos = hl.build_corrector(ops_cos)
         for corr in (corr_quad, corr_dw, corr_cos):
-            ops = corr.ops
-            f = random_mean_zero(ops, 21)
+            pi = phase_pi_v(corr.ops)
+            f = random_mean_zero(corr.ops, 21)
             af = corr.matrix @ f
-            assert np.abs(af - ops.pi_v @ af).max() <= 1e-12
-            assert np.abs(corr.matrix @ (ops.pi_v @ f)).max() <= 1e-12
+            assert np.abs(af - pi @ af).max() <= 1e-12
+            assert np.abs(corr.matrix @ (pi @ f)).max() <= 1e-12
 
     def test_identity_on_slow_transport(self, corr_quad, ops_quad):
         # A (L_a Pi_v) agrees with the resolvent form (m - L_o)^{-1}(-L_o) Pi_v
         # exactly: the assembly closes the product identity.
-        lapi = (ops_quad.la @ ops_quad.pi_v).tocsr()
+        lapi = (ops_quad.la @ phase_pi_v(ops_quad)).tocsr()
         lhs = (corr_quad.matrix @ lapi).toarray()
         m = ops_quad.m_h
         n_x = ops_quad.n_x
@@ -85,11 +100,11 @@ class TestBuildCorrector:
 
     def test_substituted_product_identity(self, corr_quad, ops_quad):
         # same comparison with the derived product (L_a Pi_v)^T (L_a Pi_v)
-        lapi = (ops_quad.la @ ops_quad.pi_v).tocsr()
+        lapi = (ops_quad.la @ phase_pi_v(ops_quad)).tocsr()
         lhs = (corr_quad.matrix @ lapi).toarray()
         m = ops_quad.m_h
         prod = (lapi.T @ lapi).toarray()
-        shifted = m * np.eye(ops_quad.n) - ops_quad.lo.toarray()
+        shifted = m * np.eye(ops_quad.n) - phase_lo(ops_quad).toarray()
         rhs = sla.solve(shifted, prod, assume_a="pos")
         scale = np.abs(ops_quad.lo_x).max()
         assert np.abs(lhs - rhs).max() <= 1e-10 * scale
@@ -181,7 +196,7 @@ def mode_loop_corrector(ops):
     (m_h - L_o)^{-1} (L_a Pi_v)^T, without using its block structure."""
     n_x, n_v = ops.n_x, ops.n_v
     chol = sla.cho_factor(ops.m_h * np.eye(n_x) - ops.lo_x)
-    rhs = (-(ops.pi_v @ ops.la)).tocsr()
+    rhs = (-(phase_pi_v(ops) @ ops.la)).tocsr()
     matrix = sp.csr_matrix((ops.n, ops.n))
     rows = np.arange(n_x)
     for k in range(n_v):
@@ -218,7 +233,7 @@ class TestBlockReduction:
 
     def test_block_norms_match_full_dense_svd(self, corr_small):
         ops, A = corr_small.ops, corr_small.matrix
-        fast = sp.identity(ops.n, format="csr") - ops.pi_v
+        fast = sp.identity(ops.n, format="csr") - phase_pi_v(ops)
         full = [
             sla.svdvals(m.toarray())[0]
             for m in (A, ops.la @ A, A @ ops.la @ fast)

@@ -5,7 +5,14 @@ import scipy.linalg as sla
 import hypolab as hl
 from hypolab.errors import DegenerateGapError, DomainTooSmallError, WeightUnderflowError
 
-from conftest import make_ops, random_mean_zero
+from conftest import (
+    lift_position,
+    make_ops,
+    phase_identities,
+    phase_lo,
+    phase_pi_v,
+    random_mean_zero,
+)
 
 # dense symmetric eigensolve oracle values, recorded before the main build
 ORACLE_GAPS = {
@@ -86,12 +93,28 @@ class TestAssembly:
         assert abs(ops_quad.la + ops_quad.la.T).max() == 0.0
 
     def test_average_sandwich_zero(self, ops_quad):
-        resid = abs(ops_quad.pi_v @ ops_quad.la @ ops_quad.pi_v)
+        pi = phase_pi_v(ops_quad)
+        resid = abs(pi @ ops_quad.la @ pi)
         assert (resid.max() if resid.nnz else 0.0) <= 1e-14
 
     def test_transport_average_adjoint(self, ops_quad):
-        resid = abs((ops_quad.la @ ops_quad.pi_v).T + ops_quad.pi_v @ ops_quad.la)
+        pi = phase_pi_v(ops_quad)
+        resid = abs((ops_quad.la @ pi).T + pi @ ops_quad.la)
         assert (resid.max() if resid.nnz else 0.0) <= 1e-14
+
+    @pytest.mark.parametrize("name", ["quad", "dw", "cos"])
+    def test_identities_that_hold_by_construction(self, name, request):
+        # checked here, on the phase-space L_o and Pi_v, once: the run neither
+        # assembles those matrices nor re-checks integer arithmetic
+        ops = request.getfixturevalue(f"ops_{name}")
+        identities = phase_identities(ops)
+        assert len(identities) == 10
+        assert max(identities.values()) <= 1e-12
+        assert identities["ls_gap_on_fast_modes"] == 0.0
+        assert identities["velocity_poincare"] == 0.0
+        # the sandwich on the phase space is the check the run makes on la
+        exact = hl.check_structure(ops)["exact"]
+        assert identities["average_sandwich_zero"] == exact["average_sandwich_zero"]
 
     def test_lo_kernel_is_constant(self, ops_quad):
         sq = ops_quad.grid.sqrt_weights
@@ -189,7 +212,11 @@ class TestComposeGenerator:
 class TestStructureReport:
     def test_all_exact_checks_pass(self, ops_quad):
         report = hl.check_structure(ops_quad)
-        assert report.worst_exact() <= 1e-12
+        assert set(report) == {"exact", "recorded"}
+        assert set(report["exact"]) == {
+            "la_antisymmetry", "average_sandwich_zero", "generator_kills_constants"
+        }
+        assert max(report["exact"].values()) <= 1e-12
 
     def test_velocity_poincare_mode_three(self, ops_quad_small):
         # mode-3 state: fast part is the whole state, gradient norm is 3x;
@@ -198,7 +225,7 @@ class TestStructureReport:
         state = np.zeros((ops.n_x, ops.n_v))
         state[:, 3] = ops.grid.sqrt_weights
         f = state.ravel()
-        fast = f - ops.pi_v @ f
+        fast = f - phase_pi_v(ops) @ f
         assert np.linalg.norm(fast) ** 2 == pytest.approx(1.0, rel=1e-12)
         gv = state @ ops.basis.lowering.T
         assert np.linalg.norm(gv) ** 2 == pytest.approx(3.0, rel=1e-12)
@@ -207,11 +234,11 @@ class TestStructureReport:
         # <f, -L_o g> = <L_a f, L_a g> for pure-position states: exact with
         # the ladder assembly (the two sides share the same stencil)
         report = hl.check_structure(ops_quad)
-        assert report.recorded["lifted_dirichlet_residual"] <= 1e-12
+        assert report["recorded"]["lifted_dirichlet_residual"] <= 1e-12
         x = ops_quad.grid.nodes
-        f = ops_quad.lift_position(x**2)
-        g = ops_quad.lift_position(np.sin(x))
-        lhs = f @ (-(ops_quad.lo @ g))
+        f = lift_position(ops_quad, x**2)
+        g = lift_position(ops_quad, np.sin(x))
+        lhs = f @ (-(phase_lo(ops_quad) @ g))
         rhs = (ops_quad.la @ f) @ (ops_quad.la @ g)
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
 
@@ -219,18 +246,43 @@ class TestStructureReport:
         # against the suite's largest side the residual reads at roundoff
         for ops in (ops_quad, ops_dw, ops_cos):
             report = hl.check_structure(ops)
-            assert report.recorded["fourth_moment_relative"] <= 1e-12
+            assert report["recorded"]["fourth_moment_relative"] <= 1e-12
+
+    @pytest.mark.parametrize("name", ["quad", "dw", "cos"])
+    def test_recorded_residuals_match_phase_space_forms(self, name, request):
+        # the residuals read on mode 0's position vector equal the phase-space
+        # formulas with L_o (x) I and Pi_v, up to summation order
+        ops = request.getfixturevalue(f"ops_{name}")
+        lo, pi = phase_lo(ops), phase_pi_v(ops)
+        lapi = (ops.la @ pi).tocsr()
+        lift, gaps, sides = 0.0, [], []
+        for key, values in hl.bochner_test_suite(ops.grid).items():
+            if key == "one":
+                continue
+            f = lift_position(ops, values)
+            f = f / np.linalg.norm(f)
+            lift = max(lift, np.linalg.norm(lapi.T @ (lapi @ f) + lo @ (pi @ f)))
+            la2 = ops.la @ (ops.la @ f)
+            d2 = ops.grad_x @ (ops.grad_x @ f[::ops.n_v])
+            gaps.append(abs(np.linalg.norm(la2 - pi @ la2) ** 2
+                            - 2 * np.linalg.norm(d2) ** 2))
+            sides.append(2 * np.linalg.norm(d2) ** 2)
+        recorded = hl.check_structure(ops)["recorded"]
+        assert abs(recorded["lifted_dirichlet_residual"] - lift) <= 1e-12
+        assert abs(recorded["fourth_moment_relative"] - max(gaps) / max(sides)) \
+            <= 1e-14
 
     def test_dirichlet_closure_on_random_states(self, ops_quad, ops_dw):
         # (L_a Pi)^T (L_a Pi) f = -L_o Pi f holds for arbitrary states, not
         # just smooth ones: the two sides share the same stencil
         for ops in (ops_quad, ops_dw):
-            lapi = (ops.la @ ops.pi_v).tocsr()
-            scale = abs(ops.lo).max()
+            lo, pi = phase_lo(ops), phase_pi_v(ops)
+            lapi = (ops.la @ pi).tocsr()
+            scale = abs(lo).max()
             for seed in range(5):
                 f = random_mean_zero(ops, 300 + seed)
                 lhs = lapi.T @ (lapi @ f)
-                rhs = -(ops.lo @ (ops.pi_v @ f))
+                rhs = -(lo @ (pi @ f))
                 assert np.abs(lhs - rhs).max() <= 1e-12 * scale
 
     def test_broken_assembly_detected(self, ops_quad_small):
@@ -241,9 +293,26 @@ class TestStructureReport:
         perturbation[0, 1] += 1e-6
         broken.la = perturbation.tocsr()
         # the residuals are returned for the report, not raised
-        report = hl.check_structure(broken)
-        assert report.exact["la_antisymmetry"] == pytest.approx(1e-6, rel=1e-6)
-        assert report.worst_exact() == report.exact["la_antisymmetry"]
+        exact = hl.check_structure(broken)["exact"]
+        assert exact["la_antisymmetry"] == pytest.approx(1e-6, rel=1e-6)
+        assert max(exact.values()) == exact["la_antisymmetry"]
+
+    def test_broken_mode_zero_block_detected(self, ops_quad_small):
+        # an antisymmetric coupling between mode 0 at two nodes keeps la
+        # antisymmetric; the sandwich read off la's mode-0 -> mode-0 block
+        # sees it at full size
+        import copy
+
+        broken = copy.copy(ops_quad_small)
+        n_v = broken.n_v
+        perturbation = broken.la.tolil()
+        perturbation[0, n_v] += 1e-6
+        perturbation[n_v, 0] -= 1e-6
+        broken.la = perturbation.tocsr()
+        exact = hl.check_structure(broken)["exact"]
+        assert exact["la_antisymmetry"] == 0.0
+        assert exact["average_sandwich_zero"] == pytest.approx(1e-6, rel=1e-6)
+        assert max(exact.values()) == exact["average_sandwich_zero"]
 
     def test_nv_truncation_does_not_move_slow_mode(self):
         # slow branch lives on low Hermite modes; truncation level is inert
