@@ -52,7 +52,7 @@ from .evolve import (
     verify_decay_bound,
 )
 from .model import POTENTIAL_KINDS, Potential, default_domain, gibbs_model
-from .sampler import SdeConfig, estimate_observable_decay, run_ensemble
+from .sampler import MIN_FIT_SAMPLES, SdeConfig, estimate_observable_decay, run_ensemble
 from .tuning import (
     TuningResult,
     check_ratio_consistency,
@@ -552,25 +552,34 @@ def _stage_sweep(ws: _Workspace, report: RunReport):
     report.timings["sweep"] = time.perf_counter() - t0
 
 
-def _check_sampled_gammas(command: str, ws: _Workspace):
-    """The sampler's guard sde.dt * gamma < 1 (BAOAB), for each gamma the run
-    samples at, before any stage runs; the message names the key to change.
-    A run that does not sample is not held to sde.dt."""
+def _check_sampling(command: str, ws: _Workspace):
+    """The sampler's static preconditions, for a run that samples, before any
+    stage; each message names its key.  BAOAB needs sde.dt * gamma < 1 at
+    each sampled gamma; the decay fit (of a sample sweep, and of the quadratic
+    from a shifted start) needs MIN_FIT_SAMPLES records and that start."""
     cfg = ws.cfg
-    if command == "sweep" and cfg.sweep_target == "sample":
+    sweep = command == "sweep" and cfg.sweep_target == "sample"
+    if not sweep and command not in ("sample", "all"):
+        return
+    if sweep and cfg.sde_init_shift == 0.0:
+        raise ConfigurationError("sde.init_shift: a sample sweep fits the decay "
+                                 "from the shifted start, so it must be nonzero")
+    records = cfg.sde_steps // cfg.sde_record_every + 1
+    if records < MIN_FIT_SAMPLES and (sweep or (
+            ws.potential.kind == "quadratic" and cfg.sde_init_shift != 0.0)):
+        raise ConfigurationError(f"sde.steps: the decay fit needs {MIN_FIT_SAMPLES} "
+                                 f"records, and steps // record_every + 1 = {records}")
+    if sweep:
         sampled = [("sweep.gammas", g) for g in cfg.sweep_gammas]
-    elif command in ("sample", "all"):
+    else:
         key = "tuning.gamma" if cfg.tuning_gamma is not None else (
             "tuning.gamma (unset, so gamma*)")
         sampled = [(key, ws.gamma)]
-    else:
-        return
     for key, gamma in sampled:
         if cfg.sde_dt * gamma >= 1.0:
             raise ConfigurationError(
                 f"{key}: the sampler needs sde.dt * gamma < 1, and "
-                f"{cfg.sde_dt:g} * {gamma:g} = {cfg.sde_dt * gamma:g}"
-            )
+                f"{cfg.sde_dt:g} * {gamma:g} = {cfg.sde_dt * gamma:g}")
 
 
 def run_experiment(command: str, cfg: ExperimentConfig) -> RunReport:
@@ -578,7 +587,7 @@ def run_experiment(command: str, cfg: ExperimentConfig) -> RunReport:
         raise ConfigurationError(f"unknown subcommand {command!r}")
     report = RunReport(version=__version__, command=command, config=dict(cfg.echo()))
     ws = _Workspace(cfg)
-    _check_sampled_gammas(command, ws)
+    _check_sampling(command, ws)
     stages = {
         "gap": (_stage_gap,),
         "tune": (_stage_tune,),

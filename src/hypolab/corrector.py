@@ -3,8 +3,8 @@
 The corrector is the paper's A_m = (m - L_o)^{-1} (L_a Pi_v)^T, shifted by
 the discrete gap m = m_h.  (L_a Pi_v)^T = -Pi_v L_a = kron(Grad^T, e_0 e_1^T)
 maps Hermite mode 1 to mode 0 only, so A = kron(B, e_0 e_1^T) with the
-n_x x n_x position block B = (m_h - L_o)^{-1} Grad^T: one Cholesky solve of
-the shifted position operator, SPD because m_h > 0.
+n_x x n_x position block B = (m_h - L_o)^{-1} Grad^T: one banded Cholesky
+solve of the shifted position operator, tridiagonal and SPD because m_h > 0.
 
 Verified bounds, each the norm of one position block of the ladder algebra
 (L_a A maps mode 1 to mode 1; A L_a (1 - Pi_v) maps mode 2 to mode 0 through
@@ -127,11 +127,12 @@ class Corrector:
 
 def build_corrector(ops: OperatorSet) -> Corrector:
     """A = (m_h I - L_o)^{-1} (L_a Pi_v)^T = kron(B, e_0 e_1^T) by one
-    Cholesky solve for its block B; needs m_h from poincare_constant."""
+    banded Cholesky solve for its block B; needs m_h from poincare_constant."""
     if ops.m_h is None:
         raise PreconditionError("corrector needs m_h; run poincare_constant")
-    chol = sla.cho_factor(ops.m_h * np.eye(ops.n_x) - ops.lo_x)
-    return Corrector(ops=ops, block=sla.cho_solve(chol, ops.grad_x.T))
+    diag, upper = ops.lo_bands
+    bands = np.vstack((np.r_[0.0, upper], ops.m_h + diag))  # upper form
+    return Corrector(ops=ops, block=sla.solveh_banded(bands, ops.grad_x.T.toarray()))
 
 
 @dataclass

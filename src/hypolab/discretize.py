@@ -6,11 +6,11 @@ vector (sqrt(w_i) * F[i, k]).ravel() (position index major), so the weighted
 L^2(mu) inner product is the plain dot product and weighted adjoints are plain
 transposes.  The constant function 1 is the unit vector sqrt(w) (x) e_0.
 
-Operator factorization over kron(position, velocity):
+Operator factorization over kron(position, velocity), every factor sparse:
 
-    Grad    = forward-difference gradient on the position factor
+    Grad    = forward-difference gradient on the position factor, bidiagonal
               (stops at the last node; kills the constant exactly)
-    L_o     = -Grad^T Grad                (self-adjoint, <= 0, simple kernel)
+    L_o     = -Grad^T Grad     (tridiagonal, self-adjoint, <= 0, simple kernel)
     L_s     = -number operator            (diagonal, entry -k on Hermite mode k)
     L_a     = kron(Grad, raise) - kron(Grad^T, lower)
 
@@ -91,44 +91,38 @@ def build_grid(model: GibbsModel, half_width: float, n_x: int) -> WeightedGrid:
 class HermiteBasis:
     """Truncated Hermite ladder data in velocity.
 
-    lowering maps mode k to sqrt(k) * mode (k-1)  (the derivative d/dv);
-    raising is its transpose; eigenvalues k of the number operator
-    raising @ lowering.
+    lowering, one CSR superdiagonal, maps mode k to sqrt(k) * mode (k-1)
+    (the derivative d/dv); its transpose raises; eigenvalues k of the number
+    operator lowering.T @ lowering.
     """
 
     n_v: int
     eigenvalues: np.ndarray
-    lowering: np.ndarray
-    raising: np.ndarray
+    lowering: sp.csr_matrix
 
 
 def build_velocity_basis(n_v: int) -> HermiteBasis:
-    k = np.arange(n_v)
-    lowering = np.diag(np.sqrt(k[1:].astype(float)), 1)
-    return HermiteBasis(
-        n_v=n_v,
-        eigenvalues=k.astype(float),
-        lowering=lowering,
-        raising=lowering.T.copy(),
-    )
+    k = np.arange(n_v, dtype=float)
+    return HermiteBasis(n_v=n_v, eigenvalues=k,
+                        lowering=sp.diags(np.sqrt(k[1:]), 1, format="csr"))
 
 
 @dataclass
 class OperatorSet:
     """The discretized operators the run uses, plus the discrete gap.
 
-    Position-factor matrices are dense (n_x small): grad_x, and lo_x =
-    -Grad_x^T Grad_x (negative semidefinite, matching the sign of the
-    overdamped generator), which stands for L_o on mode 0.  The phase-space
-    la and ls, the two parts of the generator, are sparse CSR.  m_h is
-    filled by poincare_constant.
+    Every matrix is sparse CSR: the position factors grad_x (bidiagonal)
+    and lo_x = -Grad_x^T Grad_x (tridiagonal, negative semidefinite,
+    matching the sign of the overdamped generator), which stands for L_o on
+    mode 0, and the phase-space la and ls, the two parts of the generator.
+    m_h is filled by poincare_constant.
     """
 
     grid: WeightedGrid
     basis: HermiteBasis
     n: int
-    grad_x: np.ndarray
-    lo_x: np.ndarray
+    grad_x: sp.csr_matrix
+    lo_x: sp.csr_matrix
     la: sp.csr_matrix
     ls: sp.csr_matrix
     const_vec: np.ndarray
@@ -145,8 +139,8 @@ class OperatorSet:
     @property
     def lo_bands(self) -> tuple[np.ndarray, np.ndarray]:
         """Diagonal and superdiagonal of -L_o = Grad^T Grad, which is
-        tridiagonal because Grad is bidiagonal: what its eigensolves read."""
-        return -np.diag(self.lo_x), -np.diag(self.lo_x, 1)
+        tridiagonal because Grad is bidiagonal: what its solves read."""
+        return -self.lo_x.diagonal(), -self.lo_x.diagonal(1)
 
     def mean(self, f: np.ndarray) -> float:
         """Weighted mean <1, f>_mu in orthonormalized coordinates."""
@@ -161,21 +155,15 @@ def assemble_operators(grid: WeightedGrid, basis: HermiteBasis) -> OperatorSet:
     n_x, n_v = grid.n_x, basis.n_v
     h, sq = grid.spacing, grid.sqrt_weights
 
-    grad_x = np.zeros((n_x, n_x))
-    idx = np.arange(n_x - 1)
-    grad_x[idx, idx] = -1.0 / h
-    grad_x[idx, idx + 1] = sq[:-1] / sq[1:] / h
+    # the last row is empty (stops at the last node): CSR drops its 0.0
+    grad_x = sp.diags([np.r_[np.full(n_x - 1, -1.0 / h), 0.0], sq[:-1] / sq[1:] / h],
+                      [0, 1], format="csr")
+    # each entry is one product or a sum of two: symmetric exactly as built
+    lo_x = -(grad_x.T @ grad_x).tocsr()
 
-    lo_x = -(grad_x.T @ grad_x)
-    lo_x = (lo_x + lo_x.T) / 2  # exact symmetry regardless of BLAS order
-
-    gx = sp.csr_matrix(grad_x)
-    low = sp.csr_matrix(basis.lowering)
-    high = sp.csr_matrix(basis.raising)
-    ix = sp.identity(n_x, format="csr")
-
-    la = (sp.kron(gx, high) - sp.kron(gx.T, low)).tocsr()
-    ls = sp.kron(ix, sp.diags(-basis.eigenvalues), format="csr")
+    low = basis.lowering
+    la = (sp.kron(grad_x, low.T) - sp.kron(grad_x.T, low)).tocsr()
+    ls = sp.kron(sp.identity(n_x), sp.diags(-basis.eigenvalues), format="csr")
 
     const = np.zeros((n_x, n_v))
     const[:, 0] = sq
@@ -235,10 +223,9 @@ def check_structure(ops: OperatorSet) -> dict:
     pivot-free argument and the Lyapunov identity use it), its mode-0 ->
     mode-0 block Pi_v L_a Pi_v (zero in the corrector algebra), and
     L 1 = 0.  recorded, on a smooth pure-position test suite of unit states
-    with mode-0 vector h: the lifted Dirichlet identity
-    (L_a Pi_v)^T (L_a Pi_v) h = -L_o h, and the Gaussian fourth-moment
-    consequence ||(1 - Pi_v) L_a^2 h||^2 = 2 ||D^2 h||^2, relative to the
-    largest right-hand side of the suite.
+    with mode-0 vector h: (L_a Pi_v)^T (L_a Pi_v) h = -L_o h over max |L_o|
+    (both sides scale like 1/h^2), and ||(1 - Pi_v) L_a^2 h||^2 =
+    2 ||D^2 h||^2 over the largest right-hand side of the suite.
     """
     la, n_v = ops.la, ops.n_v
     la0 = la[:, ::n_v]  # L_a Pi_v as a map from mode 0's position vector
@@ -269,7 +256,7 @@ def check_structure(ops: OperatorSet) -> dict:
         moment_gaps.append(abs(left - right))
         moment_sides.append(right)
     recorded = {
-        "lifted_dirichlet_residual": lift_worst,
+        "lifted_dirichlet_residual": lift_worst / _spmax(ops.lo_x),
         # against the suite's largest side: a function whose D^2 h is roundoff
         # (hermite1) would otherwise report the relative error of two roundoffs
         "fourth_moment_relative": float(max(moment_gaps) / max(moment_sides)),

@@ -38,6 +38,7 @@ from .model import Potential, eval_potential, potential_gradient
 
 CHUNK = 4096  # trajectories advanced together
 BLOCK = 256  # steps advanced, and drawn per stream, before a reduction
+MIN_FIT_SAMPLES = 8  # records above the noise floor a decay fit needs
 
 
 def default_observables(potential: Potential) -> dict:
@@ -227,7 +228,8 @@ def estimate_observable_decay(cfg: SdeConfig) -> float:
         raise InsufficientSignalError(
             "observable bias is below 5 standard errors at t = 0"
         )
-    if mask.sum() < 8:
-        raise InsufficientSignalError("fewer than 8 samples above the noise floor")
+    if mask.sum() < MIN_FIT_SAMPLES:
+        raise InsufficientSignalError(
+            f"fewer than {MIN_FIT_SAMPLES} samples above the noise floor")
     slope = np.polyfit(trace.times[mask], np.log(bias[mask]), 1)[0]
     return float(-slope)

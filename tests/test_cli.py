@@ -523,6 +523,35 @@ class TestMain:
         assert cli.main([command, "--config", str(conf)]) == 2
         assert f"{key}: the sampler needs sde.dt * gamma < 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, text, key", [
+        ("sample", "sde.steps = 50\n", "sde.steps"),
+        ("all", "sde.steps = 50\n", "sde.steps"),
+        ("sweep", "sde.steps = 60\nsde.record_every = 10\n", "sde.steps"),
+        ("sweep", "sde.init_shift = 0\n", "sde.init_shift"),
+    ], ids=["sample-records", "all-records", "sweep-records", "sweep-no-shift"])
+    def test_decay_fit_preconditions_exit_2_before_sampling(
+            self, command, text, key, tmp_path, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("an ensemble ran before the decay fit's check")
+
+        monkeypatch.setattr(cli, "run_ensemble", no_work)
+        monkeypatch.setattr(sampler, "run_ensemble", no_work)
+        conf = tmp_path / "fit.conf"
+        conf.write_text(text)
+        assert cli.main([command, "--config", str(conf)]) == 2
+        assert f"configuration error: {key}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, raw", [
+        ("sample", {"sde.steps": "50", "potential.kind": "double_well"}),
+        ("sample", {"sde.steps": "50", "sde.init_shift": "0"}),
+        ("sweep", {"sde.steps": "50", "sweep.target": "evolve"}),
+        ("evolve", {"sde.steps": "50"}),
+        ("sweep", {"sde.steps": str((sampler.MIN_FIT_SAMPLES - 1) * 10)}),
+    ])
+    def test_decay_fit_preconditions_only_where_a_fit_runs(self, command, raw):
+        ws = cli._Workspace(cli.build_config(raw))
+        cli._check_sampling(command, ws)  # does not raise
+
     def test_broken_assembly_fails_with_its_residuals(self, monkeypatch, tmp_path,
                                                       capsys):
         assemble_operators = cli.assemble_operators

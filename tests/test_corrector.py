@@ -40,15 +40,16 @@ def dissipation(f, corr, eps, gamma):
 
 def position_eigenpair(ops, index=1):
     """Eigenpair of -L_o on the position factor (index 0 is the kernel)."""
-    vals, vecs = sla.eigh(-ops.lo_x)
+    vals, vecs = sla.eigh(-ops.lo_x.toarray())
     return vals[index], vecs[:, index]
 
 
 class TestBuildCorrector:
     def test_default_shift_is_gap(self, ops_quad, corr_quad):
         # B = (m_h I - L_o)^{-1} Grad^T by a general LU solve
-        expected = sla.solve(ops_quad.m_h * np.eye(ops_quad.n_x) - ops_quad.lo_x,
-                             ops_quad.grad_x.T)
+        expected = sla.solve(
+            ops_quad.m_h * np.eye(ops_quad.n_x) - ops_quad.lo_x.toarray(),
+            ops_quad.grad_x.T.toarray())
         assert np.abs(corr_quad.block - expected).max() <= (
             1e-12 * np.abs(expected).max())
 
@@ -89,9 +90,8 @@ class TestBuildCorrector:
         lhs = (corr_quad.matrix @ lapi).toarray()
         m = ops_quad.m_h
         n_x = ops_quad.n_x
-        resolvent = sla.solve(
-            m * np.eye(n_x) - ops_quad.lo_x, -ops_quad.lo_x, assume_a="pos"
-        )
+        lo = ops_quad.lo_x.toarray()
+        resolvent = sla.solve(m * np.eye(n_x) - lo, -lo, assume_a="pos")
         e00 = np.zeros((ops_quad.n_v, ops_quad.n_v))
         e00[0, 0] = 1.0
         rhs = np.kron(resolvent, e00)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 import hypolab as hl
 from hypolab.errors import DegenerateGapError, DomainTooSmallError, WeightUnderflowError
@@ -78,13 +79,14 @@ class TestVelocityBasis:
                 expected += np.sqrt(k + 1) * eye[k + 1]
             if k >= 1:
                 expected += np.sqrt(k) * eye[k - 1]
-            np.testing.assert_array_equal((b.lowering + b.raising) @ eye[k],
+            np.testing.assert_array_equal((b.lowering + b.lowering.T) @ eye[k],
                                           expected)
 
     def test_number_operator_is_raise_lower(self):
         b = hl.build_velocity_basis(9)
         np.testing.assert_allclose(
-            b.raising @ b.lowering, np.diag(b.eigenvalues), atol=1e-15
+            (b.lowering.T @ b.lowering).toarray(), np.diag(b.eigenvalues),
+            atol=1e-15
         )
 
 
@@ -119,7 +121,7 @@ class TestAssembly:
     def test_lo_kernel_is_constant(self, ops_quad):
         sq = ops_quad.grid.sqrt_weights
         assert np.abs(ops_quad.grad_x @ sq).max() <= 1e-13
-        ev = sla.eigvalsh(-ops_quad.lo_x)
+        ev = sla.eigvalsh(-ops_quad.lo_x.toarray())
         assert ev[0] <= 1e-12 and ev[1] > 1e-3  # simple kernel
 
     def test_ls_spectrum(self, ops_quad):
@@ -133,6 +135,32 @@ class TestAssembly:
         L = hl.compose_generator(ops_quad, 3.0)
         assert np.abs(L @ u).max() <= 1e-13
         assert np.abs(L.T @ u).max() <= 1e-13
+
+
+class TestSparseFormat:
+    @pytest.mark.parametrize("name", ["quad", "dw", "cos"])
+    def test_every_factor_is_sparse_and_exact(self, name, request):
+        ops = request.getfixturevalue(f"ops_{name}")
+        lowering = ops.basis.lowering
+        for matrix in (ops.grad_x, ops.lo_x, lowering):
+            assert sp.issparse(matrix)
+        assert (ops.lo_x != ops.lo_x.T).nnz == 0  # symmetric as built
+        g = ops.grad_x.toarray()
+        gtg = g.T @ g
+        diag, upper = ops.lo_bands
+        scale = np.abs(gtg).max()
+        assert np.abs(diag - np.diag(gtg)).max() <= 1e-14 * scale
+        assert np.abs(upper - np.diag(gtg, 1)).max() <= 1e-14 * scale
+        # the banded solve against a dense LU solve
+        block = hl.build_corrector(ops).block
+        dense = sla.solve(ops.m_h * np.eye(ops.n_x) - ops.lo_x.toarray(), g.T)
+        assert np.abs(block - dense).max() <= 1e-13 * np.abs(dense).max()
+        # lowering^T lowering is diagonal by pattern; sqrt(k)^2 rounds to k
+        # within an ulp or so, not exactly (sqrt(2)^2 = 2 + 4.4e-16)
+        number = (lowering.T @ lowering).tocoo()
+        assert np.array_equal(number.row, number.col)
+        np.testing.assert_allclose(number.toarray(), np.diag(ops.basis.eigenvalues),
+                                   rtol=2 * np.finfo(float).eps, atol=0)
 
 
 class TestPoincare:
@@ -173,14 +201,14 @@ class TestPoincare:
     )
     def test_tridiagonal_gap_matches_dense(self, pot, n_x):
         ops = make_ops(pot, n_x=n_x, n_v=4)
-        dense = sla.eigvalsh(-ops.lo_x)[1]
+        dense = sla.eigvalsh(-ops.lo_x.toarray())[1]
         assert abs(ops.m_h - dense) <= 1e-13 * dense
 
     def test_degenerate_gap_detected(self, ops_quad_small):
         import copy
 
         broken = copy.copy(ops_quad_small)
-        broken.lo_x = np.zeros_like(ops_quad_small.lo_x)
+        broken.lo_x = sp.csr_matrix(ops_quad_small.lo_x.shape)
         with pytest.raises(DegenerateGapError):
             hl.poincare_constant(broken)
 
@@ -268,9 +296,17 @@ class TestStructureReport:
                             - 2 * np.linalg.norm(d2) ** 2))
             sides.append(2 * np.linalg.norm(d2) ** 2)
         recorded = hl.check_structure(ops)["recorded"]
-        assert abs(recorded["lifted_dirichlet_residual"] - lift) <= 1e-12
+        lift /= abs(ops.lo_x).max()  # recorded relative to max |L_o|
+        assert abs(recorded["lifted_dirichlet_residual"] - lift) <= 1e-15
         assert abs(recorded["fourth_moment_relative"] - max(gaps) / max(sides)) \
             <= 1e-14
+
+    def test_lifted_residual_is_scale_free_at_512(self):
+        # both sides scale like ||L_o|| ~ 1/h^2; the absolute residual reads
+        # about 1e-12 here
+        ops = make_ops(hl.double_well(), n_x=512, n_v=32)
+        recorded = hl.check_structure(ops)["recorded"]
+        assert recorded["lifted_dirichlet_residual"] <= 1e-14
 
     def test_dirichlet_closure_on_random_states(self, ops_quad, ops_dw):
         # (L_a Pi)^T (L_a Pi) f = -L_o Pi f holds for arbitrary states, not

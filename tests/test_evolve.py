@@ -86,7 +86,7 @@ class TestInitialConditions:
     def test_gap_kind_matches_dense_eigenvector_with_pinned_sign(self, potential):
         ops = make_ops(POTENTIALS[potential](), n_x=128, n_v=4)
         vec = hl.initial_condition(ops, "gap")[::ops.n_v]
-        dense = sla.eigh(-ops.lo_x)[1][:, 1]
+        dense = sla.eigh(-ops.lo_x.toarray())[1][:, 1]
         assert min(np.abs(vec - dense).max(), np.abs(vec + dense).max()) <= 1e-12
         # positively correlated with position, far from roundoff
         assert (ops.grid.sqrt_weights * ops.grid.nodes) @ vec >= 0.1
