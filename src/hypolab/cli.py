@@ -6,12 +6,13 @@ Config files are flat key/value text with dotted sections::
     grid.N_x = 128
     evolve.dt = 0.02
 
-Command-line flags override file values.  Subcommands: gap, tune, verify,
-evolve, sample, sweep, all.  The full report is printed as JSON; with --out
-it is also written to report.json plus one CSV per trace and a summary.txt
-digest.  Each verdict is skipped, or passes if and only if its margin is a
-finite number >= 0.  Exit codes: 0 ok, 1 a verdict failed, 2 config error,
-3 numerical failure, 4 IO error.
+Command-line flags override file values.  COMMANDS lists the stages each
+subcommand runs, in order; run_experiment runs them and times each one into
+report.timings[stage], so a stage function only computes and judges.  The
+full report is printed as JSON; with --out it is also written to report.json
+plus one CSV per trace and a summary.txt digest.  Each verdict is skipped, or
+passes if and only if its margin is a finite number >= 0.  Exit codes: 0 ok,
+1 a verdict failed, 2 config error, 3 numerical failure, 4 IO error.
 """
 from __future__ import annotations
 
@@ -60,7 +61,17 @@ from .tuning import (
     optimize_friction,
 )
 
-SUBCOMMANDS = ("gap", "tune", "verify", "evolve", "sample", "sweep", "all")
+# subcommand -> the stages it runs, in order; each stage is timed under its name
+COMMANDS = {
+    "gap": ("gap",),
+    "tune": ("tune",),
+    "verify": ("structure", "corrector", "bochner"),
+    "evolve": ("gap", "tune", "evolve"),
+    "sample": ("sample",),
+    "sweep": ("sweep",),
+    "all": ("gap", "tune", "structure", "corrector", "bochner", "evolve", "sample"),
+}
+SUBCOMMANDS = tuple(COMMANDS)
 BOUND_SLACK = 0.05  # acceptance tolerance on the corrector bounds
 TUNED_RTOL = 1e-12  # relative distance at which a parameter counts as tuned
 EXACT_TOL = 1e-12  # residual allowed an identity that holds exactly
@@ -129,6 +140,9 @@ _KEYS = {
     "sweep.gammas": ("sweep_gammas", _floats),
     "sweep.target": ("sweep_target", str),
 }
+# command-line flag -> the config key it overrides
+_FLAGS = {"--seed": "seed", "--gamma": "tuning.gamma", "--eps": "tuning.eps",
+          "--nx": "grid.N_x", "--nv": "grid.N_v"}
 
 
 def parse_config_text(text: str) -> dict:
@@ -168,34 +182,17 @@ def _validate(cfg: ExperimentConfig):
     except ConfigurationError as exc:
         known = cfg.potential_kind in POTENTIAL_KINDS
         bad("potential.params" if known else "potential.kind", exc)
-    if cfg.grid_n_x < 16:
-        bad("grid.N_x", "must be >= 16")
-    if cfg.grid_n_v < 4:
-        bad("grid.N_v", "must be >= 4")
-    if cfg.grid_l_dom is not None and cfg.grid_l_dom <= 0:
-        bad("grid.L_dom", "must be positive")
-    for key, value in (
-        ("tuning.gamma", cfg.tuning_gamma),
-        ("tuning.eps", cfg.tuning_eps),
-    ):
+    for key, low in (("grid.N_x", 16), ("grid.N_v", 4), ("sde.particles", 100),
+                     ("sde.d", 1), ("sde.steps", 1), ("sde.record_every", 1)):
+        if getattr(cfg, _KEYS[key][0]) < low:
+            bad(key, f"must be >= {low}")
+    for key in ("grid.L_dom", "tuning.gamma", "tuning.eps", "evolve.dt",
+                "evolve.t_end_factor", "sde.dt"):
+        value = getattr(cfg, _KEYS[key][0])  # None: unset, defaults apply
         if value is not None and value <= 0:
             bad(key, "must be positive")
-    if cfg.evolve_dt <= 0:
-        bad("evolve.dt", "must be positive")
-    if cfg.evolve_t_end_factor <= 0:
-        bad("evolve.t_end_factor", "must be positive")
     if cfg.evolve_f0 not in ("gap", "velocity", "random", "all"):
         bad("evolve.f0", f"unknown initial-condition kind {cfg.evolve_f0!r}")
-    if cfg.sde_particles < 100:
-        bad("sde.particles", "must be >= 100")
-    if cfg.sde_d < 1:
-        bad("sde.d", "must be >= 1")
-    if cfg.sde_dt <= 0:
-        bad("sde.dt", "must be positive")
-    if cfg.sde_steps < 1:
-        bad("sde.steps", "must be >= 1")
-    if cfg.sde_record_every < 1:
-        bad("sde.record_every", "must be >= 1")
     if cfg.sweep_target not in ("evolve", "sample"):
         bad("sweep.target", "must be 'evolve' or 'sample'")
     if not cfg.sweep_gammas or not all(g > 0 for g in cfg.sweep_gammas):
@@ -273,6 +270,20 @@ class _Workspace:
             return self.cfg.grid_l_dom
         return default_domain(self.potential)
 
+    @property
+    def curvature(self) -> float | None:
+        """a of U = a x^2 / 2, the quadratic's closed forms; None otherwise."""
+        return self.model.analytic_m
+
+    @property
+    def fits_first_moment(self) -> bool:
+        """The sampler's decay from the shifted start is fitted to the ODE."""
+        return self.curvature is not None and self.cfg.sde_init_shift != 0.0
+
+    @property
+    def t_end(self) -> float:
+        return self.cfg.evolve_t_end_factor / self.tuned.Lambda
+
     @cached_property
     def ops(self):
         grid = build_grid(self.model, self.l_dom, self.cfg.grid_n_x)
@@ -321,7 +332,6 @@ class _Workspace:
 
 
 def _stage_gap(ws: _Workspace, report: RunReport):
-    t0 = time.perf_counter()
     ops = ws.ops
     report.results["gap"] = {
         "m_h": ops.m_h,
@@ -332,11 +342,9 @@ def _stage_gap(ws: _Workspace, report: RunReport):
         "N_v": ops.n_v,
     }
     report.check("gap_positive", ops.m_h)
-    report.timings["gap"] = time.perf_counter() - t0
 
 
 def _stage_tune(ws: _Workspace, report: RunReport):
-    t0 = time.perf_counter()
     tuned = ws.tuned
     report.results["tuning"] = tuned.as_dict()
     chain = check_ratio_consistency(tuned)
@@ -366,18 +374,15 @@ def _stage_tune(ws: _Workspace, report: RunReport):
         chain["lambda_min_M"] - chain["det_over_trace"],
         chain["det_over_trace"] - chain["lambda_coer"],
     ))
-    report.timings["tune"] = time.perf_counter() - t0
 
 
-def _stage_verify(ws: _Workspace, report: RunReport):
-    t0 = time.perf_counter()
-    ops = ws.ops
-    structure = check_structure(ops)
+def _stage_structure(ws: _Workspace, report: RunReport):
+    structure = check_structure(ws.ops)
     report.results["structure"] = structure
     report.check("structure_exact", EXACT_TOL - max(structure["exact"].values()))
-    report.timings["structure"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
+
+def _stage_corrector(ws: _Workspace, report: RunReport):
     norms = verify_corrector_bounds(ws.corrector)
     min_eig, residual = dissipation_form_min_eig(ws.corrector, ws.eps, ws.gamma)
     lambda_coer = ws.tuned.lambda_coer
@@ -394,9 +399,10 @@ def _stage_verify(ws: _Workspace, report: RunReport):
     # coercivity needs
     report.check("dissipation_coercive",
                  (min_eig - residual) / lambda_coer - (1 - BOUND_SLACK))
-    report.timings["corrector"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
+
+def _stage_bochner(ws: _Workspace, report: RunReport):
+    ops = ws.ops
     resids, slacks = {}, []
     for name, values in bochner_test_suite(ops.grid).items():
         resids[name], slack = bochner_residual(ops, values)
@@ -404,26 +410,25 @@ def _stage_verify(ws: _Workspace, report: RunReport):
             slacks.append(slack)
     report.results["bochner_residuals"] = resids
     report.check("bochner_inequality", min(slacks))
-    report.timings["bochner"] = time.perf_counter() - t0
+
+
+def _integrate(ws: _Workspace, f0: np.ndarray, cn):
+    """f0 integrated by cn to t_end with the run's corrector, eps and Lambda."""
+    return integrate(ws.ops, f0, cn, ws.t_end, corrector=ws.corrector,
+                     eps=ws.eps, Lambda=ws.tuned.Lambda)
 
 
 def _stage_evolve(ws: _Workspace, report: RunReport):
     cfg = ws.cfg
-    t0 = time.perf_counter()
-    ops = ws.ops
     tuned = ws.tuned
-    gamma, eps = ws.gamma, ws.eps
-    corr = ws.corrector
-    t_end = cfg.evolve_t_end_factor / tuned.Lambda
+    gamma = ws.gamma
     kinds = ("gap", "velocity", "random") if cfg.evolve_f0 == "all" else (cfg.evolve_f0,)
-    cn = crank_nicolson(ops, gamma, cfg.evolve_dt)  # one factorization, every kind
-    rates = {}
+    cn = crank_nicolson(ws.ops, gamma, cfg.evolve_dt)  # one factorization, every kind
+    rates, solve_residual = {}, {}
     for kind in kinds:
-        f0 = initial_condition(ops, kind, seed=cfg.seed)
-        trace = integrate(ops, f0, cn, t_end, corrector=corr, eps=eps,
-                          Lambda=tuned.Lambda)
-        tag = f"{kind}" if len(kinds) > 1 else None
-        suffix = f"_{tag}" if tag else ""
+        trace = _integrate(ws, initial_condition(ws.ops, kind, seed=cfg.seed), cn)
+        solve_residual[kind] = trace.solve_residual
+        suffix = f"_{kind}" if len(kinds) > 1 else ""
         name = f"decay_{ws.potential.name}_{gamma:g}{suffix}.csv"
         report.traces.append((name, trace))
         report.results.setdefault("lyapunov_identity", {})[kind] = lyapunov_identity(trace)
@@ -440,11 +445,10 @@ def _stage_evolve(ws: _Workspace, report: RunReport):
             report.skip(f"rate_above_Lambda{suffix}")
     report.results.setdefault("rates", {}).update(rates)
     report.results["evolve"] = {
-        "gamma": gamma, "eps": eps, "Lambda": tuned.Lambda,
-        "t_end": t_end, "dt": cn.dt, "kinds": list(kinds),
-        "band": cn.lu.diagnostics(),
+        "gamma": gamma, "eps": ws.eps, "Lambda": tuned.Lambda,
+        "t_end": ws.t_end, "dt": cn.dt, "kinds": list(kinds),
+        "band": cn.lu.diagnostics(), "solve_residual": solve_residual,
     }
-    report.timings["evolve"] = time.perf_counter() - t0
 
 
 def _sde_config(ws: _Workspace, gamma: float) -> SdeConfig:
@@ -469,8 +473,6 @@ def _first_moment_rate(gamma: float, a: float) -> float:
 
 
 def _stage_sample(ws: _Workspace, report: RunReport):
-    cfg = ws.cfg
-    t0 = time.perf_counter()
     sde = _sde_config(ws, ws.gamma)
     trace = run_ensemble(sde)
     report.traces.append((f"sde_{ws.potential.name}_{sde.gamma:g}.csv", trace))
@@ -498,49 +500,40 @@ def _stage_sample(ws: _Workspace, report: RunReport):
             report.check(name, 3.0 - z)
 
     equilibrium("equilibrium_v_sq", trace.final_v_var, trace.final_v_mean, 1.0, se_v)
-    if ws.potential.kind == "quadratic":
-        a = ws.potential.params[0]
-        equilibrium("equilibrium_x_sq", trace.final_x_var, trace.final_x_mean,
-                     1.0 / a, se_v / a)
-        if cfg.sde_init_shift != 0.0:
-            rate = estimate_observable_decay(sde)
-            oracle = _first_moment_rate(sde.gamma, a)
-            rel = abs(rate - oracle) / oracle
-            report.results["rates"] = report.results.get("rates", {})
-            report.results["rates"]["sample_first_moment"] = rate
-            report.results["rates"]["sample_first_moment_oracle"] = oracle
-            report.check("first_moment_rate", 0.15 - rel)
-        else:
-            report.skip("first_moment_rate")
-    else:
+    a = ws.curvature
+    if a is None:
         report.skip("equilibrium_x_sq")
+    else:
+        equilibrium("equilibrium_x_sq", trace.final_x_var, trace.final_x_mean,
+                    1.0 / a, se_v / a)
+    if ws.fits_first_moment:
+        rate = estimate_observable_decay(sde)
+        oracle = _first_moment_rate(sde.gamma, a)
+        rates = report.results.setdefault("rates", {})
+        rates["sample_first_moment"] = rate
+        rates["sample_first_moment_oracle"] = oracle
+        report.check("first_moment_rate", 0.15 - abs(rate - oracle) / oracle)
+    else:
         report.skip("first_moment_rate")
-    report.timings["sample"] = time.perf_counter() - t0
 
 
 def _stage_sweep(ws: _Workspace, report: RunReport):
     cfg = ws.cfg
-    t0 = time.perf_counter()
     rates = {}
     if cfg.sweep_target == "sample":
         for gamma in cfg.sweep_gammas:
             rates[f"{gamma:g}"] = estimate_observable_decay(_sde_config(ws, gamma))
     else:
-        ops = ws.ops
-        tuned = ws.tuned
-        corr = ws.corrector
+        f0 = initial_condition(ws.ops, "random", seed=cfg.seed)
         for gamma in cfg.sweep_gammas:
-            f0 = initial_condition(ops, "random", seed=cfg.seed)
-            trace = integrate(ops, f0, crank_nicolson(ops, gamma, cfg.evolve_dt),
-                              cfg.evolve_t_end_factor / tuned.Lambda,
-                              corrector=corr, eps=ws.eps, Lambda=tuned.Lambda)
-            rates[f"{gamma:g}"] = estimate_rate(trace)
+            cn = crank_nicolson(ws.ops, gamma, cfg.evolve_dt)
+            rates[f"{gamma:g}"] = estimate_rate(_integrate(ws, f0, cn))
     report.results["sweep"] = {"target": cfg.sweep_target, "rates": rates}
     # the first-moment ODE x'' + gamma x' + a x = 0 is critically damped at
     # gamma_c = 2 sqrt(a)
     critical = None
-    if ws.potential.kind == "quadratic" and len(rates) > 1:
-        gamma_c = 2.0 * math.sqrt(ws.potential.params[0])
+    if ws.curvature is not None and len(rates) > 1:
+        gamma_c = 2.0 * math.sqrt(ws.curvature)
         critical = next((f"{g:g}" for g in cfg.sweep_gammas
                          if abs(g - gamma_c) <= TUNED_RTOL * gamma_c), None)
     if critical is None:
@@ -549,7 +542,14 @@ def _stage_sweep(ws: _Workspace, report: RunReport):
         other = max(r for g, r in rates.items() if g != critical)
         report.check("sweep_argmax_critical",
                      (rates[critical] - other) / rates[critical])
-    report.timings["sweep"] = time.perf_counter() - t0
+
+
+# stage name -> the function that computes and judges it
+_STAGES = {
+    "gap": _stage_gap, "tune": _stage_tune, "structure": _stage_structure,
+    "corrector": _stage_corrector, "bochner": _stage_bochner,
+    "evolve": _stage_evolve, "sample": _stage_sample, "sweep": _stage_sweep,
+}
 
 
 def _check_sampling(command: str, ws: _Workspace):
@@ -558,15 +558,15 @@ def _check_sampling(command: str, ws: _Workspace):
     each sampled gamma; the decay fit (of a sample sweep, and of the quadratic
     from a shifted start) needs MIN_FIT_SAMPLES records and that start."""
     cfg = ws.cfg
-    sweep = command == "sweep" and cfg.sweep_target == "sample"
-    if not sweep and command not in ("sample", "all"):
+    stages = COMMANDS[command]
+    sweep = "sweep" in stages and cfg.sweep_target == "sample"
+    if not sweep and "sample" not in stages:
         return
     if sweep and cfg.sde_init_shift == 0.0:
         raise ConfigurationError("sde.init_shift: a sample sweep fits the decay "
                                  "from the shifted start, so it must be nonzero")
     records = cfg.sde_steps // cfg.sde_record_every + 1
-    if records < MIN_FIT_SAMPLES and (sweep or (
-            ws.potential.kind == "quadratic" and cfg.sde_init_shift != 0.0)):
+    if records < MIN_FIT_SAMPLES and (sweep or ws.fits_first_moment):
         raise ConfigurationError(f"sde.steps: the decay fit needs {MIN_FIT_SAMPLES} "
                                  f"records, and steps // record_every + 1 = {records}")
     if sweep:
@@ -588,17 +588,11 @@ def run_experiment(command: str, cfg: ExperimentConfig) -> RunReport:
     report = RunReport(version=__version__, command=command, config=dict(cfg.echo()))
     ws = _Workspace(cfg)
     _check_sampling(command, ws)
-    stages = {
-        "gap": (_stage_gap,),
-        "tune": (_stage_tune,),
-        "verify": (_stage_verify,),
-        "evolve": (_stage_gap, _stage_tune, _stage_evolve),
-        "sample": (_stage_sample,),
-        "sweep": (_stage_sweep,),
-        "all": (_stage_gap, _stage_tune, _stage_verify, _stage_evolve, _stage_sample),
-    }
-    for stage in stages[command]:
-        stage(ws, report)
+    clock = time.perf_counter
+    for stage in COMMANDS[command]:
+        t0 = clock()
+        _STAGES[stage](ws, report)
+        report.timings[stage] = clock() - t0
     return report
 
 
@@ -631,27 +625,18 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=SUBCOMMANDS)
     parser.add_argument("--config", type=str, default=None)
     parser.add_argument("--out", type=str, default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--gamma", type=float, default=None)
-    parser.add_argument("--eps", type=float, default=None)
-    parser.add_argument("--nx", type=int, default=None)
-    parser.add_argument("--nv", type=int, default=None)
+    for flag, key in _FLAGS.items():
+        parser.add_argument(flag, type=_KEYS[key][1], default=None)
     args = parser.parse_args(argv)
 
     try:
         raw = {}
         if args.config:
             raw = parse_config_text(Path(args.config).read_text())
-        if args.seed is not None:
-            raw["seed"] = str(args.seed)
-        if args.gamma is not None:
-            raw["tuning.gamma"] = repr(args.gamma)
-        if args.eps is not None:
-            raw["tuning.eps"] = repr(args.eps)
-        if args.nx is not None:
-            raw["grid.N_x"] = str(args.nx)
-        if args.nv is not None:
-            raw["grid.N_v"] = str(args.nv)
+        for flag, key in _FLAGS.items():
+            value = getattr(args, flag[2:])
+            if value is not None:
+                raw[key] = repr(value)
         report = run_experiment(args.command, build_config(raw))
     except (ConfigurationError, PreconditionError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

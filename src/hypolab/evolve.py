@@ -64,7 +64,8 @@ class DecayTrace:
 
     dt is the step taken; diss_mid holds D(g_n) at the step midpoints
     g_n = (f_n + f_{n+1}) / 2, one per step; band holds the factorization
-    diagnostics of BandLU.
+    diagnostics of BandLU; solve_residual is the relative residual
+    ||M f_1 - b|| / ||b|| of the first step's solve (None without steps).
     """
 
     dt: float
@@ -79,6 +80,7 @@ class DecayTrace:
     eps: float
     Lambda: float
     band: dict
+    solve_residual: float | None = None
 
     def csv_rows(self):
         header = "t,norm,lyap,diss,bound,mean"
@@ -235,10 +237,10 @@ def integrate(
     step.
 
     Each step solves M f_{n+1} = f_n + (dt/2) L f_n with the L f_n of the
-    diagnostics.  Each sample records the norm, the corrector's modified
-    functional and its dissipation at eps, and the mean; each step records D
-    at its midpoint for lyapunov_identity.  The envelope is
-    sqrt(3) e^{-Lambda t} ||f0||.
+    diagnostics, and the first solve's relative residual is kept.  Each
+    sample records the norm, the corrector's modified functional and its
+    dissipation at eps, and the mean; each step records D at its midpoint for
+    lyapunov_identity.  The envelope is sqrt(3) e^{-Lambda t} ||f0||.
     """
     dt, L, lu = cn.dt, cn.L, cn.lu
     f0 = np.asarray(f0, dtype=float)
@@ -257,13 +259,19 @@ def integrate(
     functional = ModifiedFunctional(corrector, L, eps)
     f = f0.copy()
     products = functional.products(f)
+    solve_residual = None
     for k in range(n_steps + 1):
         norm[k] = np.linalg.norm(f)
         lyap[k], diss[k] = functional.values(f, products)
         mean[k] = ops.mean(f)
         if k < n_steps:
-            f_next = lu.solve(f + (dt / 2) * products[1])
+            rhs = f + (dt / 2) * products[1]
+            f_next = lu.solve(rhs)
             next_products = functional.products(f_next)
+            if k == 0:  # M f_1 from the L f_1 the next sample needs anyway
+                solve_residual = float(np.linalg.norm(
+                    f_next - (dt / 2) * next_products[1] - rhs
+                ) / max(np.linalg.norm(rhs), 1e-300))
             cross[k] = functional.dissipation(
                 f, products, f_next, next_products
             ) + functional.dissipation(f_next, next_products, f, products)
@@ -283,6 +291,7 @@ def integrate(
         eps=float(eps),
         Lambda=float(Lambda),
         band=lu.diagnostics(),
+        solve_residual=solve_residual,
     )
 
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -68,7 +69,7 @@ class TestConfigParsing:
     @pytest.mark.parametrize("key, value", [
         ("grid.N_v", "3"), ("grid.L_dom", "-2"), ("sde.d", "0"),
         ("sde.particles", "10"), ("sde.dt", "0"), ("sde.steps", "0"),
-        ("tuning.eps", "0"),
+        ("tuning.eps", "0"), ("evolve.dt", "0"), ("evolve.t_end_factor", "-1"),
     ])
     def test_range_checked_at_the_boundary(self, key, value):
         # the library below the config trusts these values: this is their check
@@ -221,6 +222,41 @@ class TestRunExperiment:
         assert set(rates) == {"2", "4"}
         assert all(r > 0 for r in rates.values())
 
+    def test_evolve_sweep_builds_its_state_once(self, monkeypatch):
+        # integrate copies f0, so every gamma starts from the one random state
+        calls = []
+        initial_condition = cli.initial_condition
+        monkeypatch.setattr(cli, "initial_condition",
+                            lambda *args, **kw: calls.append(args) or
+                            initial_condition(*args, **kw))
+        report = cli.run_experiment("sweep", cli.build_config(RULE_CONFIGS["sweep"]))
+        assert len(calls) == 1
+        assert list(report.results["sweep"]["rates"]) == ["1", "2", "4"]
+
+    def test_evolve_reports_the_first_solve_residual(self):
+        # the pivot-free band LU grows its elements by 1.6e4 on the double well
+        # at 16x8; the random state, which excites the stiff transport modes,
+        # loses digits there, and the gap and velocity states do not
+        def solve_residual(raw):
+            cfg = cli.build_config({**raw, "evolve.f0": "all",
+                                    "evolve.t_end_factor": "0.05"})
+            return cli.run_experiment("evolve", cfg).results["evolve"][
+                "solve_residual"]
+
+        coarse = {"potential.kind": "double_well", "grid.N_x": "16", "grid.N_v": "8"}
+        residual = solve_residual(coarse)
+        assert residual["random"] > 1e-13
+        assert max(residual["gap"], residual["velocity"]) < 1e-15
+        assert max(solve_residual({"grid.N_x": "128", "grid.N_v": "20"}).values()) < 1e-15
+        # it is ||M x - b|| / ||b|| of the first step's solve M x = b
+        ws = cli._Workspace(cli.build_config(coarse))
+        cn = hl.crank_nicolson(ws.ops, ws.gamma, ws.cfg.evolve_dt)
+        f0 = hl.initial_condition(ws.ops, "random", seed=ws.cfg.seed)
+        b = f0 + (cn.dt / 2) * (cn.L @ f0)
+        x = cn.lu.solve(b)
+        assert residual["random"] == np.linalg.norm(
+            x - (cn.dt / 2) * (cn.L @ x) - b) / np.linalg.norm(b)
+
     def test_sweep_sample_target(self):
         cfg = cli.build_config(
             {"sweep.target": "sample", "sweep.gammas": "1,2,4",
@@ -321,6 +357,51 @@ RULE_CONFIGS = {
 }
 
 
+def _edit_result(edit):
+    """A patch that calls the original function and edits its result."""
+    return lambda original: lambda *args, **kw: edit(original(*args, **kw))
+
+
+def _norm_above_bound(norm):
+    """verify_corrector_bounds with one measured norm 10 % above its bound."""
+    bound = norm.replace("norm", "bound")
+    return _edit_result(lambda r: replace(r, **{norm: 1.1 * getattr(r, bound)}))
+
+
+# verdict -> (command, config, hypolab.cli name, patch of that name's original)
+# that breaks exactly what the verdict guards
+FAILING_CASES = {
+    "eps_ordering": ("tune", SMALL, "optimize_friction", _edit_result(
+        lambda t: replace(t, eps_max=2.01 * t.gamma_star / t.a))),
+    "ratio_chain": ("tune", SMALL, "optimize_friction", _edit_result(
+        lambda t: replace(t, lambda_coer=2 * t.lambda_coer))),
+    "bound_A": ("verify", SMALL, "verify_corrector_bounds", _norm_above_bound("norm_a")),
+    "bound_LaA": ("verify", SMALL, "verify_corrector_bounds",
+                  _norm_above_bound("norm_la_a")),
+    "bound_ALa_fast": ("verify", SMALL, "verify_corrector_bounds",
+                       _norm_above_bound("norm_a_la_fast")),
+    "dissipation_coercive": ("verify", SMALL, "dissipation_form_min_eig",
+                             _edit_result(lambda r: (r[0] / 2, r[1]))),
+    "mean_conserved": ("evolve", SMALL, "integrate", _edit_result(
+        lambda t: replace(t, mean=t.mean + 1e-9 * t.times / t.times[-1]))),
+    "decay_bound": ("evolve", SMALL, "integrate", _edit_result(
+        lambda t: replace(t, norm=2 * t.norm))),
+    "rate_above_Lambda": ("evolve", SMALL, "estimate_rate",
+                          lambda original: lambda t: t.Lambda / 2),
+    "first_moment_rate": ("sample", SMALL_SDE, "_first_moment_rate",
+                          lambda original: lambda gamma, a: original(gamma, 2 * a)),
+    "sweep_argmax_critical": ("sweep", RULE_CONFIGS["sweep"], "estimate_rate",
+                              lambda original: lambda t: t.gamma),
+}
+
+
+class TestStageTable:
+    @pytest.mark.parametrize("command", cli.SUBCOMMANDS)
+    def test_timings_follow_the_command_table(self, command):
+        report = cli.run_experiment(command, cli.build_config(RULE_CONFIGS[command]))
+        assert list(report.timings) == list(cli.COMMANDS[command])
+
+
 class TestVerdictRule:
     @pytest.mark.parametrize("command", cli.SUBCOMMANDS)
     def test_status_is_the_sign_of_the_margin(self, command):
@@ -371,6 +452,15 @@ class TestVerdictRule:
         verdict = next(v for v in report.verdicts if v["name"] == "bochner_inequality")
         assert verdict["status"] == "fail"
         assert verdict["margin"] < 0
+
+    @pytest.mark.parametrize("verdict", FAILING_CASES)
+    def test_each_verdict_fails_alone(self, verdict, monkeypatch):
+        command, raw, name, patch = FAILING_CASES[verdict]
+        cfg = cli.build_config(raw)
+        assert not cli.run_experiment(command, cfg).failed
+        monkeypatch.setattr(cli, name, patch(getattr(cli, name)))
+        report = cli.run_experiment(command, cfg)
+        assert [v["name"] for v in report.verdicts if v["status"] == "fail"] == [verdict]
 
     def test_rate_above_lambda_skipped_off_tuned_gamma(self):
         cfg = cli.build_config({**SMALL, "tuning.gamma": "3.0",
@@ -607,6 +697,17 @@ class TestMain:
         assert code == 0
         data = json.loads(capsys.readouterr().out)
         assert data["config"]["tuning.gamma"] == "3.0"
+        # each flag overrides its key; the echo is that of the key set in a file
+        in_file = {"grid.N_x": "32", "grid.N_v": "6", "tuning.gamma": "2.0"}
+        for flag, key, value, echo in (
+            ("--seed", "seed", "7", "7"), ("--gamma", "tuning.gamma", "3", "3.0"),
+            ("--eps", "tuning.eps", "0.25", "0.25"), ("--nx", "grid.N_x", "48", "48"),
+            ("--nv", "grid.N_v", "8", "8"),
+        ):
+            assert cli.main(["tune", "--config", str(conf), flag, value]) == 0
+            config = json.loads(capsys.readouterr().out)["config"]
+            assert config[key] == echo
+            assert config == cli.build_config({**in_file, key: value}).echo()
 
     def test_out_directory_written(self, tmp_path, capsys):
         out = tmp_path / "run"
