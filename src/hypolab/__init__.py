@@ -47,11 +47,8 @@ from .evolve import (
 from .model import (
     Potential,
     cosine_bump,
-    default_domain,
     double_well,
     eval_potential,
-    gibbs_model,
-    hessian_lower_bound,
     quadratic,
 )
 from .sampler import SdeConfig, estimate_observable_decay, run_ensemble
@@ -80,15 +77,12 @@ __all__ = [
     "compose_generator",
     "cosine_bump",
     "crank_nicolson",
-    "default_domain",
     "dissipation_form_min_eig",
     "dissipation_matrix",
     "double_well",
     "estimate_observable_decay",
     "estimate_rate",
     "eval_potential",
-    "gibbs_model",
-    "hessian_lower_bound",
     "initial_condition",
     "integrate",
     "lyapunov_derivative_check",

@@ -52,7 +52,7 @@ from .evolve import (
     lyapunov_identity,
     verify_decay_bound,
 )
-from .model import POTENTIAL_KINDS, Potential, default_domain, gibbs_model
+from .model import POTENTIAL_KINDS, Potential
 from .sampler import MIN_FIT_SAMPLES, SdeConfig, estimate_observable_decay, run_ensemble
 from .tuning import (
     TuningResult,
@@ -183,20 +183,26 @@ def _validate(cfg: ExperimentConfig):
         known = cfg.potential_kind in POTENTIAL_KINDS
         bad("potential.params" if known else "potential.kind", exc)
     for key, low in (("grid.N_x", 16), ("grid.N_v", 4), ("sde.particles", 100),
-                     ("sde.d", 1), ("sde.steps", 1), ("sde.record_every", 1)):
+                     ("sde.d", 1), ("sde.steps", 1), ("sde.record_every", 1),
+                     ("seed", 0)):
         if getattr(cfg, _KEYS[key][0]) < low:
             bad(key, f"must be >= {low}")
-    for key in ("grid.L_dom", "tuning.gamma", "tuning.eps", "evolve.dt",
-                "evolve.t_end_factor", "sde.dt"):
-        value = getattr(cfg, _KEYS[key][0])  # None: unset, defaults apply
-        if value is not None and value <= 0:
+    positive = ("grid.L_dom", "tuning.gamma", "tuning.eps", "evolve.dt",
+                "evolve.t_end_factor", "sde.dt")
+    for key, (name, parse) in _KEYS.items():
+        value = getattr(cfg, name)  # None: unset, defaults apply
+        if parse is not float or value is None:
+            continue
+        if not math.isfinite(value):
+            bad(key, "must be finite")
+        if key in positive and value <= 0:
             bad(key, "must be positive")
     if cfg.evolve_f0 not in ("gap", "velocity", "random", "all"):
         bad("evolve.f0", f"unknown initial-condition kind {cfg.evolve_f0!r}")
     if cfg.sweep_target not in ("evolve", "sample"):
         bad("sweep.target", "must be 'evolve' or 'sample'")
-    if not cfg.sweep_gammas or not all(g > 0 for g in cfg.sweep_gammas):
-        bad("sweep.gammas", "must list one or more gammas, each positive")
+    if not cfg.sweep_gammas or not all(0 < g < math.inf for g in cfg.sweep_gammas):
+        bad("sweep.gammas", "must list one or more gammas, each positive and finite")
     labels = [f"{g:g}" for g in cfg.sweep_gammas]
     if len(set(labels)) < len(labels):
         bad("sweep.gammas", f"gammas share a report label: {', '.join(labels)}")
@@ -211,7 +217,7 @@ class RunReport:
     verdicts: list = field(default_factory=list)
     timings: dict = field(default_factory=dict)
     manifest: list = field(default_factory=list)
-    traces: list = field(default_factory=list)  # (filename, csv-row iterable)
+    traces: list = field(default_factory=list)  # (filename, trace with .columns)
 
     def check(self, name, margin):
         """A checked verdict: it passes if and only if margin is a finite
@@ -262,18 +268,17 @@ class _Workspace:
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
         self.potential = Potential(cfg.potential_kind, cfg.potential_params)
-        self.model = gibbs_model(self.potential)
 
     @property
     def l_dom(self) -> float:
         if self.cfg.grid_l_dom is not None:
             return self.cfg.grid_l_dom
-        return default_domain(self.potential)
+        return self.potential.domain
 
     @property
     def curvature(self) -> float | None:
         """a of U = a x^2 / 2, the quadratic's closed forms; None otherwise."""
-        return self.model.analytic_m
+        return self.potential.analytic_m
 
     @property
     def fits_first_moment(self) -> bool:
@@ -286,7 +291,7 @@ class _Workspace:
 
     @cached_property
     def ops(self):
-        grid = build_grid(self.model, self.l_dom, self.cfg.grid_n_x)
+        grid = build_grid(self.potential, self.l_dom, self.cfg.grid_n_x)
         basis = build_velocity_basis(self.cfg.grid_n_v)
         ops = assemble_operators(grid, basis)
         poincare_constant(ops)
@@ -296,7 +301,7 @@ class _Workspace:
     def tuned(self) -> TuningResult:
         """Closed-form pipeline at the run's (m_h, K), the constants the
         corrector and its checks read too."""
-        return optimize_friction(self.ops.m_h, self.model.K)
+        return optimize_friction(self.ops.m_h, self.potential.K)
 
     @cached_property
     def gamma(self) -> float:
@@ -335,8 +340,8 @@ def _stage_gap(ws: _Workspace, report: RunReport):
     ops = ws.ops
     report.results["gap"] = {
         "m_h": ops.m_h,
-        "K": ws.model.K,
-        "analytic_m": ws.model.analytic_m,
+        "K": ws.potential.K,
+        "analytic_m": ws.potential.analytic_m,
         "L_dom": ws.l_dom,
         "N_x": ops.n_x,
         "N_v": ops.n_v,
@@ -387,13 +392,13 @@ def _stage_corrector(ws: _Workspace, report: RunReport):
     min_eig, residual = dissipation_form_min_eig(ws.corrector, ws.eps, ws.gamma)
     lambda_coer = ws.tuned.lambda_coer
     report.results["corrector"] = {
-        **norms.as_dict(),
+        **norms,
         "min_eig_Q": min_eig,
         "min_eig_residual": residual,
         "lambda_coer": lambda_coer,
         "slack": min_eig - lambda_coer,
     }
-    for name, ratio in zip(("bound_A", "bound_LaA", "bound_ALa_fast"), norms.ratios):
+    for name, ratio in zip(("bound_A", "bound_LaA", "bound_ALa_fast"), norms["ratios"]):
         report.check(name, BOUND_SLACK - (ratio - 1.0))
     # subtracting the eigenvector's residual gives the lower bound that
     # coercivity needs
@@ -587,25 +592,34 @@ def run_experiment(command: str, cfg: ExperimentConfig) -> RunReport:
         raise ConfigurationError(f"unknown subcommand {command!r}")
     report = RunReport(version=__version__, command=command, config=dict(cfg.echo()))
     ws = _Workspace(cfg)
-    _check_sampling(command, ws)
+    # the clock runs from before the check, whose gamma may build the grid,
+    # the gap and the tuning: the first stage carries that set-up
     clock = time.perf_counter
+    t0 = clock()
+    _check_sampling(command, ws)
     for stage in COMMANDS[command]:
-        t0 = clock()
         _STAGES[stage](ws, report)
-        report.timings[stage] = clock() - t0
+        t1 = clock()
+        report.timings[stage] = t1 - t0
+        t0 = t1
     return report
 
 
 def emit_report(report: RunReport, outdir) -> list:
-    """Write report.json, trace CSVs, and summary.txt; returns the manifest."""
+    """Write report.json, trace CSVs, and summary.txt; returns the manifest.
+
+    A trace's CSV is its named columns: a header of the names, then one row
+    per sample, each cell repr(float(value)).
+    """
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = []
     for name, trace in report.traces:
-        path = out / name
-        with open(path, "w") as fh:
-            for row in trace.csv_rows():
-                fh.write(row + "\n")
+        columns = trace.columns
+        with open(out / name, "w") as fh:
+            fh.write(",".join(columns) + "\n")
+            for row in zip(*columns.values()):
+                fh.write(",".join(repr(float(v)) for v in row) + "\n")
         manifest.append(name)
     report.manifest = manifest
     lines = []

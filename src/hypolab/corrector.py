@@ -187,63 +187,31 @@ def operator_norm(matrix) -> float:
     return float(np.sqrt(sla.eigvalsh(gram, subset_by_index=[n - 1, n - 1])[0]))
 
 
-@dataclass
-class DissipationReport:
-    """Measured corrector norms vs their bounds."""
-
-    norm_a: float
-    norm_la_a: float
-    norm_a_la_fast: float
-    bound_a: float
-    bound_la_a: float
-    bound_a_la_fast: float
-
-    @property
-    def ratios(self):
-        return (
-            self.norm_a / self.bound_a,
-            self.norm_la_a / self.bound_la_a,
-            self.norm_a_la_fast / self.bound_a_la_fast,
-        )
-
-    @property
-    def norm_a_exact_residual(self) -> float:
-        """|norm_A - bound_A| / bound_A: the bound on ||A|| is attained."""
-        return abs(self.norm_a - self.bound_a) / self.bound_a
-
-    def as_dict(self) -> dict:
-        return {
-            "norm_A": self.norm_a,
-            "norm_LaA": self.norm_la_a,
-            "norm_ALa_fast": self.norm_a_la_fast,
-            "bound_A": self.bound_a,
-            "bound_LaA": self.bound_la_a,
-            "bound_ALa_fast": self.bound_a_la_fast,
-            "ratios": list(self.ratios),
-            "norm_A_exact_residual": self.norm_a_exact_residual,
-        }
-
-
-def verify_corrector_bounds(c: Corrector) -> DissipationReport:
-    """Measure ||A||, ||L_a A||, ||A L_a (1 - Pi_v)|| against the bounds.
+def verify_corrector_bounds(c: Corrector) -> dict:
+    """Measure ||A||, ||L_a A||, ||A L_a (1 - Pi_v)|| against the bounds, as
+    the norm entries of the report's corrector section: each norm, each
+    bound, their ratios and |norm_A - bound_A| / bound_A (the bound on ||A||
+    is attained).
 
     Each norm is the largest singular value of one position block (see the
     module docstring).
     """
     ops = c.ops
     m = ops.m_h
-    K = ops.grid.model.K
-    norm_a = operator_norm(c.block)
-    norm_la_a = operator_norm(ops.grad_x @ c.block)
-    norm_fast = float(np.sqrt(2.0)) * operator_norm(c.block @ ops.grad_x.T)
-    return DissipationReport(
-        norm_a=norm_a,
-        norm_la_a=norm_la_a,
-        norm_a_la_fast=norm_fast,
-        bound_a=1.0 / (2.0 * np.sqrt(m)),
-        bound_la_a=1.0,
-        bound_a_la_fast=float(np.sqrt(2.0 + K / (2.0 * m))),
+    K = ops.grid.potential.K
+    norms = (
+        operator_norm(c.block),
+        operator_norm(ops.grad_x @ c.block),
+        float(np.sqrt(2.0)) * operator_norm(c.block @ ops.grad_x.T),
     )
+    bounds = (1.0 / (2.0 * np.sqrt(m)), 1.0, float(np.sqrt(2.0 + K / (2.0 * m))))
+    names = ("A", "LaA", "ALa_fast")
+    return {
+        **{f"norm_{name}": norm for name, norm in zip(names, norms)},
+        **{f"bound_{name}": bound for name, bound in zip(names, bounds)},
+        "ratios": [norm / bound for norm, bound in zip(norms, bounds)],
+        "norm_A_exact_residual": abs(norms[0] - bounds[0]) / bounds[0],
+    }
 
 
 def dissipation_apply(c: Corrector, eps: float, gamma: float,
@@ -339,8 +307,8 @@ def bochner_residual(ops: OperatorSet, h_values: np.ndarray) -> tuple[float, flo
     g1 = ops.grad_x @ hh
     g2 = ops.grad_x @ g1
     lo_h = ops.lo_x @ hh
-    d2u = eval_potential(grid.model.potential, grid.nodes)[2]
+    d2u = eval_potential(grid.potential, grid.nodes)[2]
     residual = float(lo_h @ lo_h - g2 @ g2 - g1 @ (d2u * g1))
     lhs = float(g2 @ g2)
-    rhs = float(lo_h @ lo_h) + grid.model.K * float(g1 @ g1)
+    rhs = float(lo_h @ lo_h) + grid.potential.K * float(g1 @ g1)
     return residual, (rhs - lhs) / abs(rhs) if rhs else math.nan

@@ -38,7 +38,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .errors import DegenerateGapError, DomainTooSmallError, WeightUnderflowError
-from .model import GibbsModel, eval_potential
+from .model import Potential, eval_potential
 
 CONFINEMENT_MARGIN = 10.0
 
@@ -47,7 +47,7 @@ CONFINEMENT_MARGIN = 10.0
 class WeightedGrid:
     """Uniform nodes on [-L, L] with normalized Gibbs weights."""
 
-    model: GibbsModel
+    potential: Potential
     half_width: float
     n_x: int
     nodes: np.ndarray
@@ -56,10 +56,10 @@ class WeightedGrid:
     sqrt_weights: np.ndarray
 
 
-def build_grid(model: GibbsModel, half_width: float, n_x: int) -> WeightedGrid:
+def build_grid(potential: Potential, half_width: float, n_x: int) -> WeightedGrid:
     """Build the weighted position grid; checks confinement and weight floor."""
     nodes = np.linspace(-half_width, half_width, n_x)
-    U = eval_potential(model.potential, nodes)[0]
+    U = eval_potential(potential, nodes)[0]
     u_min = U.min()
     if min(U[0], U[-1]) - u_min < CONFINEMENT_MARGIN:
         raise DomainTooSmallError(
@@ -77,7 +77,7 @@ def build_grid(model: GibbsModel, half_width: float, n_x: int) -> WeightedGrid:
             "reduce grid half_width"
         )
     return WeightedGrid(
-        model=model,
+        potential=potential,
         half_width=float(half_width),
         n_x=n_x,
         nodes=nodes,

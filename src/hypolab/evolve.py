@@ -51,11 +51,11 @@ from .errors import (
     NumericalError,
     PreconditionError,
 )
+from .sampler import MIN_FIT_SAMPLES
 
 DT_GUARD = 0.1
 MEAN_TOL = 1e-10
 ROUNDOFF_FLOOR = 1e-12
-MIN_FIT_SAMPLES = 8
 
 
 @dataclass
@@ -63,9 +63,9 @@ class DecayTrace:
     """Per-step samples of the decaying state and the certified envelope.
 
     dt is the step taken; diss_mid holds D(g_n) at the step midpoints
-    g_n = (f_n + f_{n+1}) / 2, one per step; band holds the factorization
-    diagnostics of BandLU; solve_residual is the relative residual
-    ||M f_1 - b|| / ||b|| of the first step's solve (None without steps).
+    g_n = (f_n + f_{n+1}) / 2, one per step; solve_residual is the relative
+    residual ||M f_1 - b|| / ||b|| of the first step's solve (None without
+    steps).
     """
 
     dt: float
@@ -76,27 +76,13 @@ class DecayTrace:
     diss_mid: np.ndarray
     bound: np.ndarray
     mean: np.ndarray
-    gamma: float
-    eps: float
-    Lambda: float
-    band: dict
     solve_residual: float | None = None
 
-    def csv_rows(self):
-        header = "t,norm,lyap,diss,bound,mean"
-        yield header
-        for k in range(len(self.times)):
-            yield ",".join(
-                repr(float(v))
-                for v in (
-                    self.times[k],
-                    self.norm[k],
-                    self.lyap[k],
-                    self.diss[k],
-                    self.bound[k],
-                    self.mean[k],
-                )
-            )
+    @property
+    def columns(self) -> dict:
+        """The per-sample series by name, in CSV order."""
+        return {"t": self.times, "norm": self.norm, "lyap": self.lyap,
+                "diss": self.diss, "bound": self.bound, "mean": self.mean}
 
 
 def initial_condition(ops: OperatorSet, kind: str, seed: int = 0) -> np.ndarray:
@@ -209,7 +195,6 @@ class CrankNicolson:
     factors of M = I - (dt/2) L.  Built once per (gamma, dt) and shared by
     every trace integrated there."""
 
-    gamma: float
     dt: float
     L: sp.csr_matrix
     lu: BandLU
@@ -221,7 +206,7 @@ def crank_nicolson(ops: OperatorSet, gamma: float, dt: float) -> CrankNicolson:
     dt = min(dt, DT_GUARD / gamma)
     L = compose_generator(ops, gamma)
     lu = band_lu(sp.identity(ops.n, format="csr") - (dt / 2) * L)
-    return CrankNicolson(gamma=float(gamma), dt=float(dt), L=L, lu=lu)
+    return CrankNicolson(dt=float(dt), L=L, lu=lu)
 
 
 def integrate(
@@ -287,10 +272,6 @@ def integrate(
         diss_mid=(diss[:-1] + diss[1:] + cross) / 4,
         bound=bound,
         mean=mean,
-        gamma=cn.gamma,
-        eps=float(eps),
-        Lambda=float(Lambda),
-        band=lu.diagnostics(),
         solve_residual=solve_residual,
     )
 

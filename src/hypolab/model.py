@@ -1,4 +1,4 @@
-"""Confining potentials, their closed-form derivatives, and Gibbs-model data.
+"""Confining potentials, their closed-form derivatives and constants.
 
 Built-in family (1-D, all derivatives closed form):
 
@@ -6,8 +6,10 @@ Built-in family (1-D, all derivatives closed form):
     double_well  U(x) = s (x^2 - 1)^2 / 4      (s > 0, default 1)
     cosine_bump  U(x) = x^2 / 2 + c cos(x)     (c >= 0)
 
-The Hessian lower bound K = max(0, -inf U'') is computed in closed form, so
-the bound checks downstream test the estimate logic, not discretization slack.
+A Potential also carries the constants every other module reads: the
+Hessian lower bound K = max(0, -inf U''), the known spectral gap analytic_m
+and the default domain.  K is in closed form, so the bound checks downstream
+test the estimate logic, not discretization slack.
 The normalization constant Z is never materialized; measures enter everywhere
 as normalized weight vectors.
 """
@@ -34,6 +36,8 @@ class Potential:
         par = tuple(float(p) for p in self.params) or (1.0,)
         if len(par) != 1:
             raise ConfigurationError(f"{self.kind} takes a single parameter")
+        if not np.isfinite(par[0]):
+            raise ConfigurationError(f"{self.kind} parameter must be finite")
         if self.kind == "quadratic" and par[0] <= 0:
             raise ConfigurationError("quadratic curvature must be positive")
         if self.kind == "double_well" and par[0] <= 0:
@@ -43,6 +47,32 @@ class Potential:
         object.__setattr__(self, "params", par)
         if not self.name:
             object.__setattr__(self, "name", self.kind)
+
+    @property
+    def K(self) -> float:
+        """Closed-form K = max(0, -inf_x U''(x))."""
+        (par,) = self.params
+        if self.kind == "quadratic":
+            return 0.0
+        if self.kind == "double_well":
+            return par  # inf of s(3x^2 - 1) is -s
+        return max(0.0, par - 1.0)  # inf of 1 - c cos(x) is 1 - c
+
+    @property
+    def analytic_m(self) -> float | None:
+        """The known spectral gap where one exists (quadratic: the curvature
+        a); None otherwise."""
+        return self.params[0] if self.kind == "quadratic" else None
+
+    @property
+    def domain(self) -> float:
+        """Default truncation half-width.
+
+        The double well needs a tighter box: e^{-U} underflows beyond
+        |x| ~ 7.5, and steep-tail bonds otherwise create fast oscillatory
+        modes that the trapezoidal integrator barely damps.
+        """
+        return 4.0 if self.kind == "double_well" else 8.0
 
 
 def quadratic(a: float = 1.0) -> Potential:
@@ -83,41 +113,3 @@ def potential_gradient(p: Potential, x: np.ndarray) -> np.ndarray:
     if p.kind == "double_well":
         return par * (x**3 - x)
     return x - par * np.sin(x)
-
-
-def hessian_lower_bound(p: Potential) -> float:
-    """Closed-form K = max(0, -inf_x U''(x)) for the built-in family."""
-    (par,) = p.params
-    if p.kind == "quadratic":
-        return 0.0
-    if p.kind == "double_well":
-        return par  # inf of s(3x^2 - 1) is -s
-    return max(0.0, par - 1.0)  # inf of 1 - c cos(x) is 1 - c
-
-
-def default_domain(p: Potential) -> float:
-    """Default truncation half-width for the built-in family.
-
-    The double well needs a tighter box: e^{-U} underflows beyond |x| ~ 7.5,
-    and steep-tail bonds otherwise create fast oscillatory modes that the
-    trapezoidal integrator barely damps.
-    """
-    return 4.0 if p.kind == "double_well" else 8.0
-
-
-@dataclass(frozen=True)
-class GibbsModel:
-    """Potential plus the scalars every other module needs.
-
-    analytic_m is the known spectral gap where one exists (quadratic: the
-    curvature); None otherwise.
-    """
-
-    potential: Potential
-    K: float
-    analytic_m: float | None = None
-
-
-def gibbs_model(p: Potential) -> GibbsModel:
-    analytic = p.params[0] if p.kind == "quadratic" else None
-    return GibbsModel(potential=p, K=hessian_lower_bound(p), analytic_m=analytic)

@@ -90,15 +90,15 @@ class EnsembleTrace:
     def diverged(self) -> bool:
         return self.divergence is not None
 
-    def csv_rows(self):
-        names = list(self.means)
-        yield "t," + ",".join(f"{n}_mean,{n}_stderr" for n in names)
-        for k in range(len(self.times)):
-            cells = [repr(float(self.times[k]))]
-            for n in names:
-                cells.append(repr(float(self.means[n][k])))
-                cells.append(repr(float(self.stderrs[n][k])))
-            yield ",".join(cells)
+    @property
+    def columns(self) -> dict:
+        """The per-record series by name, in CSV order: t, then each
+        observable's mean and standard error."""
+        out = {"t": self.times}
+        for n in self.means:
+            out[f"{n}_mean"] = self.means[n]
+            out[f"{n}_stderr"] = self.stderrs[n]
+        return out
 
 
 def _force(potential: Potential, x: np.ndarray) -> np.ndarray:

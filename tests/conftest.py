@@ -14,10 +14,9 @@ DEFAULT_NV = 20
 
 
 def make_ops(potential, l_dom=None, n_x=DEFAULT_NX, n_v=DEFAULT_NV):
-    model = hl.gibbs_model(potential)
     if l_dom is None:
-        l_dom = hl.default_domain(potential)
-    grid = hl.build_grid(model, l_dom, n_x)
+        l_dom = potential.domain
+    grid = hl.build_grid(potential, l_dom, n_x)
     basis = hl.build_velocity_basis(n_v)
     ops = hl.assemble_operators(grid, basis)
     hl.poincare_constant(ops)

@@ -73,18 +73,18 @@ def test_criterion_4_discrete_poincare_constant():
 def test_criterion_5_corrector_bounds(corr_quad, corr_dw):
     with criterion(5, "corrector norm bounds within 5 percent"):
         def excess(report):
-            return [max(0.0, r - 1.0) for r in report.ratios]
+            return [max(0.0, r - 1.0) for r in report["ratios"]]
 
         excess_128 = None
         for corr in (corr_quad, corr_dw):
             report = hl.verify_corrector_bounds(corr)
-            assert all(r <= 1.05 for r in report.ratios)
+            assert all(r <= 1.05 for r in report["ratios"])
             if corr is corr_quad:
                 excess_128 = excess(report)
         ops_fine = make_ops(hl.quadratic(1.0), n_x=256, n_v=20)
         corr_fine = hl.build_corrector(ops_fine)
         report_fine = hl.verify_corrector_bounds(corr_fine)
-        assert all(r <= 1.05 for r in report_fine.ratios)
+        assert all(r <= 1.05 for r in report_fine["ratios"])
         for coarse, fine in zip(excess_128, excess(report_fine)):
             assert fine <= coarse + 1e-12
 
@@ -92,7 +92,7 @@ def test_criterion_5_corrector_bounds(corr_quad, corr_dw):
 def test_criterion_6_dissipation_coercivity(ops_quad, corr_quad, ops_dw, corr_dw):
     with criterion(6, "dissipation form coercive at (gamma*, eps*)"):
         for ops, corr in ((ops_quad, corr_quad), (ops_dw, corr_dw)):
-            tuned = hl.optimize_friction(ops.m_h, ops.grid.model.K)
+            tuned = hl.optimize_friction(ops.m_h, ops.grid.potential.K)
             min_eig, _ = hl.dissipation_form_min_eig(
                 corr, tuned.eps_star, tuned.gamma_star
             )
@@ -106,9 +106,9 @@ def test_criterion_7_decay_bound(ops_quad, corr_quad, ops_dw, corr_dw, ops_cos):
         for ops, corr in cases:
             # the quadratic gap is known analytically, so its run uses the
             # exact tuned friction gamma* = 4
-            model = ops.grid.model
-            m = model.analytic_m if model.analytic_m is not None else ops.m_h
-            tuned = hl.optimize_friction(m, model.K)
+            potential = ops.grid.potential
+            m = potential.analytic_m if potential.analytic_m is not None else ops.m_h
+            tuned = hl.optimize_friction(m, potential.K)
             for kind in ("gap", "velocity", "random"):
                 f0 = hl.initial_condition(ops, kind, seed=2024)
                 trace = hl.integrate(
@@ -117,7 +117,7 @@ def test_criterion_7_decay_bound(ops_quad, corr_quad, ops_dw, corr_dw, ops_cos):
                     corrector=corr, eps=tuned.eps_star, Lambda=tuned.Lambda,
                 )
                 margin = hl.verify_decay_bound(trace)
-                assert margin >= 0, (model.potential.name, kind, margin)
+                assert margin >= 0, (potential.name, kind, margin)
                 fitted = hl.estimate_rate(trace)
                 assert fitted >= tuned.Lambda * (1 - 1e-6)
                 if ops is ops_quad and kind == "random":
@@ -161,14 +161,18 @@ def test_criterion_9_sde_consistency(monkeypatch):
         target = 2.0 - math.sqrt(3.0)
         assert abs(rate - target) <= 0.15 * target
 
-        # determinism: identical seeds give byte-identical CSVs, independent
-        # of the particle partitioning used for execution
+        # determinism: identical seeds give bit-identical CSV columns,
+        # independent of the particle partitioning used for execution
         small = hl.SdeConfig(potential=hl.quadratic(1.0), particles=500,
                              steps=200, dt=0.01, gamma=4.0, seed=2024)
-        rows_a = "\n".join(hl.run_ensemble(small).csv_rows())
+
+        def column_bytes():
+            return {name: column.tobytes()
+                    for name, column in hl.run_ensemble(small).columns.items()}
+
+        bytes_a = column_bytes()
         monkeypatch.setattr("hypolab.sampler.CHUNK", 97)
-        rows_b = "\n".join(hl.run_ensemble(small).csv_rows())
-        assert rows_a == rows_b
+        assert column_bytes() == bytes_a
 
 
 def test_criterion_10_bochner_residual():

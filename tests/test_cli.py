@@ -1,9 +1,11 @@
 import ast
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -70,6 +72,11 @@ class TestConfigParsing:
         ("grid.N_v", "3"), ("grid.L_dom", "-2"), ("sde.d", "0"),
         ("sde.particles", "10"), ("sde.dt", "0"), ("sde.steps", "0"),
         ("tuning.eps", "0"), ("evolve.dt", "0"), ("evolve.t_end_factor", "-1"),
+        ("grid.L_dom", "nan"), ("grid.L_dom", "inf"), ("tuning.gamma", "inf"),
+        ("tuning.eps", "inf"), ("evolve.dt", "nan"), ("evolve.t_end_factor", "inf"),
+        ("sde.dt", "inf"), ("sde.init_shift", "nan"), ("sde.init_shift", "-inf"),
+        ("potential.params", "nan"), ("potential.params", "inf"),
+        ("sweep.gammas", "2,inf"), ("seed", "-1"),
     ])
     def test_range_checked_at_the_boundary(self, key, value):
         # the library below the config trusts these values: this is their check
@@ -295,11 +302,13 @@ class TestRunExperiment:
         monkeypatch.setattr(evolve, "band_lu",
                             lambda m: calls.append(m) or band_lu(m))
         cfg = cli.build_config({**SMALL, "evolve.f0": "all"})
-        cli.emit_report(cli.run_experiment("evolve", cfg), tmp_path)
+        report = cli.run_experiment("evolve", cfg)
+        cli.emit_report(report, tmp_path / "all")
         assert len(calls) == 1
         # each kind integrated alone, with a factorization of its own, gives
         # the same bytes
         ws = cli._Workspace(cfg)
+        alone = cli.RunReport(version="", command="evolve", config={})
         for kind in ("gap", "velocity", "random"):
             trace = hl.integrate(
                 ws.ops, hl.initial_condition(ws.ops, kind, seed=cfg.seed),
@@ -307,9 +316,13 @@ class TestRunExperiment:
                 cfg.evolve_t_end_factor / ws.tuned.Lambda,
                 corrector=ws.corrector, eps=ws.eps, Lambda=ws.tuned.Lambda,
             )
-            name = f"decay_{ws.potential.name}_{ws.gamma:g}_{kind}.csv"
-            expected = "".join(row + "\n" for row in trace.csv_rows())
-            assert (tmp_path / name).read_text() == expected
+            alone.traces.append(
+                (f"decay_{ws.potential.name}_{ws.gamma:g}_{kind}.csv", trace))
+        cli.emit_report(alone, tmp_path / "alone")
+        assert report.manifest == alone.manifest
+        for name in alone.manifest:
+            assert (tmp_path / "all" / name).read_bytes() == (
+                tmp_path / "alone" / name).read_bytes()
 
     def test_sampler_guard_holds_only_runs_that_sample(self):
         # tune, verify and evolve never sample, so sde.dt does not bound gamma
@@ -362,10 +375,25 @@ def _edit_result(edit):
     return lambda original: lambda *args, **kw: edit(original(*args, **kw))
 
 
-def _norm_above_bound(norm):
-    """verify_corrector_bounds with one measured norm 10 % above its bound."""
-    bound = norm.replace("norm", "bound")
-    return _edit_result(lambda r: replace(r, **{norm: 1.1 * getattr(r, bound)}))
+def _norm_above_bound(name):
+    """verify_corrector_bounds with the norm of one block, and its ratio,
+    10 % above its bound."""
+    i = ("A", "LaA", "ALa_fast").index(name)
+
+    def edit(norms):
+        ratios = list(norms["ratios"])
+        ratios[i] = 1.1
+        return {**norms, f"norm_{name}": 1.1 * norms[f"bound_{name}"],
+                "ratios": ratios}
+
+    return _edit_result(edit)
+
+
+def _rising_rates(original):
+    """estimate_rate giving 1, 2, 3, ... in call order: along the sweep's
+    gammas 1, 2, 4 the critical 2 is not the fastest."""
+    rates = itertools.count(1.0)
+    return lambda trace: next(rates)
 
 
 # verdict -> (command, config, hypolab.cli name, patch of that name's original)
@@ -375,23 +403,23 @@ FAILING_CASES = {
         lambda t: replace(t, eps_max=2.01 * t.gamma_star / t.a))),
     "ratio_chain": ("tune", SMALL, "optimize_friction", _edit_result(
         lambda t: replace(t, lambda_coer=2 * t.lambda_coer))),
-    "bound_A": ("verify", SMALL, "verify_corrector_bounds", _norm_above_bound("norm_a")),
-    "bound_LaA": ("verify", SMALL, "verify_corrector_bounds",
-                  _norm_above_bound("norm_la_a")),
+    "bound_A": ("verify", SMALL, "verify_corrector_bounds", _norm_above_bound("A")),
+    "bound_LaA": ("verify", SMALL, "verify_corrector_bounds", _norm_above_bound("LaA")),
     "bound_ALa_fast": ("verify", SMALL, "verify_corrector_bounds",
-                       _norm_above_bound("norm_a_la_fast")),
+                       _norm_above_bound("ALa_fast")),
     "dissipation_coercive": ("verify", SMALL, "dissipation_form_min_eig",
                              _edit_result(lambda r: (r[0] / 2, r[1]))),
     "mean_conserved": ("evolve", SMALL, "integrate", _edit_result(
         lambda t: replace(t, mean=t.mean + 1e-9 * t.times / t.times[-1]))),
     "decay_bound": ("evolve", SMALL, "integrate", _edit_result(
         lambda t: replace(t, norm=2 * t.norm))),
+    # a trace that does not decay
     "rate_above_Lambda": ("evolve", SMALL, "estimate_rate",
-                          lambda original: lambda t: t.Lambda / 2),
+                          lambda original: lambda t: 0.0),
     "first_moment_rate": ("sample", SMALL_SDE, "_first_moment_rate",
                           lambda original: lambda gamma, a: original(gamma, 2 * a)),
     "sweep_argmax_critical": ("sweep", RULE_CONFIGS["sweep"], "estimate_rate",
-                              lambda original: lambda t: t.gamma),
+                              _rising_rates),
 }
 
 
@@ -400,6 +428,21 @@ class TestStageTable:
     def test_timings_follow_the_command_table(self, command):
         report = cli.run_experiment(command, cli.build_config(RULE_CONFIGS[command]))
         assert list(report.timings) == list(cli.COMMANDS[command])
+
+    @pytest.mark.parametrize("command", ["sample", "all"])
+    def test_first_stage_carries_the_set_up(self, command, monkeypatch):
+        # the sampler's check reads gamma*, which builds the operators before
+        # any stage runs: that time is the first stage's
+        pause = 0.2
+        assemble_operators = cli.assemble_operators
+
+        def slow(*args):
+            time.sleep(pause)
+            return assemble_operators(*args)
+
+        monkeypatch.setattr(cli, "assemble_operators", slow)
+        report = cli.run_experiment(command, cli.build_config(RULE_CONFIGS[command]))
+        assert report.timings[cli.COMMANDS[command][0]] >= pause
 
 
 class TestVerdictRule:
@@ -437,16 +480,9 @@ class TestVerdictRule:
         assert margin == pytest.approx(0.00156, abs=5e-6)
 
     def test_understated_k_fails_bochner(self, monkeypatch):
-        gibbs_model = cli.gibbs_model
-
-        def understated(potential):
-            model = gibbs_model(potential)
-            # the double well's true bound is K = 1; tanh, whose gradient
-            # peaks on the barrier where U'' < 0, must expose K = 0
-            object.__setattr__(model, "K", 0.0)
-            return model
-
-        monkeypatch.setattr(cli, "gibbs_model", understated)
+        # the double well's true bound is K = 1; tanh, whose gradient peaks on
+        # the barrier where U'' < 0, must expose K = 0
+        monkeypatch.setattr(hl.Potential, "K", property(lambda self: 0.0))
         cfg = cli.build_config({"potential.kind": "double_well"})
         report = cli.run_experiment("verify", cfg)
         verdict = next(v for v in report.verdicts if v["name"] == "bochner_inequality")
@@ -501,6 +537,23 @@ class TestEmitReport:
         assert (tmp_path / "a" / name).read_bytes() == (
             tmp_path / "b" / name
         ).read_bytes()
+
+    def test_ensemble_csv_columns(self, tmp_path):
+        trace = sampler.EnsembleTrace(
+            times=np.array([0.0, 0.5]),
+            means={"x0": np.array([2.0, 0.1]), "v_sq": np.array([1.0, 1.0 / 3.0])},
+            stderrs={"x0": np.array([0.0, 0.01]), "v_sq": np.array([0.25, 0.5])},
+            final_x_mean=None, final_x_var=None, final_v_mean=None,
+            final_v_var=None, particles=2,
+        )
+        report = cli.RunReport(version="", command="sample", config={},
+                               traces=[("sde.csv", trace)])
+        assert cli.emit_report(report, tmp_path)[0] == "sde.csv"
+        assert (tmp_path / "sde.csv").read_text() == (
+            "t,x0_mean,x0_stderr,v_sq_mean,v_sq_stderr\n"
+            "0.0,2.0,0.0,1.0,0.25\n"
+            "0.5,0.1,0.01,0.3333333333333333,0.5\n"
+        )
 
     def test_report_floats_round_trip(self, tmp_path):
         cfg = cli.build_config(SMALL)
@@ -581,7 +634,7 @@ class TestMain:
         assert cli.main(["evolve", "--config", str(conf)]) == 2
         assert "evolve.f0" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("gammas", ["0,2", "2,-1"])
+    @pytest.mark.parametrize("gammas", ["0,2", "2,-1", "2,nan", "inf,2"])
     def test_nonpositive_sweep_gamma_exits_2(self, gammas, tmp_path, capsys,
                                              monkeypatch):
         def no_work(*args, **kwargs):

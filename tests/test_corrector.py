@@ -239,32 +239,31 @@ class TestBlockReduction:
             for m in (A, ops.la @ A, A @ ops.la @ fast)
         ]
         report = hl.verify_corrector_bounds(corr_small)
-        blocks = [report.norm_a, report.norm_la_a, report.norm_a_la_fast]
+        blocks = [report["norm_A"], report["norm_LaA"], report["norm_ALa_fast"]]
         assert np.allclose(blocks, full, rtol=1e-12, atol=0.0)
 
     def test_norm_a_attains_bound(self, corr_quad, corr_dw, ops_cos):
         for corr in (corr_quad, corr_dw, hl.build_corrector(ops_cos)):
             report = hl.verify_corrector_bounds(corr)
-            assert report.norm_a_exact_residual <= 1e-12
-            assert report.as_dict()["norm_A_exact_residual"] <= 1e-12
+            assert report["norm_A_exact_residual"] <= 1e-12
 
     def test_double_well_fine_norm_la_a(self):
         # exact value 0.9999698; the top of the spectrum is clustered, so an
         # iterative estimate stopped on stagnation reads low
         ops = make_ops(hl.double_well(), n_x=512, n_v=32)
         report = hl.verify_corrector_bounds(hl.build_corrector(ops))
-        assert report.norm_la_a >= 0.99996
-        assert report.norm_la_a < 1.0
+        assert report["norm_LaA"] >= 0.99996
+        assert report["norm_LaA"] < 1.0
 
 
 class TestCorrectorBounds:
     def test_quadratic_within_tolerance(self, corr_quad):
         report = hl.verify_corrector_bounds(corr_quad)
-        assert all(r <= 1.05 for r in report.ratios)
+        assert all(r <= 1.05 for r in report["ratios"])
 
     def test_double_well_within_tolerance(self, corr_dw):
         report = hl.verify_corrector_bounds(corr_dw)
-        assert all(r <= 1.05 for r in report.ratios)
+        assert all(r <= 1.05 for r in report["ratios"])
 
 
 class TestDissipationFormMinEig:
@@ -303,7 +302,7 @@ class TestDissipationFormMinEig:
     @pytest.mark.parametrize("potential", sorted(SMALL_POTENTIALS))
     def test_form_decouples_above_mode_2(self, potential):
         ops = make_ops(SMALL_POTENTIALS[potential](), n_x=64, n_v=12)
-        tuned = hl.optimize_friction(ops.m_h, ops.grid.model.K)
+        tuned = hl.optimize_friction(ops.m_h, ops.grid.potential.K)
         gamma = tuned.gamma_star
         Q = dissipation_form(
             functional(hl.build_corrector(ops), tuned.eps_star, gamma)).toarray()
@@ -321,7 +320,7 @@ class TestDissipationFormMinEig:
         # gamma k above mode 2, and equal the block on modes 0-2 to roundoff.
         ops = make_ops(SMALL_POTENTIALS[potential](), n_x=n_x, n_v=n_v)
         corr = hl.build_corrector(ops)
-        tuned = hl.optimize_friction(ops.m_h, ops.grid.model.K)
+        tuned = hl.optimize_friction(ops.m_h, ops.grid.potential.K)
         eps, gamma = tuned.eps_star, tuned.gamma_star
         Q = dissipation_form(functional(corr, eps, gamma))
         k = np.arange(ops.n) % ops.n_v
@@ -338,7 +337,7 @@ class TestDissipationFormMinEig:
     def test_matches_dense_eigensolve(self, potential):
         ops = make_ops(SMALL_POTENTIALS[potential](), n_x=64, n_v=12)
         corr = hl.build_corrector(ops)
-        tuned = hl.optimize_friction(ops.m_h, ops.grid.model.K)
+        tuned = hl.optimize_friction(ops.m_h, ops.grid.potential.K)
         eps, gamma = tuned.eps_star, tuned.gamma_star
         min_eig, residual = hl.dissipation_form_min_eig(corr, eps, gamma)
         # dense eigensolve of the full form on an orthonormal basis of the
@@ -355,7 +354,7 @@ class TestDissipationFormMinEig:
 def tuned_corrector(potential, n_x, n_v):
     """Corrector and tuned (eps*, gamma*) at one grid, built once per module."""
     ops = make_ops(SMALL_POTENTIALS[potential](), n_x=n_x, n_v=n_v)
-    tuned = hl.optimize_friction(ops.m_h, ops.grid.model.K)
+    tuned = hl.optimize_friction(ops.m_h, ops.grid.potential.K)
     return hl.build_corrector(ops), tuned.eps_star, tuned.gamma_star
 
 

@@ -29,7 +29,7 @@ ORACLE_GAPS = {
 
 
 def grid_for(pot, l_dom, n_x):
-    return hl.build_grid(hl.gibbs_model(pot), l_dom, n_x)
+    return hl.build_grid(pot, l_dom, n_x)
 
 
 class TestGrid:

@@ -4,6 +4,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 import hypolab as hl
+import hypolab.cli as cli
 from hypolab.evolve import DT_GUARD, band_lu, lyapunov_identity
 from hypolab.errors import (
     ConfigurationError,
@@ -25,7 +26,7 @@ def tuned_system(kind, n_x, n_v):
     """(ops, corrector, tuning, M = I - (dt/2) L, L, dt) at gamma_star and the
     largest step the guard allows, dt = DT_GUARD / gamma_star."""
     ops = make_ops(POTENTIALS[kind](), n_x=n_x, n_v=n_v)
-    tuned = hl.optimize_friction(ops.m_h, ops.grid.model.K)
+    tuned = hl.optimize_friction(ops.m_h, ops.grid.potential.K)
     dt = DT_GUARD / tuned.gamma_star
     L = hl.compose_generator(ops, tuned.gamma_star)
     M = sp.identity(ops.n, format="csr") - (dt / 2) * L
@@ -54,10 +55,6 @@ def synthetic_trace(times, norms):
         diss_mid=np.zeros(n - 1),
         bound=np.full(n, np.inf),
         mean=np.zeros(n),
-        gamma=4.0,
-        eps=0.3,
-        Lambda=0.05,
-        band={},
     )
 
 
@@ -144,8 +141,8 @@ class TestIntegrate:
         assert quad_trace.norm[0] == pytest.approx(1.0, rel=1e-12)
         assert quad_trace.bound[0] == pytest.approx(np.sqrt(3.0), rel=1e-12)
 
-    def test_gronwall_envelope(self, quad_trace):
-        envelope = quad_trace.lyap[0] * np.exp(-2 * quad_trace.Lambda
+    def test_gronwall_envelope(self, quad_trace, tuned_quad):
+        envelope = quad_trace.lyap[0] * np.exp(-2 * tuned_quad.Lambda
                                                * quad_trace.times)
         assert np.all(quad_trace.lyap <= envelope * (1 + 1e-6))
 
@@ -201,9 +198,9 @@ class TestBandLU:
     def test_integrate_matches_dense_crank_nicolson(self, kind):
         ops, corr, tuned, M, L, dt = tuned_system(kind, 32, 8)
         f0 = hl.initial_condition(ops, "random", seed=11)
-        trace = hl.integrate(ops, f0, hl.crank_nicolson(ops, tuned.gamma_star, dt),
-                             50 * dt, corrector=corr, eps=tuned.eps_star,
-                             Lambda=tuned.Lambda)
+        cn = hl.crank_nicolson(ops, tuned.gamma_star, dt)
+        trace = hl.integrate(ops, f0, cn, 50 * dt, corrector=corr,
+                             eps=tuned.eps_star, Lambda=tuned.Lambda)
         assert len(trace.times) == 51
         functional = hl.ModifiedFunctional(corr, L, tuned.eps_star)
         forward = np.eye(ops.n) + (dt / 2) * L.toarray()
@@ -216,7 +213,7 @@ class TestBandLU:
         np.testing.assert_allclose(trace.norm, norm, rtol=1e-12, atol=0)
         np.testing.assert_allclose(trace.lyap, lyap, rtol=1e-12, atol=0)
         np.testing.assert_allclose(trace.diss, diss, rtol=1e-12, atol=0)
-        assert trace.band == band_lu(M).diagnostics()
+        assert cn.lu.diagnostics() == band_lu(M).diagnostics()
 
 
 class TestLyapunovIdentity:
@@ -306,7 +303,7 @@ class TestLyapunovDerivative:
         resid = hl.lyapunov_derivative_check(quad_trace, monotone=True, t_min=2.0)
         assert resid <= 1e-4
 
-    def test_monotonicity_enforced_on_tuned_runs(self, quad_trace, tuned_quad):
+    def test_monotonicity_enforced_on_tuned_runs(self, quad_trace):
         doctored = hl.DecayTrace(
             dt=quad_trace.dt,
             times=quad_trace.times[:5],
@@ -316,10 +313,6 @@ class TestLyapunovDerivative:
             diss_mid=quad_trace.diss_mid[:4],
             bound=quad_trace.bound[:5],
             mean=quad_trace.mean[:5],
-            gamma=tuned_quad.gamma_star,
-            eps=tuned_quad.eps_star,
-            Lambda=tuned_quad.Lambda,
-            band=quad_trace.band,
         )
         with pytest.raises(NumericalError):
             hl.lyapunov_derivative_check(doctored, monotone=True)
@@ -333,8 +326,13 @@ class TestLyapunovDerivative:
 
 
 class TestCsvRows:
-    def test_header_and_repr_precision(self, quad_trace):
-        rows = list(quad_trace.csv_rows())
-        assert rows[0] == "t,norm,lyap,diss,bound,mean"
-        cells = rows[1].split(",")
-        assert float(cells[1]) == quad_trace.norm[0]
+    def test_header_and_repr_precision(self, tmp_path):
+        trace = synthetic_trace([0.0, 0.1], [1.0, 1.0 / 3.0])
+        report = cli.RunReport(version="", command="evolve", config={},
+                               traces=[("decay.csv", trace)])
+        cli.emit_report(report, tmp_path)
+        assert (tmp_path / "decay.csv").read_text() == (
+            "t,norm,lyap,diss,bound,mean\n"
+            "0.0,1.0,0.0,0.0,inf,0.0\n"
+            "0.1,0.3333333333333333,0.0,0.0,inf,0.0\n"
+        )

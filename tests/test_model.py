@@ -38,7 +38,7 @@ def test_vectorized_evaluation():
     ],
 )
 def test_hessian_lower_bound(pot, expected):
-    assert hl.hessian_lower_bound(pot) == expected
+    assert pot.K == expected
 
 
 def test_unknown_kind_rejected():
@@ -49,7 +49,8 @@ def test_unknown_kind_rejected():
 @pytest.mark.parametrize(
     "kind,params",
     [("quadratic", (-1.0,)), ("quadratic", (0.0,)), ("double_well", (0.0,)),
-     ("cosine_bump", (-0.5,))],
+     ("cosine_bump", (-0.5,)), ("quadratic", (np.nan,)), ("double_well", (np.inf,)),
+     ("cosine_bump", (np.inf,))],
 )
 def test_bad_parameters_rejected(kind, params):
     with pytest.raises(ConfigurationError):
@@ -67,7 +68,7 @@ def test_hessian_bound_holds_everywhere():
     x = rng.uniform(-8.0, 8.0, size=10000)
     for pot in (hl.quadratic(1.0), hl.quadratic(2.0), hl.double_well(),
                 hl.double_well(3.0), hl.cosine_bump(2.0), hl.cosine_bump(0.3)):
-        K = hl.hessian_lower_bound(pot)
+        K = pot.K
         d2U = hl.eval_potential(pot, x)[2]
         assert np.all(d2U >= -K)
 
@@ -86,15 +87,14 @@ def test_derivatives_match_finite_differences():
         assert np.all(np.abs(fd2 - d2U) <= 1e-6 * np.maximum(np.abs(d2U), 1.0))
 
 
-def test_gibbs_model_fields():
-    gm = hl.gibbs_model(hl.quadratic(2.0))
-    assert gm.K == 0.0
-    assert gm.analytic_m == 2.0
-    assert hl.gibbs_model(hl.double_well()).analytic_m is None
-    assert hl.gibbs_model(hl.double_well()).K == 1.0
+def test_analytic_gap():
+    # the quadratic's spectral gap is its curvature; the others have none
+    assert hl.quadratic(2.0).analytic_m == 2.0
+    assert hl.double_well().analytic_m is None
+    assert hl.cosine_bump(2.0).analytic_m is None
 
 
 def test_default_domains():
-    assert hl.default_domain(hl.quadratic()) == 8.0
-    assert hl.default_domain(hl.double_well()) == 4.0
-    assert hl.default_domain(hl.cosine_bump()) == 8.0
+    assert hl.quadratic().domain == 8.0
+    assert hl.double_well().domain == 4.0
+    assert hl.cosine_bump().domain == 8.0
