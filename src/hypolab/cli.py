@@ -21,7 +21,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -44,6 +44,7 @@ from .discretize import (
 )
 from .errors import ConfigurationError, NumericalError, PreconditionError
 from .evolve import (
+    INITIAL_KINDS,
     crank_nicolson,
     estimate_rate,
     initial_condition,
@@ -76,35 +77,52 @@ BOUND_SLACK = 0.05  # acceptance tolerance on the corrector bounds
 TUNED_RTOL = 1e-12  # relative distance at which a parameter counts as tuned
 EXACT_TOL = 1e-12  # residual allowed an identity that holds exactly
 LAMBDA_RTOL = 4 * np.finfo(float).eps  # Lambda against its closed form, a few ulp
+# most Crank-Nicolson steps one integration may take: it bounds the memory of
+# integrate's per-step trace arrays (40 bytes a step), far above any run's need
+MAX_CN_STEPS = 10**6
+POSITIVE = "positive"  # a range rule: the value, or each entry, is > 0
+
+
+def _floats(text: str) -> tuple:
+    return tuple(float(v) for v in text.split(",") if v.strip())
+
+
+def _key(key: str, default, parse, rule=None):
+    """A config field: its dotted key, default, parser of the value text and
+    range rule (a minimum, POSITIVE, or a tuple of the allowed values).  The
+    rule applies to each entry of a tuple value, every float must also be
+    finite, and None is unset, so that defaults apply."""
+    return field(default=default, metadata={"key": key, "parse": parse, "rule": rule})
 
 
 @dataclass
 class ExperimentConfig:
-    potential_kind: str = "quadratic"
-    potential_params: tuple = ()
-    grid_l_dom: float | None = None
-    grid_n_x: int = 128
-    grid_n_v: int = 20
-    tuning_gamma: float | None = None
-    tuning_eps: float | None = None
-    evolve_t_end_factor: float = 5.0
-    evolve_dt: float = 0.02
-    evolve_f0: str = "random"
-    seed: int = 2024
-    sde_d: int = 1
-    sde_particles: int = 10000
-    sde_dt: float = 0.01
-    sde_steps: int = 2000
-    sde_record_every: int = 10
-    sde_init_shift: float = 2.0
-    sweep_gammas: tuple = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
-    sweep_target: str = "sample"
+    potential_kind: str = _key("potential.kind", "quadratic", str, POTENTIAL_KINDS)
+    potential_params: tuple = _key("potential.params", (), _floats)  # checked by Potential
+    grid_l_dom: float | None = _key("grid.L_dom", None, float, POSITIVE)
+    grid_n_x: int = _key("grid.N_x", 128, int, 16)
+    grid_n_v: int = _key("grid.N_v", 20, int, 4)
+    tuning_gamma: float | None = _key("tuning.gamma", None, float, POSITIVE)
+    tuning_eps: float | None = _key("tuning.eps", None, float, POSITIVE)
+    evolve_t_end_factor: float = _key("evolve.t_end_factor", 5.0, float, POSITIVE)
+    evolve_dt: float = _key("evolve.dt", 0.02, float, POSITIVE)
+    evolve_f0: str = _key("evolve.f0", "random", str, INITIAL_KINDS + ("all",))
+    seed: int = _key("seed", 2024, int, 0)
+    sde_d: int = _key("sde.d", 1, int, 1)
+    sde_particles: int = _key("sde.particles", 10000, int, 100)
+    sde_dt: float = _key("sde.dt", 0.01, float, POSITIVE)
+    sde_steps: int = _key("sde.steps", 2000, int, 1)
+    sde_record_every: int = _key("sde.record_every", 10, int, 1)
+    sde_init_shift: float = _key("sde.init_shift", 2.0, float)
+    sweep_gammas: tuple = _key("sweep.gammas", (0.5, 1.0, 2.0, 4.0, 8.0, 16.0),
+                               _floats, POSITIVE)
+    sweep_target: str = _key("sweep.target", "sample", str, ("evolve", "sample"))
 
     def echo(self) -> dict:
         """Flat dotted-key view; parsing the echo reproduces the config."""
         out = {}
-        for key, (name, _) in _KEYS.items():
-            value = getattr(self, name)
+        for key, f in _KEYS.items():
+            value = getattr(self, f.name)
             if value is None:
                 continue
             if isinstance(value, tuple):
@@ -114,32 +132,8 @@ class ExperimentConfig:
         return out
 
 
-def _floats(text: str) -> tuple:
-    return tuple(float(v) for v in text.split(",") if v.strip())
-
-
-# config key -> (ExperimentConfig attribute, parser of the value text)
-_KEYS = {
-    "potential.kind": ("potential_kind", str),
-    "potential.params": ("potential_params", _floats),
-    "grid.L_dom": ("grid_l_dom", float),
-    "grid.N_x": ("grid_n_x", int),
-    "grid.N_v": ("grid_n_v", int),
-    "tuning.gamma": ("tuning_gamma", float),
-    "tuning.eps": ("tuning_eps", float),
-    "evolve.t_end_factor": ("evolve_t_end_factor", float),
-    "evolve.dt": ("evolve_dt", float),
-    "evolve.f0": ("evolve_f0", str),
-    "seed": ("seed", int),
-    "sde.d": ("sde_d", int),
-    "sde.particles": ("sde_particles", int),
-    "sde.dt": ("sde_dt", float),
-    "sde.steps": ("sde_steps", int),
-    "sde.record_every": ("sde_record_every", int),
-    "sde.init_shift": ("sde_init_shift", float),
-    "sweep.gammas": ("sweep_gammas", _floats),
-    "sweep.target": ("sweep_target", str),
-}
+# config key -> its ExperimentConfig field
+_KEYS = {f.metadata["key"]: f for f in fields(ExperimentConfig)}
 # command-line flag -> the config key it overrides
 _FLAGS = {"--seed": "seed", "--gamma": "tuning.gamma", "--eps": "tuning.eps",
           "--nx": "grid.N_x", "--nv": "grid.N_v"}
@@ -164,9 +158,9 @@ def parse_config_text(text: str) -> dict:
 def build_config(raw: dict) -> ExperimentConfig:
     cfg = ExperimentConfig()
     for key, value in raw.items():
-        name, parse = _KEYS[key]
+        f = _KEYS[key]
         try:
-            setattr(cfg, name, parse(str(value)))
+            setattr(cfg, f.name, f.metadata["parse"](str(value)))
         except ValueError as exc:
             raise ConfigurationError(f"{key}: {exc}")
     _validate(cfg)
@@ -177,32 +171,28 @@ def _validate(cfg: ExperimentConfig):
     def bad(key, msg):
         raise ConfigurationError(f"{key}: {msg}")
 
+    for key, f in _KEYS.items():
+        value, rule = getattr(cfg, f.name), f.metadata["rule"]
+        for v in value if isinstance(value, tuple) else (value,):
+            if v is None:
+                continue
+            if isinstance(v, float) and not math.isfinite(v):
+                bad(key, "must be finite")
+            if isinstance(rule, tuple):
+                if v not in rule:
+                    bad(key, f"must be one of {', '.join(rule)}, not {v!r}")
+            elif rule == POSITIVE:
+                if v <= 0:
+                    bad(key, "must be positive")
+            elif rule is not None and v < rule:
+                bad(key, f"must be >= {rule}")
+    # the rules that span keys
     try:
         Potential(cfg.potential_kind, cfg.potential_params)
     except ConfigurationError as exc:
-        known = cfg.potential_kind in POTENTIAL_KINDS
-        bad("potential.params" if known else "potential.kind", exc)
-    for key, low in (("grid.N_x", 16), ("grid.N_v", 4), ("sde.particles", 100),
-                     ("sde.d", 1), ("sde.steps", 1), ("sde.record_every", 1),
-                     ("seed", 0)):
-        if getattr(cfg, _KEYS[key][0]) < low:
-            bad(key, f"must be >= {low}")
-    positive = ("grid.L_dom", "tuning.gamma", "tuning.eps", "evolve.dt",
-                "evolve.t_end_factor", "sde.dt")
-    for key, (name, parse) in _KEYS.items():
-        value = getattr(cfg, name)  # None: unset, defaults apply
-        if parse is not float or value is None:
-            continue
-        if not math.isfinite(value):
-            bad(key, "must be finite")
-        if key in positive and value <= 0:
-            bad(key, "must be positive")
-    if cfg.evolve_f0 not in ("gap", "velocity", "random", "all"):
-        bad("evolve.f0", f"unknown initial-condition kind {cfg.evolve_f0!r}")
-    if cfg.sweep_target not in ("evolve", "sample"):
-        bad("sweep.target", "must be 'evolve' or 'sample'")
-    if not cfg.sweep_gammas or not all(0 < g < math.inf for g in cfg.sweep_gammas):
-        bad("sweep.gammas", "must list one or more gammas, each positive and finite")
+        bad("potential.params", exc)
+    if not cfg.sweep_gammas:
+        bad("sweep.gammas", "must list one or more gammas")
     labels = [f"{g:g}" for g in cfg.sweep_gammas]
     if len(set(labels)) < len(labels):
         bad("sweep.gammas", f"gammas share a report label: {', '.join(labels)}")
@@ -276,14 +266,9 @@ class _Workspace:
         return self.potential.domain
 
     @property
-    def curvature(self) -> float | None:
-        """a of U = a x^2 / 2, the quadratic's closed forms; None otherwise."""
-        return self.potential.analytic_m
-
-    @property
     def fits_first_moment(self) -> bool:
         """The sampler's decay from the shifted start is fitted to the ODE."""
-        return self.curvature is not None and self.cfg.sde_init_shift != 0.0
+        return self.potential.analytic_m is not None and self.cfg.sde_init_shift != 0.0
 
     @property
     def t_end(self) -> float:
@@ -419,6 +404,11 @@ def _stage_bochner(ws: _Workspace, report: RunReport):
 
 def _integrate(ws: _Workspace, f0: np.ndarray, cn):
     """f0 integrated by cn to t_end with the run's corrector, eps and Lambda."""
+    steps = ws.t_end / cn.dt
+    if not steps <= MAX_CN_STEPS:  # also NaN and inf
+        raise ConfigurationError(
+            f"evolve.t_end_factor: t_end / dt = {steps:g} steps, and at most "
+            f"MAX_CN_STEPS = {MAX_CN_STEPS} are allowed")
     return integrate(ws.ops, f0, cn, ws.t_end, corrector=ws.corrector,
                      eps=ws.eps, Lambda=ws.tuned.Lambda)
 
@@ -427,14 +417,14 @@ def _stage_evolve(ws: _Workspace, report: RunReport):
     cfg = ws.cfg
     tuned = ws.tuned
     gamma = ws.gamma
-    kinds = ("gap", "velocity", "random") if cfg.evolve_f0 == "all" else (cfg.evolve_f0,)
+    kinds = INITIAL_KINDS if cfg.evolve_f0 == "all" else (cfg.evolve_f0,)
     cn = crank_nicolson(ws.ops, gamma, cfg.evolve_dt)  # one factorization, every kind
     rates, solve_residual = {}, {}
     for kind in kinds:
         trace = _integrate(ws, initial_condition(ws.ops, kind, seed=cfg.seed), cn)
         solve_residual[kind] = trace.solve_residual
         suffix = f"_{kind}" if len(kinds) > 1 else ""
-        name = f"decay_{ws.potential.name}_{gamma:g}{suffix}.csv"
+        name = f"decay_{ws.potential.kind}_{gamma:g}{suffix}.csv"
         report.traces.append((name, trace))
         report.results.setdefault("lyapunov_identity", {})[kind] = lyapunov_identity(trace)
         drift = float(np.abs(trace.mean - trace.mean[0]).max())
@@ -480,7 +470,7 @@ def _first_moment_rate(gamma: float, a: float) -> float:
 def _stage_sample(ws: _Workspace, report: RunReport):
     sde = _sde_config(ws, ws.gamma)
     trace = run_ensemble(sde)
-    report.traces.append((f"sde_{ws.potential.name}_{sde.gamma:g}.csv", trace))
+    report.traces.append((f"sde_{ws.potential.kind}_{sde.gamma:g}.csv", trace))
 
     def moment(values):
         # a diverged ensemble has no common final state: its moments are null
@@ -505,7 +495,7 @@ def _stage_sample(ws: _Workspace, report: RunReport):
             report.check(name, 3.0 - z)
 
     equilibrium("equilibrium_v_sq", trace.final_v_var, trace.final_v_mean, 1.0, se_v)
-    a = ws.curvature
+    a = ws.potential.analytic_m
     if a is None:
         report.skip("equilibrium_x_sq")
     else:
@@ -537,8 +527,9 @@ def _stage_sweep(ws: _Workspace, report: RunReport):
     # the first-moment ODE x'' + gamma x' + a x = 0 is critically damped at
     # gamma_c = 2 sqrt(a)
     critical = None
-    if ws.curvature is not None and len(rates) > 1:
-        gamma_c = 2.0 * math.sqrt(ws.curvature)
+    a = ws.potential.analytic_m
+    if a is not None and len(rates) > 1:
+        gamma_c = 2.0 * math.sqrt(a)
         critical = next((f"{g:g}" for g in cfg.sweep_gammas
                          if abs(g - gamma_c) <= TUNED_RTOL * gamma_c), None)
     if critical is None:
@@ -640,7 +631,7 @@ def main(argv=None) -> int:
     parser.add_argument("--config", type=str, default=None)
     parser.add_argument("--out", type=str, default=None)
     for flag, key in _FLAGS.items():
-        parser.add_argument(flag, type=_KEYS[key][1], default=None)
+        parser.add_argument(flag, type=_KEYS[key].metadata["parse"], default=None)
     args = parser.parse_args(argv)
 
     try:

@@ -54,6 +54,7 @@ from .errors import (
 from .sampler import MIN_FIT_SAMPLES
 
 DT_GUARD = 0.1
+INITIAL_KINDS = ("gap", "velocity", "random")  # the kinds initial_condition builds
 MEAN_TOL = 1e-10
 ROUNDOFF_FLOOR = 1e-12
 

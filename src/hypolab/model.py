@@ -15,7 +15,7 @@ as normalized weight vectors.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,6 @@ POTENTIAL_KINDS = ("quadratic", "double_well", "cosine_bump")
 class Potential:
     kind: str
     params: tuple = ()
-    name: str = field(default="")
 
     def __post_init__(self):
         if self.kind not in POTENTIAL_KINDS:
@@ -45,8 +44,6 @@ class Potential:
         if self.kind == "cosine_bump" and par[0] < 0:
             raise ConfigurationError("cosine bump amplitude must be >= 0")
         object.__setattr__(self, "params", par)
-        if not self.name:
-            object.__setattr__(self, "name", self.kind)
 
     @property
     def K(self) -> float:

@@ -117,7 +117,7 @@ def test_criterion_7_decay_bound(ops_quad, corr_quad, ops_dw, corr_dw, ops_cos):
                     corrector=corr, eps=tuned.eps_star, Lambda=tuned.Lambda,
                 )
                 margin = hl.verify_decay_bound(trace)
-                assert margin >= 0, (potential.name, kind, margin)
+                assert margin >= 0, (potential.kind, kind, margin)
                 fitted = hl.estimate_rate(trace)
                 assert fitted >= tuned.Lambda * (1 - 1e-6)
                 if ops is ops_quad and kind == "random":

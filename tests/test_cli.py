@@ -7,7 +7,7 @@ import subprocess
 import sys
 import time
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -76,7 +76,8 @@ class TestConfigParsing:
         ("tuning.eps", "inf"), ("evolve.dt", "nan"), ("evolve.t_end_factor", "inf"),
         ("sde.dt", "inf"), ("sde.init_shift", "nan"), ("sde.init_shift", "-inf"),
         ("potential.params", "nan"), ("potential.params", "inf"),
-        ("sweep.gammas", "2,inf"), ("seed", "-1"),
+        ("sweep.gammas", "2,inf"), ("seed", "-1"), ("sweep.target", "bogus"),
+        ("grid.N_x", "15"),
     ])
     def test_range_checked_at_the_boundary(self, key, value):
         # the library below the config trusts these values: this is their check
@@ -97,11 +98,29 @@ class TestConfigParsing:
         raw = {
             "potential.kind": "cosine_bump",
             "potential.params": "2.0",
+            "grid.L_dom": "6.5",
             "grid.N_x": "32",
+            "grid.N_v": "8",
             "tuning.gamma": "3.5",
+            "tuning.eps": "0.125",
+            "evolve.t_end_factor": "2.5",
+            "evolve.dt": "0.01",
+            "evolve.f0": "all",
             "seed": "99",
+            "sde.d": "3",
+            "sde.particles": "500",
+            "sde.dt": "0.005",
+            "sde.steps": "300",
+            "sde.record_every": "5",
+            "sde.init_shift": "-1.5",
+            "sweep.gammas": "1,3",
+            "sweep.target": "evolve",
         }
+        assert sorted(raw) == sorted(cli._KEYS)
         cfg = cli.build_config(raw)
+        default = cli.ExperimentConfig()
+        for f in fields(cfg):  # each key moved off its default
+            assert getattr(cfg, f.name) != getattr(default, f.name), f.name
         again = cli.build_config(cli.parse_config_text(
             "\n".join(f"{k} = {v}" for k, v in cfg.echo().items())
         ))
@@ -317,7 +336,7 @@ class TestRunExperiment:
                 corrector=ws.corrector, eps=ws.eps, Lambda=ws.tuned.Lambda,
             )
             alone.traces.append(
-                (f"decay_{ws.potential.name}_{ws.gamma:g}_{kind}.csv", trace))
+                (f"decay_{ws.potential.kind}_{ws.gamma:g}_{kind}.csv", trace))
         cli.emit_report(alone, tmp_path / "alone")
         assert report.manifest == alone.manifest
         for name in alone.manifest:
@@ -633,6 +652,27 @@ class TestMain:
         conf.write_text("evolve.f0 = zero\n")
         assert cli.main(["evolve", "--config", str(conf)]) == 2
         assert "evolve.f0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, text", [
+        ("evolve", "evolve.t_end_factor = 1e300\n"),
+        ("evolve", "evolve.t_end_factor = 1e308\n"),  # t_end overflows to inf
+        ("sweep", "sweep.target = evolve\nevolve.t_end_factor = 1e300\n"),
+    ], ids=["evolve-1e300", "evolve-1e308", "sweep-1e300"])
+    def test_endless_evolve_exits_2_before_integrating(self, command, text, tmp_path,
+                                                       capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("integrate ran before its step count was checked")
+
+        monkeypatch.setattr(cli, "integrate", no_work)
+        conf = tmp_path / "endless.conf"
+        conf.write_text(text)
+        assert cli.main([command, "--nx", "32", "--nv", "6", "--config", str(conf)]) == 2
+        assert "configuration error: evolve.t_end_factor: " in capsys.readouterr().err
+
+    def test_step_cap_is_far_above_the_default_run(self):
+        ws = cli._Workspace(cli.build_config({}))
+        steps = ws.t_end / cli.crank_nicolson(ws.ops, ws.gamma, ws.cfg.evolve_dt).dt
+        assert 100 * steps < cli.MAX_CN_STEPS
 
     @pytest.mark.parametrize("gammas", ["0,2", "2,-1", "2,nan", "inf,2"])
     def test_nonpositive_sweep_gamma_exits_2(self, gammas, tmp_path, capsys,

@@ -197,7 +197,7 @@ class TestPoincare:
     @pytest.mark.parametrize("n_x", [128, 512])
     @pytest.mark.parametrize(
         "pot", [hl.quadratic(1.0), hl.double_well(), hl.cosine_bump(2.0)],
-        ids=lambda pot: pot.name,
+        ids=lambda pot: pot.kind,
     )
     def test_tridiagonal_gap_matches_dense(self, pot, n_x):
         ops = make_ops(pot, n_x=n_x, n_v=4)
