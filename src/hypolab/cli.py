@@ -89,7 +89,7 @@ def _floats(text: str) -> tuple:
 
 def _key(key: str, default, parse, rule=None):
     """A config field: its dotted key, default, parser of the value text and
-    range rule (a minimum, POSITIVE, or a tuple of the allowed values).  The
+    range rule (a minimum, POSITIVE, a tuple or range of allowed values).  The
     rule applies to each entry of a tuple value, every float must also be
     finite, and None is unset, so that defaults apply."""
     return field(default=default, metadata={"key": key, "parse": parse, "rule": rule})
@@ -107,7 +107,8 @@ class ExperimentConfig:
     evolve_t_end_factor: float = _key("evolve.t_end_factor", 5.0, float, POSITIVE)
     evolve_dt: float = _key("evolve.dt", 0.02, float, POSITIVE)
     evolve_f0: str = _key("evolve.f0", "random", str, INITIAL_KINDS + ("all",))
-    seed: int = _key("seed", 2024, int, 0)
+    # numpy takes the sampler's Philox key [seed, i] exactly only below 2**63
+    seed: int = _key("seed", 2024, int, range(2**63))
     sde_d: int = _key("sde.d", 1, int, 1)
     sde_particles: int = _key("sde.particles", 10000, int, 100)
     sde_dt: float = _key("sde.dt", 0.01, float, POSITIVE)
@@ -181,6 +182,9 @@ def _validate(cfg: ExperimentConfig):
             if isinstance(rule, tuple):
                 if v not in rule:
                     bad(key, f"must be one of {', '.join(rule)}, not {v!r}")
+            elif isinstance(rule, range):
+                if v not in rule:
+                    bad(key, f"must be in [{rule.start}, {rule.stop}), not {v}")
             elif rule == POSITIVE:
                 if v <= 0:
                     bad(key, "must be positive")
@@ -637,7 +641,10 @@ def main(argv=None) -> int:
     try:
         raw = {}
         if args.config:
-            raw = parse_config_text(Path(args.config).read_text())
+            try:
+                raw = parse_config_text(Path(args.config).read_text(encoding="utf-8"))
+            except UnicodeDecodeError as exc:
+                raise ConfigurationError(f"{args.config}: not UTF-8 text ({exc})")
         for flag, key in _FLAGS.items():
             value = getattr(args, flag[2:])
             if value is not None:

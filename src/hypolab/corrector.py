@@ -16,12 +16,13 @@ the lowering coefficient sqrt(2)):
 
 The first bound is attained: the singular values of B are s / (m_h + s^2)
 over the singular values s of Grad, and s = sqrt(m_h) is one of them.
-Also checked: coercivity of the dissipation quadratic form
+Also checked: coercivity of the dissipation quadratic form of ModifiedFunctional
 
-    Q = -(L + L^T)/2 + eps (sym(A L) + sym(A^T L)),   sym(X) = (X + X^T)/2,
+    Q = -sym(L) + eps sym(S L),   S = A + A^T,   sym(X) = (X + X^T)/2,
 
 on the mean-zero subspace against lambda_coer.  With the Hermite raising
 matrix R, N = diag(k) and L = Grad (x) R - Grad^T (x) R^T - gamma I (x) N,
+S L = A L + A^T L with
 
     A L   = B Grad (x) e_0 e_0^T - sqrt(2) B Grad^T (x) e_0 e_2^T
             - gamma B (x) e_0 e_1^T,
@@ -72,11 +73,12 @@ keeps its relative accuracy when the root is within rounding of the pole
 S is summed from.  The eigenvector lifts back to
 x_0 = V y, x_1 = U (b y / (c - lam)), x_2 = -C^T y / (2 gamma - lam).
 
-Each Newton step is one (n_x - 1)-square eigensolve.  The eigenbasis of
-Grad^T Grad is accurate to about machine epsilon times ||Grad^T Grad||, so
-the residual of the lifted vector, measured against Q in position
-coordinates, grows with n_x (about 1e-12 at n_x = 512); it is subtracted on
-the safe side.
+Each Newton step is one (n_x - 1)-square eigensolve.  The lifted vector's
+residual is measured in phase space, by the functional's Q f on the generator
+compose_generator assembles, so it also sees faults of the assembled L that
+the blocks above cannot.  The eigenbasis of Grad^T Grad is accurate to about
+machine epsilon times ||Grad^T Grad||, so the residual grows with n_x (about
+1e-12 at n_x = 512); it is subtracted on the safe side.
 """
 from __future__ import annotations
 
@@ -88,7 +90,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .discretize import OperatorSet
+from .discretize import OperatorSet, compose_generator
 from .errors import NumericalError, PreconditionError
 from .model import eval_potential
 
@@ -117,11 +119,13 @@ class Corrector:
         e01 = sp.csr_matrix(([1.0], ([0], [1])), shape=(n_v, n_v))
         return sp.kron(self.block, e01, format="csr")
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """A x from the position block: B times x's Hermite mode 1, on mode 0."""
+    def apply_symmetric(self, x: np.ndarray) -> np.ndarray:
+        """S x = (A + A^T) x from the position block: B takes x's Hermite
+        mode 1 to mode 0, and B^T takes its mode 0 to mode 1."""
         n_v = self.ops.n_v
         out = np.zeros_like(x)
         out[::n_v] = self.block @ x[1::n_v]
+        out[1::n_v] = self.block.T @ x[::n_v]
         return out
 
 
@@ -138,12 +142,13 @@ def build_corrector(ops: OperatorSet) -> Corrector:
 @dataclass
 class ModifiedFunctional:
     """The modified L^2 functional of a corrector at (L, eps), the one place
-    its formulas are written:
+    its formulas are written; only the corrector's S = A + A^T enters:
 
-        H(f) = (1/2)||f||^2 - eps <A f, f>
-        D(f) = -<L f, f> + eps (<A L f, f> + <A f, L f>)
+        H(f) = (1/2)||f||^2 - (eps/2) <S f, f>
+        D(f) = d(f, f),   d(f, g) = -<L f, g> + eps <S f, L g>
+        Q    = -sym(L) + eps sym(S L),   D(f) = <Q f, f>
 
-    D = -dH/dt along df/dt = L f.  Both are meant for mean-zero states; the
+    D = -dH/dt along df/dt = L f.  All are meant for mean-zero states; the
     caller checks that.
     """
 
@@ -152,22 +157,29 @@ class ModifiedFunctional:
     eps: float
 
     def products(self, f: np.ndarray):
-        """The three matvecs H and D are built from: (A f, L f, A L f)."""
-        lf = self.L @ f
-        return self.corrector.apply(f), lf, self.corrector.apply(lf)
+        """The two matvecs H and D are built from: (S f, L f)."""
+        return self.corrector.apply_symmetric(f), self.L @ f
 
     def values(self, f: np.ndarray, products):
-        """(H(f), D(f)) from f's products (A f, L f, A L f)."""
+        """(H(f), D(f)) from f's products (S f, L f)."""
         return (
-            0.5 * f @ f - self.eps * (products[0] @ f),
+            0.5 * f @ f - (self.eps / 2) * (products[0] @ f),
             self.dissipation(f, products, f, products),
         )
 
     def dissipation(self, f, f_products, g, g_products) -> float:
-        """d(f, g) = -<L f, g> + eps (<A L f, g> + <A f, L g>), the bilinear
-        form with D(f) = d(f, f), from the products of f and of g."""
-        af, lf, alf = f_products
-        return -(lf @ g) + self.eps * (alf @ g + af @ g_products[1])
+        """d(f, g) = -<L f, g> + eps <S f, L g>, the bilinear form with
+        D(f) = d(f, f), from the products of f and of g."""
+        sf, lf = f_products
+        return -(lf @ g) + self.eps * (sf @ g_products[1])
+
+    def apply_form(self, f: np.ndarray) -> np.ndarray:
+        """Q f = (eps (S L f + L^T S f) - (L + L^T) f) / 2, the symmetric
+        matrix of D applied to f.  L + L^T is summed as a matrix, in which
+        L_a cancels exactly: L f + L^T f would keep L_a f's roundoff."""
+        (sf, lf), lt = self.products(f), self.L.T
+        return 0.5 * (self.eps * (self.corrector.apply_symmetric(lf) + lt @ sf)
+                      - (self.L + lt) @ f)
 
 
 def operator_norm(matrix) -> float:
@@ -214,32 +226,15 @@ def verify_corrector_bounds(c: Corrector) -> dict:
     }
 
 
-def dissipation_apply(c: Corrector, eps: float, gamma: float,
-                      x: np.ndarray) -> np.ndarray:
-    """Q x on Hermite modes 0-2, with x[k] the mode-k position vector
-    (shape (3, n_x)): matvecs with the blocks Q_kl of the module docstring,
-    written through B and Grad."""
-    b, g = c.block, c.ops.grad_x
-    x0, x1, x2 = x
-    bt0 = b.T @ x0
-    bx1 = b @ x1
-    return np.stack((
-        b @ ((eps / 2) * (g @ x0) - (eps * gamma / 2) * x1
-             - (eps / math.sqrt(2.0)) * (g.T @ x2)) + (eps / 2) * (g.T @ bt0),
-        -(eps * gamma / 2) * bt0 + gamma * x1
-        - (eps / 2) * (g @ bx1 + b.T @ (g.T @ x1)),
-        -(eps / math.sqrt(2.0)) * (g @ bt0) + 2.0 * gamma * x2,
-    ))
-
-
 def dissipation_form_min_eig(c: Corrector, eps: float, gamma: float):
     """Smallest eigenvalue of the dissipation form Q on the mean-zero subspace,
     as (value, residual); value - residual is a lower bound on it.
 
     The secular solve of the module docstring, in delta = p - lam.  value is
-    the Rayleigh quotient of the lifted root vector x and residual is
-    ||P(Q x) - value x||, both through dissipation_apply in position
-    coordinates.  Raises NumericalError if |mu| is not at its rounding level
+    the Rayleigh quotient of the lifted root vector x, a phase-space state on
+    Hermite modes 0-2, and residual is ||P(Q x) - value x||, both through
+    ModifiedFunctional.apply_form on the generator compose_generator
+    assembles.  Raises NumericalError if |mu| is not at its rounding level
     within NEWTON_CAP steps.
     """
     ops = c.ops
@@ -281,14 +276,13 @@ def dissipation_form_min_eig(c: Corrector, eps: float, gamma: float):
             f"secular Newton solve: |mu| = {abs(mu):.3e} is above its rounding "
             f"level {floor:.3e} after {NEWTON_CAP} steps"
         )
-    x = np.stack((right @ w, left @ (b * w / gap1), -(c_t @ w) / gap2))
-    sq = ops.grid.sqrt_weights
-    x[0] -= sq * (sq @ x[0])
+    x = np.zeros((ops.n_x, ops.n_v))
+    x[:, :3] = np.column_stack((right @ w, left @ (b * w / gap1), -(c_t @ w) / gap2))
+    x = ops.project_mean_zero(x.ravel())
     x /= np.linalg.norm(x)
-    qx = dissipation_apply(c, eps, gamma, x)
-    rho = float(np.vdot(x, qx))
-    qx[0] -= sq * (sq @ qx[0])
-    return rho, float(np.linalg.norm(qx - rho * x))
+    qx = ModifiedFunctional(c, compose_generator(ops, gamma), eps).apply_form(x)
+    rho = float(x @ qx)
+    return rho, float(np.linalg.norm(ops.project_mean_zero(qx) - rho * x))
 
 
 def bochner_residual(ops: OperatorSet, h_values: np.ndarray) -> tuple[float, float]:

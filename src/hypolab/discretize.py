@@ -48,7 +48,6 @@ class WeightedGrid:
     """Uniform nodes on [-L, L] with normalized Gibbs weights."""
 
     potential: Potential
-    half_width: float
     n_x: int
     nodes: np.ndarray
     spacing: float
@@ -78,7 +77,6 @@ def build_grid(potential: Potential, half_width: float, n_x: int) -> WeightedGri
         )
     return WeightedGrid(
         potential=potential,
-        half_width=float(half_width),
         n_x=n_x,
         nodes=nodes,
         spacing=nodes[1] - nodes[0],

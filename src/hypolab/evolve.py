@@ -29,9 +29,9 @@ The step obeys the discrete Lyapunov identity H(f_{n+1}) - H(f_n) =
 -dt D(g_n), g_n = (f_n + f_{n+1}) / 2, exactly: H is a quadratic form with a
 symmetric matrix and f_{n+1} - f_n = dt L g_n.  With d the bilinear form of
 D, D(g_n) = (D(f_n) + D(f_{n+1}) + d(f_n, f_{n+1}) + d(f_{n+1}, f_n)) / 4 is
-a few dot products of the A f, L f and A L f that both ends of the step
-already take, so the residual (lyapunov_identity) goes through real products
-with L and checks every solve.
+a few dot products of the S f and L f that both ends of the step already
+take, so the residual (lyapunov_identity) goes through real products with L
+and checks every solve.
 """
 from __future__ import annotations
 

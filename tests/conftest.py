@@ -135,8 +135,9 @@ def phase_identities(ops):
 
 def dissipation_form(functional):
     """Sparse symmetric Q with D(f) = f^T Q f, from the phase-space matrices
-    A and L: the reference for the closed-form Hermite mode 0-2 block that
-    the coercivity check solves, and for its exact gamma k tail."""
+    A and L: the reference for ModifiedFunctional.apply_form, for the
+    closed-form Hermite mode 0-2 block that the coercivity check solves, and
+    for its exact gamma k tail."""
     A, L = functional.corrector.matrix, functional.L
     al = (A @ L).tocsr()
     atl = (A.T @ L).tocsr()
@@ -147,7 +148,7 @@ def dissipation_form(functional):
 def dissipation_block(corrector, eps, gamma):
     """Dense Hermite mode 0-2 block of Q in position-major order,
     block[k::3, l::3] = Q_kl (the blocks of the corrector module docstring):
-    the reference for the blockwise apply and the secular solve."""
+    the reference for the secular solve."""
     b, g = corrector.block, corrector.ops.grad_x
     n_x = len(b)
     eye = np.eye(n_x)

@@ -77,12 +77,16 @@ class TestConfigParsing:
         ("sde.dt", "inf"), ("sde.init_shift", "nan"), ("sde.init_shift", "-inf"),
         ("potential.params", "nan"), ("potential.params", "inf"),
         ("sweep.gammas", "2,inf"), ("seed", "-1"), ("sweep.target", "bogus"),
-        ("grid.N_x", "15"),
+        ("grid.N_x", "15"), ("seed", str(2**63)),
     ])
     def test_range_checked_at_the_boundary(self, key, value):
         # the library below the config trusts these values: this is their check
         with pytest.raises(ConfigurationError, match=f"^{key}: "):
             cli.build_config({key: value})
+
+    def test_largest_seed_accepted(self):
+        # the sampler's Philox key [seed, i] is exact for every seed below 2**63
+        assert cli.build_config({"seed": str(2**63 - 1)}).seed == 2**63 - 1
 
     def test_colliding_sweep_labels_rejected(self):
         # rates are keyed by f"{gamma:g}": two gammas may not share a label
@@ -782,6 +786,12 @@ class TestMain:
 
     def test_missing_config_file_is_io_error(self):
         assert cli.main(["gap", "--config", "/nonexistent/x.conf"]) == 4
+
+    def test_non_utf8_config_file_is_configuration_error(self, tmp_path, capsys):
+        conf = tmp_path / "bin.conf"
+        conf.write_bytes(b"\xff\xfe\x00s\x00e\x00e\x00d\x00")
+        assert cli.main(["gap", "--config", str(conf)]) == 2
+        assert f"configuration error: {conf}: not UTF-8 text" in capsys.readouterr().err
 
     def test_flag_overrides(self, tmp_path, capsys):
         conf = tmp_path / "ok.conf"

@@ -6,9 +6,9 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 import hypolab as hl
+from hypolab import cli as cli_module
 from hypolab import corrector as corrector_module
 from hypolab.cli import main
-from hypolab.corrector import dissipation_apply
 from hypolab.errors import NumericalError
 
 from conftest import (
@@ -227,9 +227,10 @@ class TestBlockReduction:
 
     def test_apply_matches_matrix(self, corr_small):
         x = np.random.default_rng(3).standard_normal(corr_small.ops.n)
-        expected = corr_small.matrix @ x
-        assert np.abs(corr_small.apply(x) - expected).max() <= 1e-14 * np.abs(
-            expected).max()
+        A = corr_small.matrix
+        expected = (A + A.T) @ x
+        got = corr_small.apply_symmetric(x)
+        assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
 
     def test_block_norms_match_full_dense_svd(self, corr_small):
         ops, A = corr_small.ops, corr_small.matrix
@@ -383,12 +384,15 @@ class TestSecularSolve:
     """The secular solve against a dense eigensolve of the closed-form block."""
 
     @pytest.mark.parametrize("potential", sorted(SMALL_POTENTIALS))
-    def test_apply_matches_reference_block(self, potential):
+    def test_apply_form_matches_reference_form(self, potential):
         corr, eps, gamma = tuned_corrector(potential, 64, 12)
-        x = np.random.default_rng(11).standard_normal((3, corr.ops.n_x))
-        expected = dissipation_block(corr, eps, gamma) @ x.T.ravel()
-        got = dissipation_apply(corr, eps, gamma, x).T.ravel()
-        assert np.linalg.norm(got - expected) <= 1e-14 * np.linalg.norm(expected)
+        fn = functional(corr, eps, gamma)
+        Q = dissipation_form(fn)
+        for seed in range(3):
+            f = np.random.default_rng(11 + seed).standard_normal(corr.ops.n)
+            expected = Q @ f
+            got = fn.apply_form(f)
+            assert np.linalg.norm(got - expected) <= 1e-14 * np.linalg.norm(expected)
 
     @pytest.mark.parametrize("point", list(OPERATING_POINTS))
     @pytest.mark.parametrize("n_x, n_v", [(16, 4), (64, 12), (128, 20)])
@@ -409,6 +413,25 @@ class TestSecularSolve:
         assert abs(min_eig - dense_min) <= 1e-12 * max(1.0, abs(dense_min))
         # the singular pairs of Grad are accurate to eps ||Grad^T Grad||
         assert 0.0 <= residual <= 1e-11
+
+    def test_residual_sees_a_broken_generator(self, monkeypatch):
+        # la's Hermite mode 1 <-> 2 coupling made 1.5x too large, in both
+        # directions: la stays antisymmetric and kills constants, so
+        # structure_exact passes, and only the coercivity residual, measured
+        # on the assembled generator, can see it
+        def broken(grid, basis):
+            ops = hl.assemble_operators(grid, basis)
+            la = ops.la.tocoo()
+            k, l = la.row % ops.n_v, la.col % ops.n_v
+            la.data[((k == 1) & (l == 2)) | ((k == 2) & (l == 1))] *= 1.5
+            ops.la = la.tocsr()
+            return ops
+
+        monkeypatch.setattr(cli_module, "assemble_operators", broken)
+        report = cli_module.run_experiment(
+            "verify", cli_module.build_config({"grid.N_x": "32", "grid.N_v": "6"}))
+        assert report.results["structure"]["exact"]["la_antisymmetry"] == 0.0
+        assert report.results["corrector"]["min_eig_residual"] > 1e-3
 
     def test_newton_cap_raises(self, monkeypatch):
         corr, eps, gamma = tuned_corrector("quadratic", 64, 12)
