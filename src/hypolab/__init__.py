@@ -33,6 +33,7 @@ from .discretize import (
     build_velocity_basis,
     check_structure,
     compose_generator,
+    discrete_curvature,
     poincare_constant,
 )
 from .evolve import (
@@ -77,6 +78,7 @@ __all__ = [
     "compose_generator",
     "cosine_bump",
     "crank_nicolson",
+    "discrete_curvature",
     "dissipation_form_min_eig",
     "dissipation_matrix",
     "double_well",

@@ -21,12 +21,15 @@ to machine precision), and closes the operator algebra used by the dissipation
 estimates.  With Pi_v the projection on Hermite mode 0, L_a Pi_v is la's
 mode-0 columns, kron(Grad, e_1) on the position vector h of mode 0, so
 
-    Pi_v L_a Pi_v = 0                 la has no mode-0 -> mode-0 block
-    (L_a Pi_v)^T (L_a Pi_v) = -L_o    on h, exactly
+    Pi_v L_a Pi_v = 0                         la has no mode-0 -> mode-0 block
+    L_a (L_a Pi_v) = sqrt(2) Grad^2 (x) e_2 + L_o (x) e_0
 
-and the corrector bounds are tested against the estimate logic rather than
-stencil mismatch.  check_structure asserts the first identity on la and
-records the second against lo_x; the phase-space L_o and Pi_v are never
+(the mode-0 part, with L_a antisymmetric, is the lifted Dirichlet identity
+(L_a Pi_v)^T (L_a Pi_v) = -L_o), and on the range of Grad (all entries but
+the last) Grad^T Grad - Grad Grad^T = diag(discrete_curvature), so the
+discrete Bochner inequality ||Grad^2 h||^2 <= ||L_o h||^2 + K ||Grad h||^2
+holds for every h exactly when max c <= K.  check_structure asserts these
+identities on the assembled matrices; the phase-space L_o and Pi_v are never
 assembled.
 """
 from __future__ import annotations
@@ -201,7 +204,7 @@ def compose_generator(ops: OperatorSet, gamma: float) -> sp.csr_matrix:
 
 
 def bochner_test_suite(grid: WeightedGrid) -> dict:
-    """Pure-position test functions sampled on the grid."""
+    """Pure-position test functions sampled on the grid, for bochner_residual."""
     x = grid.nodes
     return {
         "one": np.ones_like(x),
@@ -213,53 +216,39 @@ def bochner_test_suite(grid: WeightedGrid) -> dict:
     }
 
 
-def check_structure(ops: OperatorSet) -> dict:
-    """Residuals of the operator identities the later computations assume,
-    as the {"exact", "recorded"} report section; the caller judges them.
+def discrete_curvature(grid: WeightedGrid) -> np.ndarray:
+    """c_i = (w_{i-1}/w_i - w_i/w_{i+1}) / h^2 for i < n_x - 1, w_{-1} = 0:
+    the diagonal of Grad^T Grad - Grad Grad^T on the range of Grad.  It is
+    about -U''(x_i), so max c is the grid's K_h."""
+    w = grid.weights
+    return (np.r_[0.0, w[:-2] / w[1:-1]] - w[:-1] / w[1:]) / grid.spacing**2
 
-    exact, on the assembled la and ls: la's antisymmetry (the band LU's
-    pivot-free argument and the Lyapunov identity use it), its mode-0 ->
-    mode-0 block Pi_v L_a Pi_v (zero in the corrector algebra), and
-    L 1 = 0.  recorded, on a smooth pure-position test suite of unit states
-    with mode-0 vector h: (L_a Pi_v)^T (L_a Pi_v) h = -L_o h over max |L_o|
-    (both sides scale like 1/h^2), and ||(1 - Pi_v) L_a^2 h||^2 =
-    2 ||D^2 h||^2 over the largest right-hand side of the suite.
+
+def check_structure(ops: OperatorSet) -> dict:
+    """Residuals of the operator identities the later computations assume, on
+    the assembled matrices, as the {"exact"} report section; the caller
+    judges them: la's antisymmetry (the band LU's pivot-free argument and the
+    Lyapunov identity use it), its mode-0 -> mode-0 block Pi_v L_a Pi_v (zero
+    in the corrector algebra), L 1 = 0, la_square, L_a (L_a Pi_v) against
+    sqrt(2) Grad^2 (x) e_2 + L_o (x) e_0 over that matrix's largest entry, and
+    bochner_identity, (Grad^T Grad - Grad Grad^T) on the range of Grad
+    against diag(discrete_curvature) over max |L_o|.
     """
-    la, n_v = ops.la, ops.n_v
+    la, n_v, g = ops.la, ops.n_v, ops.grad_x
     la0 = la[:, ::n_v]  # L_a Pi_v as a map from mode 0's position vector
-    exact = {
+    square = (sp.kron(np.sqrt(2.0) * (g @ g), sp.eye(n_v, 1, k=-2))
+              + sp.kron(ops.lo_x, sp.eye(n_v, 1))).tocsr()
+    commutator = (g.T @ g - g @ g.T)[:-1, :-1]
+    return {"exact": {
         "la_antisymmetry": _spmax(la + la.T),
         "average_sandwich_zero": _spmax(la[::n_v, ::n_v]),
         "generator_kills_constants": float(
             np.abs(la @ ops.const_vec).max() + np.abs(ops.ls @ ops.const_vec).max()
         ),
-    }
-
-    lift_worst = 0.0
-    moment_gaps = []
-    moment_sides = []
-    for name, values in bochner_test_suite(ops.grid).items():
-        if name == "one":  # both sides vanish: a relative residual is 0/0
-            continue
-        h = ops.grid.sqrt_weights * values
-        h = h / np.linalg.norm(h)
-        lah = la0 @ h
-        lift = la0.T @ lah + ops.lo_x @ h
-        lift_worst = max(lift_worst, float(np.linalg.norm(lift)))
-        la2 = la @ lah
-        la2[::n_v] = 0.0  # (1 - Pi_v)
-        left = np.linalg.norm(la2) ** 2
-        d2 = ops.grad_x @ (ops.grad_x @ h)
-        right = 2 * np.linalg.norm(d2) ** 2
-        moment_gaps.append(abs(left - right))
-        moment_sides.append(right)
-    recorded = {
-        "lifted_dirichlet_residual": lift_worst / _spmax(ops.lo_x),
-        # against the suite's largest side: a function whose D^2 h is roundoff
-        # (hermite1) would otherwise report the relative error of two roundoffs
-        "fourth_moment_relative": float(max(moment_gaps) / max(moment_sides)),
-    }
-    return {"exact": exact, "recorded": recorded}
+        "la_square": _spmax(la @ la0 - square) / _spmax(square),
+        "bochner_identity": _spmax(commutator - sp.diags(discrete_curvature(ops.grid)))
+        / _spmax(ops.lo_x),
+    }}
 
 
 def _spmax(matrix: sp.spmatrix) -> float:

@@ -55,7 +55,7 @@ from .sampler import MIN_FIT_SAMPLES
 
 DT_GUARD = 0.1
 INITIAL_KINDS = ("gap", "velocity", "random")  # the kinds initial_condition builds
-MEAN_TOL = 1e-10
+MEAN_TOL = 1e-10  # largest mean of f0, and drift of the mean, that counts as zero
 ROUNDOFF_FLOOR = 1e-12
 
 

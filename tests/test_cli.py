@@ -222,13 +222,17 @@ class TestRunExperiment:
         assert margins["bound_LaA"] > 0.05
         corrector = report.results["corrector"]
         assert corrector["norm_A_exact_residual"] <= 1e-12
-        # coercivity is judged on the lower bound min_eig_Q - residual
+        # coercivity is judged on the lower bound min_eig_Q - residual, and
+        # on the residual against its rounding level, which does not bind here
         lower = corrector["min_eig_Q"] - corrector["min_eig_residual"]
         assert 0.0 <= corrector["min_eig_residual"] <= 1e-12
         assert "min_eig_iterations" not in corrector
-        assert margins["dissipation_coercive"] == (
-            lower / corrector["lambda_coer"] - (1 - cli.BOUND_SLACK)
-        )
+        ops = cli._Workspace(cfg).ops
+        cap = corrector["min_eig_residual_cap"]
+        assert cap == hl.corrector.NEWTON_FLOOR * abs(ops.lo_x.toarray()).sum(axis=0).max()
+        coercive = lower / corrector["lambda_coer"] - (1 - cli.BOUND_SLACK)
+        assert coercive < 1 - corrector["min_eig_residual"] / cap
+        assert margins["dissipation_coercive"] == coercive
 
     def test_slack_uses_the_reported_lambda_coer(self):
         cfg = cli.build_config({"grid.N_x": "64", "grid.N_v": "12"})
@@ -432,6 +436,11 @@ FAILING_CASES = {
                        _norm_above_bound("ALa_fast")),
     "dissipation_coercive": ("verify", SMALL, "dissipation_form_min_eig",
                              _edit_result(lambda r: (r[0] / 2, r[1]))),
+    "structure_exact": ("verify", SMALL, "check_structure", _edit_result(
+        lambda s: {"exact": {**s["exact"], "la_square": 1e-9}})),
+    # a grid curvature above the quadratic's K = 0
+    "bochner_inequality": ("verify", SMALL, "discrete_curvature", _edit_result(
+        lambda c: c + 1.0)),
     "mean_conserved": ("evolve", SMALL, "integrate", _edit_result(
         lambda t: replace(t, mean=t.mean + 1e-9 * t.times / t.times[-1]))),
     "decay_bound": ("evolve", SMALL, "integrate", _edit_result(
@@ -503,14 +512,30 @@ class TestVerdictRule:
         assert margin == pytest.approx(0.00156, abs=5e-6)
 
     def test_understated_k_fails_bochner(self, monkeypatch):
-        # the double well's true bound is K = 1; tanh, whose gradient peaks on
-        # the barrier where U'' < 0, must expose K = 0
+        # the double well's true bound is K = 1, and its grid curvature
+        # K_h = 0.997 at the barrier, where U'' < 0, exposes K = 0
         monkeypatch.setattr(hl.Potential, "K", property(lambda self: 0.0))
         cfg = cli.build_config({"potential.kind": "double_well"})
         report = cli.run_experiment("verify", cfg)
         verdict = next(v for v in report.verdicts if v["name"] == "bochner_inequality")
         assert verdict["status"] == "fail"
-        assert verdict["margin"] < 0
+        assert verdict["margin"] == -report.results["bochner"]["K_h"]
+        assert verdict["margin"] == pytest.approx(-0.997, abs=1e-3)
+
+    def test_bochner_margin_is_k_minus_grid_curvature(self):
+        # cosine_bump(2): K = 1, and the grid curvature peaks near x = 2 pi
+        cfg = cli.build_config({"potential.kind": "cosine_bump",
+                                "potential.params": "2", "grid.N_x": "64",
+                                "grid.N_v": "12"})
+        report = cli.run_experiment("verify", cfg)
+        bochner = report.results["bochner"]
+        assert bochner["K"] == 1.0
+        assert bochner["K_h"] == pytest.approx(4.9357, abs=1e-4)
+        assert bochner["x_at_max"] == pytest.approx(2 * math.pi, abs=0.1)
+        statuses = {v["name"]: v["status"] for v in report.verdicts}
+        margins = {v["name"]: v["margin"] for v in report.verdicts}
+        assert margins["bochner_inequality"] == bochner["K"] - bochner["K_h"]
+        assert [k for k, v in statuses.items() if v == "fail"] == ["bochner_inequality"]
 
     @pytest.mark.parametrize("verdict", FAILING_CASES)
     def test_each_verdict_fails_alone(self, verdict, monkeypatch):
@@ -762,7 +787,9 @@ class TestMain:
 
     def test_broken_mode_zero_block_fails_structure_exact(self, monkeypatch,
                                                           tmp_path):
-        # antisymmetric, so only the sandwich on la's mode-0 block sees it
+        # antisymmetric, so among the antisymmetry and sandwich checks only the
+        # sandwich on la's mode-0 block sees it; the coercivity residual,
+        # measured on the assembled generator, is 4x its rounding level
         assemble_operators = cli.assemble_operators
 
         def broken(grid, basis):
@@ -781,7 +808,8 @@ class TestMain:
         assert exact["la_antisymmetry"] == 0.0
         assert exact["average_sandwich_zero"] == pytest.approx(1e-6, rel=1e-6)
         assert statuses["structure_exact"] == "fail"
-        assert [k for k, v in statuses.items() if v == "fail"] == ["structure_exact"]
+        assert [k for k, v in statuses.items() if v == "fail"] == [
+            "structure_exact", "dissipation_coercive"]
         assert code == 1
 
     def test_missing_config_file_is_io_error(self):

@@ -416,9 +416,10 @@ class TestSecularSolve:
 
     def test_residual_sees_a_broken_generator(self, monkeypatch):
         # la's Hermite mode 1 <-> 2 coupling made 1.5x too large, in both
-        # directions: la stays antisymmetric and kills constants, so
-        # structure_exact passes, and only the coercivity residual, measured
-        # on the assembled generator, can see it
+        # directions: la stays antisymmetric and kills constants, but
+        # la_square sees its mode-2 block 1.5x too large, and the coercivity
+        # residual, measured on the assembled generator, is far above its
+        # rounding level
         def broken(grid, basis):
             ops = hl.assemble_operators(grid, basis)
             la = ops.la.tocoo()
@@ -430,8 +431,14 @@ class TestSecularSolve:
         monkeypatch.setattr(cli_module, "assemble_operators", broken)
         report = cli_module.run_experiment(
             "verify", cli_module.build_config({"grid.N_x": "32", "grid.N_v": "6"}))
-        assert report.results["structure"]["exact"]["la_antisymmetry"] == 0.0
-        assert report.results["corrector"]["min_eig_residual"] > 1e-3
+        exact = report.results["structure"]["exact"]
+        assert exact["la_antisymmetry"] == 0.0
+        assert exact["la_square"] == pytest.approx(0.5, rel=1e-12)
+        corrector = report.results["corrector"]
+        assert corrector["min_eig_residual"] > 1e3 * corrector["min_eig_residual_cap"]
+        statuses = {v["name"]: v["status"] for v in report.verdicts}
+        assert statuses["structure_exact"] == "fail"
+        assert statuses["dissipation_coercive"] == "fail"
 
     def test_newton_cap_raises(self, monkeypatch):
         corr, eps, gamma = tuned_corrector("quadratic", 64, 12)
@@ -447,25 +454,56 @@ class TestSecularSolve:
 
 class TestBochner:
     def test_constant_function_zero_residual(self, ops_quad):
-        r, _ = hl.bochner_residual(ops_quad, np.ones(ops_quad.n_x))
+        r = hl.bochner_residual(ops_quad, np.ones(ops_quad.n_x))
         assert abs(r) <= 1e-20
 
     def test_refinement_is_second_order(self):
         residuals = []
         for n_x in (64, 128, 256):
             ops = make_ops(hl.quadratic(1.0), n_x=n_x, n_v=4)
-            r, _ = hl.bochner_residual(ops, ops.grid.nodes**2)
-            residuals.append(abs(r))
+            residuals.append(abs(hl.bochner_residual(ops, ops.grid.nodes**2)))
         assert residuals[0] > residuals[1] > residuals[2]
         for coarse, fine in zip(residuals, residuals[1:]):
             assert 3.0 <= coarse / fine <= 7.0
 
     def test_double_well_inequality_with_k(self):
+        # K_h <= K, so ||D^2 h||^2 <= ||L_o h||^2 + K ||D h||^2 holds for
+        # every h, the suite's functions among them
         ops = make_ops(hl.double_well(), n_x=256, n_v=4)
+        K = ops.grid.potential.K
+        assert 0.0 <= K - hl.discrete_curvature(ops.grid).max() <= 1e-3
         for name, values in hl.bochner_test_suite(ops.grid).items():
-            if name != "one":  # both sides of the K-form are roundoff
-                _, slack = hl.bochner_residual(ops, values)
-                assert 0.27 <= slack <= 1.0, name
+            if name != "one":  # both sides are roundoff
+                g1 = ops.grad_x @ (ops.grid.sqrt_weights * values)
+                g2 = ops.grad_x @ g1
+                lo_h = -(ops.grad_x.T @ g1)
+                assert g2 @ g2 <= lo_h @ lo_h + K * (g1 @ g1), name
+
+    def test_witness_breaks_the_inequality_above_k(self, ops_cos):
+        # cosine_bump(2) has K = 1, but its grid curvature peaks at
+        # K_h = 2.21 near x = 2 pi at N_x = 128: the h with Grad h = e_j,
+        # j = argmax c, breaks the discrete inequality
+        curvature = hl.discrete_curvature(ops_cos.grid)
+        j = int(np.argmax(curvature))
+        e = np.zeros(ops_cos.n_x)
+        e[j] = 1.0
+        h = np.linalg.lstsq(ops_cos.grad_x.toarray(), e, rcond=None)[0]
+        g1 = ops_cos.grad_x @ h
+        assert np.abs(g1 - e).max() <= 1e-12
+        g2, lo_h, K = ops_cos.grad_x @ g1, ops_cos.lo_x @ h, ops_cos.grid.potential.K
+        lhs, rhs = g2 @ g2, lo_h @ lo_h + K * (g1 @ g1)
+        assert curvature[j] == pytest.approx(2.2092, abs=1e-4)
+        # ||D^2 h||^2 - ||L_o h||^2 = sum_i c_i (D h)_i^2 = c_j
+        assert lhs - (rhs - K) == pytest.approx(curvature[j], rel=1e-12)
+        assert (rhs - lhs) / rhs == pytest.approx(-0.0060, abs=1e-4)
+
+    @pytest.mark.parametrize("potential", [
+        hl.quadratic(), hl.double_well(), hl.cosine_bump(1.0)],
+        ids=["quadratic", "double_well", "cosine_bump"])
+    def test_grid_curvature_below_k(self, potential):
+        for n_x in range(16, 513):
+            grid = hl.build_grid(potential, potential.domain, n_x)
+            assert hl.discrete_curvature(grid).max() < potential.K, n_x
 
     def test_suite_contents(self, ops_quad):
         suite = hl.bochner_test_suite(ops_quad.grid)

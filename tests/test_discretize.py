@@ -13,6 +13,7 @@ from conftest import (
     phase_lo,
     phase_pi_v,
     random_mean_zero,
+    spmax,
 )
 
 # dense symmetric eigensolve oracle values, recorded before the main build
@@ -240,9 +241,10 @@ class TestComposeGenerator:
 class TestStructureReport:
     def test_all_exact_checks_pass(self, ops_quad):
         report = hl.check_structure(ops_quad)
-        assert set(report) == {"exact", "recorded"}
+        assert set(report) == {"exact"}
         assert set(report["exact"]) == {
-            "la_antisymmetry", "average_sandwich_zero", "generator_kills_constants"
+            "la_antisymmetry", "average_sandwich_zero", "generator_kills_constants",
+            "la_square", "bochner_identity",
         }
         assert max(report["exact"].values()) <= 1e-12
 
@@ -260,9 +262,10 @@ class TestStructureReport:
 
     def test_lift_identity_is_exact(self, ops_quad):
         # <f, -L_o g> = <L_a f, L_a g> for pure-position states: exact with
-        # the ladder assembly (the two sides share the same stencil)
+        # the ladder assembly (the two sides share the same stencil); it is
+        # la_square's mode-0 block
         report = hl.check_structure(ops_quad)
-        assert report["recorded"]["lifted_dirichlet_residual"] <= 1e-12
+        assert report["exact"]["la_square"] <= 1e-15
         x = ops_quad.grid.nodes
         f = lift_position(ops_quad, x**2)
         g = lift_position(ops_quad, np.sin(x))
@@ -271,42 +274,48 @@ class TestStructureReport:
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
 
     def test_fourth_moment_identity(self, ops_quad, ops_dw, ops_cos):
-        # against the suite's largest side the residual reads at roundoff
+        # ||(1 - Pi_v) L_a^2 h||^2 = 2 ||D^2 h||^2, la_square's mode-2 block,
+        # on the unit states of the test suite; against the suite's largest
+        # side, since D^2 h is roundoff for h = x
         for ops in (ops_quad, ops_dw, ops_cos):
-            report = hl.check_structure(ops)
-            assert report["recorded"]["fourth_moment_relative"] <= 1e-12
+            assert hl.check_structure(ops)["exact"]["la_square"] <= 1e-15
+            gaps, sides = [], []
+            for values in hl.bochner_test_suite(ops.grid).values():
+                f = lift_position(ops, values)
+                f = f / np.linalg.norm(f)
+                la2 = ops.la @ (ops.la @ f)
+                la2[::ops.n_v] = 0.0
+                d2 = ops.grad_x @ (ops.grad_x @ f[::ops.n_v])
+                sides.append(2 * np.linalg.norm(d2) ** 2)
+                gaps.append(abs(np.linalg.norm(la2) ** 2 - sides[-1]))
+            assert max(gaps) / max(sides) <= 1e-12
 
     @pytest.mark.parametrize("name", ["quad", "dw", "cos"])
-    def test_recorded_residuals_match_phase_space_forms(self, name, request):
-        # the residuals read on mode 0's position vector equal the phase-space
-        # formulas with L_o (x) I and Pi_v, up to summation order
+    def test_exact_residuals_match_phase_space_forms(self, name, request):
+        # la_square, read on mode 0's position vector, equals the phase-space
+        # form with L_o (x) I and Pi_v up to summation order; the dense
+        # commutator is diag(discrete_curvature) on the range of Grad
         ops = request.getfixturevalue(f"ops_{name}")
-        lo, pi = phase_lo(ops), phase_pi_v(ops)
-        lapi = (ops.la @ pi).tocsr()
-        lift, gaps, sides = 0.0, [], []
-        for key, values in hl.bochner_test_suite(ops.grid).items():
-            if key == "one":
-                continue
-            f = lift_position(ops, values)
-            f = f / np.linalg.norm(f)
-            lift = max(lift, np.linalg.norm(lapi.T @ (lapi @ f) + lo @ (pi @ f)))
-            la2 = ops.la @ (ops.la @ f)
-            d2 = ops.grad_x @ (ops.grad_x @ f[::ops.n_v])
-            gaps.append(abs(np.linalg.norm(la2 - pi @ la2) ** 2
-                            - 2 * np.linalg.norm(d2) ** 2))
-            sides.append(2 * np.linalg.norm(d2) ** 2)
-        recorded = hl.check_structure(ops)["recorded"]
-        lift /= abs(ops.lo_x).max()  # recorded relative to max |L_o|
-        assert abs(recorded["lifted_dirichlet_residual"] - lift) <= 1e-15
-        assert abs(recorded["fourth_moment_relative"] - max(gaps) / max(sides)) \
-            <= 1e-14
+        lo, pi, g = phase_lo(ops), phase_pi_v(ops), ops.grad_x
+        e20 = sp.csr_matrix(([np.sqrt(2.0)], ([2], [0])), shape=(ops.n_v, ops.n_v))
+        square = lo @ pi + sp.kron(g @ g, e20)
+        la_square = spmax(ops.la @ (ops.la @ pi) - square) / spmax(square)
+        gd = g.toarray()
+        commutator = (gd.T @ gd - gd @ gd.T)[:-1, :-1]
+        curvature = hl.discrete_curvature(ops.grid)
+        bochner = np.abs(commutator - np.diag(curvature)).max() / abs(ops.lo_x).max()
+        exact = hl.check_structure(ops)["exact"]
+        assert abs(exact["la_square"] - la_square) <= 1e-15
+        assert max(exact["bochner_identity"], bochner) <= 1e-15
 
     def test_lifted_residual_is_scale_free_at_512(self):
-        # both sides scale like ||L_o|| ~ 1/h^2; the absolute residual reads
-        # about 1e-12 here
+        # both sides of L_a (L_a Pi_v) = sqrt(2) Grad^2 (x) e_2 + L_o (x) e_0
+        # scale like 1/h^2, and so do both of the commutator identity: each
+        # relative residual stays at roundoff
         ops = make_ops(hl.double_well(), n_x=512, n_v=32)
-        recorded = hl.check_structure(ops)["recorded"]
-        assert recorded["lifted_dirichlet_residual"] <= 1e-14
+        exact = hl.check_structure(ops)["exact"]
+        assert exact["la_square"] <= 1e-14
+        assert exact["bochner_identity"] <= 1e-14
 
     def test_dirichlet_closure_on_random_states(self, ops_quad, ops_dw):
         # (L_a Pi)^T (L_a Pi) f = -L_o Pi f holds for arbitrary states, not
