@@ -516,7 +516,7 @@ def _stage_sample(ws: _Workspace, report: RunReport):
         equilibrium("equilibrium_x_sq", trace.final_x_var, trace.final_x_mean,
                     1.0 / a, se_v / a)
     if ws.fits_first_moment:
-        rate = estimate_observable_decay(sde)
+        rate = estimate_observable_decay(trace)
         oracle = _first_moment_rate(sde.gamma, a)
         rates = report.results.setdefault("rates", {})
         rates["sample_first_moment"] = rate
@@ -531,7 +531,8 @@ def _stage_sweep(ws: _Workspace, report: RunReport):
     rates = {}
     if cfg.sweep_target == "sample":
         for gamma in cfg.sweep_gammas:
-            rates[f"{gamma:g}"] = estimate_observable_decay(_sde_config(ws, gamma))
+            trace = run_ensemble(_sde_config(ws, gamma))
+            rates[f"{gamma:g}"] = estimate_observable_decay(trace)
     else:
         f0 = initial_condition(ws.ops, "random", seed=cfg.seed)
         for gamma in cfg.sweep_gammas:

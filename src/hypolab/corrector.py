@@ -236,13 +236,19 @@ def dissipation_form_min_eig(c: Corrector, eps: float, gamma: float):
     the Rayleigh quotient of the lifted root vector x, a phase-space state on
     Hermite modes 0-2, and residual is ||P(Q x) - value x||, both through
     ModifiedFunctional.apply_form on the generator compose_generator
-    assembles.  Raises NumericalError if |mu| is not at its rounding level
+    assembles.  Raises NumericalError if the eigensolve with vectors does not
+    give a positive gap sigma^2, or if |mu| is not at its rounding level
     within NEWTON_CAP steps.
     """
     ops = c.ops
     g = ops.grad_x
     sigma2, right = sla.eigh_tridiagonal(*ops.lo_bands)
     sigma2, right = sigma2[1:], right[:, 1:]  # the kernel's pair is (u, gamma)
+    if not sigma2[0] > 0:
+        raise NumericalError(
+            f"the tridiagonal eigensolve with vectors gives sigma^2 = "
+            f"{sigma2[0]:.3e} for the gap, which is m_h = {ops.m_h:.3e}"
+        )
     sigma = np.sqrt(sigma2)
     left = (g @ right) / sigma
     t = sigma / (ops.m_h + sigma2)

@@ -52,6 +52,7 @@ from .errors import (
     PreconditionError,
 )
 from .sampler import MIN_FIT_SAMPLES
+from .tuning import PREFACTOR
 
 DT_GUARD = 0.1
 INITIAL_KINDS = ("gap", "velocity", "random")  # the kinds initial_condition builds
@@ -226,7 +227,8 @@ def integrate(
     diagnostics, and the first solve's relative residual is kept.  Each
     sample records the norm, the corrector's modified functional and its
     dissipation at eps, and the mean; each step records D at its midpoint for
-    lyapunov_identity.  The envelope is sqrt(3) e^{-Lambda t} ||f0||.
+    lyapunov_identity.  The envelope is PREFACTOR e^{-Lambda t} ||f0||, with
+    tuning's PREFACTOR = sqrt(3).
     """
     dt, L, lu = cn.dt, cn.L, cn.lu
     f0 = np.asarray(f0, dtype=float)
@@ -263,7 +265,7 @@ def integrate(
             ) + functional.dissipation(f_next, next_products, f, products)
             f, products = f_next, next_products
 
-    bound = np.sqrt(3.0) * np.exp(-Lambda * times) * norm0
+    bound = PREFACTOR * np.exp(-Lambda * times) * norm0
     return DecayTrace(
         dt=dt,
         times=times,

@@ -26,6 +26,9 @@ initial force), the other chunks finish the block, and the run ends.  The
 ensemble's divergence is the smallest (step, trajectory) pair over all
 chunks, compared step first; the trace keeps the records at steps
 0 ... max(step - 1, 0) and has no final moments.
+
+Decay fit: estimate_observable_decay fits the decay of the mean of x0 in a
+trace it is given, run from a shifted start; it runs no ensemble of its own.
 """
 from __future__ import annotations
 
@@ -214,13 +217,13 @@ def run_ensemble(cfg: SdeConfig) -> EnsembleTrace:
     )
 
 
-def estimate_observable_decay(cfg: SdeConfig) -> float:
-    """Log-linear decay rate of |ensemble mean of x0| from cfg.init_shift.
+def estimate_observable_decay(trace: EnsembleTrace) -> float:
+    """Log-linear decay rate of |ensemble mean of x0| in a given trace, run
+    from a shifted start (SdeConfig.init_shift != 0).
 
     Every potential is even, so x0 has equilibrium mean 0.  Fits over the
     samples whose bias exceeds 5 standard errors.
     """
-    trace = run_ensemble(cfg)
     bias = np.abs(trace.means["x0"])
     floor = 5.0 * np.maximum(trace.stderrs["x0"], 1e-300)
     mask = bias > floor

@@ -27,6 +27,8 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
+PREFACTOR = math.sqrt(3)  # of the decay envelope PREFACTOR e^{-Lambda t}
+
 
 @dataclass(frozen=True)
 class TuningResult:
@@ -89,7 +91,7 @@ def rate(m: float, K: float):
     root2 = math.sqrt(2 + K / (2 * m))
     root4 = math.sqrt(4 + K / (2 * m))
     lam = math.sqrt(m) / (4 * (root2 + root4))
-    return lam, 2 * lam / 3, math.sqrt(3)
+    return lam, 2 * lam / 3, PREFACTOR
 
 
 def check_ratio_consistency(tuned: TuningResult) -> dict:

@@ -157,7 +157,7 @@ def test_criterion_9_sde_consistency(monkeypatch):
         assert abs(v_sq - 1.0) <= 3 * se
         assert abs(x_sq - 1.0) <= 3 * se
 
-        rate = hl.estimate_observable_decay(replace(cfg, init_shift=2.0))
+        rate = hl.estimate_observable_decay(hl.run_ensemble(replace(cfg, init_shift=2.0)))
         target = 2.0 - math.sqrt(3.0)
         assert abs(rate - target) <= 0.15 * target
 

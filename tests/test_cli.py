@@ -753,6 +753,45 @@ class TestMain:
         assert cli.main([command, "--config", str(conf)]) == 2
         assert f"configuration error: {key}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, raw, ensembles", [
+        ("sample", SMALL_SDE, 1),
+        ("all", {**SMALL, **SMALL_SDE}, 1),
+        ("sweep", {**SMALL_SDE, "sweep.gammas": "2,4"}, 2),
+    ], ids=["sample", "all", "sample-sweep"])
+    def test_one_ensemble_per_sampled_gamma(self, command, raw, ensembles,
+                                            monkeypatch):
+        # the shifted quadratic: the decay fit reads the stage's own trace
+        calls = []
+        original = sampler.run_ensemble
+
+        def counted(cfg):
+            calls.append(cfg)
+            return original(cfg)
+
+        monkeypatch.setattr(sampler, "run_ensemble", counted)
+        monkeypatch.setattr(cli, "run_ensemble", counted)
+        cli.run_experiment(command, cli.build_config(raw))
+        assert len(calls) == len({c.gamma for c in calls}) == ensembles
+
+    def test_first_moment_rate_is_the_fit_of_the_stage_trace(self):
+        cfg = cli.build_config(SMALL_SDE)
+        report = cli.run_experiment("sample", cfg)
+        ws = cli._Workspace(cfg)
+        refit = hl.estimate_observable_decay(
+            hl.run_ensemble(cli._sde_config(ws, ws.gamma)))
+        assert report.results["rates"]["sample_first_moment"] == refit
+
+    def test_unresolved_gap_vector_exits_3(self, tmp_path, capsys):
+        # on this double well the tridiagonal eigensolve with vectors returns
+        # a negative sigma^2 for the gap, where the value-only m_h is 0.674
+        conf = tmp_path / "s5.conf"
+        conf.write_text("potential.kind = double_well\npotential.params = 5\n")
+        assert cli.main(["verify", "--nx", "64", "--nv", "12",
+                         "--config", str(conf)]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: NumericalError: " in err
+        assert "sigma^2 = -" in err
+
     @pytest.mark.parametrize("command, raw", [
         ("sample", {"sde.steps": "50", "potential.kind": "double_well"}),
         ("sample", {"sde.steps": "50", "sde.init_shift": "0"}),

@@ -278,7 +278,7 @@ class TestObservableDecay:
         cfg = hl.SdeConfig(potential=hl.quadratic(1.0), particles=10000,
                            steps=2000, dt=0.01, gamma=4.0, seed=2024,
                            init_shift=2.0)
-        r = hl.estimate_observable_decay(cfg)
+        r = hl.estimate_observable_decay(hl.run_ensemble(cfg))
         oracle = 2.0 - np.sqrt(3.0)
         assert abs(r - oracle) <= 0.15 * oracle
 
@@ -286,14 +286,14 @@ class TestObservableDecay:
         cfg = hl.SdeConfig(potential=hl.quadratic(1.0), particles=10000,
                            steps=4000, dt=0.01, gamma=0.2, seed=2024,
                            init_shift=2.0)
-        r = hl.estimate_observable_decay(cfg)
+        r = hl.estimate_observable_decay(hl.run_ensemble(cfg))
         assert abs(r - 0.1) <= 0.2 * 0.1
 
     def test_no_signal_rejected(self):
         cfg = hl.SdeConfig(potential=hl.quadratic(1.0), particles=500,
                            steps=100, dt=0.01, gamma=4.0, seed=1)
         with pytest.raises(InsufficientSignalError):
-            hl.estimate_observable_decay(cfg)
+            hl.estimate_observable_decay(hl.run_ensemble(cfg))
 
 
 class TestGammaSweep:
@@ -306,7 +306,7 @@ class TestGammaSweep:
             cfg = hl.SdeConfig(potential=hl.quadratic(1.0), particles=4000,
                                steps=steps, dt=0.01, gamma=gamma, seed=11,
                                init_shift=2.0)
-            rates[gamma] = hl.estimate_observable_decay(cfg)
+            rates[gamma] = hl.estimate_observable_decay(hl.run_ensemble(cfg))
         assert max(rates, key=rates.get) == 2.0
         tuned = rates[4.0]
         assert tuned >= hl.rate(1.0, 0.0)[1]  # certified rate is a lower bound
