@@ -83,6 +83,12 @@ LAMBDA_RTOL = 4 * np.finfo(float).eps  # Lambda against its closed form, a few u
 # most Crank-Nicolson steps one integration may take: it bounds the memory of
 # integrate's per-step trace arrays (40 bytes a step), far above any run's need
 MAX_CN_STEPS = 10**6
+# most coordinates (particles * d) one ensemble may hold, 24 bytes each for x,
+# v and the force, and most records (steps // record_every + 1) it may keep,
+# 72 bytes each for the times and every observable's mean and standard error;
+# both far above any run's need
+MAX_SDE_COORDINATES = 10**7
+MAX_SDE_RECORDS = 10**6
 POSITIVE = "positive"  # a range rule: the value, or each entry, is > 0
 
 
@@ -565,9 +571,11 @@ _STAGES = {
 
 def _check_sampling(command: str, ws: _Workspace):
     """The sampler's static preconditions, for a run that samples, before any
-    stage; each message names its key.  BAOAB needs sde.dt * gamma < 1 at
-    each sampled gamma; the decay fit (of a sample sweep, and of the quadratic
-    from a shifted start) needs MIN_FIT_SAMPLES records and that start."""
+    stage; each message names its key.  An ensemble holds at most
+    MAX_SDE_COORDINATES coordinates and MAX_SDE_RECORDS records; BAOAB needs
+    sde.dt * gamma < 1 at each sampled gamma; the decay fit (of a sample
+    sweep, and of the quadratic from a shifted start) needs MIN_FIT_SAMPLES
+    records and that start."""
     cfg = ws.cfg
     stages = COMMANDS[command]
     sweep = "sweep" in stages and cfg.sweep_target == "sample"
@@ -576,7 +584,16 @@ def _check_sampling(command: str, ws: _Workspace):
     if sweep and cfg.sde_init_shift == 0.0:
         raise ConfigurationError("sde.init_shift: a sample sweep fits the decay "
                                  "from the shifted start, so it must be nonzero")
+    coordinates = cfg.sde_particles * cfg.sde_d
+    if coordinates > MAX_SDE_COORDINATES:
+        raise ConfigurationError(
+            f"sde.particles, sde.d: particles * d = {coordinates} coordinates, "
+            f"and at most MAX_SDE_COORDINATES = {MAX_SDE_COORDINATES} are allowed")
     records = cfg.sde_steps // cfg.sde_record_every + 1
+    if records > MAX_SDE_RECORDS:
+        raise ConfigurationError(
+            f"sde.steps: steps // record_every + 1 = {records} records, and at "
+            f"most MAX_SDE_RECORDS = {MAX_SDE_RECORDS} are allowed")
     if records < MIN_FIT_SAMPLES and (sweep or ws.fits_first_moment):
         raise ConfigurationError(f"sde.steps: the decay fit needs {MIN_FIT_SAMPLES} "
                                  f"records, and steps // record_every + 1 = {records}")

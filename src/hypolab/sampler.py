@@ -8,18 +8,21 @@ carried over and evaluated once per step.
 
 Reproducibility: every trajectory draws from its own counter-based Philox
 stream keyed by (seed, trajectory index), built once per run.  Time blocks of
-BLOCK steps are the outer loop and chunks of CHUNK trajectories the inner one;
-each stream is drawn from one block at a time, and consecutive draws give the
-same bits as one draw of the whole path.  When every chunk has finished a
-block, each record it completed is one contiguous row over all particles and
-is reduced on the spot; numpy's pairwise sum over that row runs in the same
-order as a reduction of the whole (records, particles) array.  Results are
-therefore independent of CHUNK, BLOCK and execution order.
+BLOCK steps are the outer loop and chunks of max(1, CHUNK // d) trajectories
+(CHUNK coordinates) the inner one; each stream is drawn from one block at a
+time, and consecutive draws give the same bits as one draw of the whole path.
+When every chunk has finished a block, each record it completed is one
+contiguous row over all particles and is reduced on the spot; numpy's
+pairwise sum over that row runs in the same order as a reduction of the
+whole (records, particles) array.  Results are therefore independent of
+CHUNK, BLOCK and execution order.
 
-Memory held at any time: the noise, O(CHUNK * BLOCK * d); the records of the
-current block, O(particles * BLOCK / record_every); the state,
-O(particles * d); and one generator per particle (about 0.65 KiB each).  Only
-the per-record means and standard errors grow with the number of steps.
+Memory held at any time: the noise, O(CHUNK * BLOCK) for d <= CHUNK (one
+trajectory's BLOCK * d above that); the records of the current block,
+O(particles * BLOCK / record_every); the state, O(particles * d); and one
+generator per particle (about 0.65 KiB each).  Only the per-record means and
+standard errors grow with the number of steps, and nothing but the state
+grows with the dimension.
 
 Divergence: a chunk stops at its own first non-finite force (step 0 is the
 initial force), the other chunks finish the block, and the run ends.  The
@@ -39,7 +42,7 @@ import numpy as np
 from .errors import DivergenceError, InsufficientSignalError
 from .model import Potential, eval_potential, potential_gradient
 
-CHUNK = 4096  # trajectories advanced together
+CHUNK = 4096  # coordinates (trajectories x d) advanced together
 BLOCK = 256  # steps advanced, and drawn per stream, before a reduction
 MIN_FIT_SAMPLES = 8  # records above the noise floor a decay fit needs
 
@@ -114,17 +117,25 @@ def _force(potential: Potential, x: np.ndarray) -> np.ndarray:
     return du
 
 
-def _baoab_inplace(x, v, force, potential: Potential, gamma: float, dt: float,
+def _ou_coefficients(gamma: float, dt: float) -> tuple:
+    """The exact Ornstein-Uhlenbeck velocity update over dt: v becomes
+    c1 v + c2 xi, with c1 = e^{-gamma dt} and c2 = sqrt(1 - c1^2)."""
+    c1 = np.exp(-gamma * dt)
+    return c1, np.sqrt(1.0 - c1 * c1)
+
+
+def _baoab_inplace(x, v, force, potential: Potential, dt: float, ou: tuple,
                    noise):
-    """One BAOAB step that overwrites the float arrays x and v.
+    """One BAOAB step that overwrites the float arrays x and v; ou is
+    _ou_coefficients(gamma, dt).
 
     force holds U'(x) on entry and is overwritten with U' at the new x.
     """
-    c1 = np.exp(-gamma * dt)
+    c1, c2 = ou
     v -= (dt / 2) * force
     x += (dt / 2) * v
     v *= c1
-    v += np.sqrt(1.0 - c1 * c1) * noise
+    v += c2 * noise
     x += (dt / 2) * v
     force[...] = _force(potential, x)
     v -= (dt / 2) * force
@@ -133,11 +144,12 @@ def _baoab_inplace(x, v, force, potential: Potential, gamma: float, dt: float,
 def run_ensemble(cfg: SdeConfig) -> EnsembleTrace:
     """Evolve independent trajectories; fully deterministic given cfg.seed.
 
-    Time blocks of BLOCK steps are the outer loop and chunks of CHUNK
-    trajectories the inner one.  When every chunk has finished a block, each
-    record the block completed is held for all particles in one contiguous
-    row and reduced on the spot, in fixed trajectory order, so the output is
-    bit-identical no matter how the particles are partitioned for execution.
+    Time blocks of BLOCK steps are the outer loop and chunks of
+    max(1, CHUNK // d) trajectories the inner one.  When every chunk has
+    finished a block, each record the block completed is held for all
+    particles in one contiguous row and reduced on the spot, in fixed
+    trajectory order, so the output is bit-identical no matter how the
+    particles are partitioned for execution.
 
     A chunk stops at its own first non-finite force; the others finish the
     block and the run ends there.  The divergence is the smallest (step,
@@ -145,6 +157,8 @@ def run_ensemble(cfg: SdeConfig) -> EnsembleTrace:
     0 ... max(step - 1, 0), and the final moments are None.
     """
     p, d, every = cfg.particles, cfg.d, cfg.record_every
+    width = max(1, CHUNK // d)  # trajectories per chunk
+    ou = _ou_coefficients(cfg.gamma, cfg.dt)
     n_rec = cfg.steps // every + 1
     times = np.arange(n_rec) * (cfg.dt * every)
     observables = default_observables(cfg.potential)
@@ -156,7 +170,7 @@ def run_ensemble(cfg: SdeConfig) -> EnsembleTrace:
     x = np.full((p, d), cfg.init_shift, dtype=float)
     force = np.empty((p, d))
     # particle-major, so each stream fills one contiguous (b, d) slab
-    noise = np.empty((min(CHUNK, p), min(BLOCK, cfg.steps), d))
+    noise = np.empty((min(width, p), min(BLOCK, cfg.steps), d))
     # the records completed in the current block, one row each
     rows = {n: np.empty((BLOCK // every + 1, p)) for n in observables}
     means = {n: np.empty(n_rec) for n in observables}
@@ -166,8 +180,8 @@ def run_ensemble(cfg: SdeConfig) -> EnsembleTrace:
 
     for t0 in range(0, cfg.steps, BLOCK):
         b = min(BLOCK, cfg.steps - t0)
-        for start in range(0, p, CHUNK):
-            cols = slice(start, min(start + CHUNK, p))
+        for start in range(0, p, width):
+            cols = slice(start, min(start + width, p))
             xc, vc, fc = x[cols], v[cols], force[cols]
             for i, gen in enumerate(gens[cols]):
                 gen.standard_normal((b, d), out=noise[i, :b])
@@ -178,7 +192,7 @@ def run_ensemble(cfg: SdeConfig) -> EnsembleTrace:
                         rows[n][0, cols] = obs(xc, vc)
                     fc[...] = _force(cfg.potential, xc)
                 for t in range(t0, t0 + b):
-                    _baoab_inplace(xc, vc, fc, cfg.potential, cfg.gamma, cfg.dt,
+                    _baoab_inplace(xc, vc, fc, cfg.potential, cfg.dt, ou,
                                    noise[:len(xc), t - t0])
                     if (t + 1) % every == 0:
                         for n, obs in observables.items():

@@ -753,6 +753,30 @@ class TestMain:
         assert cli.main([command, "--config", str(conf)]) == 2
         assert f"configuration error: {key}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, text, key", [
+        ("sample", "sde.d = 1000000000000\nsde.particles = 100\n",
+         "sde.particles, sde.d"),
+        ("sample", "sde.steps = 1000000000000000\n", "sde.steps"),
+        ("all", "sde.particles = 100000\nsde.d = 101\n", "sde.particles, sde.d"),
+        ("sweep", "sde.steps = 20000000\nsde.record_every = 1\n", "sde.steps"),
+    ], ids=["sample-d", "sample-steps", "all-coordinates", "sweep-records"])
+    def test_oversized_ensemble_exits_2_before_sampling(
+            self, command, text, key, tmp_path, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("an ensemble ran before its size was checked")
+
+        monkeypatch.setattr(cli, "run_ensemble", no_work)
+        monkeypatch.setattr(sampler, "run_ensemble", no_work)
+        conf = tmp_path / "big.conf"
+        conf.write_text(text)
+        assert cli.main([command, "--config", str(conf)]) == 2
+        assert f"configuration error: {key}: " in capsys.readouterr().err
+
+    def test_ensemble_caps_are_far_above_the_default_run(self):
+        cfg = cli.build_config({})
+        assert 100 * cfg.sde_particles * cfg.sde_d < cli.MAX_SDE_COORDINATES
+        assert 100 * (cfg.sde_steps // cfg.sde_record_every + 1) < cli.MAX_SDE_RECORDS
+
     @pytest.mark.parametrize("command, raw, ensembles", [
         ("sample", SMALL_SDE, 1),
         ("all", {**SMALL, **SMALL_SDE}, 1),

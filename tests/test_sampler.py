@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 import hypolab as hl
+from hypolab import sampler
 from hypolab.errors import DivergenceError, InsufficientSignalError
 from hypolab.model import potential_gradient
-from hypolab.sampler import _baoab_inplace, _force, default_observables
+from hypolab.sampler import (_baoab_inplace, _force, _ou_coefficients,
+                             default_observables)
 
 
 def scalar_baoab_reference(x, v, a, gamma, dt, xi):
@@ -27,7 +29,8 @@ def baoab_step(state, potential, gamma, dt, noise):
     state = (x, v), with the starting force evaluated afresh."""
     x, v = (np.array(s, dtype=float) for s in state)
     force = np.array(_force(potential, x), dtype=float)
-    _baoab_inplace(x, v, force, potential, gamma, dt, np.asarray(noise, dtype=float))
+    _baoab_inplace(x, v, force, potential, dt, _ou_coefficients(gamma, dt),
+                   np.asarray(noise, dtype=float))
     return x, v
 
 
@@ -78,7 +81,7 @@ class TestStepBaoab:
         expected = baoab_step((x, v), pot, 2.0, 0.01, noise)
         noise0 = noise.copy()
         force = potential_gradient(pot, x)
-        _baoab_inplace(x, v, force, pot, 2.0, 0.01, noise)
+        _baoab_inplace(x, v, force, pot, 0.01, _ou_coefficients(2.0, 0.01), noise)
         np.testing.assert_array_equal(x, expected[0])
         np.testing.assert_array_equal(v, expected[1])
         np.testing.assert_array_equal(force, potential_gradient(pot, x))
@@ -98,11 +101,12 @@ def assert_traces_equal(a, b):
 
 class TestRunEnsemble:
     def test_matches_step_baoab_per_trajectory(self, monkeypatch):
-        # 600 steps cross noise blocks and end in a partial one; CHUNK = 64
-        # splits the 100 particles into a full and a partial chunk.  Every
-        # record is reduced as its block ends, and must equal the reduction
-        # of the whole (records, particles) array bit for bit.
-        monkeypatch.setattr("hypolab.sampler.CHUNK", 64)
+        # 600 steps cross noise blocks and end in a partial one; CHUNK = 128
+        # coordinates, 64 trajectories at d = 2, splits the 100 particles into
+        # a full and a partial chunk.  Every record is reduced as its block
+        # ends, and must equal the reduction of the whole (records, particles)
+        # array bit for bit.
+        monkeypatch.setattr("hypolab.sampler.CHUNK", 128)
         for pot in (hl.quadratic(), hl.double_well(), hl.cosine_bump(2.0)):
             cfg = hl.SdeConfig(potential=pot, d=2, particles=100,
                                steps=600, gamma=2.0, seed=5, init_shift=0.5)
@@ -171,6 +175,37 @@ class TestRunEnsemble:
                 tracemalloc.stop()
 
         assert peak(4000) - peak(1000) <= 2**20
+
+    def test_chunk_counts_coordinates_not_trajectories(self, monkeypatch):
+        # at d = 4, CHUNK = 4 * 4096 is the 4096-trajectory partition that a
+        # CHUNK of trajectories gave; 4096 coordinates are 1024 trajectories
+        cfg = hl.SdeConfig(potential=hl.double_well(), d=4, particles=2500,
+                           steps=40, gamma=3.0, seed=17, init_shift=0.5)
+        traces = []
+        for chunk in (4 * 4096, 4096):
+            monkeypatch.setattr("hypolab.sampler.CHUNK", chunk)
+            traces.append(hl.run_ensemble(cfg))
+        assert_traces_equal(*traces)
+
+    def test_memory_beyond_the_state_does_not_grow_with_dimension(self):
+        """The noise is CHUNK * BLOCK doubles at any d <= CHUNK; only the
+        O(particles * d) state, x, v and the force plus one temporary of the
+        final moments, grows with d."""
+        import tracemalloc
+
+        p = sampler.CHUNK  # a full chunk at d = 1
+
+        def peak_beyond_state(d):
+            cfg = hl.SdeConfig(potential=hl.quadratic(), d=d, particles=p,
+                               steps=sampler.BLOCK, seed=3)
+            tracemalloc.start()
+            try:
+                hl.run_ensemble(cfg)
+                return tracemalloc.get_traced_memory()[1] - 4 * 8 * p * d
+            finally:
+                tracemalloc.stop()
+
+        assert peak_beyond_state(16) <= peak_beyond_state(1) + 2**20
 
     def test_equilibrium_moments_quadratic(self):
         cfg = hl.SdeConfig(potential=hl.quadratic(1.0), particles=4000,
@@ -252,15 +287,16 @@ class TestRunEnsemble:
 
 
     def test_divergence_does_not_depend_on_partitioning(self, monkeypatch):
-        # at CHUNK = 64 every chunk diverges, chunk 1 first (step 8) and
-        # chunk 0 at step 9; BLOCK = 8 ends the run before chunk 0 diverges
+        # at CHUNK = 128 (chunks of 64 trajectories at d = 2) every chunk
+        # diverges, chunk 1 first (step 8) and chunk 0 at step 9; BLOCK = 8
+        # ends the run before chunk 0 diverges
         cfg = hl.SdeConfig(potential=hl.double_well(), d=2, particles=300,
                            steps=200, dt=0.2, gamma=4.0, seed=0, init_shift=11.4)
         traces = []
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            for chunk, block in [(4096, 256), (64, 256), (4096, 7), (64, 7),
-                                 (64, 8)]:
+            for chunk, block in [(4096, 256), (128, 256), (4096, 7), (128, 7),
+                                 (128, 8)]:
                 monkeypatch.setattr("hypolab.sampler.CHUNK", chunk)
                 monkeypatch.setattr("hypolab.sampler.BLOCK", block)
                 traces.append(hl.run_ensemble(cfg))
