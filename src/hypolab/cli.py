@@ -250,18 +250,8 @@ class RunReport:
         }
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def report_json(report: RunReport) -> str:
-    return json.dumps(report.as_dict(), indent=2, default=_json_default)
+    return json.dumps(report.as_dict(), indent=2)
 
 
 class _Workspace:
@@ -678,20 +668,15 @@ def main(argv=None) -> int:
             if value is not None:
                 raw[key] = repr(value)
         report = run_experiment(args.command, build_config(raw))
+        if args.out:
+            emit_report(report, args.out)
+        print(report_json(report))
     except (ConfigurationError, PreconditionError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return 4
-
-    try:
-        if args.out:
-            emit_report(report, args.out)
-        print(report_json(report))
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 4

@@ -11,18 +11,22 @@ stream keyed by (seed, trajectory index), built once per run.  Time blocks of
 BLOCK steps are the outer loop and chunks of max(1, CHUNK // d) trajectories
 (CHUNK coordinates) the inner one; each stream is drawn from one block at a
 time, and consecutive draws give the same bits as one draw of the whole path.
-When every chunk has finished a block, each record it completed is one
-contiguous row over all particles and is reduced on the spot; numpy's
-pairwise sum over that row runs in the same order as a reduction of the
-whole (records, particles) array.  Results are therefore independent of
-CHUNK, BLOCK and execution order.
+Each record is one observe call per chunk, which writes every observable
+into that record's (observables, particles) slab of a single
+(BLOCK // record_every + 1, observables, particles) buffer.  When every chunk
+has finished a block, each record it completed is reduced on the spot by one
+mean and one std call along the contiguous particle axis; numpy's pairwise
+sum over a row runs in the same order as a reduction of the whole
+(records, particles) array.  Results are therefore independent of CHUNK,
+BLOCK and execution order.  A record is reduced alone because a whole
+block's std would allocate a temporary the size of the block.
 
 Memory held at any time: the noise, O(CHUNK * BLOCK) for d <= CHUNK (one
-trajectory's BLOCK * d above that); the records of the current block,
-O(particles * BLOCK / record_every); the state, O(particles * d); and one
-generator per particle (about 0.65 KiB each).  Only the per-record means and
-standard errors grow with the number of steps, and nothing but the state
-grows with the dimension.
+trajectory's BLOCK * d above that); the record buffer, 8 * len(OBSERVABLES)
+* (BLOCK // record_every + 1) bytes per particle; the state, O(particles *
+d); and one generator per particle (about 0.65 KiB each).  Only the
+per-record means and standard errors grow with the number of steps, and
+nothing but the state grows with the dimension.
 
 Divergence: a chunk stops at its own first non-finite force (step 0 is the
 initial force), the other chunks finish the block, and the run ends.  The
@@ -45,20 +49,17 @@ from .model import Potential, eval_potential, potential_gradient
 CHUNK = 4096  # coordinates (trajectories x d) advanced together
 BLOCK = 256  # steps advanced, and drawn per stream, before a reduction
 MIN_FIT_SAMPLES = 8  # records above the noise floor a decay fit needs
+OBSERVABLES = ("x0", "x_sq", "v_sq", "energy")  # per-particle scalars, in CSV order
 
 
-def default_observables(potential: Potential) -> dict:
-    """Named ensemble observables (x, v) -> per-particle scalar."""
-
-    def energy(x, v):
-        return (v**2).sum(axis=-1) / 2 + eval_potential(potential, x)[0].sum(axis=-1)
-
-    return {
-        "x0": lambda x, v: x[..., 0],
-        "x_sq": lambda x, v: (x**2).mean(axis=-1),
-        "v_sq": lambda x, v: (v**2).mean(axis=-1),
-        "energy": energy,
-    }
+def observe(potential: Potential, x: np.ndarray, v: np.ndarray, out: np.ndarray):
+    """Write the OBSERVABLES of the trajectories (x, v), each (..., d), into
+    out, one row per observable (shape (len(OBSERVABLES), ...))."""
+    v_sq = v**2
+    out[0] = x[..., 0]
+    out[1] = (x**2).mean(axis=-1)
+    out[2] = v_sq.mean(axis=-1)
+    out[3] = v_sq.sum(axis=-1) / 2 + eval_potential(potential, x)[0].sum(axis=-1)
 
 
 @dataclass
@@ -87,7 +88,6 @@ class EnsembleTrace:
     final_x_var: np.ndarray | None
     final_v_mean: np.ndarray | None
     final_v_var: np.ndarray | None
-    particles: int
     # {"trajectory", "step"} of the first non-finite force (step 0 is the
     # initial position), None when every trajectory ran to the end
     divergence: dict | None = None
@@ -145,11 +145,13 @@ def run_ensemble(cfg: SdeConfig) -> EnsembleTrace:
     """Evolve independent trajectories; fully deterministic given cfg.seed.
 
     Time blocks of BLOCK steps are the outer loop and chunks of
-    max(1, CHUNK // d) trajectories the inner one.  When every chunk has
-    finished a block, each record the block completed is held for all
-    particles in one contiguous row and reduced on the spot, in fixed
-    trajectory order, so the output is bit-identical no matter how the
-    particles are partitioned for execution.
+    max(1, CHUNK // d) trajectories the inner one.  observe writes each
+    record's OBSERVABLES into one (observables, particles) slab of the block's
+    record buffer.  When every chunk has finished a block, each record the
+    block completed is reduced on the spot, one mean and one std along the
+    particles in fixed trajectory order, so the output is bit-identical no
+    matter how the particles are partitioned for execution.  The (observables,
+    records) results become the trace's means and stderrs by name.
 
     A chunk stops at its own first non-finite force; the others finish the
     block and the run ends there.  The divergence is the smallest (step,
@@ -161,7 +163,6 @@ def run_ensemble(cfg: SdeConfig) -> EnsembleTrace:
     ou = _ou_coefficients(cfg.gamma, cfg.dt)
     n_rec = cfg.steps // every + 1
     times = np.arange(n_rec) * (cfg.dt * every)
-    observables = default_observables(cfg.potential)
     gens = [np.random.Generator(np.random.Philox(key=[cfg.seed, i]))
             for i in range(p)]
     v = np.empty((p, d))
@@ -171,10 +172,11 @@ def run_ensemble(cfg: SdeConfig) -> EnsembleTrace:
     force = np.empty((p, d))
     # particle-major, so each stream fills one contiguous (b, d) slab
     noise = np.empty((min(width, p), min(BLOCK, cfg.steps), d))
-    # the records completed in the current block, one row each
-    rows = {n: np.empty((BLOCK // every + 1, p)) for n in observables}
-    means = {n: np.empty(n_rec) for n in observables}
-    stderrs = {n: np.empty(n_rec) for n in observables}
+    # the records completed in the current block, each an (observables,
+    # particles) slab with the particles contiguous
+    records = np.empty((BLOCK // every + 1, len(OBSERVABLES), p))
+    means = np.empty((len(OBSERVABLES), n_rec))
+    stderrs = np.empty((len(OBSERVABLES), n_rec))
     hits = []  # (step, trajectory) of each chunk's first non-finite force
     done = 0  # records reduced so far
 
@@ -188,25 +190,23 @@ def run_ensemble(cfg: SdeConfig) -> EnsembleTrace:
             t = t0 - 1  # a force that fails in step t belongs to position t + 1
             try:
                 if t0 == 0:
-                    for n, obs in observables.items():
-                        rows[n][0, cols] = obs(xc, vc)
+                    observe(cfg.potential, xc, vc, records[0, :, cols])
                     fc[...] = _force(cfg.potential, xc)
                 for t in range(t0, t0 + b):
                     _baoab_inplace(xc, vc, fc, cfg.potential, cfg.dt, ou,
                                    noise[:len(xc), t - t0])
                     if (t + 1) % every == 0:
-                        for n, obs in observables.items():
-                            rows[n][(t + 1) // every - done, cols] = obs(xc, vc)
+                        observe(cfg.potential, xc, vc,
+                                records[(t + 1) // every - done, :, cols])
             except DivergenceError as err:
                 hits.append((t + 1, start + err.coordinate // d))
         end = (t0 + b) // every + 1
         if hits:
             end = min(end, max(min(hits)[0] - 1, 0) // every + 1)
-        for n in observables:
-            for j in range(done, end):
-                row = rows[n][j - done]
-                means[n][j] = row.mean()
-                stderrs[n][j] = row.std(ddof=1) / np.sqrt(p)
+        for j in range(done, end):
+            record = records[j - done]
+            means[:, j] = record.mean(axis=-1)
+            stderrs[:, j] = record.std(axis=-1, ddof=1) / np.sqrt(p)
         done = end
         if hits:
             break
@@ -220,13 +220,12 @@ def run_ensemble(cfg: SdeConfig) -> EnsembleTrace:
         final = (x.mean(axis=0), x.var(axis=0), v.mean(axis=0), v.var(axis=0))
     return EnsembleTrace(
         times=times[:done],
-        means={n: m[:done] for n, m in means.items()},
-        stderrs={n: s[:done] for n, s in stderrs.items()},
+        means=dict(zip(OBSERVABLES, means[:, :done])),
+        stderrs=dict(zip(OBSERVABLES, stderrs[:, :done])),
         final_x_mean=final[0],
         final_x_var=final[1],
         final_v_mean=final[2],
         final_v_var=final[3],
-        particles=p,
         divergence=divergence,
     )
 

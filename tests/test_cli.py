@@ -592,7 +592,7 @@ class TestEmitReport:
             means={"x0": np.array([2.0, 0.1]), "v_sq": np.array([1.0, 1.0 / 3.0])},
             stderrs={"x0": np.array([0.0, 0.01]), "v_sq": np.array([0.25, 0.5])},
             final_x_mean=None, final_x_var=None, final_v_mean=None,
-            final_v_var=None, particles=2,
+            final_v_var=None,
         )
         report = cli.RunReport(version="", command="sample", config={},
                                traces=[("sde.csv", trace)])
@@ -611,6 +611,30 @@ class TestEmitReport:
         lam = data["results"]["tuning"]["Lambda"]
         assert lam == report.results["tuning"]["Lambda"]  # full precision
         assert data["manifest"] == []  # no traces emitted by tune
+
+    @pytest.mark.parametrize("command, raw", [
+        *RULE_CONFIGS.items(),
+        ("sweep", {**SMALL_SDE, "sweep.target": "sample", "sweep.gammas": "2,4"}),
+        ("sample", {"potential.kind": "double_well", "sde.particles": "300",
+                    "sde.steps": "50", "sde.init_shift": "1e103"}),
+    ], ids=[*RULE_CONFIGS, "sweep-sample", "sample-diverged"])
+    def test_report_is_plain_json(self, command, raw):
+        # report_json has no default hook: the report holds only values json
+        # writes itself, np.float64 being a float
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            report = cli.run_experiment(command, cli.build_config(raw))
+        json.dumps(report.as_dict())
+
+        def leaves(value):
+            if isinstance(value, dict):
+                value = list(value.values())
+            if isinstance(value, (list, tuple)):
+                return [leaf for v in value for leaf in leaves(v)]
+            return [value]
+
+        assert {type(v) for v in leaves(report.as_dict())} <= {
+            bool, int, float, str, type(None), np.float64}
 
 
 class TestMain:

@@ -7,8 +7,8 @@ import hypolab as hl
 from hypolab import sampler
 from hypolab.errors import DivergenceError, InsufficientSignalError
 from hypolab.model import potential_gradient
-from hypolab.sampler import (_baoab_inplace, _force, _ou_coefficients,
-                             default_observables)
+from hypolab.sampler import (OBSERVABLES, _baoab_inplace, _force,
+                             _ou_coefficients, observe)
 
 
 def scalar_baoab_reference(x, v, a, gamma, dt, xi):
@@ -111,11 +111,9 @@ class TestRunEnsemble:
             cfg = hl.SdeConfig(potential=pot, d=2, particles=100,
                                steps=600, gamma=2.0, seed=5, init_shift=0.5)
             trace = hl.run_ensemble(cfg)
-            observables = default_observables(pot)
             x = np.full((cfg.particles, cfg.d), cfg.init_shift)
             v = np.empty_like(x)
-            ref = {n: np.empty((len(trace.times), cfg.particles))
-                   for n in observables}
+            ref = np.empty((len(OBSERVABLES), len(trace.times), cfg.particles))
             for i in range(cfg.particles):
                 gen = np.random.Generator(np.random.Philox(key=[cfg.seed, i]))
                 draws = gen.standard_normal((cfg.steps + 1, cfg.d))
@@ -125,13 +123,14 @@ class TestRunEnsemble:
                         x[i], v[i] = baoab_step((x[i], v[i]), cfg.potential,
                                                 cfg.gamma, cfg.dt, draws[t])
                     if t % cfg.record_every == 0:
-                        for n, obs in observables.items():
-                            ref[n][t // cfg.record_every, i] = obs(x[i], v[i])
-            for n in observables:
-                np.testing.assert_array_equal(trace.means[n], ref[n].mean(axis=1))
+                        observe(cfg.potential, x[i], v[i],
+                                ref[:, t // cfg.record_every, i])
+            assert list(trace.means) == list(OBSERVABLES)
+            for n, rows in zip(OBSERVABLES, ref):
+                np.testing.assert_array_equal(trace.means[n], rows.mean(axis=1))
                 np.testing.assert_array_equal(
                     trace.stderrs[n],
-                    ref[n].std(axis=1, ddof=1) / np.sqrt(cfg.particles))
+                    rows.std(axis=1, ddof=1) / np.sqrt(cfg.particles))
             np.testing.assert_array_equal(trace.final_x_mean, x.mean(axis=0))
             np.testing.assert_array_equal(trace.final_v_var, v.var(axis=0))
 
@@ -154,11 +153,15 @@ class TestRunEnsemble:
 
     @pytest.mark.parametrize("block", [7, 80])
     def test_noise_block_length_does_not_change_results(self, block, monkeypatch):
-        cfg = hl.SdeConfig(potential=hl.double_well(), d=3, particles=150,
-                           steps=80, gamma=3.0, seed=21, init_shift=1.0)
-        a = hl.run_ensemble(cfg)
+        # at record_every 1 every step is a record, and at 3 records fall on
+        # either side of the block edges
+        cfgs = [hl.SdeConfig(potential=hl.double_well(), d=3, particles=150,
+                             steps=80, gamma=3.0, seed=21, init_shift=1.0,
+                             record_every=every) for every in (10, 1, 3)]
+        traces = [hl.run_ensemble(cfg) for cfg in cfgs]
         monkeypatch.setattr("hypolab.sampler.BLOCK", block)
-        assert_traces_equal(a, hl.run_ensemble(cfg))
+        for cfg, trace in zip(cfgs, traces):
+            assert_traces_equal(trace, hl.run_ensemble(cfg))
 
     def test_memory_does_not_grow_with_steps(self):
         """Only the per-record means and stderrs grow with the steps."""
@@ -175,6 +178,26 @@ class TestRunEnsemble:
                 tracemalloc.stop()
 
         assert peak(4000) - peak(1000) <= 2**20
+
+    def test_records_are_reduced_one_at_a_time(self):
+        """The block's records are reduced one by one: a whole-block std
+        would hold a temporary the size of the record buffer."""
+        import tracemalloc
+
+        p = 1024
+
+        def peak(every):
+            cfg = hl.SdeConfig(potential=hl.quadratic(), particles=p,
+                               steps=sampler.BLOCK, seed=3, record_every=every)
+            tracemalloc.start()
+            try:
+                hl.run_ensemble(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        buffer_growth = (sampler.BLOCK - 1) * len(OBSERVABLES) * p * 8
+        assert peak(1) - peak(sampler.BLOCK) <= buffer_growth + 2**20
 
     def test_chunk_counts_coordinates_not_trajectories(self, monkeypatch):
         # at d = 4, CHUNK = 4 * 4096 is the 4096-trajectory partition that a
