@@ -57,7 +57,8 @@ from .evolve import (
     verify_decay_bound,
 )
 from .model import POTENTIAL_KINDS, Potential
-from .sampler import MIN_FIT_SAMPLES, SdeConfig, estimate_observable_decay, run_ensemble
+from .sampler import (MIN_FIT_SAMPLES, SdeConfig, ensemble_bytes,
+                      estimate_observable_decay, run_ensemble)
 from .tuning import (
     TuningResult,
     check_ratio_consistency,
@@ -77,18 +78,15 @@ COMMANDS = {
 }
 SUBCOMMANDS = tuple(COMMANDS)
 BOUND_SLACK = 0.05  # acceptance tolerance on the corrector bounds
+EQUILIBRIUM_Z = 3.0  # standard errors a sampled second moment may stray
+FIRST_MOMENT_RTOL = 0.15  # relative error allowed the sampled first-moment rate
 TUNED_RTOL = 1e-12  # relative distance at which a parameter counts as tuned
 EXACT_TOL = 1e-12  # residual allowed an identity that holds exactly
 LAMBDA_RTOL = 4 * np.finfo(float).eps  # Lambda against its closed form, a few ulp
-# most Crank-Nicolson steps one integration may take: it bounds the memory of
-# integrate's per-step trace arrays (40 bytes a step), far above any run's need
+# most Crank-Nicolson steps one integration may take, far above any run's need:
+# integrate keeps seven per-step arrays and peaks at nine (56-72 bytes a step)
 MAX_CN_STEPS = 10**6
-# most coordinates (particles * d) one ensemble may hold, 24 bytes each for x,
-# v and the force, and most records (steps // record_every + 1) it may keep,
-# 72 bytes each for the times and every observable's mean and standard error;
-# both far above any run's need
-MAX_SDE_COORDINATES = 10**7
-MAX_SDE_RECORDS = 10**6
+MAX_SDE_BYTES = 2**31  # most bytes of one ensemble, by sampler.ensemble_bytes
 POSITIVE = "positive"  # a range rule: the value, or each entry, is > 0
 
 
@@ -502,7 +500,7 @@ def _stage_sample(ws: _Workspace, report: RunReport):
             report.check(name, None)
         else:
             z = abs(float((var + mean**2).mean()) - target) / se
-            report.check(name, 3.0 - z)
+            report.check(name, EQUILIBRIUM_Z - z)
 
     equilibrium("equilibrium_v_sq", trace.final_v_var, trace.final_v_mean, 1.0, se_v)
     a = ws.potential.analytic_m
@@ -517,7 +515,8 @@ def _stage_sample(ws: _Workspace, report: RunReport):
         rates = report.results.setdefault("rates", {})
         rates["sample_first_moment"] = rate
         rates["sample_first_moment_oracle"] = oracle
-        report.check("first_moment_rate", 0.15 - abs(rate - oracle) / oracle)
+        report.check("first_moment_rate",
+                     FIRST_MOMENT_RTOL - abs(rate - oracle) / oracle)
     else:
         report.skip("first_moment_rate")
 
@@ -562,10 +561,10 @@ _STAGES = {
 def _check_sampling(command: str, ws: _Workspace):
     """The sampler's static preconditions, for a run that samples, before any
     stage; each message names its key.  An ensemble holds at most
-    MAX_SDE_COORDINATES coordinates and MAX_SDE_RECORDS records; BAOAB needs
-    sde.dt * gamma < 1 at each sampled gamma; the decay fit (of a sample
-    sweep, and of the quadratic from a shifted start) needs MIN_FIT_SAMPLES
-    records and that start."""
+    MAX_SDE_BYTES bytes by ensemble_bytes; BAOAB needs sde.dt * gamma < 1 at
+    each sampled gamma; the decay fit (of a sample sweep, and of the
+    quadratic from a shifted start) needs MIN_FIT_SAMPLES records and that
+    start."""
     cfg = ws.cfg
     stages = COMMANDS[command]
     sweep = "sweep" in stages and cfg.sweep_target == "sample"
@@ -574,16 +573,12 @@ def _check_sampling(command: str, ws: _Workspace):
     if sweep and cfg.sde_init_shift == 0.0:
         raise ConfigurationError("sde.init_shift: a sample sweep fits the decay "
                                  "from the shifted start, so it must be nonzero")
-    coordinates = cfg.sde_particles * cfg.sde_d
-    if coordinates > MAX_SDE_COORDINATES:
+    need = ensemble_bytes(_sde_config(ws, math.nan))  # gamma does not enter it
+    if need > MAX_SDE_BYTES:
         raise ConfigurationError(
-            f"sde.particles, sde.d: particles * d = {coordinates} coordinates, "
-            f"and at most MAX_SDE_COORDINATES = {MAX_SDE_COORDINATES} are allowed")
+            f"sde.particles, sde.d, sde.steps, sde.record_every: the ensemble needs "
+            f"{need} bytes, and at most MAX_SDE_BYTES = {MAX_SDE_BYTES} are allowed")
     records = cfg.sde_steps // cfg.sde_record_every + 1
-    if records > MAX_SDE_RECORDS:
-        raise ConfigurationError(
-            f"sde.steps: steps // record_every + 1 = {records} records, and at "
-            f"most MAX_SDE_RECORDS = {MAX_SDE_RECORDS} are allowed")
     if records < MIN_FIT_SAMPLES and (sweep or ws.fits_first_moment):
         raise ConfigurationError(f"sde.steps: the decay fit needs {MIN_FIT_SAMPLES} "
                                  f"records, and steps // record_every + 1 = {records}")

@@ -21,12 +21,7 @@ sum over a row runs in the same order as a reduction of the whole
 BLOCK and execution order.  A record is reduced alone because a whole
 block's std would allocate a temporary the size of the block.
 
-Memory held at any time: the noise, O(CHUNK * BLOCK) for d <= CHUNK (one
-trajectory's BLOCK * d above that); the record buffer, 8 * len(OBSERVABLES)
-* (BLOCK // record_every + 1) bytes per particle; the state, O(particles *
-d); and one generator per particle (about 0.65 KiB each).  Only the
-per-record means and standard errors grow with the number of steps, and
-nothing but the state grows with the dimension.
+Memory: ensemble_bytes states what run_ensemble holds at its peak.
 
 Divergence: a chunk stops at its own first non-finite force (step 0 is the
 initial force), the other chunks finish the block, and the run ends.  The
@@ -50,6 +45,9 @@ CHUNK = 4096  # coordinates (trajectories x d) advanced together
 BLOCK = 256  # steps advanced, and drawn per stream, before a reduction
 MIN_FIT_SAMPLES = 8  # records above the noise floor a decay fit needs
 OBSERVABLES = ("x0", "x_sq", "v_sq", "energy")  # per-particle scalars, in CSV order
+# bytes of one Philox Generator: 600 to tracemalloc, 701 of RSS over 10^5
+# of them (numpy 2.4)
+GENERATOR_BYTES = 768
 
 
 def observe(potential: Potential, x: np.ndarray, v: np.ndarray, out: np.ndarray):
@@ -105,6 +103,37 @@ class EnsembleTrace:
             out[f"{n}_mean"] = self.means[n]
             out[f"{n}_stderr"] = self.stderrs[n]
         return out
+
+
+def ensemble_bytes(cfg: SdeConfig) -> int:
+    """The bytes run_ensemble(cfg) holds at its peak, an upper bound, in
+    Python ints so that no size overflows.
+
+    In doubles, with width = min(max(1, CHUNK // d), particles) trajectories
+    per chunk and n = len(OBSERVABLES):
+
+    - the state x, v and the force, 3 particles d;
+    - the noise, width min(BLOCK, steps) d: at most CHUNK BLOCK for d <=
+      CHUNK, one trajectory's BLOCK d above that;
+    - the record buffer, (BLOCK // record_every + 1) n particles;
+    - the times, means and standard errors, (2 n + 1) records, with records
+      = steps // record_every + 1;
+    - the temporaries: a final variance's particles d, a record's std's n
+      particles, and the few chunk-sized arrays of a step or an observe call,
+      8 width d.
+
+    Then GENERATOR_BYTES for each particle's generator.  Only the records
+    grow with the steps, and only the state, its variance and (for d > CHUNK)
+    the noise grow with the dimension.
+    """
+    p, d, every, n = cfg.particles, cfg.d, cfg.record_every, len(OBSERVABLES)
+    width = min(max(1, CHUNK // d), p)
+    doubles = (3 * p * d
+               + width * min(BLOCK, cfg.steps) * d
+               + (BLOCK // every + 1) * n * p
+               + (2 * n + 1) * (cfg.steps // every + 1)
+               + p * d + n * p + 8 * width * d)
+    return 8 * doubles + GENERATOR_BYTES * p
 
 
 def _force(potential: Potential, x: np.ndarray) -> np.ndarray:

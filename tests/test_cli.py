@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
@@ -727,6 +728,27 @@ class TestMain:
         steps = ws.t_end / cli.crank_nicolson(ws.ops, ws.gamma, ws.cfg.evolve_dt).dt
         assert 100 * steps < cli.MAX_CN_STEPS
 
+    def test_step_cap_bounds_nine_doubles_a_step(self):
+        """integrate keeps seven per-step arrays and, with the temporaries of
+        its last lines, peaks at nine: 56 to 72 bytes a step."""
+        ws = cli._Workspace(cli.build_config({"grid.N_x": "32", "grid.N_v": "6"}))
+        cn = cli.crank_nicolson(ws.ops, ws.gamma, ws.cfg.evolve_dt)
+        f0 = cli.initial_condition(ws.ops, "random", seed=1)
+        corrector = ws.corrector  # built before the traced span
+
+        def peak(steps):
+            tracemalloc.start()
+            try:
+                cli.integrate(ws.ops, f0, cn, steps * cn.dt, corrector=corrector,
+                              eps=ws.eps, Lambda=ws.tuned.Lambda)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1000)  # the first run allocates one-time caches
+        slope = round((peak(4000) - peak(1000)) / 3000)  # bytes a step
+        assert 7 * 8 <= slope <= 9 * 8
+
     @pytest.mark.parametrize("gammas", ["0,2", "2,-1", "2,nan", "inf,2"])
     def test_nonpositive_sweep_gamma_exits_2(self, gammas, tmp_path, capsys,
                                              monkeypatch):
@@ -777,15 +799,18 @@ class TestMain:
         assert cli.main([command, "--config", str(conf)]) == 2
         assert f"configuration error: {key}: " in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command, text, key", [
-        ("sample", "sde.d = 1000000000000\nsde.particles = 100\n",
-         "sde.particles, sde.d"),
-        ("sample", "sde.steps = 1000000000000000\n", "sde.steps"),
-        ("all", "sde.particles = 100000\nsde.d = 101\n", "sde.particles, sde.d"),
-        ("sweep", "sde.steps = 20000000\nsde.record_every = 1\n", "sde.steps"),
-    ], ids=["sample-d", "sample-steps", "all-coordinates", "sweep-records"])
+    @pytest.mark.parametrize("command, text", [
+        ("sample", "sde.d = 1000000000000\nsde.particles = 100\n"),
+        ("sample", "sde.steps = 1000000000000000\n"),
+        ("all", "sde.particles = 100000\nsde.d = 1001\n"),
+        ("sweep", "sde.steps = 100000000\nsde.record_every = 1\n"),
+        # the generators and the record buffer, not the state, exceed the cap
+        ("sample", "sde.particles = 10000000\n"),
+        ("sample", "sde.particles = 10000000\nsde.record_every = 1\n"),
+    ], ids=["sample-d", "sample-steps", "all-coordinates", "sweep-records",
+            "sample-particles", "sample-particles-every-step"])
     def test_oversized_ensemble_exits_2_before_sampling(
-            self, command, text, key, tmp_path, capsys, monkeypatch):
+            self, command, text, tmp_path, capsys, monkeypatch):
         def no_work(*args, **kwargs):
             raise AssertionError("an ensemble ran before its size was checked")
 
@@ -794,12 +819,28 @@ class TestMain:
         conf = tmp_path / "big.conf"
         conf.write_text(text)
         assert cli.main([command, "--config", str(conf)]) == 2
-        assert f"configuration error: {key}: " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert ("configuration error: sde.particles, sde.d, sde.steps, "
+                "sde.record_every: the ensemble needs ") in err
+        assert f"MAX_SDE_BYTES = {cli.MAX_SDE_BYTES}" in err
 
     def test_ensemble_caps_are_far_above_the_default_run(self):
-        cfg = cli.build_config({})
-        assert 100 * cfg.sde_particles * cfg.sde_d < cli.MAX_SDE_COORDINATES
-        assert 100 * (cfg.sde_steps // cfg.sde_record_every + 1) < cli.MAX_SDE_RECORDS
+        # the default run, and the d = 4 ensemble of the sample_hd benchmark
+        for raw in ({}, {"sde.d": "4"}):
+            sde = cli._sde_config(cli._Workspace(cli.build_config(raw)), 1.0)
+            assert 50 * sampler.ensemble_bytes(sde) <= cli.MAX_SDE_BYTES
+
+    @pytest.mark.parametrize("command, raw", [
+        ("sample", {"sde.d": "64", "sde.particles": "156250"}),
+        ("all", {"sde.particles": "100000", "sde.d": "101"}),
+        ("sweep", {"sde.steps": "20000000", "sde.record_every": "1"}),
+    ], ids=["sample-10^7-coordinates", "all-10^5-particles", "sweep-2x10^7-records"])
+    def test_ensembles_within_the_byte_cap_pass(self, command, raw):
+        # 10^7 coordinates was the most a count cap allowed, about 0.55 GB by
+        # ensemble_bytes; the other two are 0.46 GB and 1.4 GB
+        ws = cli._Workspace(cli.build_config(raw))
+        assert sampler.ensemble_bytes(cli._sde_config(ws, 1.0)) <= cli.MAX_SDE_BYTES
+        cli._check_sampling(command, ws)  # does not raise
 
     @pytest.mark.parametrize("command, raw, ensembles", [
         ("sample", SMALL_SDE, 1),

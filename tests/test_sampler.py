@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,6 +23,16 @@ def scalar_baoab_reference(x, v, a, gamma, dt, xi):
     x = x + dt / 2 * v
     v = v - dt / 2 * a * x
     return x, v
+
+
+def ensemble_peak(cfg):
+    """The most bytes tracemalloc sees held during run_ensemble(cfg)."""
+    tracemalloc.start()
+    try:
+        hl.run_ensemble(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def baoab_step(state, potential, gamma, dt, noise):
@@ -165,36 +176,23 @@ class TestRunEnsemble:
 
     def test_memory_does_not_grow_with_steps(self):
         """Only the per-record means and stderrs grow with the steps."""
-        import tracemalloc
 
         def peak(steps):
-            cfg = hl.SdeConfig(potential=hl.double_well(), d=2, particles=1000,
-                               steps=steps, gamma=2.0, seed=3)
-            tracemalloc.start()
-            try:
-                hl.run_ensemble(cfg)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return ensemble_peak(hl.SdeConfig(potential=hl.double_well(), d=2,
+                                              particles=1000, steps=steps,
+                                              gamma=2.0, seed=3))
 
         assert peak(4000) - peak(1000) <= 2**20
 
     def test_records_are_reduced_one_at_a_time(self):
         """The block's records are reduced one by one: a whole-block std
         would hold a temporary the size of the record buffer."""
-        import tracemalloc
-
         p = 1024
 
         def peak(every):
-            cfg = hl.SdeConfig(potential=hl.quadratic(), particles=p,
-                               steps=sampler.BLOCK, seed=3, record_every=every)
-            tracemalloc.start()
-            try:
-                hl.run_ensemble(cfg)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return ensemble_peak(hl.SdeConfig(potential=hl.quadratic(), particles=p,
+                                              steps=sampler.BLOCK, seed=3,
+                                              record_every=every))
 
         buffer_growth = (sampler.BLOCK - 1) * len(OBSERVABLES) * p * 8
         assert peak(1) - peak(sampler.BLOCK) <= buffer_growth + 2**20
@@ -214,21 +212,40 @@ class TestRunEnsemble:
         """The noise is CHUNK * BLOCK doubles at any d <= CHUNK; only the
         O(particles * d) state, x, v and the force plus one temporary of the
         final moments, grows with d."""
-        import tracemalloc
-
         p = sampler.CHUNK  # a full chunk at d = 1
 
         def peak_beyond_state(d):
             cfg = hl.SdeConfig(potential=hl.quadratic(), d=d, particles=p,
                                steps=sampler.BLOCK, seed=3)
-            tracemalloc.start()
-            try:
-                hl.run_ensemble(cfg)
-                return tracemalloc.get_traced_memory()[1] - 4 * 8 * p * d
-            finally:
-                tracemalloc.stop()
+            return ensemble_peak(cfg) - 4 * 8 * p * d
 
         assert peak_beyond_state(16) <= peak_beyond_state(1) + 2**20
+
+    @pytest.mark.parametrize("d, particles, every", [
+        (1, 4100, 1), (1, 1000, 10), (4, 2000, 3), (16, 300, 10), (16, 700, 1),
+    ])
+    def test_ensemble_bytes_bounds_the_peak_closely(self, d, particles, every):
+        # 4100 particles at d = 1 and 700 at d = 16 leave a last chunk part full
+        cfg = hl.SdeConfig(potential=hl.double_well(), d=d, particles=particles,
+                           steps=300, gamma=2.0, seed=3, init_shift=1.0,
+                           record_every=every)
+        peak = ensemble_peak(cfg)
+        assert peak <= sampler.ensemble_bytes(cfg) <= 1.1 * peak
+
+    def test_generator_fits_its_constant(self):
+        tracemalloc.start()
+        try:
+            gens = [np.random.Generator(np.random.Philox(key=[2024, i]))
+                    for i in range(100)]
+            size = tracemalloc.get_traced_memory()[0] / len(gens)
+        finally:
+            tracemalloc.stop()
+        assert size <= sampler.GENERATOR_BYTES
+
+    def test_ensemble_bytes_counts_in_python_ints(self):
+        # 3 * 10**12 * 10**8 * 8 bytes overflows int64
+        cfg = hl.SdeConfig(potential=hl.quadratic(), d=10**12, particles=10**8)
+        assert sampler.ensemble_bytes(cfg) > 24 * 10**20
 
     def test_equilibrium_moments_quadratic(self):
         cfg = hl.SdeConfig(potential=hl.quadratic(1.0), particles=4000,
