@@ -8,7 +8,9 @@ Config files are flat key/value text with dotted sections::
 
 Command-line flags override file values.  COMMANDS lists the stages each
 subcommand runs, in order; run_experiment runs them and times each one into
-report.timings[stage], so a stage function only computes and judges.  The
+report.timings[stage], so a stage function only computes and judges.  Before
+the first stage _preflight checks every limit the config sets on the stages,
+so a stage raises no ConfigurationError from a config value.  The
 full report is printed as JSON; with --out it is also written to report.json
 plus one CSV per trace and a summary.txt digest.  Each verdict is skipped, or
 passes if and only if its margin is a finite number >= 0.  Exit codes: 0 ok,
@@ -54,10 +56,11 @@ from .evolve import (
     integrate,
     lyapunov_derivative_check,
     lyapunov_identity,
+    step_size,
     verify_decay_bound,
 )
 from .model import POTENTIAL_KINDS, Potential
-from .sampler import (MIN_FIT_SAMPLES, SdeConfig, ensemble_bytes,
+from .sampler import (FIT_RECORD_BYTES, MIN_FIT_SAMPLES, SdeConfig, ensemble_bytes,
                       estimate_observable_decay, run_ensemble)
 from .tuning import (
     TuningResult,
@@ -86,7 +89,7 @@ LAMBDA_RTOL = 4 * np.finfo(float).eps  # Lambda against its closed form, a few u
 # most Crank-Nicolson steps one integration may take, far above any run's need:
 # integrate keeps seven per-step arrays and peaks at nine (56-72 bytes a step)
 MAX_CN_STEPS = 10**6
-MAX_SDE_BYTES = 2**31  # most bytes of one ensemble, by sampler.ensemble_bytes
+MAX_SDE_BYTES = 2**31  # most bytes of one ensemble and its decay fit
 POSITIVE = "positive"  # a range rule: the value, or each entry, is > 0
 
 
@@ -378,8 +381,11 @@ def _stage_corrector(ws: _Workspace, report: RunReport):
     min_eig, residual = dissipation_form_min_eig(ws.corrector, ws.eps, ws.gamma)
     lambda_coer = ws.tuned.lambda_coer
     # the residual's rounding level: above it the eigenvector is not one of
-    # the assembled form's, and min_eig - residual bounds nothing
-    cap = float(NEWTON_FLOOR * abs(ws.ops.lo_x).sum(axis=0).max())
+    # the assembled form's, and min_eig - residual bounds nothing.  It scales
+    # the terms apply_form sums on modes 0-2: ||G^T G||_1, and from L_s = -N,
+    # gamma N <= 2 gamma and eps gamma (S N + N S) / 2 <= eps gamma ||B||
+    cap = float(NEWTON_FLOOR * (abs(ws.ops.lo_x).sum(axis=0).max()
+                                + ws.gamma * (2 + ws.eps * norms["norm_A"])))
     report.results["corrector"] = {
         **norms,
         "min_eig_Q": min_eig,
@@ -410,17 +416,6 @@ def _stage_bochner(ws: _Workspace, report: RunReport):
     report.check("bochner_inequality", K - K_h)
 
 
-def _integrate(ws: _Workspace, f0: np.ndarray, cn):
-    """f0 integrated by cn to t_end with the run's corrector, eps and Lambda."""
-    steps = ws.t_end / cn.dt
-    if not steps <= MAX_CN_STEPS:  # also NaN and inf
-        raise ConfigurationError(
-            f"evolve.t_end_factor: t_end / dt = {steps:g} steps, and at most "
-            f"MAX_CN_STEPS = {MAX_CN_STEPS} are allowed")
-    return integrate(ws.ops, f0, cn, ws.t_end, corrector=ws.corrector,
-                     eps=ws.eps, Lambda=ws.tuned.Lambda)
-
-
 def _stage_evolve(ws: _Workspace, report: RunReport):
     cfg = ws.cfg
     tuned = ws.tuned
@@ -429,7 +424,8 @@ def _stage_evolve(ws: _Workspace, report: RunReport):
     cn = crank_nicolson(ws.ops, gamma, cfg.evolve_dt)  # one factorization, every kind
     rates, solve_residual = {}, {}
     for kind in kinds:
-        trace = _integrate(ws, initial_condition(ws.ops, kind, seed=cfg.seed), cn)
+        trace = integrate(ws.ops, initial_condition(ws.ops, kind, seed=cfg.seed), cn,
+                          ws.t_end, ws.corrector, ws.eps, tuned.Lambda)
         solve_residual[kind] = trace.solve_residual
         suffix = f"_{kind}" if len(kinds) > 1 else ""
         name = f"decay_{ws.potential.kind}_{gamma:g}{suffix}.csv"
@@ -456,17 +452,9 @@ def _stage_evolve(ws: _Workspace, report: RunReport):
 
 def _sde_config(ws: _Workspace, gamma: float) -> SdeConfig:
     cfg = ws.cfg
-    return SdeConfig(
-        potential=ws.potential,
-        d=cfg.sde_d,
-        particles=cfg.sde_particles,
-        dt=cfg.sde_dt,
-        steps=cfg.sde_steps,
-        gamma=gamma,
-        seed=cfg.seed,
-        record_every=cfg.sde_record_every,
-        init_shift=cfg.sde_init_shift,
-    )
+    return SdeConfig(potential=ws.potential, d=cfg.sde_d, particles=cfg.sde_particles,
+                     dt=cfg.sde_dt, steps=cfg.sde_steps, gamma=gamma, seed=cfg.seed,
+                     record_every=cfg.sde_record_every, init_shift=cfg.sde_init_shift)
 
 
 def _first_moment_rate(gamma: float, a: float) -> float:
@@ -532,7 +520,8 @@ def _stage_sweep(ws: _Workspace, report: RunReport):
         f0 = initial_condition(ws.ops, "random", seed=cfg.seed)
         for gamma in cfg.sweep_gammas:
             cn = crank_nicolson(ws.ops, gamma, cfg.evolve_dt)
-            rates[f"{gamma:g}"] = estimate_rate(_integrate(ws, f0, cn))
+            rates[f"{gamma:g}"] = estimate_rate(integrate(
+                ws.ops, f0, cn, ws.t_end, ws.corrector, ws.eps, ws.tuned.Lambda))
     report.results["sweep"] = {"target": cfg.sweep_target, "rates": rates}
     # the first-moment ODE x'' + gamma x' + a x = 0 is critically damped at
     # gamma_c = 2 sqrt(a)
@@ -558,41 +547,53 @@ _STAGES = {
 }
 
 
-def _check_sampling(command: str, ws: _Workspace):
-    """The sampler's static preconditions, for a run that samples, before any
-    stage; each message names its key.  An ensemble holds at most
-    MAX_SDE_BYTES bytes by ensemble_bytes; BAOAB needs sde.dt * gamma < 1 at
-    each sampled gamma; the decay fit (of a sample sweep, and of the
-    quadratic from a shifted start) needs MIN_FIT_SAMPLES records and that
-    start."""
-    cfg = ws.cfg
-    stages = COMMANDS[command]
-    sweep = "sweep" in stages and cfg.sweep_target == "sample"
-    if not sweep and "sample" not in stages:
+def _preflight(command: str, ws: _Workspace):
+    """Check, before the first stage, every limit the config sets on the
+    command's stages, at each gamma the run integrates or samples; each
+    message names its key.  An integration takes at most MAX_CN_STEPS steps
+    of step_size; BAOAB needs sde.dt * gamma < 1; an ensemble and its decay
+    fit hold at most MAX_SDE_BYTES; each decay fit has MIN_FIT_SAMPLES."""
+    cfg, stages = ws.cfg, COMMANDS[command]
+    target = cfg.sweep_target if "sweep" in stages else None
+    integrates = "evolve" in stages or target == "evolve"
+    samples = "sample" in stages or target == "sample"
+    if not (integrates or samples):
         return
-    if sweep and cfg.sde_init_shift == 0.0:
+    unset = " (unset, so gamma*)" if cfg.tuning_gamma is None else ""
+    gammas = ([("sweep.gammas", g) for g in cfg.sweep_gammas] if target
+              else [(f"tuning.gamma{unset}", ws.gamma)])
+    fits = []  # (key, what gives a decay fit its samples, their number)
+    for key, gamma in gammas if integrates else ():
+        dt = step_size(cfg.evolve_dt, gamma)
+        steps = ws.t_end / dt
+        where = f"at {key} = {gamma:g}, t_end / dt = {ws.t_end:g} / {dt:g} = {steps:g}"
+        if not steps <= MAX_CN_STEPS:  # also NaN and inf
+            raise ConfigurationError(f"evolve.t_end_factor: {where} steps, and at "
+                                     f"most MAX_CN_STEPS = {MAX_CN_STEPS} are allowed")
+        fits.append(("evolve.t_end_factor", where, round(steps) + 1))
+    if target == "sample" and cfg.sde_init_shift == 0.0:
         raise ConfigurationError("sde.init_shift: a sample sweep fits the decay "
                                  "from the shifted start, so it must be nonzero")
-    need = ensemble_bytes(_sde_config(ws, math.nan))  # gamma does not enter it
-    if need > MAX_SDE_BYTES:
-        raise ConfigurationError(
-            f"sde.particles, sde.d, sde.steps, sde.record_every: the ensemble needs "
-            f"{need} bytes, and at most MAX_SDE_BYTES = {MAX_SDE_BYTES} are allowed")
     records = cfg.sde_steps // cfg.sde_record_every + 1
-    if records < MIN_FIT_SAMPLES and (sweep or ws.fits_first_moment):
-        raise ConfigurationError(f"sde.steps: the decay fit needs {MIN_FIT_SAMPLES} "
-                                 f"records, and steps // record_every + 1 = {records}")
-    if sweep:
-        sampled = [("sweep.gammas", g) for g in cfg.sweep_gammas]
-    else:
-        key = "tuning.gamma" if cfg.tuning_gamma is not None else (
-            "tuning.gamma (unset, so gamma*)")
-        sampled = [(key, ws.gamma)]
-    for key, gamma in sampled:
+    fit = target == "sample" or "sample" in stages and ws.fits_first_moment
+    if fit:
+        fits.append(("sde.steps", "steps // record_every + 1", records))
+    for key, gamma in gammas if samples else ():
         if cfg.sde_dt * gamma >= 1.0:
             raise ConfigurationError(
                 f"{key}: the sampler needs sde.dt * gamma < 1, and "
                 f"{cfg.sde_dt:g} * {gamma:g} = {cfg.sde_dt * gamma:g}")
+        need = ensemble_bytes(_sde_config(ws, gamma))
+        need += FIT_RECORD_BYTES * records if fit else 0
+        if need > MAX_SDE_BYTES:
+            raise ConfigurationError(
+                f"sde.particles, sde.d, sde.steps, sde.record_every: the ensemble needs "
+                f"{need} bytes{' with its decay fit' if fit else ''}, and at most "
+                f"MAX_SDE_BYTES = {MAX_SDE_BYTES} are allowed")
+    for key, where, count in fits:
+        if count < MIN_FIT_SAMPLES:
+            raise ConfigurationError(f"{key}: {where} gives a trace of {count} "
+                                     f"samples, and the decay fit needs {MIN_FIT_SAMPLES}")
 
 
 def run_experiment(command: str, cfg: ExperimentConfig) -> RunReport:
@@ -600,11 +601,11 @@ def run_experiment(command: str, cfg: ExperimentConfig) -> RunReport:
         raise ConfigurationError(f"unknown subcommand {command!r}")
     report = RunReport(version=__version__, command=command, config=dict(cfg.echo()))
     ws = _Workspace(cfg)
-    # the clock runs from before the check, whose gamma may build the grid,
-    # the gap and the tuning: the first stage carries that set-up
+    # the clock runs from before the preflight, whose gamma and t_end may build
+    # the grid, the gap and the tuning: the first stage carries that set-up
     clock = time.perf_counter
     t0 = clock()
-    _check_sampling(command, ws)
+    _preflight(command, ws)
     for stage in COMMANDS[command]:
         _STAGES[stage](ws, report)
         t1 = clock()

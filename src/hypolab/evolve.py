@@ -202,13 +202,18 @@ class CrankNicolson:
     lu: BandLU
 
 
+def step_size(dt: float, gamma: float) -> float:
+    """The Crank-Nicolson step at gamma: the largest step dt, or DT_GUARD /
+    gamma if that is smaller."""
+    return float(min(dt, DT_GUARD / gamma))
+
+
 def crank_nicolson(ops: OperatorSet, gamma: float, dt: float) -> CrankNicolson:
-    """Factor the trapezoidal map at gamma by band_lu.  dt is the largest
-    step: the step taken is min(dt, DT_GUARD / gamma)."""
-    dt = min(dt, DT_GUARD / gamma)
+    """Factor the trapezoidal map at gamma by band_lu, at step_size(dt, gamma)."""
+    dt = step_size(dt, gamma)
     L = compose_generator(ops, gamma)
     lu = band_lu(sp.identity(ops.n, format="csr") - (dt / 2) * L)
-    return CrankNicolson(dt=float(dt), L=L, lu=lu)
+    return CrankNicolson(dt=dt, L=L, lu=lu)
 
 
 def integrate(

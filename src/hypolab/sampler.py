@@ -44,6 +44,9 @@ from .model import Potential, eval_potential, potential_gradient
 CHUNK = 4096  # coordinates (trajectories x d) advanced together
 BLOCK = 256  # steps advanced, and drawn per stream, before a reduction
 MIN_FIT_SAMPLES = 8  # records above the noise floor a decay fit needs
+# estimate_observable_decay's bytes a record beyond its trace (81 to tracemalloc,
+# numpy 2.4)
+FIT_RECORD_BYTES = 88
 OBSERVABLES = ("x0", "x_sq", "v_sq", "energy")  # per-particle scalars, in CSV order
 # bytes of one Philox Generator: 600 to tracemalloc, 701 of RSS over 10^5
 # of them (numpy 2.4)

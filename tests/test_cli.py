@@ -228,12 +228,22 @@ class TestRunExperiment:
         lower = corrector["min_eig_Q"] - corrector["min_eig_residual"]
         assert 0.0 <= corrector["min_eig_residual"] <= 1e-12
         assert "min_eig_iterations" not in corrector
-        ops = cli._Workspace(cfg).ops
+        ws = cli._Workspace(cfg)
         cap = corrector["min_eig_residual_cap"]
-        assert cap == hl.corrector.NEWTON_FLOOR * abs(ops.lo_x.toarray()).sum(axis=0).max()
+        assert cap == hl.corrector.NEWTON_FLOOR * (
+            abs(ws.ops.lo_x.toarray()).sum(axis=0).max()
+            + ws.gamma * (2 + ws.eps * corrector["norm_A"]))
         coercive = lower / corrector["lambda_coer"] - (1 - cli.BOUND_SLACK)
         assert coercive < 1 - corrector["min_eig_residual"] / cap
         assert margins["dissipation_coercive"] == coercive
+
+    @pytest.mark.parametrize("n_x, n_v", [(32, 6), (128, 20)])
+    def test_residual_cap_grows_with_gamma(self, n_x, n_v):
+        # the residual read 2.4 and 9.8 times a cap without the gamma terms
+        cfg = cli.build_config({"grid.N_x": str(n_x), "grid.N_v": str(n_v),
+                                "tuning.gamma": "1e4"})
+        corrector = cli.run_experiment("verify", cfg).results["corrector"]
+        assert corrector["min_eig_residual"] <= corrector["min_eig_residual_cap"]
 
     def test_slack_uses_the_reported_lambda_coer(self):
         cfg = cli.build_config({"grid.N_x": "64", "grid.N_v": "12"})
@@ -396,6 +406,15 @@ RULE_CONFIGS = {
               "evolve.t_end_factor": "0.3"},
     "all": {**SMALL, **SMALL_SDE},
 }
+
+
+def _forbid_stage_work(monkeypatch):
+    """Make the factorization, the structure check and the integration raise."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("a stage started before the config was checked")
+
+    for name in ("crank_nicolson", "check_structure", "integrate"):
+        monkeypatch.setattr(cli, name, no_work)
 
 
 def _edit_result(edit):
@@ -714,14 +733,33 @@ class TestMain:
     ], ids=["evolve-1e300", "evolve-1e308", "sweep-1e300"])
     def test_endless_evolve_exits_2_before_integrating(self, command, text, tmp_path,
                                                        capsys, monkeypatch):
-        def no_work(*args, **kwargs):
-            raise AssertionError("integrate ran before its step count was checked")
-
-        monkeypatch.setattr(cli, "integrate", no_work)
+        _forbid_stage_work(monkeypatch)
         conf = tmp_path / "endless.conf"
         conf.write_text(text)
         assert cli.main([command, "--nx", "32", "--nv", "6", "--config", str(conf)]) == 2
         assert "configuration error: evolve.t_end_factor: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flags, text, key", [
+        ("evolve", [], "evolve.t_end_factor = 1e-4\n", "tuning.gamma (unset, so gamma*)"),
+        ("all", [], "evolve.t_end_factor = 1e-4\n", "tuning.gamma (unset, so gamma*)"),
+        ("sweep", [], "sweep.target = evolve\nevolve.t_end_factor = 1e-4\n",
+         "sweep.gammas = 0.5,"),
+        ("all", [], "evolve.t_end_factor = 1e300\n", "tuning.gamma (unset, so gamma*)"),
+        # the step is clamped to DT_GUARD / gamma = 1e-5
+        ("evolve", ["--gamma", "1e4"], "", "tuning.gamma = 10000,"),
+        ("sweep", [], "sweep.target = evolve\nsweep.gammas = 1,2,4,1e4\n",
+         "sweep.gammas = 10000,"),
+    ], ids=["evolve-1e-4", "all-1e-4", "sweep-1e-4", "all-1e300", "evolve-gamma-1e4",
+            "sweep-gammas-1e4"])
+    def test_evolve_limits_exit_2_before_any_stage(self, command, flags, text, key,
+                                                   tmp_path, capsys, monkeypatch):
+        _forbid_stage_work(monkeypatch)
+        conf = tmp_path / "limits.conf"
+        conf.write_text(text)
+        assert cli.main([command, *flags, "--config", str(conf)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"configuration error: evolve.t_end_factor: at {key}")
 
     def test_step_cap_is_far_above_the_default_run(self):
         ws = cli._Workspace(cli.build_config({}))
@@ -833,14 +871,34 @@ class TestMain:
     @pytest.mark.parametrize("command, raw", [
         ("sample", {"sde.d": "64", "sde.particles": "156250"}),
         ("all", {"sde.particles": "100000", "sde.d": "101"}),
-        ("sweep", {"sde.steps": "20000000", "sde.record_every": "1"}),
-    ], ids=["sample-10^7-coordinates", "all-10^5-particles", "sweep-2x10^7-records"])
+        ("sweep", {"sde.steps": "10000000", "sde.record_every": "1"}),
+    ], ids=["sample-10^7-coordinates", "all-10^5-particles", "sweep-10^7-records"])
     def test_ensembles_within_the_byte_cap_pass(self, command, raw):
-        # 10^7 coordinates was the most a count cap allowed, about 0.55 GB by
-        # ensemble_bytes; the other two are 0.46 GB and 1.4 GB
+        # 10^7 coordinates was the most a count cap allowed, about 0.55 GiB by
+        # ensemble_bytes; the other two are 0.46 GiB, and 0.76 GiB plus its
+        # decay fit's 0.82 GiB
         ws = cli._Workspace(cli.build_config(raw))
         assert sampler.ensemble_bytes(cli._sde_config(ws, 1.0)) <= cli.MAX_SDE_BYTES
-        cli._check_sampling(command, ws)  # does not raise
+        cli._preflight(command, ws)  # does not raise
+
+    def test_decay_fit_bytes_count_against_the_cap(self, tmp_path, capsys, monkeypatch):
+        # 2 x 10^7 records: the ensemble alone is within the cap, with its
+        # decay fit it is not
+        raw = {"sde.steps": "20000000", "sde.record_every": "1"}
+        sde = cli._sde_config(cli._Workspace(cli.build_config(raw)), 1.0)
+        fit = sampler.FIT_RECORD_BYTES * (sde.steps + 1)
+        assert sampler.ensemble_bytes(sde) <= cli.MAX_SDE_BYTES < (
+            sampler.ensemble_bytes(sde) + fit)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("an ensemble ran before its size was checked")
+
+        monkeypatch.setattr(cli, "run_ensemble", no_work)
+        conf = tmp_path / "records.conf"
+        conf.write_text("".join(f"{k} = {v}\n" for k, v in raw.items()))
+        assert cli.main(["sweep", "--config", str(conf)]) == 2
+        assert "bytes with its decay fit, and at most MAX_SDE_BYTES" in (
+            capsys.readouterr().err)
 
     @pytest.mark.parametrize("command, raw, ensembles", [
         ("sample", SMALL_SDE, 1),
@@ -890,7 +948,7 @@ class TestMain:
     ])
     def test_decay_fit_preconditions_only_where_a_fit_runs(self, command, raw):
         ws = cli._Workspace(cli.build_config(raw))
-        cli._check_sampling(command, ws)  # does not raise
+        cli._preflight(command, ws)  # does not raise
 
     def test_broken_assembly_fails_with_its_residuals(self, monkeypatch, tmp_path,
                                                       capsys):

@@ -232,6 +232,27 @@ class TestRunEnsemble:
         peak = ensemble_peak(cfg)
         assert peak <= sampler.ensemble_bytes(cfg) <= 1.1 * peak
 
+    def test_fit_record_bytes_bound_the_ensemble_and_its_fit(self, monkeypatch):
+        # overdamped, the mean of x0 decays at about a / gamma = 0.02, so every
+        # record stays above the noise floor and the fit holds all of them;
+        # a short BLOCK makes the records, not the block buffers, set the peak
+        monkeypatch.setattr(sampler, "BLOCK", 16)
+        cfg = hl.SdeConfig(potential=hl.quadratic(), particles=100, steps=4000,
+                           gamma=50.0, seed=3, init_shift=1000.0, record_every=1)
+        tracemalloc.start()
+        try:
+            trace = hl.run_ensemble(cfg)
+            ensemble = tracemalloc.get_traced_memory()[1]
+            hl.estimate_observable_decay(trace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bias = np.abs(trace.means["x0"])
+        assert (bias > 5 * trace.stderrs["x0"]).all()
+        # the fit sets the peak, above what ensemble_bytes alone counts
+        assert ensemble < sampler.ensemble_bytes(cfg) < peak
+        assert peak <= sampler.ensemble_bytes(cfg) + sampler.FIT_RECORD_BYTES * 4001
+
     def test_generator_fits_its_constant(self):
         tracemalloc.start()
         try:
