@@ -40,8 +40,9 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .errors import DegenerateGapError, DomainTooSmallError, WeightUnderflowError
-from .model import Potential, eval_potential
+from .errors import (DegenerateGapError, DomainTooSmallError, PreconditionError,
+                     WeightUnderflowError)
+from .model import Potential, potential_value
 
 CONFINEMENT_MARGIN = 10.0
 
@@ -61,7 +62,9 @@ class WeightedGrid:
 def build_grid(potential: Potential, half_width: float, n_x: int) -> WeightedGrid:
     """Build the weighted position grid; checks confinement and weight floor."""
     nodes = np.linspace(-half_width, half_width, n_x)
-    U = eval_potential(potential, nodes)[0]
+    U = potential_value(potential, nodes)
+    if not np.all(np.isfinite(U)):
+        raise PreconditionError(f"U is not finite on [-{half_width}, {half_width}]")
     u_min = U.min()
     if min(U[0], U[-1]) - u_min < CONFINEMENT_MARGIN:
         raise DomainTooSmallError(

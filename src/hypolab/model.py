@@ -90,12 +90,26 @@ def eval_potential(p: Potential, x):
     if not np.all(np.isfinite(x)):
         raise PreconditionError("potential evaluated at non-finite x")
     (par,) = p.params
-    du = potential_gradient(p, x)
     if p.kind == "quadratic":
-        return par * x**2 / 2, du, par * np.ones_like(x)
+        d2u = par * np.ones_like(x)
+    elif p.kind == "double_well":
+        d2u = par * (3 * x**2 - 1)
+    else:
+        d2u = 1 - par * np.cos(x)
+    return potential_value(p, x), potential_gradient(p, x), d2u
+
+
+def potential_value(p: Potential, x: np.ndarray) -> np.ndarray:
+    """U(x) alone for a float array x, the one place its formulas are written.
+
+    No finiteness check on x, as for potential_gradient.
+    """
+    (par,) = p.params
+    if p.kind == "quadratic":
+        return par * x**2 / 2
     if p.kind == "double_well":
-        return par * (x**2 - 1) ** 2 / 4, du, par * (3 * x**2 - 1)
-    return x**2 / 2 + par * np.cos(x), du, 1 - par * np.cos(x)
+        return par * (x**2 - 1) ** 2 / 4
+    return x**2 / 2 + par * np.cos(x)
 
 
 def potential_gradient(p: Potential, x: np.ndarray) -> np.ndarray:

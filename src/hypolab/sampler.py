@@ -8,9 +8,12 @@ carried over and evaluated once per step.
 
 Reproducibility: every trajectory draws from its own counter-based Philox
 stream keyed by (seed, trajectory index), built once per run.  Time blocks of
-BLOCK steps are the outer loop and chunks of max(1, CHUNK // d) trajectories
-(CHUNK coordinates) the inner one; each stream is drawn from one block at a
-time, and consecutive draws give the same bits as one draw of the whole path.
+BLOCK = 128 steps are the outer loop and chunks of max(1, CHUNK // d)
+trajectories (CHUNK coordinates) the inner one; each stream is drawn from one
+block at a time, and consecutive draws give the same bits as one draw of the
+whole path.  Each chunk's block of noise is scaled by c2 with one in-place
+multiply; IEEE multiplication commutes, so that gives the same bits as
+scaling each step's noise.
 Each record is one observe call per chunk, which writes every observable
 into that record's (observables, particles) slab of a single
 (BLOCK // record_every + 1, observables, particles) buffer.  When every chunk
@@ -21,7 +24,11 @@ sum over a row runs in the same order as a reduction of the whole
 BLOCK and execution order.  A record is reduced alone because a whole
 block's std would allocate a temporary the size of the block.
 
-Memory: ensemble_bytes states what run_ensemble holds at its peak.
+Memory: ensemble_bytes states what run_ensemble holds at its peak.  Two
+buffers scale with BLOCK: the noise, CHUNK BLOCK doubles (4 MiB) for d <=
+CHUNK, and the record buffer, 13 records at record_every = 10.  A step writes
+its (dt / 2) products into one scratch array per run and allocates only its
+force.
 
 Divergence: a chunk stops at its own first non-finite force (step 0 is the
 initial force), the other chunks finish the block, and the run ends.  The
@@ -34,15 +41,20 @@ trace it is given, run from a shifted start; it runs no ensemble of its own.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DivergenceError, InsufficientSignalError
-from .model import Potential, eval_potential, potential_gradient
+# benchmarks/tracing.py wraps hypolab.sampler.eval_potential, so the name
+# stays importable here; the sampler itself calls potential_value and
+# potential_gradient
+from .model import (Potential, eval_potential, potential_gradient,
+                    potential_value)
 
 CHUNK = 4096  # coordinates (trajectories x d) advanced together
-BLOCK = 256  # steps advanced, and drawn per stream, before a reduction
+BLOCK = 128  # steps advanced, and drawn per stream, before a reduction
 MIN_FIT_SAMPLES = 8  # records above the noise floor a decay fit needs
 # estimate_observable_decay's bytes a record beyond its trace (81 to tracemalloc,
 # numpy 2.4)
@@ -51,6 +63,13 @@ OBSERVABLES = ("x0", "x_sq", "v_sq", "energy")  # per-particle scalars, in CSV o
 # bytes of one Philox Generator: 600 to tracemalloc, 701 of RSS over 10^5
 # of them (numpy 2.4)
 GENERATOR_BYTES = 768
+# (width, d) arrays an observe call holds at once, 5 for cosine_bump at d = 1;
+# a step allocates only its force, U' and one temporary of U''s formula
+CHUNK_TEMPORARIES = 5
+# bytes a run holds beyond its arrays' data: their headers and the Python
+# objects of the loop and the trace, at most 4.0 KiB to tracemalloc at 2
+# particles (numpy 2.4)
+RUN_BYTES = 8192
 
 
 def observe(potential: Potential, x: np.ndarray, v: np.ndarray, out: np.ndarray):
@@ -60,7 +79,7 @@ def observe(potential: Potential, x: np.ndarray, v: np.ndarray, out: np.ndarray)
     out[0] = x[..., 0]
     out[1] = (x**2).mean(axis=-1)
     out[2] = v_sq.mean(axis=-1)
-    out[3] = v_sq.sum(axis=-1) / 2 + eval_potential(potential, x)[0].sum(axis=-1)
+    out[3] = v_sq.sum(axis=-1) / 2 + potential_value(potential, x).sum(axis=-1)
 
 
 @dataclass
@@ -115,37 +134,47 @@ def ensemble_bytes(cfg: SdeConfig) -> int:
     In doubles, with width = min(max(1, CHUNK // d), particles) trajectories
     per chunk and n = len(OBSERVABLES):
 
-    - the state x, v and the force, 3 particles d;
+    - the state x, v and the force, 3 particles d, and the step's scratch,
+      width d;
     - the noise, width min(BLOCK, steps) d: at most CHUNK BLOCK for d <=
       CHUNK, one trajectory's BLOCK d above that;
     - the record buffer, (BLOCK // record_every + 1) n particles;
     - the times, means and standard errors, (2 n + 1) records, with records
       = steps // record_every + 1;
     - the temporaries: a final variance's particles d, a record's std's n
-      particles, and the few chunk-sized arrays of a step or an observe call,
-      8 width d.
+      particles, and CHUNK_TEMPORARIES width d for an observe call, which
+      covers a step's.
 
-    Then GENERATOR_BYTES for each particle's generator.  Only the records
-    grow with the steps, and only the state, its variance and (for d > CHUNK)
-    the noise grow with the dimension.
+    Then GENERATOR_BYTES for each particle's generator and RUN_BYTES once.
+    Only the records grow with the steps, and only the state, its variance
+    and (for d > CHUNK) the noise grow with the dimension.
     """
     p, d, every, n = cfg.particles, cfg.d, cfg.record_every, len(OBSERVABLES)
     width = min(max(1, CHUNK // d), p)
-    doubles = (3 * p * d
+    doubles = (3 * p * d + width * d
                + width * min(BLOCK, cfg.steps) * d
                + (BLOCK // every + 1) * n * p
                + (2 * n + 1) * (cfg.steps // every + 1)
-               + p * d + n * p + 8 * width * d)
-    return 8 * doubles + GENERATOR_BYTES * p
+               + p * d + n * p + CHUNK_TEMPORARIES * width * d)
+    return 8 * doubles + GENERATOR_BYTES * p + RUN_BYTES
 
 
 def _force(potential: Potential, x: np.ndarray) -> np.ndarray:
+    """U'(x), or DivergenceError naming the first non-finite coordinate.
+
+    A NaN or inf entry makes the sum non-finite, so a finite sum clears the
+    whole array in one reduction; a sum that overflows from finite entries
+    falls through to the exact elementwise scan.
+    """
     du = potential_gradient(potential, x)
-    if not np.all(np.isfinite(du)):
-        bad = int(np.argmax(~np.isfinite(du).ravel()))
-        raise DivergenceError(
-            f"non-finite force at flat coordinate index {bad}", coordinate=bad
-        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.add.reduce(du, axis=None)
+    if not math.isfinite(total):
+        bad = np.flatnonzero(~np.isfinite(du))
+        if bad.size:
+            raise DivergenceError(
+                f"non-finite force at flat coordinate index {bad[0]}",
+                coordinate=int(bad[0]))
     return du
 
 
@@ -156,21 +185,23 @@ def _ou_coefficients(gamma: float, dt: float) -> tuple:
     return c1, np.sqrt(1.0 - c1 * c1)
 
 
-def _baoab_inplace(x, v, force, potential: Potential, dt: float, ou: tuple,
-                   noise):
-    """One BAOAB step that overwrites the float arrays x and v; ou is
-    _ou_coefficients(gamma, dt).
+def _baoab_inplace(x, v, force, potential: Potential, dt: float, c1: float,
+                   noise, scratch):
+    """One BAOAB step that overwrites the float arrays x and v, with c1 and
+    the noise, already scaled by c2, from _ou_coefficients(gamma, dt).
 
     force holds U'(x) on entry and is overwritten with U' at the new x.
+    scratch, shaped like x, takes each (dt / 2) product, so the arithmetic
+    allocates nothing; only the force evaluation does.
     """
-    c1, c2 = ou
-    v -= (dt / 2) * force
-    x += (dt / 2) * v
+    h = dt / 2
+    v -= np.multiply(force, h, out=scratch)
+    x += np.multiply(v, h, out=scratch)
     v *= c1
-    v += c2 * noise
-    x += (dt / 2) * v
+    v += noise
+    x += np.multiply(v, h, out=scratch)
     force[...] = _force(potential, x)
-    v -= (dt / 2) * force
+    v -= np.multiply(force, h, out=scratch)
 
 
 def run_ensemble(cfg: SdeConfig) -> EnsembleTrace:
@@ -192,18 +223,21 @@ def run_ensemble(cfg: SdeConfig) -> EnsembleTrace:
     """
     p, d, every = cfg.particles, cfg.d, cfg.record_every
     width = max(1, CHUNK // d)  # trajectories per chunk
-    ou = _ou_coefficients(cfg.gamma, cfg.dt)
+    c1, c2 = _ou_coefficients(cfg.gamma, cfg.dt)
     n_rec = cfg.steps // every + 1
     times = np.arange(n_rec) * (cfg.dt * every)
     gens = [np.random.Generator(np.random.Philox(key=[cfg.seed, i]))
             for i in range(p)]
     v = np.empty((p, d))
-    for i, gen in enumerate(gens):
-        v[i] = gen.standard_normal(d)
+    for gen, row in zip(gens, v):
+        gen.standard_normal(out=row)
     x = np.full((p, d), cfg.init_shift, dtype=float)
     force = np.empty((p, d))
-    # particle-major, so each stream fills one contiguous (b, d) slab
-    noise = np.empty((min(width, p), min(BLOCK, cfg.steps), d))
+    # one flat buffer, so that each chunk's block of b steps is a contiguous
+    # particle-major view: each stream fills one contiguous (b, d) slab, and
+    # scaling the block by c2 in place needs no ufunc buffer
+    noise = np.empty(min(width, p) * min(BLOCK, cfg.steps) * d)
+    scratch = np.empty((min(width, p), d))  # the step's (dt / 2) products
     # the records completed in the current block, each an (observables,
     # particles) slab with the particles contiguous
     records = np.empty((BLOCK // every + 1, len(OBSERVABLES), p))
@@ -217,16 +251,19 @@ def run_ensemble(cfg: SdeConfig) -> EnsembleTrace:
         for start in range(0, p, width):
             cols = slice(start, min(start + width, p))
             xc, vc, fc = x[cols], v[cols], force[cols]
-            for i, gen in enumerate(gens[cols]):
-                gen.standard_normal((b, d), out=noise[i, :b])
+            sc = scratch[:len(xc)]
+            block = noise[:len(xc) * b * d].reshape(len(xc), b, d)
+            for gen, slab in zip(gens[cols], block):
+                gen.standard_normal(out=slab)
+            block *= c2
             t = t0 - 1  # a force that fails in step t belongs to position t + 1
             try:
                 if t0 == 0:
                     observe(cfg.potential, xc, vc, records[0, :, cols])
                     fc[...] = _force(cfg.potential, xc)
                 for t in range(t0, t0 + b):
-                    _baoab_inplace(xc, vc, fc, cfg.potential, cfg.dt, ou,
-                                   noise[:len(xc), t - t0])
+                    _baoab_inplace(xc, vc, fc, cfg.potential, cfg.dt, c1,
+                                   block[:, t - t0], sc)
                     if (t + 1) % every == 0:
                         observe(cfg.potential, xc, vc,
                                 records[(t + 1) // every - done, :, cols])

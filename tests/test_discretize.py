@@ -4,7 +4,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 import hypolab as hl
-from hypolab.errors import DegenerateGapError, DomainTooSmallError, WeightUnderflowError
+from hypolab.errors import (DegenerateGapError, DomainTooSmallError, PreconditionError,
+                            WeightUnderflowError)
 
 from conftest import (
     lift_position,
@@ -50,6 +51,13 @@ class TestGrid:
     def test_domain_too_small(self):
         with pytest.raises(DomainTooSmallError):
             grid_for(hl.quadratic(1.0), 1.0, 64)
+
+    @pytest.mark.parametrize("half_width", [np.inf, np.nan, 1e200])
+    def test_non_finite_potential_rejected(self, half_width):
+        # at 1e200 the nodes are finite but U overflows, which would make
+        # every weight NaN
+        with np.errstate(all="ignore"), pytest.raises(PreconditionError):
+            grid_for(hl.quadratic(1.0), half_width, 16)
 
     def test_weight_underflow(self):
         # double-well tails pass confinement at L=8 but underflow exp(-U)

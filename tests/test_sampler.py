@@ -37,11 +37,13 @@ def ensemble_peak(cfg):
 
 def baoab_step(state, potential, gamma, dt, noise):
     """One step of the sampler's in-place BAOAB kernel on copies of
-    state = (x, v), with the starting force evaluated afresh."""
+    state = (x, v), with the starting force evaluated afresh and the unit
+    noise scaled by c2 as run_ensemble scales each block."""
     x, v = (np.array(s, dtype=float) for s in state)
     force = np.array(_force(potential, x), dtype=float)
-    _baoab_inplace(x, v, force, potential, dt, _ou_coefficients(gamma, dt),
-                   np.asarray(noise, dtype=float))
+    c1, c2 = _ou_coefficients(gamma, dt)
+    _baoab_inplace(x, v, force, potential, dt, c1,
+                   np.asarray(noise, dtype=float) * c2, np.empty_like(x))
     return x, v
 
 
@@ -90,13 +92,60 @@ class TestStepBaoab:
         x, v = rng.standard_normal((2, 8, 2))
         noise = rng.standard_normal((8, 2))
         expected = baoab_step((x, v), pot, 2.0, 0.01, noise)
+        c1, c2 = _ou_coefficients(2.0, 0.01)
+        noise *= c2
         noise0 = noise.copy()
         force = potential_gradient(pot, x)
-        _baoab_inplace(x, v, force, pot, 0.01, _ou_coefficients(2.0, 0.01), noise)
+        _baoab_inplace(x, v, force, pot, 0.01, c1, noise, np.empty_like(x))
         np.testing.assert_array_equal(x, expected[0])
         np.testing.assert_array_equal(v, expected[1])
         np.testing.assert_array_equal(force, potential_gradient(pot, x))
         np.testing.assert_array_equal(noise, noise0)
+
+    @pytest.mark.parametrize("pot, arrays", [
+        (hl.quadratic(), 1), (hl.double_well(), 2), (hl.cosine_bump(2.0), 2),
+    ], ids=["quadratic", "double_well", "cosine_bump"])
+    def test_steps_allocate_only_the_force(self, pot, arrays):
+        # a full chunk at d = 4: the arithmetic writes into the scratch array,
+        # so a step holds only U' and, beyond the quadratic, one temporary of
+        # its formula; ensemble_bytes states CHUNK_TEMPORARIES such arrays
+        d = 4
+        width = sampler.CHUNK // d
+        rng = np.random.default_rng(2)
+        x, v = rng.standard_normal((2, width, d))
+        force = _force(pot, x)
+        noise = rng.standard_normal((width, 16, d))
+        scratch = np.empty_like(x)
+        c1 = _ou_coefficients(2.0, 0.01)[0]
+        _baoab_inplace(x, v, force, pot, 0.01, c1, noise[:, 0], scratch)
+        tracemalloc.start()
+        try:
+            for k in range(1, 16):
+                _baoab_inplace(x, v, force, pot, 0.01, c1, noise[:, k], scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert arrays <= sampler.CHUNK_TEMPORARIES
+        assert peak <= arrays * 8 * width * d + 2048
+
+
+class TestForce:
+    def test_overflowing_sum_of_finite_forces_passes_silently(self):
+        x = np.full((4, 2), 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(_force(hl.quadratic(), x), x)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_force_names_its_flat_coordinate(self, bad):
+        x = np.full((4, 2), 1e308)
+        x[0, 1] = bad
+        x[2, 0] = -np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as err:
+                _force(hl.quadratic(), x)
+        assert err.value.coordinate == 1
 
 
 def assert_traces_equal(a, b):
@@ -162,7 +211,7 @@ class TestRunEnsemble:
         monkeypatch.setattr("hypolab.sampler.CHUNK", 64)
         assert_traces_equal(a, hl.run_ensemble(cfg))
 
-    @pytest.mark.parametrize("block", [7, 80])
+    @pytest.mark.parametrize("block", [7, 80, 256])
     def test_noise_block_length_does_not_change_results(self, block, monkeypatch):
         # at record_every 1 every step is a record, and at 3 records fall on
         # either side of the block edges
@@ -223,9 +272,12 @@ class TestRunEnsemble:
 
     @pytest.mark.parametrize("d, particles, every", [
         (1, 4100, 1), (1, 1000, 10), (4, 2000, 3), (16, 300, 10), (16, 700, 1),
+        (1, 8, 1),
     ])
     def test_ensemble_bytes_bounds_the_peak_closely(self, d, particles, every):
-        # 4100 particles at d = 1 and 700 at d = 16 leave a last chunk part full
+        # 4100 particles at d = 1 and 700 at d = 16 leave a last chunk part
+        # full; at 8 particles the formula stays above the peak only with
+        # RUN_BYTES
         cfg = hl.SdeConfig(potential=hl.double_well(), d=d, particles=particles,
                            steps=300, gamma=2.0, seed=3, init_shift=1.0,
                            record_every=every)
