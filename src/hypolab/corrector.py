@@ -81,6 +81,17 @@ machine epsilon times ||Grad^T Grad||, so the residual grows with n_x (about
 1e-12 at n_x = 512); it is subtracted on the safe side.  Well above
 NEWTON_FLOOR ||Grad^T Grad||_1 (a few percent of it at 512 x 32) it is not
 rounding: the closed-form blocks and the assembled generator disagree.
+
+At most four dense n_x x n_x arrays are alive at once in the corrector
+stage, B included.  LAPACK works in place on F-ordered arrays: the dense
+Grad^T that B is solved into, and the transposed views of X^T X and of S,
+which are exactly symmetric because numpy forms X^T X by syrk and mirrors
+its triangle.  V and U live only to build C^T and to lift the root vector:
+they are freed before the Newton loop, C^T, C C^T and S after it, and a
+second eigensolve rebuilds V and U bit for bit for the lift.  The fourth
+array is a transient: the divide-and-conquer eigensolve's n_x^2 workspace,
+or the C-order copy that scipy's sparse @ dense makes of an F-ordered
+operand (Grad B, Grad V).
 """
 from __future__ import annotations
 
@@ -138,7 +149,9 @@ def build_corrector(ops: OperatorSet) -> Corrector:
         raise PreconditionError("corrector needs m_h; run poincare_constant")
     diag, upper = ops.lo_bands
     bands = np.vstack((np.r_[0.0, upper], ops.m_h + diag))  # upper form
-    return Corrector(ops=ops, block=sla.solveh_banded(bands, ops.grad_x.T.toarray()))
+    # the dense Grad^T of a CSC matrix is F-ordered: LAPACK solves it in place
+    rhs = ops.grad_x.T.toarray()
+    return Corrector(ops=ops, block=sla.solveh_banded(bands, rhs, overwrite_b=True))
 
 
 @dataclass
@@ -195,10 +208,15 @@ def operator_norm(matrix) -> float:
     terms, which is a few epsilons relative to s_max^2 itself, and the square
     root halves that.  So s_max comes out to roundoff, as from an SVD, in
     about a third of its time (one product and one selected eigenvalue).
+
+    numpy forms X^T X by syrk and mirrors its triangle, so the Gram matrix is
+    exactly symmetric and its F-ordered transpose is the same matrix: LAPACK
+    reads and overwrites that view, with no copy.
     """
     n = matrix.shape[1]
     gram = matrix.T @ matrix
-    return float(np.sqrt(sla.eigvalsh(gram, subset_by_index=[n - 1, n - 1])[0]))
+    return float(np.sqrt(sla.eigvalsh(gram.T, overwrite_a=True,
+                                      subset_by_index=[n - 1, n - 1])[0]))
 
 
 def verify_corrector_bounds(c: Corrector) -> dict:
@@ -241,7 +259,16 @@ def dissipation_form_min_eig(c: Corrector, eps: float, gamma: float):
     within NEWTON_CAP steps.
     """
     ops = c.ops
-    g = ops.grad_x
+    x = _lift(ops, *_secular_root(ops, eps, gamma))
+    qx = ModifiedFunctional(c, compose_generator(ops, gamma), eps).apply_form(x)
+    rho = float(x @ qx)
+    return rho, float(np.linalg.norm(ops.project_mean_zero(qx) - rho * x))
+
+
+def _singular_pairs(ops: OperatorSet):
+    """The gradient's singular pairs but the kernel's, as (sigma^2, V, U)
+    with Grad V = U diag(sigma), from one tridiagonal eigensolve with vectors.
+    Grad V holds a third dense array: scipy's C-order copy of V."""
     sigma2, right = sla.eigh_tridiagonal(*ops.lo_bands)
     sigma2, right = sigma2[1:], right[:, 1:]  # the kernel's pair is (u, gamma)
     if not sigma2[0] > 0:
@@ -249,15 +276,33 @@ def dissipation_form_min_eig(c: Corrector, eps: float, gamma: float):
             f"the tridiagonal eigensolve with vectors gives sigma^2 = "
             f"{sigma2[0]:.3e} for the gap, which is m_h = {ops.m_h:.3e}"
         )
+    left = ops.grad_x @ right
+    left /= np.sqrt(sigma2)
+    return sigma2, right, left
+
+
+def _secular_blocks(ops: OperatorSet, eps: float):
+    """(sigma, t, C^T) of the module docstring; U is freed on return."""
+    sigma2, left = _singular_pairs(ops)[::2]  # V is dropped: C^T can take its place
     sigma = np.sqrt(sigma2)
-    left = (g @ right) / sigma
     t = sigma / (ops.m_h + sigma2)
+    c_t = ops.grad_x @ left  # left is C-ordered: no copy
+    c_t *= -eps / math.sqrt(2.0)
+    c_t *= t
+    return sigma, t, c_t
+
+
+def _secular_root(ops: OperatorSet, eps: float, gamma: float):
+    """Newton's method on mu_min(S(lam)) from above, in delta = p - lam, to
+    the root vector y; returns the coordinates (y, b y / (c - lam),
+    -C^T y / (2 gamma - lam)) of its lift.  C^T, C C^T and S are freed on
+    return."""
+    sigma, t, c_t = _secular_blocks(ops, eps)
     a = eps * sigma * t
     b = eps * gamma / 2 * t
     b2 = b * b
     c1 = gamma - a  # c of the module docstring
-    c_t = (-eps / math.sqrt(2.0)) * (g @ left) * t  # C^T
-    cct = c_t.T @ c_t
+    cct = c_t.T @ c_t  # by syrk: exactly symmetric, and so is each S
     cct_norm = sla.norm(cct, 1)
     pole = float(c1.min())
     # each pair's smaller eigenvalue is c1 - e, e^2 + (a - c1) e = b^2
@@ -265,32 +310,37 @@ def dissipation_form_min_eig(c: Corrector, eps: float, gamma: float):
     root = np.hypot(d, 2 * b)
     e = np.where(d > 0, 2 * b2 / (root + np.abs(d)), (root - d) / 2)
     delta = float(np.max(pole - c1 + e))
+    s = np.empty_like(cct)
     for _ in range(NEWTON_CAP):
         gap1 = (c1 - pole) + delta  # c1 - lam
         gap2 = (2.0 * gamma - pole) + delta  # 2 gamma - lam
-        s = cct * (-1.0 / gap2)
+        np.multiply(cct, -1.0 / gap2, out=s)
         s[np.diag_indices_from(s)] += (a - pole) + delta - b2 / gap1
         floor = NEWTON_FLOOR * (
             cct_norm / gap2 + np.max(np.abs(a - pole) + delta + b2 / gap1))
-        (mu,), w = sla.eigh(s, overwrite_a=True, check_finite=False,
+        # S is symmetric, so its F-ordered view s.T is S: solved in place
+        (mu,), w = sla.eigh(s.T, overwrite_a=True, check_finite=False,
                             subset_by_index=[0, 0])
         w = w[:, 0]
-        if abs(mu) <= floor:
-            break
         z = c_t @ w
+        if abs(mu) <= floor:
+            return w, b * w / gap1, -z / gap2
         delta -= mu / (1.0 + (b2 / gap1**2) @ (w * w) + (z @ z) / gap2**2)
-    else:
-        raise NumericalError(
-            f"secular Newton solve: |mu| = {abs(mu):.3e} is above its rounding "
-            f"level {floor:.3e} after {NEWTON_CAP} steps"
-        )
+    raise NumericalError(
+        f"secular Newton solve: |mu| = {abs(mu):.3e} is above its rounding "
+        f"level {floor:.3e} after {NEWTON_CAP} steps"
+    )
+
+
+def _lift(ops: OperatorSet, y0, y1, x2) -> np.ndarray:
+    """The mean-zero unit state with modes (V y0, U y1, x2), V and U rebuilt
+    by a second eigensolve, bit for bit the first's."""
+    _, right, left = _singular_pairs(ops)
     x = np.zeros((ops.n_x, ops.n_v))
-    x[:, :3] = np.column_stack((right @ w, left @ (b * w / gap1), -(c_t @ w) / gap2))
+    x[:, :3] = np.column_stack((right @ y0, left @ y1, x2))
     x = ops.project_mean_zero(x.ravel())
     x /= np.linalg.norm(x)
-    qx = ModifiedFunctional(c, compose_generator(ops, gamma), eps).apply_form(x)
-    rho = float(x @ qx)
-    return rho, float(np.linalg.norm(ops.project_mean_zero(qx) - rho * x))
+    return x
 
 
 def bochner_residual(ops: OperatorSet, h_values: np.ndarray) -> float:

@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -450,6 +451,102 @@ class TestSecularSolve:
         monkeypatch.setattr(corrector_module, "NEWTON_CAP", 1)
         assert main(["verify", "--nx", "64", "--nv", "12"]) == 3
         assert "secular Newton" in capsys.readouterr().err
+
+
+def allocation_peak(fn, *args):
+    """fn(*args) and the most bytes it held at once, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+class TestSameBits:
+    """The corrector stage hands LAPACK F-ordered views instead of copies: the
+    transpose of an exactly symmetric X^T X, and the dense Grad^T.  That
+    keeps every bit only while numpy forms X^T X exactly symmetric and scipy
+    solves the views in place; a release that breaks either fails here."""
+
+    @pytest.fixture(scope="class", params=[17, 64, 512])
+    def corr_blocks(self, request):
+        ops = make_ops(hl.double_well(), n_x=request.param, n_v=8)
+        corr = hl.build_corrector(ops)
+        eps = hl.optimize_friction(ops.m_h, ops.grid.potential.K).eps_star
+        b, g = corr.block, ops.grad_x
+        c_t = corrector_module._secular_blocks(ops, eps)[2]
+        return corr, {"B": b, "Grad B": g @ b, "B Grad^T": b @ g.T, "C^T": c_t}
+
+    def test_grams_are_exactly_symmetric(self, corr_blocks):
+        for name, x in corr_blocks[1].items():
+            gram = x.T @ x
+            assert np.array_equal(gram, gram.T), name
+
+    def test_operator_norm_matches_the_copying_eigensolve(self, corr_blocks):
+        for name, x in corr_blocks[1].items():
+            n = x.shape[1]
+            copied = np.sqrt(sla.eigvalsh(x.T @ x, subset_by_index=[n - 1, n - 1])[0])
+            assert hl.operator_norm(x) == copied, name
+
+    def test_secular_eigensolve_of_the_view_matches_the_copy(self, corr_blocks):
+        c_t = corr_blocks[1]["C^T"]
+        s = c_t.T @ c_t * -0.25
+        s[np.diag_indices_from(s)] += np.linspace(0.0, 1.0, len(s))
+        mu, w = sla.eigh(s, subset_by_index=[0, 0])
+        mu_view, w_view = sla.eigh(s.T, overwrite_a=True, check_finite=False,
+                                   subset_by_index=[0, 0])
+        assert mu_view[0] == mu[0]
+        assert np.array_equal(w_view, w)
+
+    def test_block_is_f_ordered(self, corr_blocks):
+        assert corr_blocks[0].block.flags.f_contiguous
+
+    def test_lapack_copies_no_dense_operand(self):
+        # a copy of an n_x x n_x operand would double each peak below
+        n_x = 256
+        ops = make_ops(hl.double_well(), n_x=n_x, n_v=8)
+        unit, work = 8 * n_x * n_x, 8 * 128 * n_x
+        corr, peak = allocation_peak(hl.build_corrector, ops)
+        assert peak <= unit + unit // 8 + work  # B and the finiteness mask
+        _, peak = allocation_peak(hl.operator_norm, corr.block)
+        assert peak <= unit + work  # the Gram matrix
+        s = corr.block.T @ corr.block
+        _, peak = allocation_peak(functools.partial(
+            sla.eigh, overwrite_a=True, check_finite=False, subset_by_index=[0, 0]), s.T)
+        assert peak <= work
+
+
+def corrector_stage_bytes(n_x, n_v):
+    """Most bytes build_corrector, verify_corrector_bounds and
+    dissipation_form_min_eig hold at once: four dense n_x x n_x arrays (B
+    included) and 128 doubles a node for the eigensolvers' workspaces and
+    the secular solve's vectors, while the dense blocks live; or B and 40
+    doubles a phase-space entry, while apply_form runs on the assembled
+    generator (L, a CSR copy of L^T and L + L^T, at about five 12-byte
+    nonzeros a row, and the phase-space vectors).  The two never overlap."""
+    dense = 4 * n_x * n_x + 128 * n_x
+    phase = n_x * n_x + 40 * n_x * n_v
+    return 8 * max(dense, phase)
+
+
+@pytest.mark.parametrize("potential, n_x, n_v", [
+    ("double_well", 256, 32), ("double_well", 512, 32), ("cosine_bump", 256, 20),
+])
+def test_corrector_stage_peak_holds_four_position_arrays(potential, n_x, n_v):
+    # the dense phase sets the peak at 512 x 32 and 256 x 20, apply_form at
+    # 256 x 32
+    ops = make_ops(SMALL_POTENTIALS[potential](), n_x=n_x, n_v=n_v)
+    tuned = hl.optimize_friction(ops.m_h, ops.grid.potential.K)
+
+    def stage():
+        corr = hl.build_corrector(ops)
+        hl.verify_corrector_bounds(corr)
+        return hl.dissipation_form_min_eig(corr, tuned.eps_star, tuned.gamma_star)
+
+    _, peak = allocation_peak(stage)
+    assert peak <= corrector_stage_bytes(n_x, n_v)
 
 
 class TestBochner:
