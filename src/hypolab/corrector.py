@@ -82,16 +82,18 @@ machine epsilon times ||Grad^T Grad||, so the residual grows with n_x (about
 NEWTON_FLOOR ||Grad^T Grad||_1 (a few percent of it at 512 x 32) it is not
 rounding: the closed-form blocks and the assembled generator disagree.
 
-At most four dense n_x x n_x arrays are alive at once in the corrector
-stage, B included.  LAPACK works in place on F-ordered arrays: the dense
-Grad^T that B is solved into, and the transposed views of X^T X and of S,
-which are exactly symmetric because numpy forms X^T X by syrk and mirrors
-its triangle.  V and U live only to build C^T and to lift the root vector:
-they are freed before the Newton loop, C^T, C C^T and S after it, and a
-second eigensolve rebuilds V and U bit for bit for the lift.  The fourth
-array is a transient: the divide-and-conquer eigensolve's n_x^2 workspace,
-or the C-order copy that scipy's sparse @ dense makes of an F-ordered
-operand (Grad B, Grad V).
+At most three dense n_x x n_x arrays are alive at once in the corrector
+stage, B included: B and the two that each phase needs (a block and its
+Gram matrix; V and the divide-and-conquer eigensolve's n_x^2 workspace,
+then V and U; U and C^T; C^T and S; V and U again).  No copy of one is
+made.  LAPACK works in place on F-ordered arrays: the dense Grad^T that
+B is solved into, and the transposed views of X^T X and of S, which are
+exactly symmetric because numpy forms X^T X by syrk and mirrors its
+triangle.  Grad X is formed from Grad's two bands a row at a time.  V
+and U live only to build C^T and to lift the root vector: they are freed
+before the Newton loop, C^T and S after it, and a second eigensolve
+rebuilds V and U bit for bit for the lift.  Each Newton step forms C C^T
+afresh into S rather than keep it beside S: one more syrk a step.
 """
 from __future__ import annotations
 
@@ -211,11 +213,13 @@ def operator_norm(matrix) -> float:
 
     numpy forms X^T X by syrk and mirrors its triangle, so the Gram matrix is
     exactly symmetric and its F-ordered transpose is the same matrix: LAPACK
-    reads and overwrites that view, with no copy.
+    reads and overwrites that view, with no copy.  Nor is it scanned for
+    non-finite entries, which would hold an n_x^2 mask: the blocks are
+    products of the finite B, and a NaN makes LAPACK raise LinAlgError.
     """
     n = matrix.shape[1]
     gram = matrix.T @ matrix
-    return float(np.sqrt(sla.eigvalsh(gram.T, overwrite_a=True,
+    return float(np.sqrt(sla.eigvalsh(gram.T, overwrite_a=True, check_finite=False,
                                       subset_by_index=[n - 1, n - 1])[0]))
 
 
@@ -233,7 +237,7 @@ def verify_corrector_bounds(c: Corrector) -> dict:
     K = ops.grid.potential.K
     norms = (
         operator_norm(c.block),
-        operator_norm(ops.grad_x @ c.block),
+        operator_norm(_grad_dense(ops, c.block)),
         float(np.sqrt(2.0)) * operator_norm(c.block @ ops.grad_x.T),
     )
     bounds = (1.0 / (2.0 * np.sqrt(m)), 1.0, float(np.sqrt(2.0 + K / (2.0 * m))))
@@ -265,10 +269,30 @@ def dissipation_form_min_eig(c: Corrector, eps: float, gamma: float):
     return rho, float(np.linalg.norm(ops.project_mean_zero(qx) - rho * x))
 
 
+def _grad_dense(ops: OperatorSet, x: np.ndarray) -> np.ndarray:
+    """Grad x for a dense x, as a C-ordered array, from Grad's two bands, one
+    row at a time: d0[i] x[i] + d1[i] x[i+1], the sum scipy's csr_matvecs
+    forms, (0 + d0[i] x[i]) + d1[i] x[i+1], up to the sign of an exact zero.
+
+    It holds the result and one row.  scipy's sparse @ dense copies an
+    F-ordered x to C order first, and numpy buffers up to 64 KiB an operand
+    for a broadcast or strided 2-D product.  The C order keeps the bits
+    downstream: BLAS takes another path for the syrk and gemv of an
+    F-ordered U or C^T."""
+    d0, d1 = ops.grad_x.diagonal(), ops.grad_x.diagonal(1)
+    out = np.empty(x.shape)
+    out[-1] = 0.0  # Grad's last row is empty
+    row = np.empty(x.shape[1])
+    for i, (a, b) in enumerate(zip(d0, d1)):
+        np.multiply(x[i], a, out=out[i])
+        out[i] += np.multiply(x[i + 1], b, out=row)
+    return out
+
+
 def _singular_pairs(ops: OperatorSet):
     """The gradient's singular pairs but the kernel's, as (sigma^2, V, U)
     with Grad V = U diag(sigma), from one tridiagonal eigensolve with vectors.
-    Grad V holds a third dense array: scipy's C-order copy of V."""
+    A second call returns the same bits."""
     sigma2, right = sla.eigh_tridiagonal(*ops.lo_bands)
     sigma2, right = sigma2[1:], right[:, 1:]  # the kernel's pair is (u, gamma)
     if not sigma2[0] > 0:
@@ -276,7 +300,7 @@ def _singular_pairs(ops: OperatorSet):
             f"the tridiagonal eigensolve with vectors gives sigma^2 = "
             f"{sigma2[0]:.3e} for the gap, which is m_h = {ops.m_h:.3e}"
         )
-    left = ops.grad_x @ right
+    left = _grad_dense(ops, right)
     left /= np.sqrt(sigma2)
     return sigma2, right, left
 
@@ -286,7 +310,7 @@ def _secular_blocks(ops: OperatorSet, eps: float):
     sigma2, left = _singular_pairs(ops)[::2]  # V is dropped: C^T can take its place
     sigma = np.sqrt(sigma2)
     t = sigma / (ops.m_h + sigma2)
-    c_t = ops.grad_x @ left  # left is C-ordered: no copy
+    c_t = _grad_dense(ops, left)
     c_t *= -eps / math.sqrt(2.0)
     c_t *= t
     return sigma, t, c_t
@@ -295,26 +319,28 @@ def _secular_blocks(ops: OperatorSet, eps: float):
 def _secular_root(ops: OperatorSet, eps: float, gamma: float):
     """Newton's method on mu_min(S(lam)) from above, in delta = p - lam, to
     the root vector y; returns the coordinates (y, b y / (c - lam),
-    -C^T y / (2 gamma - lam)) of its lift.  C^T, C C^T and S are freed on
-    return."""
+    -C^T y / (2 gamma - lam)) of its lift.  C^T and S are its only n_x^2
+    arrays, and both are freed on return."""
     sigma, t, c_t = _secular_blocks(ops, eps)
     a = eps * sigma * t
     b = eps * gamma / 2 * t
     b2 = b * b
     c1 = gamma - a  # c of the module docstring
-    cct = c_t.T @ c_t  # by syrk: exactly symmetric, and so is each S
-    cct_norm = sla.norm(cct, 1)
+    s = c_t.T @ c_t  # C C^T by syrk: exactly symmetric, and so is each S
+    cct_norm = sla.norm(s, 1, check_finite=False)  # no n_x^2 finiteness mask
     pole = float(c1.min())
     # each pair's smaller eigenvalue is c1 - e, e^2 + (a - c1) e = b^2
     d = a - c1
     root = np.hypot(d, 2 * b)
     e = np.where(d > 0, 2 * b2 / (root + np.abs(d)), (root - d) / 2)
     delta = float(np.max(pole - c1 + e))
-    s = np.empty_like(cct)
-    for _ in range(NEWTON_CAP):
+    for step in range(NEWTON_CAP):
+        if step:  # C C^T is formed afresh, never kept beside S
+            del s
+            s = c_t.T @ c_t
         gap1 = (c1 - pole) + delta  # c1 - lam
         gap2 = (2.0 * gamma - pole) + delta  # 2 gamma - lam
-        np.multiply(cct, -1.0 / gap2, out=s)
+        s *= -1.0 / gap2
         s[np.diag_indices_from(s)] += (a - pole) + delta - b2 / gap1
         floor = NEWTON_FLOOR * (
             cct_norm / gap2 + np.max(np.abs(a - pole) + delta + b2 / gap1))

@@ -466,9 +466,12 @@ def allocation_peak(fn, *args):
 
 class TestSameBits:
     """The corrector stage hands LAPACK F-ordered views instead of copies: the
-    transpose of an exactly symmetric X^T X, and the dense Grad^T.  That
-    keeps every bit only while numpy forms X^T X exactly symmetric and scipy
-    solves the views in place; a release that breaks either fails here."""
+    transpose of an exactly symmetric X^T X, and the dense Grad^T.  It forms
+    Grad X from Grad's two bands, C-ordered, and it rebuilds the singular
+    pairs by a second eigensolve.  That keeps every bit only while numpy
+    forms X^T X exactly symmetric, scipy solves the views in place, the band
+    product sums as csr_matvecs does and the eigensolve is deterministic; a
+    release that breaks any of them fails here."""
 
     @pytest.fixture(scope="class", params=[17, 64, 512])
     def corr_blocks(self, request):
@@ -477,7 +480,8 @@ class TestSameBits:
         eps = hl.optimize_friction(ops.m_h, ops.grid.potential.K).eps_star
         b, g = corr.block, ops.grad_x
         c_t = corrector_module._secular_blocks(ops, eps)[2]
-        return corr, {"B": b, "Grad B": g @ b, "B Grad^T": b @ g.T, "C^T": c_t}
+        return corr, {"B": b, "Grad B": corrector_module._grad_dense(ops, b),
+                      "B Grad^T": b @ g.T, "C^T": c_t}
 
     def test_grams_are_exactly_symmetric(self, corr_blocks):
         for name, x in corr_blocks[1].items():
@@ -503,6 +507,25 @@ class TestSameBits:
     def test_block_is_f_ordered(self, corr_blocks):
         assert corr_blocks[0].block.flags.f_contiguous
 
+    def test_band_product_matches_the_sparse_product(self, corr_blocks):
+        # B and V are F-ordered, U is C-ordered; the product is C-ordered for
+        # each, as the sparse product is, which keeps the bits of the syrk
+        # and gemv that read it
+        corr = corr_blocks[0]
+        ops = corr.ops
+        _, right, left = corrector_module._singular_pairs(ops)
+        for name, x in {"B": corr.block, "V": right, "U": left}.items():
+            got = corrector_module._grad_dense(ops, x)
+            assert np.array_equal(got, ops.grad_x @ x), name
+            assert got.flags.c_contiguous, name
+
+    def test_singular_pairs_repeat_bit_for_bit(self, corr_blocks):
+        # the lift rebuilds V and U by a second eigensolve
+        ops = corr_blocks[0].ops
+        first, second = (corrector_module._singular_pairs(ops) for _ in range(2))
+        for name, x, y in zip(("sigma^2", "V", "U"), first, second):
+            assert np.array_equal(x, y), name
+
     def test_lapack_copies_no_dense_operand(self):
         # a copy of an n_x x n_x operand would double each peak below
         n_x = 256
@@ -516,27 +539,38 @@ class TestSameBits:
         _, peak = allocation_peak(functools.partial(
             sla.eigh, overwrite_a=True, check_finite=False, subset_by_index=[0, 0]), s.T)
         assert peak <= work
+        _, peak = allocation_peak(corrector_module._grad_dense, ops, corr.block)
+        assert peak <= unit + work  # the product; grad_x @ B holds two
 
 
 def corrector_stage_bytes(n_x, n_v):
     """Most bytes build_corrector, verify_corrector_bounds and
-    dissipation_form_min_eig hold at once: four dense n_x x n_x arrays (B
-    included) and 128 doubles a node for the eigensolvers' workspaces and
-    the secular solve's vectors, while the dense blocks live; or B and 40
+    dissipation_form_min_eig hold at once: three dense n_x x n_x arrays (B
+    included) and 64 doubles a node, while the dense blocks live; or B and 40
     doubles a phase-space entry, while apply_form runs on the assembled
     generator (L, a CSR copy of L^T and L + L^T, at about five 12-byte
-    nonzeros a row, and the phase-space vectors).  The two never overlap."""
-    dense = 4 * n_x * n_x + 128 * n_x
+    nonzeros a row, and the phase-space vectors).  The two never overlap.
+
+    The 64 doubles a node are counted at the secular eigensolve, where B,
+    C^T and S live: syevr's work and int32 iwork as scipy queries them, 33 n
+    and 10 n (38 doubles a node), its eigenvalues, eigenvector and
+    isuppz (3), and the Newton loop's twelve vectors (sigma, t, a, b, b^2,
+    c, d, root, e, c - lam, the last w and z).  That is 53; the rest is for
+    the interpreter's own allocations.  The other phases hold less: stevd's
+    n^2 + 4 n work and 5 n int32 iwork (6.5 doubles a node beyond three
+    arrays) beside B and V, syevr's 38 beside B, a block and its Gram
+    matrix."""
+    dense = 3 * n_x * n_x + 64 * n_x
     phase = n_x * n_x + 40 * n_x * n_v
     return 8 * max(dense, phase)
 
 
 @pytest.mark.parametrize("potential, n_x, n_v", [
     ("double_well", 256, 32), ("double_well", 512, 32), ("cosine_bump", 256, 20),
+    ("double_well", 1024, 8),
 ])
-def test_corrector_stage_peak_holds_four_position_arrays(potential, n_x, n_v):
-    # the dense phase sets the peak at 512 x 32 and 256 x 20, apply_form at
-    # 256 x 32
+def test_corrector_stage_peak_holds_three_position_arrays(potential, n_x, n_v):
+    # the dense phase sets the peak at 1024 x 8, apply_form at the others
     ops = make_ops(SMALL_POTENTIALS[potential](), n_x=n_x, n_v=n_v)
     tuned = hl.optimize_friction(ops.m_h, ops.grid.potential.K)
 
