@@ -648,8 +648,8 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=SUBCOMMANDS)
     parser.add_argument("--config", type=str, default=None)
     parser.add_argument("--out", type=str, default=None)
-    for flag, key in _FLAGS.items():
-        parser.add_argument(flag, type=_KEYS[key].metadata["parse"], default=None)
+    for flag in _FLAGS:
+        parser.add_argument(flag)
     args = parser.parse_args(argv)
 
     try:
@@ -662,7 +662,7 @@ def main(argv=None) -> int:
         for flag, key in _FLAGS.items():
             value = getattr(args, flag[2:])
             if value is not None:
-                raw[key] = repr(value)
+                raw[key] = value
         report = run_experiment(args.command, build_config(raw))
         if args.out:
             emit_report(report, args.out)

@@ -72,10 +72,7 @@ def build_grid(potential: Potential, half_width: float, n_x: int) -> WeightedGri
             f"{CONFINEMENT_MARGIN}; enlarge the domain"
         )
     w = np.exp(-(U - u_min))
-    total = w.sum()
-    if total == 0.0:
-        raise WeightUnderflowError("all Gibbs weights underflowed to zero")
-    w = w / total
+    w = w / w.sum()  # a sum >= 1: the weight at the minimum of U is exp(0)
     if np.any(w == 0.0):
         raise WeightUnderflowError(
             "Gibbs weights underflow to zero near the boundary; "

@@ -16,7 +16,8 @@ precision and the mean-zero subspace is invariant.
 
 In position-major order M is banded, kl = ku = n_v - 1.  crank_nicolson
 factors it once per (gamma, dt) as M = L_1 U by band elimination without
-pivoting, and each step is two BLAS banded triangular solves.  Pivoting is
+pivoting, in one band array whose two views are the factors, and each step
+is two BLAS banded triangular solves.  Pivoting is
 not needed: L_a is antisymmetric and L_s = -N, so the symmetric part of M is
 I + (dt/2) gamma N >= I.  Every Schur complement of M then has a symmetric
 part >= I too, so the elimination exists and every pivot is >= 1; element
@@ -125,8 +126,10 @@ def initial_condition(ops: OperatorSet, kind: str, seed: int = 0) -> np.ndarray:
 class BandLU:
     """Pivot-free factors M = L_1 U of a banded matrix in BLAS band storage.
 
-    lower (kl+1, n) holds the unit-lower factor with its unreferenced diagonal
-    in row 0; upper (ku+1, n) holds U with its diagonal in row ku.
+    Both are F-ordered (ldab, n) views, ldab = kl + ku + 1, of one buffer of
+    ldab n + ku doubles; dtbsv reads only rows 0..k of each.  upper, at
+    offset 0, holds U with its diagonal in row ku; lower, at offset ku, holds
+    the unit-lower factor with its unreferenced diagonal in row 0.
     """
 
     kl: int
@@ -150,8 +153,8 @@ def band_lu(matrix: sp.spmatrix) -> BandLU:
     """Factor a sparse banded matrix by elimination without pivoting.
 
     The matrix goes into LAPACK band storage ab[ku + i - j, j], Fortran
-    order.  Seen through the strided view V[i, j] = flat[ku + i + j (ldab - 1)]
-    of the column-major flat = ab.ravel("F"), V[i, j] is entry (i, j) for
+    order: the first ldab n entries of the buffer flat.  Through the strided
+    view V[i, j] = flat[ku + i + j (ldab - 1)], V[i, j] is entry (i, j) for
     every (i, j) in the band, so each column's elimination is plain slicing:
     scale the kl multipliers below the pivot, then subtract their outer
     product with the pivot row from the kl x ku window to the lower right.
@@ -162,10 +165,10 @@ def band_lu(matrix: sp.spmatrix) -> BandLU:
     n = dia.shape[0]
     kl, ku = max(0, -int(dia.offsets.min())), max(0, int(dia.offsets.max()))
     ldab = kl + ku + 1
-    ab = np.zeros((ldab, n), order="F")
+    flat = np.zeros(ldab * n + ku)
+    ab = flat[:ldab * n].reshape((ldab, n), order="F")
     ab[ku - dia.offsets] = dia.data  # dia.data[k, j] = M[j - offsets[k], j]
-    scale = np.abs(ab).max()
-    flat = ab.reshape(-1, order="F")  # a view: ab is Fortran-ordered
+    scale = max(ab.max(), -ab.min())
     view = as_strided(flat[ku:], shape=(n, n),
                       strides=(flat.itemsize, (ldab - 1) * flat.itemsize))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -184,9 +187,9 @@ def band_lu(matrix: sp.spmatrix) -> BandLU:
     return BandLU(
         kl=kl,
         ku=ku,
-        lower=np.asfortranarray(ab[ku:]),
-        upper=np.asfortranarray(ab[:ku + 1]),
-        growth=float(np.abs(ab).max() / scale),
+        lower=flat[ku:].reshape((ldab, n), order="F"),
+        upper=ab,
+        growth=float(max(ab.max(), -ab.min()) / scale),
         min_pivot=float(pivots.min()),
     )
 

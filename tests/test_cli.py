@@ -41,6 +41,8 @@ class TestConfigParsing:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown configuration key"):
             cli.parse_config_text("grid.N_q = 12")
+        with pytest.raises(ConfigurationError, match="line 2: expected 'key = value'"):
+            cli.parse_config_text("grid.N_x = 64\ngrid.N_v 12")
 
     def test_field_path_in_error(self):
         with pytest.raises(ConfigurationError, match="grid.N_x"):
@@ -78,7 +80,7 @@ class TestConfigParsing:
         ("sde.dt", "inf"), ("sde.init_shift", "nan"), ("sde.init_shift", "-inf"),
         ("potential.params", "nan"), ("potential.params", "inf"),
         ("sweep.gammas", "2,inf"), ("seed", "-1"), ("sweep.target", "bogus"),
-        ("grid.N_x", "15"), ("seed", str(2**63)),
+        ("grid.N_x", "15"), ("seed", str(2**63)), ("sweep.gammas", ""),
     ])
     def test_range_checked_at_the_boundary(self, key, value):
         # the library below the config trusts these values: this is their check
@@ -173,11 +175,22 @@ class TestRunExperiment:
         cli.run_experiment("evolve", cli.build_config(raw))
         assert calls == [True, False]
 
-    def test_gap_subcommand(self):
+    def test_gap_subcommand(self, tmp_path, capsys):
         cfg = cli.build_config({"grid.N_x": "64", "grid.N_v": "8"})
         report = cli.run_experiment("gap", cfg)
         assert report.results["gap"]["m_h"] == pytest.approx(0.9684, abs=1e-3)
         assert report.results["gap"]["K"] == 0.0
+        # U = 0.005 x^2 rises 0.32 < 10 on the default [-8, 8]; grid.L_dom
+        # widens the domain to [-50, 50], where it rises 12.5
+        conf = tmp_path / "flat.conf"
+        conf.write_text("potential.params = 0.01\n")
+        assert cli.main(["gap", "--config", str(conf)]) == 2
+        assert "enlarge the domain" in capsys.readouterr().err
+        conf.write_text("potential.params = 0.01\ngrid.L_dom = 50\n")
+        assert cli.main(["gap", "--config", str(conf)]) == 0
+        gap = json.loads(capsys.readouterr().out)["results"]["gap"]
+        assert gap["L_dom"] == 50.0
+        assert gap["m_h"] == pytest.approx(0.00997, abs=1e-5)
 
     def test_evolve_reports_identity_and_band(self):
         cfg = cli.build_config(
@@ -1000,6 +1013,12 @@ class TestMain:
 
     def test_missing_config_file_is_io_error(self):
         assert cli.main(["gap", "--config", "/nonexistent/x.conf"]) == 4
+
+    @pytest.mark.parametrize("flag, key", sorted(cli._FLAGS.items()))
+    def test_bad_flag_value_exits_2_naming_its_key(self, flag, key, capsys):
+        # a flag's value is parsed once, with the config file's values
+        assert cli.main(["gap", flag, "abc"]) == 2
+        assert capsys.readouterr().err.startswith(f"configuration error: {key}: ")
 
     def test_non_utf8_config_file_is_configuration_error(self, tmp_path, capsys):
         conf = tmp_path / "bin.conf"

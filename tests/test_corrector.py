@@ -10,7 +10,7 @@ import hypolab as hl
 from hypolab import cli as cli_module
 from hypolab import corrector as corrector_module
 from hypolab.cli import main
-from hypolab.errors import NumericalError
+from hypolab.errors import NumericalError, PreconditionError
 
 from conftest import (
     dissipation_block,
@@ -53,6 +53,12 @@ class TestBuildCorrector:
             ops_quad.grad_x.T.toarray())
         assert np.abs(corr_quad.block - expected).max() <= (
             1e-12 * np.abs(expected).max())
+        # without poincare_constant there is no m_h to shift by
+        potential = hl.quadratic(1.0)
+        grid = hl.build_grid(potential, potential.domain, 32)
+        ops = hl.assemble_operators(grid, hl.build_velocity_basis(4))
+        with pytest.raises(PreconditionError, match="poincare_constant"):
+            hl.build_corrector(ops)
 
     def test_matrix_is_built_only_when_read(self, ops_quad_small):
         corr = hl.build_corrector(ops_quad_small)

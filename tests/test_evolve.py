@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.linalg.blas import dtbsv
 
 import hypolab as hl
 import hypolab.cli as cli
@@ -167,6 +170,50 @@ class TestBandLU:
         step = lu.solve(rhs)
         assert np.linalg.norm(step - expected) <= 1e-13 * np.linalg.norm(expected)
 
+    @pytest.mark.parametrize("kind", sorted(POTENTIALS))
+    def test_factors_are_two_views_of_one_buffer(self, kind):
+        ops, _, _, M, _, _ = tuned_system(kind, 64, 12)
+        lu = band_lu(M)
+        assert np.shares_memory(lu.lower, lu.upper)
+        assert lu.lower.flags.f_contiguous and lu.upper.flags.f_contiguous
+        # the same bits as solves with the dense factors packed into compact
+        # band arrays, of leading dimension k + 1
+        n, kl, ku = ops.n, lu.kl, lu.ku
+        lower, upper = dense_factors(lu, n)
+        lower_band = np.zeros((kl + 1, n), order="F")
+        for r in range(kl + 1):
+            lower_band[r, :n - r] = np.diagonal(lower, -r)
+        upper_band = np.zeros((ku + 1, n), order="F")
+        for r in range(ku + 1):
+            upper_band[ku - r, r:] = np.diagonal(upper, r)
+        b = random_mean_zero(ops, 7)
+        y = dtbsv(kl, lower_band, b, lower=1, diag=1)
+        assert np.array_equal(lu.solve(b), dtbsv(ku, upper_band, y))
+
+    @pytest.mark.parametrize("n_x, n_v", [(128, 20), (256, 64)])
+    def test_crank_nicolson_holds_one_band_array(self, n_x, n_v):
+        ops = make_ops(hl.double_well(), n_x=n_x, n_v=n_v)
+        gamma = hl.optimize_friction(ops.m_h, ops.grid.potential.K).gamma_star
+        hl.crank_nicolson(ops, gamma, 0.02)  # the first call allocates one-time caches
+        tracemalloc.start()
+        try:
+            cn = hl.crank_nicolson(ops, gamma, 0.02)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n, kl, ku = ops.n, cn.lu.kl, cn.lu.ku
+        band = 8 * ((kl + ku + 1) * n + ku)  # 8 n (2 n_v - 1) bytes and ku doubles
+        # bytes a row of what crank_nicolson holds beside the band: L in CSR,
+        # at most 5 entries of 8 + 4 bytes and a 4-byte row pointer; M = I -
+        # (dt/2) L, whose CSR arrays keep the nnz(I) + nnz(L) <= 6 slots of
+        # scipy's sum; band_lu's DIA copy of M's 5 diagonals; and the pivot
+        # check's three boolean arrays
+        c = (5 * 12 + 4) + (6 * 12 + 4) + 5 * 8 + 3
+        # beside at most three kl x ku arrays of the elimination's update: its
+        # product and the two buffers numpy's ufunc takes to subtract it from
+        # the strided window
+        assert peak <= band + c * n + 3 * 8 * kl * ku
+
     def test_double_well_case_needs_pivoting_under_lapack(self):
         # LAPACK's partially pivoted band LU swaps rows on this matrix, so the
         # pivot-free factorization of test_factors_pivots_and_one_step is
@@ -323,6 +370,10 @@ class TestLyapunovDerivative:
         trace = synthetic_trace([0.0, 0.1], [1.0, 0.9])
         with pytest.raises(PreconditionError):
             hl.lyapunov_derivative_check(trace, monotone=False)
+        # the interior samples of a longer trace end at t = 0.2
+        trace = synthetic_trace([0.0, 0.1, 0.2, 0.3], [1.0, 0.9, 0.8, 0.7])
+        with pytest.raises(PreconditionError, match="t_min excludes"):
+            hl.lyapunov_derivative_check(trace, monotone=False, t_min=0.25)
 
 
 class TestCsvRows:

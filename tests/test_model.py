@@ -50,7 +50,7 @@ def test_unknown_kind_rejected():
     "kind,params",
     [("quadratic", (-1.0,)), ("quadratic", (0.0,)), ("double_well", (0.0,)),
      ("cosine_bump", (-0.5,)), ("quadratic", (np.nan,)), ("double_well", (np.inf,)),
-     ("cosine_bump", (np.inf,))],
+     ("cosine_bump", (np.inf,)), ("double_well", (1.0, 2.0))],
 )
 def test_bad_parameters_rejected(kind, params):
     with pytest.raises(ConfigurationError):

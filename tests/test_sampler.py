@@ -441,7 +441,13 @@ class TestObservableDecay:
     def test_no_signal_rejected(self):
         cfg = hl.SdeConfig(potential=hl.quadratic(1.0), particles=500,
                            steps=100, dt=0.01, gamma=4.0, seed=1)
-        with pytest.raises(InsufficientSignalError):
+        with pytest.raises(InsufficientSignalError, match="at t = 0"):
+            hl.estimate_observable_decay(hl.run_ensemble(cfg))
+        # a shifted start, but 6 records: fewer than MIN_FIT_SAMPLES = 8 to fit
+        cfg = hl.SdeConfig(potential=hl.quadratic(1.0), particles=500,
+                           steps=5, dt=0.01, gamma=4.0, seed=1, init_shift=2.0,
+                           record_every=1)
+        with pytest.raises(InsufficientSignalError, match="fewer than 8"):
             hl.estimate_observable_decay(hl.run_ensemble(cfg))
 
 
