@@ -15,7 +15,9 @@ the lowering coefficient sqrt(2)):
     ||A L_a (1 - Pi_v)||  = sqrt(2) s_max(B Grad^T)   <=  sqrt(2 + K / (2 m_h))
 
 The first bound is attained: the singular values of B are s / (m_h + s^2)
-over the singular values s of Grad, and s = sqrt(m_h) is one of them.
+over the singular values s of Grad, and s = sqrt(m_h) is one of them.  Each
+norm comes from operator_norm, whose rounding error verify_corrector_bounds
+reports as ratio_allowance (derived in operator_norm's docstring).
 Also checked: coercivity of the dissipation quadratic form of ModifiedFunctional
 
     Q = -sym(L) + eps sym(S L),   S = A + A^T,   sym(X) = (X + X^T)/2,
@@ -78,9 +80,11 @@ residual is measured in phase space, by the functional's Q f on the generator
 compose_generator assembles, so it also sees faults of the assembled L that
 the blocks above cannot.  The eigenbasis of Grad^T Grad is accurate to about
 machine epsilon times ||Grad^T Grad||, so the residual grows with n_x (about
-1e-12 at n_x = 512); it is subtracted on the safe side.  Well above
-NEWTON_FLOOR ||Grad^T Grad||_1 (a few percent of it at 512 x 32) it is not
-rounding: the closed-form blocks and the assembled generator disagree.
+1e-12 at n_x = 512); it is subtracted on the safe side.  It is returned
+with its rounding level, NEWTON_FLOOR times the terms apply_form sums on
+modes 0-2, of which it is a few percent at 512 x 32.  Well above that level
+it is not rounding: the closed-form blocks and the assembled generator
+disagree.
 
 At most three dense n_x x n_x arrays are alive at once in the corrector
 stage, B included: B and the two that each phase needs (a block and its
@@ -108,6 +112,7 @@ import scipy.sparse as sp
 from .discretize import OperatorSet, compose_generator
 from .errors import NumericalError, PreconditionError
 from .model import eval_potential
+from .tuning import curvature_roots
 
 NEWTON_CAP = 50  # secular Newton steps before NumericalError
 NEWTON_FLOOR = 8 * np.finfo(float).eps  # rounding level of mu, per unit of S
@@ -203,13 +208,28 @@ def operator_norm(matrix) -> float:
     """Largest singular value, as the square root of the largest eigenvalue
     of the Gram matrix X^T X.
 
-    The bound checks pass the n_x x n_x position blocks of the corrector
-    algebra, never a phase-space matrix.  Squaring loses accuracy only at the
-    bottom of the spectrum: forming X^T X and its symmetric eigensolve each
-    err by a few machine epsilons times ||X^T X|| = s_max^2 in absolute
-    terms, which is a few epsilons relative to s_max^2 itself, and the square
-    root halves that.  So s_max comes out to roundoff, as from an SVD, in
-    about a third of its time (one product and one selected eigenvalue).
+    The bound checks pass the n x n position blocks of the corrector algebra
+    (n = n_x), never a phase-space matrix.  Squaring loses accuracy only at
+    the bottom of the spectrum, so s = s_max comes out to roundoff, as from
+    an SVD, in about a third of its time (one product and one selected
+    eigenvalue).  With u = eps / 2 the unit roundoff, its relative error is
+    below n^2 eps / 2 + u:
+
+    * each entry of X^T X is an inner product of length n, so the computed
+      Gram matrix is X^T X + E with |E| <= gamma_n |X|^T |X| entrywise and
+      gamma_n = n u / (1 - n u) (Higham, Accuracy and Stability of Numerical
+      Algorithms, sec. 3.1); as || |X| ||_2 <= sqrt(n) ||X||_2,
+      ||E||_2 <= n gamma_n s^2, about n^2 u s^2;
+    * the symmetric eigensolve is backward stable: its eigenvalue is exact
+      for a matrix within c n^2 u ||X^T X|| of the one it was given, with c a
+      small constant for the Householder tridiagonalization, taken as 1;
+    * by Weyl's inequality the eigenvalue is then off s^2 by at most about
+      2 n^2 u s^2 = n^2 eps s^2, and the square root halves that relative
+      error and rounds once more.
+
+    Dividing by a bound adds a few roundings more, far inside the other
+    n^2 eps / 2 for n >= 16, so n^2 eps is the rounding allowance of each
+    norm-to-bound ratio (ratio_allowance of verify_corrector_bounds).
 
     numpy forms X^T X by syrk and mirrors its triangle, so the Gram matrix is
     exactly symmetric and its F-ordered transpose is the same matrix: LAPACK
@@ -226,47 +246,61 @@ def operator_norm(matrix) -> float:
 def verify_corrector_bounds(c: Corrector) -> dict:
     """Measure ||A||, ||L_a A||, ||A L_a (1 - Pi_v)|| against the bounds, as
     the norm entries of the report's corrector section: each norm, each
-    bound, their ratios and |norm_A - bound_A| / bound_A (the bound on ||A||
-    is attained).
+    bound, their ratios, |norm_A - bound_A| / bound_A (the bound on ||A||
+    is attained) and ratio_allowance = n_x^2 eps, the rounding allowance of
+    each ratio that operator_norm's docstring derives.
 
     Each norm is the largest singular value of one position block (see the
     module docstring).
     """
     ops = c.ops
     m = ops.m_h
-    K = ops.grid.potential.K
     norms = (
         operator_norm(c.block),
         operator_norm(_grad_dense(ops, c.block)),
         float(np.sqrt(2.0)) * operator_norm(c.block @ ops.grad_x.T),
     )
-    bounds = (1.0 / (2.0 * np.sqrt(m)), 1.0, float(np.sqrt(2.0 + K / (2.0 * m))))
+    bounds = (_norm_a(m), 1.0, curvature_roots(m, ops.grid.potential.K)[0])
     names = ("A", "LaA", "ALa_fast")
     return {
         **{f"norm_{name}": norm for name, norm in zip(names, norms)},
         **{f"bound_{name}": bound for name, bound in zip(names, bounds)},
         "ratios": [norm / bound for norm, bound in zip(norms, bounds)],
         "norm_A_exact_residual": abs(norms[0] - bounds[0]) / bounds[0],
+        "ratio_allowance": ops.n_x**2 * float(np.finfo(float).eps),
     }
 
 
 def dissipation_form_min_eig(c: Corrector, eps: float, gamma: float):
     """Smallest eigenvalue of the dissipation form Q on the mean-zero subspace,
-    as (value, residual); value - residual is a lower bound on it.
+    as (value, residual, cap); value - residual is a lower bound on it while
+    residual <= cap, the residual's rounding level.
 
     The secular solve of the module docstring, in delta = p - lam.  value is
     the Rayleigh quotient of the lifted root vector x, a phase-space state on
     Hermite modes 0-2, and residual is ||P(Q x) - value x||, both through
     ModifiedFunctional.apply_form on the generator compose_generator
-    assembles.  Raises NumericalError if the eigensolve with vectors does not
-    give a positive gap sigma^2, or if |mu| is not at its rounding level
-    within NEWTON_CAP steps.
+    assembles.  cap is NEWTON_FLOOR times the terms apply_form sums on modes
+    0-2: ||Grad^T Grad||_1, and from L_s = -N, gamma N <= 2 gamma and
+    eps gamma (S N + N S) / 2 <= eps gamma ||A||.  Above it x is not an
+    eigenvector of the assembled form, and value - residual bounds nothing.
+    Raises NumericalError if the eigensolve with vectors does not give a
+    positive gap sigma^2, or if |mu| is not at its rounding level within
+    NEWTON_CAP steps.
     """
     ops = c.ops
     x = _lift(ops, *_secular_root(ops, eps, gamma))
     qx = ModifiedFunctional(c, compose_generator(ops, gamma), eps).apply_form(x)
     rho = float(x @ qx)
-    return rho, float(np.linalg.norm(ops.project_mean_zero(qx) - rho * x))
+    residual = float(np.linalg.norm(ops.project_mean_zero(qx) - rho * x))
+    cap = float(NEWTON_FLOOR * (abs(ops.lo_x).sum(axis=0).max()
+                                + gamma * (2 + eps * _norm_a(ops.m_h))))
+    return rho, residual, cap
+
+
+def _norm_a(m_h: float) -> float:
+    """||A|| = s_max(B) = 1 / (2 sqrt(m_h)), attained (module docstring)."""
+    return 1.0 / (2.0 * math.sqrt(m_h))
 
 
 def _grad_dense(ops: OperatorSet, x: np.ndarray) -> np.ndarray:

@@ -300,14 +300,20 @@ def estimate_rate(trace: DecayTrace) -> float:
     return float(slope)
 
 
-def verify_decay_bound(trace: DecayTrace) -> float:
-    """Smallest relative margin (bound - norm) / bound of
-    norm <= sqrt(3) e^{-Lambda t} norm0 over the samples; negative where the
-    bound fails.  The zero state meets the bound by construction, so it is
-    rejected."""
+def verify_decay_bound(trace: DecayTrace):
+    """(margin, time): the smallest relative margin (bound - norm) / bound of
+    norm <= sqrt(3) e^{-Lambda t} norm0 over the samples with t > 0, negative
+    where the bound fails, and the time of the sample where it binds.  At
+    t = 0 the margin is 1 - 1/sqrt(3) by construction, so that sample is left
+    out.  The zero state meets the bound by construction, so it is rejected,
+    as is a trace with no step."""
     if trace.norm[0] == 0.0:
         raise PreconditionError("the zero state meets the decay bound trivially")
-    return float(((trace.bound - trace.norm) / trace.bound).min())
+    if len(trace.times) < 2:
+        raise PreconditionError("the decay bound needs a sample with t > 0")
+    rel = (trace.bound[1:] - trace.norm[1:]) / trace.bound[1:]
+    i = int(np.argmin(rel))
+    return float(rel[i]), float(trace.times[i + 1])
 
 
 def lyapunov_derivative_check(

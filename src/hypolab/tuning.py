@@ -48,8 +48,15 @@ class TuningResult:
         return asdict(self)
 
 
+def curvature_roots(m: float, K: float):
+    """(sqrt(2 + K/(2m)), sqrt(4 + K/(2m))), the two roots the constants and
+    the corrector bound on ||A L_a (1 - Pi_v)|| are written in."""
+    k = K / (2 * m)
+    return math.sqrt(2 + k), math.sqrt(4 + k)
+
+
 def _zeta(gamma: float, m: float, K: float) -> float:
-    return gamma / (2 * math.sqrt(m)) + math.sqrt(2 + K / (2 * m))
+    return gamma / (2 * math.sqrt(m)) + curvature_roots(m, K)[0]
 
 
 def dissipation_matrix(gamma: float, eps: float, m: float, K: float):
@@ -69,7 +76,7 @@ def optimize_friction(m: float, K: float) -> TuningResult:
     a = 2 + z**2
     eps_star = gamma_star / a
     eps_max = 2 * gamma_star / (math.sqrt(a) * (math.sqrt(a) + math.sqrt(a - 1)))
-    x_star = math.sqrt(4 + K / (2 * m))
+    x_star = curvature_roots(m, K)[1]
     lam, Lam, pref = rate(m, K)
     return TuningResult(
         m=m,
@@ -88,8 +95,7 @@ def optimize_friction(m: float, K: float) -> TuningResult:
 
 def rate(m: float, K: float):
     """(lambda_coer, Lambda, prefactor) from the closed forms."""
-    root2 = math.sqrt(2 + K / (2 * m))
-    root4 = math.sqrt(4 + K / (2 * m))
+    root2, root4 = curvature_roots(m, K)
     lam = math.sqrt(m) / (4 * (root2 + root4))
     return lam, 2 * lam / 3, PREFACTOR
 

@@ -229,12 +229,16 @@ class TestRunExperiment:
         cfg = cli.build_config({"grid.N_x": "64", "grid.N_v": "12"})
         report = cli.run_experiment("verify", cfg)
         margins = {v["name"]: v["margin"] for v in report.verdicts}
-        ratios = report.results["corrector"]["ratios"]
-        for name, ratio in zip(("bound_A", "bound_LaA", "bound_ALa_fast"), ratios):
-            assert margins[name] == cli.BOUND_SLACK - (ratio - 1.0)
-        # ||L_a A|| < 1 strictly, so its margin exceeds the slack
-        assert margins["bound_LaA"] > 0.05
         corrector = report.results["corrector"]
+        allowance = corrector["ratio_allowance"]
+        assert allowance == 64**2 * np.finfo(float).eps
+        for name, ratio in zip(("bound_A", "bound_LaA", "bound_ALa_fast"),
+                               corrector["ratios"]):
+            assert margins[name] == allowance - (ratio - 1.0)
+        # ||A|| attains its bound, so its margin is rounding; ||L_a A|| < 1
+        # strictly, so its margin exceeds the allowance
+        assert 0.0 <= margins["bound_A"] <= 2 * allowance
+        assert margins["bound_LaA"] > 1e-3
         assert corrector["norm_A_exact_residual"] <= 1e-12
         # coercivity is judged on the lower bound min_eig_Q - residual, and
         # on the residual against its rounding level, which does not bind here
@@ -243,12 +247,14 @@ class TestRunExperiment:
         assert "min_eig_iterations" not in corrector
         ws = cli._Workspace(cfg)
         cap = corrector["min_eig_residual_cap"]
+        # ||A|| enters in its closed form 1 / (2 sqrt(m_h))
         assert cap == hl.corrector.NEWTON_FLOOR * (
             abs(ws.ops.lo_x.toarray()).sum(axis=0).max()
-            + ws.gamma * (2 + ws.eps * corrector["norm_A"]))
-        coercive = lower / corrector["lambda_coer"] - (1 - cli.BOUND_SLACK)
+            + ws.gamma * (2 + ws.eps * corrector["bound_A"]))
+        coercive = lower / corrector["lambda_coer"] - 1
         assert coercive < 1 - corrector["min_eig_residual"] / cap
         assert margins["dissipation_coercive"] == coercive
+        assert coercive == pytest.approx(0.685, abs=0.01)
 
     @pytest.mark.parametrize("n_x, n_v", [(32, 6), (128, 20)])
     def test_residual_cap_grows_with_gamma(self, n_x, n_v):
@@ -437,13 +443,13 @@ def _edit_result(edit):
 
 def _norm_above_bound(name):
     """verify_corrector_bounds with the norm of one block, and its ratio,
-    10 % above its bound."""
+    1 % above its bound."""
     i = ("A", "LaA", "ALa_fast").index(name)
 
     def edit(norms):
         ratios = list(norms["ratios"])
-        ratios[i] = 1.1
-        return {**norms, f"norm_{name}": 1.1 * norms[f"bound_{name}"],
+        ratios[i] = 1.01
+        return {**norms, f"norm_{name}": 1.01 * norms[f"bound_{name}"],
                 "ratios": ratios}
 
     return _edit_result(edit)
@@ -468,7 +474,7 @@ FAILING_CASES = {
     "bound_ALa_fast": ("verify", SMALL, "verify_corrector_bounds",
                        _norm_above_bound("ALa_fast")),
     "dissipation_coercive": ("verify", SMALL, "dissipation_form_min_eig",
-                             _edit_result(lambda r: (r[0] / 2, r[1]))),
+                             _edit_result(lambda r: (r[0] / 2, *r[1:]))),
     "structure_exact": ("verify", SMALL, "check_structure", _edit_result(
         lambda s: {"exact": {**s["exact"], "la_square": 1e-9}})),
     # a grid curvature above the quadratic's K = 0
@@ -476,8 +482,9 @@ FAILING_CASES = {
         lambda c: c + 1.0)),
     "mean_conserved": ("evolve", SMALL, "integrate", _edit_result(
         lambda t: replace(t, mean=t.mean + 1e-9 * t.times / t.times[-1]))),
+    # the honest norm stays below half the envelope after t = 0
     "decay_bound": ("evolve", SMALL, "integrate", _edit_result(
-        lambda t: replace(t, norm=2 * t.norm))),
+        lambda t: replace(t, norm=3 * t.norm))),
     # a trace that does not decay
     "rate_above_Lambda": ("evolve", SMALL, "estimate_rate",
                           lambda original: lambda t: 0.0),
@@ -587,7 +594,83 @@ class TestVerdictRule:
         for name in ("decay_bound", "rate_above_Lambda"):
             assert verdicts[name] == {"name": name, "status": "skipped",
                                       "margin": None}
+        assert report.results["evolve"]["decay_bound_time"] == {}
         assert report.results["rates"]["evolve_random"] > 0
+
+    def test_decay_bound_judges_the_samples_after_t0(self):
+        # at t = 0 the margin is 1 - 1/sqrt(3) by construction
+        cfg = cli.build_config({**SMALL, "evolve.f0": "all",
+                                "evolve.t_end_factor": "0.5"})
+        report = cli.run_experiment("evolve", cfg)
+        margins = {v["name"]: v["margin"] for v in report.verdicts}
+        binds_at = report.results["evolve"]["decay_bound_time"]
+        assert list(binds_at) == list(evolve.INITIAL_KINDS)
+        for kind, (_, trace) in zip(evolve.INITIAL_KINDS, report.traces):
+            rel = (trace.bound - trace.norm) / trace.bound
+            assert rel[0] == pytest.approx(1 - 1 / math.sqrt(3), rel=1e-12)
+            assert margins[f"decay_bound_{kind}"] == rel[1:].min() != rel[0]
+            assert binds_at[kind] == trace.times[1 + np.argmin(rel[1:])] > 0
+
+    def test_coercivity_skipped_off_the_tuned_point(self, capsys):
+        # the paper states lambda_coer at (gamma*, eps*) only; at gamma = 16
+        # the form's smallest eigenvalue is 0.79 lambda_coer
+        assert cli.main(["verify", "--nx", "64", "--nv", "12", "--gamma", "16"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        verdicts = {v["name"]: v for v in report["verdicts"]}
+        assert verdicts["dissipation_coercive"] == {
+            "name": "dissipation_coercive", "status": "skipped", "margin": None}
+        corrector = report["results"]["corrector"]
+        assert corrector["min_eig_Q"] / corrector["lambda_coer"] == pytest.approx(
+            0.794, abs=1e-3)
+        assert {v["status"] for n, v in verdicts.items()
+                if n != "dissipation_coercive"} == {"pass"}
+
+    def test_coercivity_has_no_slack_below_lambda_coer(self, monkeypatch):
+        # lambda_coer raised until min_eig_Q - residual is 0.97 of it
+        cfg = cli.build_config(SMALL)
+        corrector = cli.run_experiment("verify", cfg).results["corrector"]
+        lower = corrector["min_eig_Q"] - corrector["min_eig_residual"]
+        monkeypatch.setattr(cli, "optimize_friction", _edit_result(
+            lambda t: replace(t, lambda_coer=lower / 0.97))(cli.optimize_friction))
+        report = cli.run_experiment("verify", cfg)
+        verdict = next(v for v in report.verdicts
+                       if v["name"] == "dissipation_coercive")
+        assert verdict["status"] == "fail"
+        assert verdict["margin"] == pytest.approx(-0.03, rel=1e-9)
+        assert not [v for v in report.verdicts
+                    if v["status"] == "fail" and v is not verdict]
+
+    @staticmethod
+    def scale_block(monkeypatch, factor):
+        """build_corrector with its block B scaled by factor."""
+        build = cli.build_corrector
+
+        def scaled(ops):
+            c = build(ops)
+            c.block *= factor
+            return c
+
+        monkeypatch.setattr(cli, "build_corrector", scaled)
+
+    def test_block_off_by_1e_9_fails_bound_a(self, monkeypatch):
+        # ||A|| = 1 / (2 sqrt(m_h)) is attained, so bound_A asserts B exactly
+        self.scale_block(monkeypatch, 1 + 1e-9)
+        report = cli.run_experiment("verify", cli.build_config(SMALL))
+        verdicts = {v["name"]: v for v in report.verdicts}
+        assert verdicts["bound_A"]["status"] == "fail"
+        assert verdicts["bound_A"]["margin"] == pytest.approx(-1e-9, rel=1e-3)
+        assert verdicts["bound_LaA"]["status"] == "pass"
+        assert verdicts["bound_ALa_fast"]["status"] == "pass"
+
+    def test_block_one_percent_over_fails_bound_ala_fast(self, monkeypatch):
+        cfg = cli.build_config(SMALL)
+        ratio = cli.run_experiment("verify", cfg).results["corrector"]["ratios"][2]
+        self.scale_block(monkeypatch, 1.01 / ratio)
+        report = cli.run_experiment("verify", cfg)
+        assert report.results["corrector"]["ratios"][2] == pytest.approx(1.01, rel=1e-12)
+        verdict = next(v for v in report.verdicts if v["name"] == "bound_ALa_fast")
+        assert verdict["status"] == "fail"
+        assert verdict["margin"] == pytest.approx(-0.01, rel=1e-9)
 
 
 class TestEmitReport:

@@ -327,16 +327,26 @@ class TestEstimateRate:
 
 class TestDecayBound:
     def test_holds_on_tuned_run(self, quad_trace):
-        margin = hl.verify_decay_bound(quad_trace)
+        margin, binds_at = hl.verify_decay_bound(quad_trace)
         assert margin > 0.0
-        bound, norm = quad_trace.bound, quad_trace.norm
-        assert margin == ((bound - norm) / bound).min()
+        # t = 0 is left out: its margin is 1 - 1/sqrt(3) by construction
+        rel = (quad_trace.bound - quad_trace.norm) / quad_trace.bound
+        assert margin == rel[1:].min()
+        assert binds_at == quad_trace.times[1 + np.argmin(rel[1:])] > 0.0
 
     def test_margin_has_no_hidden_slack(self):
         # a norm 1e-9 above the envelope is a failure, with a negative margin
         trace = synthetic_trace([0.0, 1.0], [1.0, 1.0])
         trace.bound = np.array([np.sqrt(3.0), 1.0 - 1e-9])
-        assert hl.verify_decay_bound(trace) == pytest.approx(-1e-9, rel=1e-6)
+        margin, binds_at = hl.verify_decay_bound(trace)
+        assert margin == pytest.approx(-1e-9, rel=1e-6)
+        assert binds_at == 1.0
+
+    def test_trace_without_a_step_is_rejected(self):
+        trace = synthetic_trace([0.0, 1.0], [1.0, 1.0])
+        trace.times, trace.norm = trace.times[:1], trace.norm[:1]
+        with pytest.raises(PreconditionError, match="t > 0"):
+            hl.verify_decay_bound(trace)
 
 
 class TestLyapunovDerivative:
