@@ -60,7 +60,7 @@ from .evolve import (
 )
 from .model import POTENTIAL_KINDS, Potential
 from .sampler import (FIT_RECORD_BYTES, MIN_FIT_SAMPLES, SdeConfig, ensemble_bytes,
-                      estimate_observable_decay, run_ensemble)
+                      estimate_observable_decay, record_count, run_ensemble)
 from .tuning import (
     TuningResult,
     check_ratio_consistency,
@@ -149,8 +149,9 @@ _FLAGS = {"--seed": "seed", "--gamma": "tuning.gamma", "--eps": "tuning.eps",
 
 
 def parse_config_text(text: str) -> dict:
-    """Parse the flat key = value document into a string map."""
-    out = {}
+    """Parse the flat key = value document into a string map; a key may be
+    given once."""
+    out, first_line = {}, {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -160,6 +161,9 @@ def parse_config_text(text: str) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _KEYS:
             raise ConfigurationError(f"{key}: unknown configuration key")
+        if key in first_line:
+            raise ConfigurationError(f"{key}: given on lines {first_line[key]} and {lineno}")
+        first_line[key] = lineno
         out[key] = value
     return out
 
@@ -376,13 +380,15 @@ def _stage_structure(ws: _Workspace, report: RunReport):
 
 def _stage_corrector(ws: _Workspace, report: RunReport):
     norms = verify_corrector_bounds(ws.corrector)
-    min_eig, residual, cap = dissipation_form_min_eig(ws.corrector, ws.eps, ws.gamma)
+    min_eig, residual, cap, steps = dissipation_form_min_eig(
+        ws.corrector, ws.eps, ws.gamma)
     lambda_coer = ws.tuned.lambda_coer
     report.results["corrector"] = {
         **norms,
         "min_eig_Q": min_eig,
         "min_eig_residual": residual,
         "min_eig_residual_cap": cap,
+        "min_eig_newton_steps": steps,
         "lambda_coer": lambda_coer,
         "slack": min_eig - lambda_coer,
     }
@@ -571,22 +577,22 @@ def _preflight(command: str, ws: _Workspace):
     if target == "sample" and cfg.sde_init_shift == 0.0:
         raise ConfigurationError("sde.init_shift: a sample sweep fits the decay "
                                  "from the shifted start, so it must be nonzero")
-    records = cfg.sde_steps // cfg.sde_record_every + 1
     fit = target == "sample" or "sample" in stages and ws.fits_first_moment
-    if fit:
-        fits.append(("sde.steps", "steps // record_every + 1", records))
     for key, gamma in gammas if samples else ():
+        sde = _sde_config(ws, gamma)
         if cfg.sde_dt * gamma >= 1.0:
             raise ConfigurationError(
                 f"{key}: the sampler needs sde.dt * gamma < 1, and "
                 f"{cfg.sde_dt:g} * {gamma:g} = {cfg.sde_dt * gamma:g}")
-        need = ensemble_bytes(_sde_config(ws, gamma))
-        need += FIT_RECORD_BYTES * records if fit else 0
+        need = ensemble_bytes(sde)
+        need += FIT_RECORD_BYTES * record_count(sde) if fit else 0
         if need > MAX_SDE_BYTES:
             raise ConfigurationError(
                 f"sde.particles, sde.d, sde.steps, sde.record_every: the ensemble needs "
                 f"{need} bytes{' with its decay fit' if fit else ''}, and at most "
                 f"MAX_SDE_BYTES = {MAX_SDE_BYTES} are allowed")
+    if fit:  # a fit samples, so sde is the last gamma's
+        fits.append(("sde.steps", "steps // record_every + 1", record_count(sde)))
     for key, where, count in fits:
         if count < MIN_FIT_SAMPLES:
             raise ConfigurationError(f"{key}: {where} gives a trace of {count} "

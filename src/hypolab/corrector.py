@@ -251,7 +251,11 @@ def verify_corrector_bounds(c: Corrector) -> dict:
     each ratio that operator_norm's docstring derives.
 
     Each norm is the largest singular value of one position block (see the
-    module docstring).
+    module docstring).  n_x^2 eps bounds operator_norm's rounding, not that of
+    B's banded solve, about kappa(m_h - L_o) eps, which nothing here bounds.
+    Measured, |ratio_A - 1| is at most 6.1e-13 at 1024 x 8 (double_well
+    s = 1, 2, 3, cosine_bump c = 3) against 2.3e-10, and 4.7e-12 at
+    double_well s = 3, 2048 x 8 against 9.3e-10.
     """
     ops = c.ops
     m = ops.m_h
@@ -273,8 +277,9 @@ def verify_corrector_bounds(c: Corrector) -> dict:
 
 def dissipation_form_min_eig(c: Corrector, eps: float, gamma: float):
     """Smallest eigenvalue of the dissipation form Q on the mean-zero subspace,
-    as (value, residual, cap); value - residual is a lower bound on it while
-    residual <= cap, the residual's rounding level.
+    as (value, residual, cap, steps); value - residual is a lower bound on it
+    while residual <= cap, the residual's rounding level, and steps is the
+    number of eigensolves the secular Newton solve took, at most NEWTON_CAP.
 
     The secular solve of the module docstring, in delta = p - lam.  value is
     the Rayleigh quotient of the lifted root vector x, a phase-space state on
@@ -289,13 +294,14 @@ def dissipation_form_min_eig(c: Corrector, eps: float, gamma: float):
     NEWTON_CAP steps.
     """
     ops = c.ops
-    x = _lift(ops, *_secular_root(ops, eps, gamma))
+    root, steps = _secular_root(ops, eps, gamma)
+    x = _lift(ops, *root)
     qx = ModifiedFunctional(c, compose_generator(ops, gamma), eps).apply_form(x)
     rho = float(x @ qx)
     residual = float(np.linalg.norm(ops.project_mean_zero(qx) - rho * x))
     cap = float(NEWTON_FLOOR * (abs(ops.lo_x).sum(axis=0).max()
                                 + gamma * (2 + eps * _norm_a(ops.m_h))))
-    return rho, residual, cap
+    return rho, residual, cap, steps
 
 
 def _norm_a(m_h: float) -> float:
@@ -353,8 +359,8 @@ def _secular_blocks(ops: OperatorSet, eps: float):
 def _secular_root(ops: OperatorSet, eps: float, gamma: float):
     """Newton's method on mu_min(S(lam)) from above, in delta = p - lam, to
     the root vector y; returns the coordinates (y, b y / (c - lam),
-    -C^T y / (2 gamma - lam)) of its lift.  C^T and S are its only n_x^2
-    arrays, and both are freed on return."""
+    -C^T y / (2 gamma - lam)) of its lift and the number of eigensolves.
+    C^T and S are its only n_x^2 arrays, and both are freed on return."""
     sigma, t, c_t = _secular_blocks(ops, eps)
     a = eps * sigma * t
     b = eps * gamma / 2 * t
@@ -384,7 +390,7 @@ def _secular_root(ops: OperatorSet, eps: float, gamma: float):
         w = w[:, 0]
         z = c_t @ w
         if abs(mu) <= floor:
-            return w, b * w / gap1, -z / gap2
+            return (w, b * w / gap1, -z / gap2), step + 1
         delta -= mu / (1.0 + (b2 / gap1**2) @ (w * w) + (z @ z) / gap2**2)
     raise NumericalError(
         f"secular Newton solve: |mu| = {abs(mu):.3e} is above its rounding "

@@ -127,6 +127,11 @@ class EnsembleTrace:
         return out
 
 
+def record_count(cfg: SdeConfig) -> int:
+    """The records a run keeps: steps 0, record_every, ... up to steps."""
+    return cfg.steps // cfg.record_every + 1
+
+
 def ensemble_bytes(cfg: SdeConfig) -> int:
     """The bytes run_ensemble(cfg) holds at its peak, an upper bound, in
     Python ints so that no size overflows.
@@ -139,8 +144,7 @@ def ensemble_bytes(cfg: SdeConfig) -> int:
     - the noise, width min(BLOCK, steps) d: at most CHUNK BLOCK for d <=
       CHUNK, one trajectory's BLOCK d above that;
     - the record buffer, (BLOCK // record_every + 1) n particles;
-    - the times, means and standard errors, (2 n + 1) records, with records
-      = steps // record_every + 1;
+    - the times, means and standard errors, (2 n + 1) record_count(cfg);
     - the temporaries: a final variance's particles d, a record's std's n
       particles, and CHUNK_TEMPORARIES width d for an observe call, which
       covers a step's.
@@ -154,7 +158,7 @@ def ensemble_bytes(cfg: SdeConfig) -> int:
     doubles = (3 * p * d + width * d
                + width * min(BLOCK, cfg.steps) * d
                + (BLOCK // every + 1) * n * p
-               + (2 * n + 1) * (cfg.steps // every + 1)
+               + (2 * n + 1) * record_count(cfg)
                + p * d + n * p + CHUNK_TEMPORARIES * width * d)
     return 8 * doubles + GENERATOR_BYTES * p + RUN_BYTES
 
@@ -224,7 +228,7 @@ def run_ensemble(cfg: SdeConfig) -> EnsembleTrace:
     p, d, every = cfg.particles, cfg.d, cfg.record_every
     width = max(1, CHUNK // d)  # trajectories per chunk
     c1, c2 = _ou_coefficients(cfg.gamma, cfg.dt)
-    n_rec = cfg.steps // every + 1
+    n_rec = record_count(cfg)
     times = np.arange(n_rec) * (cfg.dt * every)
     gens = [np.random.Generator(np.random.Philox(key=[cfg.seed, i]))
             for i in range(p)]

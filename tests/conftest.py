@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-import hypolab as hl
+from hypolab import corrector as corrector_module
+from hypolab import discretize, evolve, model, tuning
 
 DEFAULT_NX = 128
 DEFAULT_NV = 20
@@ -16,67 +17,67 @@ DEFAULT_NV = 20
 def make_ops(potential, l_dom=None, n_x=DEFAULT_NX, n_v=DEFAULT_NV):
     if l_dom is None:
         l_dom = potential.domain
-    grid = hl.build_grid(potential, l_dom, n_x)
-    basis = hl.build_velocity_basis(n_v)
-    ops = hl.assemble_operators(grid, basis)
-    hl.poincare_constant(ops)
+    grid = discretize.build_grid(potential, l_dom, n_x)
+    basis = discretize.build_velocity_basis(n_v)
+    ops = discretize.assemble_operators(grid, basis)
+    discretize.poincare_constant(ops)
     return ops
 
 
 @pytest.fixture(scope="session")
 def ops_quad():
-    return make_ops(hl.quadratic(1.0))
+    return make_ops(model.quadratic(1.0))
 
 
 @pytest.fixture(scope="session")
 def ops_dw():
-    return make_ops(hl.double_well())
+    return make_ops(model.double_well())
 
 
 @pytest.fixture(scope="session")
 def ops_cos():
-    return make_ops(hl.cosine_bump(2.0))
+    return make_ops(model.cosine_bump(2.0))
 
 
 @pytest.fixture(scope="session")
 def ops_quad_small():
-    return make_ops(hl.quadratic(1.0), n_x=64, n_v=12)
+    return make_ops(model.quadratic(1.0), n_x=64, n_v=12)
 
 
 @pytest.fixture(scope="session")
 def corr_quad(ops_quad):
-    return hl.build_corrector(ops_quad)
+    return corrector_module.build_corrector(ops_quad)
 
 
 @pytest.fixture(scope="session")
 def corr_dw(ops_dw):
-    return hl.build_corrector(ops_dw)
+    return corrector_module.build_corrector(ops_dw)
 
 
 @pytest.fixture(scope="session")
 def corr_quad_small(ops_quad_small):
-    return hl.build_corrector(ops_quad_small)
+    return corrector_module.build_corrector(ops_quad_small)
 
 
 @pytest.fixture(scope="session")
 def cn_small(ops_quad_small):
     """The trapezoidal map at gamma = 4, dt = 0.02 on the 64x12 grid."""
-    return hl.crank_nicolson(ops_quad_small, 4.0, 0.02)
+    return evolve.crank_nicolson(ops_quad_small, 4.0, 0.02)
 
 
 @pytest.fixture(scope="session")
 def tuned_quad(ops_quad):
-    return hl.optimize_friction(ops_quad.m_h, 0.0)
+    return tuning.optimize_friction(ops_quad.m_h, 0.0)
 
 
 @pytest.fixture(scope="session")
 def quad_trace(ops_quad, corr_quad, tuned_quad):
     """One tuned full-length evolution of a random state, reused widely."""
-    f0 = hl.initial_condition(ops_quad, "random", seed=2024)
-    return hl.integrate(
+    f0 = evolve.initial_condition(ops_quad, "random", seed=2024)
+    return evolve.integrate(
         ops_quad,
         f0,
-        hl.crank_nicolson(ops_quad, tuned_quad.gamma_star, 0.02),
+        evolve.crank_nicolson(ops_quad, tuned_quad.gamma_star, 0.02),
         5.0 / tuned_quad.Lambda,
         corrector=corr_quad,
         eps=tuned_quad.eps_star,

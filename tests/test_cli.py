@@ -14,10 +14,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import hypolab as hl
 import hypolab.cli as cli
+import hypolab.corrector as corrector_module
 import hypolab.evolve as evolve
+import hypolab.model as model
 import hypolab.sampler as sampler
+import hypolab.tuning as tuning_module
 from hypolab.errors import ConfigurationError, DivergenceError
 from hypolab.evolve import DT_GUARD
 
@@ -43,6 +45,11 @@ class TestConfigParsing:
             cli.parse_config_text("grid.N_q = 12")
         with pytest.raises(ConfigurationError, match="line 2: expected 'key = value'"):
             cli.parse_config_text("grid.N_x = 64\ngrid.N_v 12")
+
+    def test_repeated_key_rejected(self):
+        with pytest.raises(ConfigurationError,
+                           match="grid.N_x: given on lines 1 and 3"):
+            cli.parse_config_text("grid.N_x = 64\ngrid.N_v = 12\ngrid.N_x = 32")
 
     def test_field_path_in_error(self):
         with pytest.raises(ConfigurationError, match="grid.N_x"):
@@ -143,7 +150,7 @@ class TestRunExperiment:
         m_h = cli.run_experiment("gap", cfg).results["gap"]["m_h"]
         assert (tuning["m"], tuning["K"]) == (m_h, 0.0)
         assert tuning["gamma_star"] == math.sqrt(16 * m_h)
-        assert tuning["Lambda"] == hl.rate(m_h, 0.0)[1]
+        assert tuning["Lambda"] == tuning_module.rate(m_h, 0.0)[1]
         assert not report.failed
 
     def test_tune_operating_point_follows_the_flags(self, capsys):
@@ -153,11 +160,11 @@ class TestRunExperiment:
             "operating_point"]
         assert (point["gamma"], point["eps"]) == (3.0, 0.2)
         tuning = cli.run_experiment("tune", cli.build_config(SMALL)).results["tuning"]
-        tuned = hl.optimize_friction(tuning["m"], tuning["K"])
+        tuned = tuning_module.optimize_friction(tuning["m"], tuning["K"])
         point = tuning["operating_point"]
         assert (point["gamma"], point["eps"]) == (tuned.gamma_star, tuned.eps_star)
         assert point["admissible"]
-        assert point["lambda_min_M"] == hl.check_ratio_consistency(tuned)[
+        assert point["lambda_min_M"] == tuning_module.check_ratio_consistency(tuned)[
             "lambda_min_M"]
 
     def test_tuned_m_checks_monotonicity(self, monkeypatch):
@@ -214,7 +221,7 @@ class TestRunExperiment:
         honest = verdict(cli.run_experiment("tune", cfg))
         assert honest["status"] == "pass"
         assert 0 < honest["margin"] <= cli.LAMBDA_RTOL
-        true_rate = hl.tuning.rate
+        true_rate = tuning_module.rate
 
         def scaled(m, K):  # off by 1 %, yet self-consistent: Lambda = 2 lam / 3
             lam, Lam, pref = true_rate(m, K)
@@ -248,7 +255,7 @@ class TestRunExperiment:
         ws = cli._Workspace(cfg)
         cap = corrector["min_eig_residual_cap"]
         # ||A|| enters in its closed form 1 / (2 sqrt(m_h))
-        assert cap == hl.corrector.NEWTON_FLOOR * (
+        assert cap == corrector_module.NEWTON_FLOOR * (
             abs(ws.ops.lo_x.toarray()).sum(axis=0).max()
             + ws.gamma * (2 + ws.eps * corrector["bound_A"]))
         coercive = lower / corrector["lambda_coer"] - 1
@@ -268,7 +275,7 @@ class TestRunExperiment:
         cfg = cli.build_config({"grid.N_x": "64", "grid.N_v": "12"})
         corrector = cli.run_experiment("verify", cfg).results["corrector"]
         m_h = cli.run_experiment("gap", cfg).results["gap"]["m_h"]
-        assert corrector["lambda_coer"] == hl.rate(m_h, 0.0)[0]
+        assert corrector["lambda_coer"] == tuning_module.rate(m_h, 0.0)[0]
         assert corrector["slack"] == corrector["min_eig_Q"] - corrector["lambda_coer"]
 
     def test_unknown_command(self):
@@ -314,8 +321,8 @@ class TestRunExperiment:
         assert max(solve_residual({"grid.N_x": "128", "grid.N_v": "20"}).values()) < 1e-15
         # it is ||M x - b|| / ||b|| of the first step's solve M x = b
         ws = cli._Workspace(cli.build_config(coarse))
-        cn = hl.crank_nicolson(ws.ops, ws.gamma, ws.cfg.evolve_dt)
-        f0 = hl.initial_condition(ws.ops, "random", seed=ws.cfg.seed)
+        cn = evolve.crank_nicolson(ws.ops, ws.gamma, ws.cfg.evolve_dt)
+        f0 = evolve.initial_condition(ws.ops, "random", seed=ws.cfg.seed)
         b = f0 + (cn.dt / 2) * (cn.L @ f0)
         x = cn.lu.solve(b)
         assert residual["random"] == np.linalg.norm(
@@ -367,9 +374,9 @@ class TestRunExperiment:
         ws = cli._Workspace(cfg)
         alone = cli.RunReport(version="", command="evolve", config={})
         for kind in ("gap", "velocity", "random"):
-            trace = hl.integrate(
-                ws.ops, hl.initial_condition(ws.ops, kind, seed=cfg.seed),
-                hl.crank_nicolson(ws.ops, ws.gamma, cfg.evolve_dt),
+            trace = evolve.integrate(
+                ws.ops, evolve.initial_condition(ws.ops, kind, seed=cfg.seed),
+                evolve.crank_nicolson(ws.ops, ws.gamma, cfg.evolve_dt),
                 cfg.evolve_t_end_factor / ws.tuned.Lambda,
                 corrector=ws.corrector, eps=ws.eps, Lambda=ws.tuned.Lambda,
             )
@@ -554,7 +561,7 @@ class TestVerdictRule:
     def test_understated_k_fails_bochner(self, monkeypatch):
         # the double well's true bound is K = 1, and its grid curvature
         # K_h = 0.997 at the barrier, where U'' < 0, exposes K = 0
-        monkeypatch.setattr(hl.Potential, "K", property(lambda self: 0.0))
+        monkeypatch.setattr(model.Potential, "K", property(lambda self: 0.0))
         cfg = cli.build_config({"potential.kind": "double_well"})
         report = cli.run_experiment("verify", cfg)
         verdict = next(v for v in report.verdicts if v["name"] == "bochner_inequality")
@@ -765,6 +772,15 @@ class TestMain:
         bad = tmp_path / "bad.conf"
         bad.write_text("grid.N_x = 4\n")
         assert cli.main(["gap", "--config", str(bad)]) == 2
+
+    def test_repeated_key_exits_2_and_a_flag_still_overrides(self, tmp_path, capsys):
+        conf = tmp_path / "twice.conf"
+        conf.write_text("grid.N_x = 64\ngrid.N_x = 32\n")
+        assert cli.main(["gap", "--config", str(conf)]) == 2
+        assert "grid.N_x: given on lines 1 and 2" in capsys.readouterr().err
+        conf.write_text("grid.N_x = 64\n")
+        assert cli.main(["gap", "--config", str(conf), "--nx", "32"]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["gap"]["N_x"] == 32
 
     def test_programming_errors_propagate(self, monkeypatch):
         def broken(command, cfg):
@@ -1020,8 +1036,8 @@ class TestMain:
         cfg = cli.build_config(SMALL_SDE)
         report = cli.run_experiment("sample", cfg)
         ws = cli._Workspace(cfg)
-        refit = hl.estimate_observable_decay(
-            hl.run_ensemble(cli._sde_config(ws, ws.gamma)))
+        refit = sampler.estimate_observable_decay(
+            sampler.run_ensemble(cli._sde_config(ws, ws.gamma)))
         assert report.results["rates"]["sample_first_moment"] == refit
 
     def test_unresolved_gap_vector_exits_3(self, tmp_path, capsys):
@@ -1150,7 +1166,7 @@ class TestBlasThreads:
     def thread_settings(self, **preset):
         env = {k: v for k, v in os.environ.items() if k not in self.VARS}
         env.update(preset)
-        env["PYTHONPATH"] = str(Path(hl.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
         code = f"import os, hypolab; print([os.environ[v] for v in {self.VARS!r}])"
         done = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, check=True)
@@ -1161,3 +1177,24 @@ class TestBlasThreads:
 
     def test_preset_value_is_kept(self):
         assert self.thread_settings(OPENBLAS_NUM_THREADS="2") == ["2", "1", "1"]
+
+
+class TestImportSurface:
+    """The package imports none of its modules, so each module loads only
+    what it needs: the package alone no numpy, and the modules without a
+    LAPACK call no scipy."""
+
+    def heavy_modules(self, module):
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        code = (f"import sys, {module}; "
+                "print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'}))")
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        return ast.literal_eval(done.stdout)
+
+    def test_package_loads_neither_numpy_nor_scipy(self):
+        assert self.heavy_modules("hypolab") == []
+
+    @pytest.mark.parametrize("module", ["hypolab.model", "hypolab.tuning", "hypolab.sampler"])
+    def test_module_loads_no_scipy(self, module):
+        assert self.heavy_modules(module) == ["numpy"]

@@ -6,9 +6,9 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-import hypolab as hl
 from hypolab import cli as cli_module
 from hypolab import corrector as corrector_module
+from hypolab import discretize, model, tuning
 from hypolab.cli import main
 from hypolab.errors import NumericalError, PreconditionError
 
@@ -23,7 +23,8 @@ from conftest import (
 
 
 def functional(corr, eps, gamma=4.0):
-    return hl.ModifiedFunctional(corr, hl.compose_generator(corr.ops, gamma), eps)
+    return corrector_module.ModifiedFunctional(
+        corr, discretize.compose_generator(corr.ops, gamma), eps)
 
 
 def values(f, corr, eps, gamma=4.0):
@@ -54,14 +55,14 @@ class TestBuildCorrector:
         assert np.abs(corr_quad.block - expected).max() <= (
             1e-12 * np.abs(expected).max())
         # without poincare_constant there is no m_h to shift by
-        potential = hl.quadratic(1.0)
-        grid = hl.build_grid(potential, potential.domain, 32)
-        ops = hl.assemble_operators(grid, hl.build_velocity_basis(4))
+        potential = model.quadratic(1.0)
+        grid = discretize.build_grid(potential, potential.domain, 32)
+        ops = discretize.assemble_operators(grid, discretize.build_velocity_basis(4))
         with pytest.raises(PreconditionError, match="poincare_constant"):
-            hl.build_corrector(ops)
+            corrector_module.build_corrector(ops)
 
     def test_matrix_is_built_only_when_read(self, ops_quad_small):
-        corr = hl.build_corrector(ops_quad_small)
+        corr = corrector_module.build_corrector(ops_quad_small)
         assert "matrix" not in corr.__dict__
         e01 = np.zeros((ops_quad_small.n_v, ops_quad_small.n_v))
         e01[0, 1] = 1.0
@@ -82,7 +83,7 @@ class TestBuildCorrector:
         assert np.abs(af - phase_pi_v(ops_quad) @ af).max() <= 1e-12
 
     def test_structure_for_every_potential(self, corr_quad, corr_dw, ops_cos):
-        corr_cos = hl.build_corrector(ops_cos)
+        corr_cos = corrector_module.build_corrector(ops_cos)
         for corr in (corr_quad, corr_dw, corr_cos):
             pi = phase_pi_v(corr.ops)
             f = random_mean_zero(corr.ops, 21)
@@ -138,7 +139,7 @@ class TestLyapunov:
 
     def test_equivalence_brackets(self, corr_quad, ops_quad):
         m = ops_quad.m_h
-        norm_a = max(hl.operator_norm(corr_quad.block), 1.0 / (2 * np.sqrt(m)))
+        norm_a = max(corrector_module.operator_norm(corr_quad.block), 1.0 / (2 * np.sqrt(m)))
         rng = np.random.default_rng(11)
         for t in (0.1, 0.5, 0.9):
             eps = 0.9 * np.sqrt(m) * t
@@ -177,25 +178,25 @@ class TestDissipation:
 
 
 SMALL_POTENTIALS = {
-    "quadratic": lambda: hl.quadratic(1.0),
-    "double_well": hl.double_well,
-    "cosine_bump": lambda: hl.cosine_bump(2.0),
+    "quadratic": lambda: model.quadratic(1.0),
+    "double_well": model.double_well,
+    "cosine_bump": lambda: model.cosine_bump(2.0),
 }
 
 
 class TestOperatorNorm:
     def test_dense_small_matrix(self):
         M = np.diag([3.0, 1.0, -4.0])
-        assert hl.operator_norm(M) == pytest.approx(4.0, abs=1e-12)
+        assert corrector_module.operator_norm(M) == pytest.approx(4.0, abs=1e-12)
 
     @pytest.mark.parametrize("n_x,n_v", [(64, 12), (128, 20)])
     @pytest.mark.parametrize("potential", sorted(SMALL_POTENTIALS))
     def test_gram_eigenvalue_matches_svd(self, potential, n_x, n_v):
         ops = make_ops(SMALL_POTENTIALS[potential](), n_x=n_x, n_v=n_v)
-        b, g = hl.build_corrector(ops).block, ops.grad_x
+        b, g = corrector_module.build_corrector(ops).block, ops.grad_x
         for block in (b, g @ b, b @ g.T):
             svd = sla.svdvals(block)[0]
-            assert abs(hl.operator_norm(block) - svd) <= 1e-14 * svd
+            assert abs(corrector_module.operator_norm(block) - svd) <= 1e-14 * svd
 
 
 def mode_loop_corrector(ops):
@@ -224,7 +225,7 @@ class TestBlockReduction:
     @pytest.fixture(scope="class", params=sorted(SMALL_POTENTIALS))
     def corr_small(self, request):
         ops = make_ops(SMALL_POTENTIALS[request.param](), n_x=64, n_v=12)
-        return hl.build_corrector(ops)
+        return corrector_module.build_corrector(ops)
 
     def test_matrix_matches_mode_loop_assembly(self, corr_small):
         old = mode_loop_corrector(corr_small.ops).toarray()
@@ -246,15 +247,15 @@ class TestBlockReduction:
             sla.svdvals(m.toarray())[0]
             for m in (A, ops.la @ A, A @ ops.la @ fast)
         ]
-        report = hl.verify_corrector_bounds(corr_small)
+        report = corrector_module.verify_corrector_bounds(corr_small)
         blocks = [report["norm_A"], report["norm_LaA"], report["norm_ALa_fast"]]
         assert np.allclose(blocks, full, rtol=1e-12, atol=0.0)
 
     def test_norm_a_attains_bound(self, corr_quad, corr_dw, ops_cos):
         # its ratio is 1 up to rounding, on either side, and the allowance
         # n_x^2 eps covers that rounding
-        for corr in (corr_quad, corr_dw, hl.build_corrector(ops_cos)):
-            report = hl.verify_corrector_bounds(corr)
+        for corr in (corr_quad, corr_dw, corrector_module.build_corrector(ops_cos)):
+            report = corrector_module.verify_corrector_bounds(corr)
             assert report["norm_A_exact_residual"] <= 1e-12
             allowance = report["ratio_allowance"]
             assert allowance == corr.ops.n_x**2 * np.finfo(float).eps
@@ -263,25 +264,26 @@ class TestBlockReduction:
     def test_double_well_fine_norm_la_a(self):
         # exact value 0.9999698; the top of the spectrum is clustered, so an
         # iterative estimate stopped on stagnation reads low
-        ops = make_ops(hl.double_well(), n_x=512, n_v=32)
-        report = hl.verify_corrector_bounds(hl.build_corrector(ops))
+        ops = make_ops(model.double_well(), n_x=512, n_v=32)
+        report = corrector_module.verify_corrector_bounds(
+            corrector_module.build_corrector(ops))
         assert report["norm_LaA"] >= 0.99996
         assert report["norm_LaA"] < 1.0
 
 
 class TestCorrectorBounds:
     def test_quadratic_within_tolerance(self, corr_quad):
-        report = hl.verify_corrector_bounds(corr_quad)
+        report = corrector_module.verify_corrector_bounds(corr_quad)
         assert all(r - 1 <= report["ratio_allowance"] for r in report["ratios"])
 
     def test_double_well_within_tolerance(self, corr_dw):
-        report = hl.verify_corrector_bounds(corr_dw)
+        report = corrector_module.verify_corrector_bounds(corr_dw)
         assert all(r - 1 <= report["ratio_allowance"] for r in report["ratios"])
 
 
 class TestDissipationFormMinEig:
     def test_coercive_at_tuned_parameters(self, corr_quad, ops_quad, tuned_quad):
-        min_eig, residual, cap = hl.dissipation_form_min_eig(
+        min_eig, residual, cap, _ = corrector_module.dissipation_form_min_eig(
             corr_quad, tuned_quad.eps_star, tuned_quad.gamma_star
         )
         assert min_eig - residual >= tuned_quad.lambda_coer
@@ -289,23 +291,23 @@ class TestDissipationFormMinEig:
 
     def test_vanishing_eps_loses_coercivity(self, corr_quad, tuned_quad):
         # without the corrector term the slow subspace is undamped
-        min_eig, _, _ = hl.dissipation_form_min_eig(
+        min_eig, _, _, _ = corrector_module.dissipation_form_min_eig(
             corr_quad, 0.0, tuned_quad.gamma_star
         )
         assert abs(min_eig) <= 1e-8
 
     def test_coercive_at_256x20(self):
-        ops = make_ops(hl.quadratic(1.0), n_x=256, n_v=20)
-        corr = hl.build_corrector(ops)
-        tuned = hl.optimize_friction(ops.m_h, 0.0)
-        min_eig, residual, cap = hl.dissipation_form_min_eig(
+        ops = make_ops(model.quadratic(1.0), n_x=256, n_v=20)
+        corr = corrector_module.build_corrector(ops)
+        tuned = tuning.optimize_friction(ops.m_h, 0.0)
+        min_eig, residual, cap, _ = corrector_module.dissipation_form_min_eig(
             corr, tuned.eps_star, tuned.gamma_star
         )
         assert residual <= cap
         assert min_eig - residual >= tuned.lambda_coer
 
     def test_form_matches_dissipation(self, corr_quad_small, ops_quad_small):
-        tuned = hl.optimize_friction(ops_quad_small.m_h, 0.0)
+        tuned = tuning.optimize_friction(ops_quad_small.m_h, 0.0)
         eps, gamma = tuned.eps_star, tuned.gamma_star
         q = dissipation_form(functional(corr_quad_small, eps, gamma))
         for seed in range(5):
@@ -316,10 +318,10 @@ class TestDissipationFormMinEig:
     @pytest.mark.parametrize("potential", sorted(SMALL_POTENTIALS))
     def test_form_decouples_above_mode_2(self, potential):
         ops = make_ops(SMALL_POTENTIALS[potential](), n_x=64, n_v=12)
-        tuned = hl.optimize_friction(ops.m_h, ops.grid.potential.K)
+        tuned = tuning.optimize_friction(ops.m_h, ops.grid.potential.K)
         gamma = tuned.gamma_star
         Q = dissipation_form(
-            functional(hl.build_corrector(ops), tuned.eps_star, gamma)).toarray()
+            functional(corrector_module.build_corrector(ops), tuned.eps_star, gamma)).toarray()
         k = np.arange(ops.n) % ops.n_v
         slow = k < 3
         assert np.all(Q[np.ix_(slow, ~slow)] == 0.0)
@@ -333,8 +335,8 @@ class TestDissipationFormMinEig:
         # the full form must couple modes 0-2 to no higher mode, be exactly
         # gamma k above mode 2, and equal the block on modes 0-2 to roundoff.
         ops = make_ops(SMALL_POTENTIALS[potential](), n_x=n_x, n_v=n_v)
-        corr = hl.build_corrector(ops)
-        tuned = hl.optimize_friction(ops.m_h, ops.grid.potential.K)
+        corr = corrector_module.build_corrector(ops)
+        tuned = tuning.optimize_friction(ops.m_h, ops.grid.potential.K)
         eps, gamma = tuned.eps_star, tuned.gamma_star
         Q = dissipation_form(functional(corr, eps, gamma))
         k = np.arange(ops.n) % ops.n_v
@@ -350,10 +352,10 @@ class TestDissipationFormMinEig:
     @pytest.mark.parametrize("potential", sorted(SMALL_POTENTIALS))
     def test_matches_dense_eigensolve(self, potential):
         ops = make_ops(SMALL_POTENTIALS[potential](), n_x=64, n_v=12)
-        corr = hl.build_corrector(ops)
-        tuned = hl.optimize_friction(ops.m_h, ops.grid.potential.K)
+        corr = corrector_module.build_corrector(ops)
+        tuned = tuning.optimize_friction(ops.m_h, ops.grid.potential.K)
         eps, gamma = tuned.eps_star, tuned.gamma_star
-        min_eig, residual, _ = hl.dissipation_form_min_eig(corr, eps, gamma)
+        min_eig, residual, _, _ = corrector_module.dissipation_form_min_eig(corr, eps, gamma)
         # dense eigensolve of the full form on an orthonormal basis of the
         # mean-zero subspace
         Q = dissipation_form(functional(corr, eps, gamma)).toarray()
@@ -368,8 +370,8 @@ class TestDissipationFormMinEig:
 def tuned_corrector(potential, n_x, n_v):
     """Corrector and tuned (eps*, gamma*) at one grid, built once per module."""
     ops = make_ops(SMALL_POTENTIALS[potential](), n_x=n_x, n_v=n_v)
-    tuned = hl.optimize_friction(ops.m_h, ops.grid.potential.K)
-    return hl.build_corrector(ops), tuned.eps_star, tuned.gamma_star
+    tuned = tuning.optimize_friction(ops.m_h, ops.grid.potential.K)
+    return corrector_module.build_corrector(ops), tuned.eps_star, tuned.gamma_star
 
 
 def dense_min_eig(corr, eps, gamma):
@@ -414,14 +416,14 @@ class TestSecularSolve:
         corr, eps_star, gamma_star = tuned_corrector(potential, n_x, n_v)
         eps = OPERATING_POINTS[point][0] * eps_star
         gamma = OPERATING_POINTS[point][1] * gamma_star
-        min_eig, residual, _ = hl.dissipation_form_min_eig(corr, eps, gamma)
+        min_eig, residual, _, _ = corrector_module.dissipation_form_min_eig(corr, eps, gamma)
         dense_min = dense_min_eig(corr, eps, gamma)
         assert abs(min_eig - dense_min) <= 1e-12 * max(1.0, abs(dense_min))
         assert 0.0 <= residual <= 1e-12
 
     def test_matches_dense_block_at_512x32(self):
         corr, eps, gamma = tuned_corrector("double_well", 512, 32)
-        min_eig, residual, _ = hl.dissipation_form_min_eig(corr, eps, gamma)
+        min_eig, residual, _, _ = corrector_module.dissipation_form_min_eig(corr, eps, gamma)
         dense_min = dense_min_eig(corr, eps, gamma)
         assert abs(min_eig - dense_min) <= 1e-12 * max(1.0, abs(dense_min))
         # the singular pairs of Grad are accurate to eps ||Grad^T Grad||
@@ -434,7 +436,7 @@ class TestSecularSolve:
         # residual, measured on the assembled generator, is far above its
         # rounding level
         def broken(grid, basis):
-            ops = hl.assemble_operators(grid, basis)
+            ops = discretize.assemble_operators(grid, basis)
             la = ops.la.tocoo()
             k, l = la.row % ops.n_v, la.col % ops.n_v
             la.data[((k == 1) & (l == 2)) | ((k == 2) & (l == 1))] *= 1.5
@@ -453,11 +455,28 @@ class TestSecularSolve:
         assert statuses["structure_exact"] == "fail"
         assert statuses["dissipation_coercive"] == "fail"
 
+    @pytest.mark.parametrize("gamma", ["gamma_star", 16.0])
+    @pytest.mark.parametrize("potential, n_x, n_v", [
+        ("quadratic", 128, 20), ("double_well", 512, 32), ("cosine_bump", 128, 20)])
+    def test_newton_steps_stay_below_the_cap(self, potential, n_x, n_v, gamma):
+        # 3 eigensolves at gamma*, 2-3 at gamma = 16
+        corr, eps, gamma_star = tuned_corrector(potential, n_x, n_v)
+        gamma = gamma_star if gamma == "gamma_star" else gamma
+        steps = corrector_module.dissipation_form_min_eig(corr, eps, gamma)[3]
+        assert 1 <= steps < corrector_module.NEWTON_CAP
+
+    def test_newton_steps_in_the_report(self):
+        cfg = cli_module.build_config({"grid.N_x": "32", "grid.N_v": "6"})
+        report = cli_module.run_experiment("verify", cfg)
+        ws = cli_module._Workspace(cfg)
+        steps = corrector_module.dissipation_form_min_eig(ws.corrector, ws.eps, ws.gamma)[3]
+        assert report.results["corrector"]["min_eig_newton_steps"] == steps
+
     def test_newton_cap_raises(self, monkeypatch):
         corr, eps, gamma = tuned_corrector("quadratic", 64, 12)
         monkeypatch.setattr(corrector_module, "NEWTON_CAP", 1)
         with pytest.raises(NumericalError, match="secular Newton"):
-            hl.dissipation_form_min_eig(corr, eps, gamma)
+            corrector_module.dissipation_form_min_eig(corr, eps, gamma)
 
     def test_newton_cap_exits_3(self, monkeypatch, capsys):
         monkeypatch.setattr(corrector_module, "NEWTON_CAP", 1)
@@ -487,9 +506,9 @@ class TestSameBits:
 
     @pytest.fixture(scope="class", params=[17, 64, 512])
     def corr_blocks(self, request):
-        ops = make_ops(hl.double_well(), n_x=request.param, n_v=8)
-        corr = hl.build_corrector(ops)
-        eps = hl.optimize_friction(ops.m_h, ops.grid.potential.K).eps_star
+        ops = make_ops(model.double_well(), n_x=request.param, n_v=8)
+        corr = corrector_module.build_corrector(ops)
+        eps = tuning.optimize_friction(ops.m_h, ops.grid.potential.K).eps_star
         b, g = corr.block, ops.grad_x
         c_t = corrector_module._secular_blocks(ops, eps)[2]
         return corr, {"B": b, "Grad B": corrector_module._grad_dense(ops, b),
@@ -504,7 +523,7 @@ class TestSameBits:
         for name, x in corr_blocks[1].items():
             n = x.shape[1]
             copied = np.sqrt(sla.eigvalsh(x.T @ x, subset_by_index=[n - 1, n - 1])[0])
-            assert hl.operator_norm(x) == copied, name
+            assert corrector_module.operator_norm(x) == copied, name
 
     def test_secular_eigensolve_of_the_view_matches_the_copy(self, corr_blocks):
         c_t = corr_blocks[1]["C^T"]
@@ -541,11 +560,11 @@ class TestSameBits:
     def test_lapack_copies_no_dense_operand(self):
         # a copy of an n_x x n_x operand would double each peak below
         n_x = 256
-        ops = make_ops(hl.double_well(), n_x=n_x, n_v=8)
+        ops = make_ops(model.double_well(), n_x=n_x, n_v=8)
         unit, work = 8 * n_x * n_x, 8 * 128 * n_x
-        corr, peak = allocation_peak(hl.build_corrector, ops)
+        corr, peak = allocation_peak(corrector_module.build_corrector, ops)
         assert peak <= unit + unit // 8 + work  # B and the finiteness mask
-        _, peak = allocation_peak(hl.operator_norm, corr.block)
+        _, peak = allocation_peak(corrector_module.operator_norm, corr.block)
         assert peak <= unit + work  # the Gram matrix
         s = corr.block.T @ corr.block
         _, peak = allocation_peak(functools.partial(
@@ -584,12 +603,13 @@ def corrector_stage_bytes(n_x, n_v):
 def test_corrector_stage_peak_holds_three_position_arrays(potential, n_x, n_v):
     # the dense phase sets the peak at 1024 x 8, apply_form at the others
     ops = make_ops(SMALL_POTENTIALS[potential](), n_x=n_x, n_v=n_v)
-    tuned = hl.optimize_friction(ops.m_h, ops.grid.potential.K)
+    tuned = tuning.optimize_friction(ops.m_h, ops.grid.potential.K)
 
     def stage():
-        corr = hl.build_corrector(ops)
-        hl.verify_corrector_bounds(corr)
-        return hl.dissipation_form_min_eig(corr, tuned.eps_star, tuned.gamma_star)
+        corr = corrector_module.build_corrector(ops)
+        corrector_module.verify_corrector_bounds(corr)
+        return corrector_module.dissipation_form_min_eig(
+            corr, tuned.eps_star, tuned.gamma_star)
 
     _, peak = allocation_peak(stage)
     assert peak <= corrector_stage_bytes(n_x, n_v)
@@ -597,14 +617,14 @@ def test_corrector_stage_peak_holds_three_position_arrays(potential, n_x, n_v):
 
 class TestBochner:
     def test_constant_function_zero_residual(self, ops_quad):
-        r = hl.bochner_residual(ops_quad, np.ones(ops_quad.n_x))
+        r = corrector_module.bochner_residual(ops_quad, np.ones(ops_quad.n_x))
         assert abs(r) <= 1e-20
 
     def test_refinement_is_second_order(self):
         residuals = []
         for n_x in (64, 128, 256):
-            ops = make_ops(hl.quadratic(1.0), n_x=n_x, n_v=4)
-            residuals.append(abs(hl.bochner_residual(ops, ops.grid.nodes**2)))
+            ops = make_ops(model.quadratic(1.0), n_x=n_x, n_v=4)
+            residuals.append(abs(corrector_module.bochner_residual(ops, ops.grid.nodes**2)))
         assert residuals[0] > residuals[1] > residuals[2]
         for coarse, fine in zip(residuals, residuals[1:]):
             assert 3.0 <= coarse / fine <= 7.0
@@ -612,10 +632,10 @@ class TestBochner:
     def test_double_well_inequality_with_k(self):
         # K_h <= K, so ||D^2 h||^2 <= ||L_o h||^2 + K ||D h||^2 holds for
         # every h, the suite's functions among them
-        ops = make_ops(hl.double_well(), n_x=256, n_v=4)
+        ops = make_ops(model.double_well(), n_x=256, n_v=4)
         K = ops.grid.potential.K
-        assert 0.0 <= K - hl.discrete_curvature(ops.grid).max() <= 1e-3
-        for name, values in hl.bochner_test_suite(ops.grid).items():
+        assert 0.0 <= K - discretize.discrete_curvature(ops.grid).max() <= 1e-3
+        for name, values in discretize.bochner_test_suite(ops.grid).items():
             if name != "one":  # both sides are roundoff
                 g1 = ops.grad_x @ (ops.grid.sqrt_weights * values)
                 g2 = ops.grad_x @ g1
@@ -626,7 +646,7 @@ class TestBochner:
         # cosine_bump(2) has K = 1, but its grid curvature peaks at
         # K_h = 2.21 near x = 2 pi at N_x = 128: the h with Grad h = e_j,
         # j = argmax c, breaks the discrete inequality
-        curvature = hl.discrete_curvature(ops_cos.grid)
+        curvature = discretize.discrete_curvature(ops_cos.grid)
         j = int(np.argmax(curvature))
         e = np.zeros(ops_cos.n_x)
         e[j] = 1.0
@@ -641,14 +661,14 @@ class TestBochner:
         assert (rhs - lhs) / rhs == pytest.approx(-0.0060, abs=1e-4)
 
     @pytest.mark.parametrize("potential", [
-        hl.quadratic(), hl.double_well(), hl.cosine_bump(1.0)],
+        model.quadratic(), model.double_well(), model.cosine_bump(1.0)],
         ids=["quadratic", "double_well", "cosine_bump"])
     def test_grid_curvature_below_k(self, potential):
         for n_x in range(16, 513):
-            grid = hl.build_grid(potential, potential.domain, n_x)
-            assert hl.discrete_curvature(grid).max() < potential.K, n_x
+            grid = discretize.build_grid(potential, potential.domain, n_x)
+            assert discretize.discrete_curvature(grid).max() < potential.K, n_x
 
     def test_suite_contents(self, ops_quad):
-        suite = hl.bochner_test_suite(ops_quad.grid)
+        suite = discretize.bochner_test_suite(ops_quad.grid)
         assert set(suite) == {"one", "hermite1", "hermite2", "gauss_bump", "sine",
                               "tanh"}

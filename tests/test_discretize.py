@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-import hypolab as hl
+from hypolab import corrector, discretize, model
 from hypolab.errors import (DegenerateGapError, DomainTooSmallError, PreconditionError,
                             WeightUnderflowError)
 
@@ -31,51 +31,51 @@ ORACLE_GAPS = {
 
 
 def grid_for(pot, l_dom, n_x):
-    return hl.build_grid(pot, l_dom, n_x)
+    return discretize.build_grid(pot, l_dom, n_x)
 
 
 class TestGrid:
     def test_weights_normalized_and_positive(self):
-        g = grid_for(hl.quadratic(1.0), 8.0, 128)
+        g = grid_for(model.quadratic(1.0), 8.0, 128)
         assert abs(g.weights.sum() - 1.0) <= 1e-14
         assert np.all(g.weights > 0)
 
     def test_even_potential_gives_symmetric_weights(self):
-        g = grid_for(hl.quadratic(1.0), 8.0, 17)
+        g = grid_for(model.quadratic(1.0), 8.0, 17)
         np.testing.assert_allclose(g.weights, g.weights[::-1], rtol=1e-12)
 
     def test_uniform_spacing(self):
-        g = grid_for(hl.double_well(), 4.0, 33)
+        g = grid_for(model.double_well(), 4.0, 33)
         np.testing.assert_allclose(np.diff(g.nodes), g.spacing, rtol=1e-12)
 
     def test_domain_too_small(self):
         with pytest.raises(DomainTooSmallError):
-            grid_for(hl.quadratic(1.0), 1.0, 64)
+            grid_for(model.quadratic(1.0), 1.0, 64)
 
     @pytest.mark.parametrize("half_width", [np.inf, np.nan, 1e200])
     def test_non_finite_potential_rejected(self, half_width):
         # at 1e200 the nodes are finite but U overflows, which would make
         # every weight NaN
         with np.errstate(all="ignore"), pytest.raises(PreconditionError):
-            grid_for(hl.quadratic(1.0), half_width, 16)
+            grid_for(model.quadratic(1.0), half_width, 16)
 
     def test_weight_underflow(self):
         # double-well tails pass confinement at L=8 but underflow exp(-U)
         with pytest.raises(WeightUnderflowError):
-            grid_for(hl.double_well(), 8.0, 128)
+            grid_for(model.double_well(), 8.0, 128)
 
 
 class TestVelocityBasis:
     def test_number_operator_eigenvalues(self):
-        b = hl.build_velocity_basis(4)
+        b = discretize.build_velocity_basis(4)
         np.testing.assert_array_equal(b.eigenvalues, [0.0, 1.0, 2.0, 3.0])
 
     def test_lowering_coefficient(self):
-        b = hl.build_velocity_basis(8)
+        b = discretize.build_velocity_basis(8)
         assert b.lowering[3, 4] == 2.0  # sqrt(4)
 
     def test_ladder_actions_exact(self):
-        b = hl.build_velocity_basis(6)
+        b = discretize.build_velocity_basis(6)
         eye = np.eye(6)
         assert np.all(b.lowering @ eye[0] == 0.0)
         for k in range(1, 6):
@@ -92,7 +92,7 @@ class TestVelocityBasis:
                                           expected)
 
     def test_number_operator_is_raise_lower(self):
-        b = hl.build_velocity_basis(9)
+        b = discretize.build_velocity_basis(9)
         np.testing.assert_allclose(
             (b.lowering.T @ b.lowering).toarray(), np.diag(b.eigenvalues),
             atol=1e-15
@@ -124,7 +124,7 @@ class TestAssembly:
         assert identities["ls_gap_on_fast_modes"] == 0.0
         assert identities["velocity_poincare"] == 0.0
         # the sandwich on the phase space is the check the run makes on la
-        exact = hl.check_structure(ops)["exact"]
+        exact = discretize.check_structure(ops)["exact"]
         assert identities["average_sandwich_zero"] == exact["average_sandwich_zero"]
 
     def test_lo_kernel_is_constant(self, ops_quad):
@@ -141,7 +141,7 @@ class TestAssembly:
 
     def test_generator_kills_constants(self, ops_quad):
         u = ops_quad.const_vec
-        L = hl.compose_generator(ops_quad, 3.0)
+        L = discretize.compose_generator(ops_quad, 3.0)
         assert np.abs(L @ u).max() <= 1e-13
         assert np.abs(L.T @ u).max() <= 1e-13
 
@@ -161,7 +161,7 @@ class TestSparseFormat:
         assert np.abs(diag - np.diag(gtg)).max() <= 1e-14 * scale
         assert np.abs(upper - np.diag(gtg, 1)).max() <= 1e-14 * scale
         # the banded solve against a dense LU solve
-        block = hl.build_corrector(ops).block
+        block = corrector.build_corrector(ops).block
         dense = sla.solve(ops.m_h * np.eye(ops.n_x) - ops.lo_x.toarray(), g.T)
         assert np.abs(block - dense).max() <= 1e-13 * np.abs(dense).max()
         # lowering^T lowering is diagonal by pattern; sqrt(k)^2 rounds to k
@@ -175,11 +175,11 @@ class TestSparseFormat:
 class TestPoincare:
     @pytest.mark.parametrize("n_x", [64, 128, 256])
     def test_quadratic_matches_oracle(self, n_x):
-        ops = make_ops(hl.quadratic(1.0), n_x=n_x, n_v=4)
+        ops = make_ops(model.quadratic(1.0), n_x=n_x, n_v=4)
         assert ops.m_h == pytest.approx(ORACLE_GAPS[("quadratic", 8.0, n_x)], rel=1e-8)
 
     def test_gap_scales_with_curvature(self):
-        ops = make_ops(hl.quadratic(2.0), n_x=256, n_v=4)
+        ops = make_ops(model.quadratic(2.0), n_x=256, n_v=4)
         assert 1.98 <= ops.m_h <= 2.02
 
     def test_double_well_matches_oracle(self, ops_dw):
@@ -194,7 +194,8 @@ class TestPoincare:
 
     @pytest.mark.parametrize(
         "pot,l_dom",
-        [(hl.quadratic(1.0), 8.0), (hl.double_well(), 4.0), (hl.cosine_bump(2.0), 8.0)],
+        [(model.quadratic(1.0), 8.0), (model.double_well(), 4.0),
+         (model.cosine_bump(2.0), 8.0)],
     )
     def test_gap_convergence_under_refinement(self, pot, l_dom):
         m_128 = make_ops(pot, l_dom, n_x=128, n_v=4).m_h
@@ -205,7 +206,7 @@ class TestPoincare:
 
     @pytest.mark.parametrize("n_x", [128, 512])
     @pytest.mark.parametrize(
-        "pot", [hl.quadratic(1.0), hl.double_well(), hl.cosine_bump(2.0)],
+        "pot", [model.quadratic(1.0), model.double_well(), model.cosine_bump(2.0)],
         ids=lambda pot: pot.kind,
     )
     def test_tridiagonal_gap_matches_dense(self, pot, n_x):
@@ -219,12 +220,12 @@ class TestPoincare:
         broken = copy.copy(ops_quad_small)
         broken.lo_x = sp.csr_matrix(ops_quad_small.lo_x.shape)
         with pytest.raises(DegenerateGapError):
-            hl.poincare_constant(broken)
+            discretize.poincare_constant(broken)
 
 
 class TestComposeGenerator:
     def test_quadratic_form_sees_only_ls(self, ops_quad_small):
-        L = hl.compose_generator(ops_quad_small, 2.5)
+        L = discretize.compose_generator(ops_quad_small, 2.5)
         for seed in range(5):
             f = random_mean_zero(ops_quad_small, seed)
             lhs = f @ (L @ f)
@@ -236,19 +237,19 @@ class TestComposeGenerator:
         f = np.zeros((ops_quad_small.n_x, ops_quad_small.n_v))
         f[10, 1] = 1.0
         f = f.ravel()
-        L = hl.compose_generator(ops_quad_small, 1.0)
+        L = discretize.compose_generator(ops_quad_small, 1.0)
         assert f @ (L @ f) == pytest.approx(-1.0, abs=1e-13)
 
     def test_symmetric_part_is_gamma_ls(self, ops_quad_small):
         gamma = 1.7
-        L = hl.compose_generator(ops_quad_small, gamma)
+        L = discretize.compose_generator(ops_quad_small, gamma)
         sym = (L + L.T) / 2 - gamma * ops_quad_small.ls
         assert abs(sym).max() <= 1e-14
 
 
 class TestStructureReport:
     def test_all_exact_checks_pass(self, ops_quad):
-        report = hl.check_structure(ops_quad)
+        report = discretize.check_structure(ops_quad)
         assert set(report) == {"exact"}
         assert set(report["exact"]) == {
             "la_antisymmetry", "average_sandwich_zero", "generator_kills_constants",
@@ -272,7 +273,7 @@ class TestStructureReport:
         # <f, -L_o g> = <L_a f, L_a g> for pure-position states: exact with
         # the ladder assembly (the two sides share the same stencil); it is
         # la_square's mode-0 block
-        report = hl.check_structure(ops_quad)
+        report = discretize.check_structure(ops_quad)
         assert report["exact"]["la_square"] <= 1e-15
         x = ops_quad.grid.nodes
         f = lift_position(ops_quad, x**2)
@@ -286,9 +287,9 @@ class TestStructureReport:
         # on the unit states of the test suite; against the suite's largest
         # side, since D^2 h is roundoff for h = x
         for ops in (ops_quad, ops_dw, ops_cos):
-            assert hl.check_structure(ops)["exact"]["la_square"] <= 1e-15
+            assert discretize.check_structure(ops)["exact"]["la_square"] <= 1e-15
             gaps, sides = [], []
-            for values in hl.bochner_test_suite(ops.grid).values():
+            for values in discretize.bochner_test_suite(ops.grid).values():
                 f = lift_position(ops, values)
                 f = f / np.linalg.norm(f)
                 la2 = ops.la @ (ops.la @ f)
@@ -310,9 +311,9 @@ class TestStructureReport:
         la_square = spmax(ops.la @ (ops.la @ pi) - square) / spmax(square)
         gd = g.toarray()
         commutator = (gd.T @ gd - gd @ gd.T)[:-1, :-1]
-        curvature = hl.discrete_curvature(ops.grid)
+        curvature = discretize.discrete_curvature(ops.grid)
         bochner = np.abs(commutator - np.diag(curvature)).max() / abs(ops.lo_x).max()
-        exact = hl.check_structure(ops)["exact"]
+        exact = discretize.check_structure(ops)["exact"]
         assert abs(exact["la_square"] - la_square) <= 1e-15
         assert max(exact["bochner_identity"], bochner) <= 1e-15
 
@@ -320,8 +321,8 @@ class TestStructureReport:
         # both sides of L_a (L_a Pi_v) = sqrt(2) Grad^2 (x) e_2 + L_o (x) e_0
         # scale like 1/h^2, and so do both of the commutator identity: each
         # relative residual stays at roundoff
-        ops = make_ops(hl.double_well(), n_x=512, n_v=32)
-        exact = hl.check_structure(ops)["exact"]
+        ops = make_ops(model.double_well(), n_x=512, n_v=32)
+        exact = discretize.check_structure(ops)["exact"]
         assert exact["la_square"] <= 1e-14
         assert exact["bochner_identity"] <= 1e-14
 
@@ -346,7 +347,7 @@ class TestStructureReport:
         perturbation[0, 1] += 1e-6
         broken.la = perturbation.tocsr()
         # the residuals are returned for the report, not raised
-        exact = hl.check_structure(broken)["exact"]
+        exact = discretize.check_structure(broken)["exact"]
         assert exact["la_antisymmetry"] == pytest.approx(1e-6, rel=1e-6)
         assert max(exact.values()) == exact["la_antisymmetry"]
 
@@ -362,7 +363,7 @@ class TestStructureReport:
         perturbation[0, n_v] += 1e-6
         perturbation[n_v, 0] -= 1e-6
         broken.la = perturbation.tocsr()
-        exact = hl.check_structure(broken)["exact"]
+        exact = discretize.check_structure(broken)["exact"]
         assert exact["la_antisymmetry"] == 0.0
         assert exact["average_sandwich_zero"] == pytest.approx(1e-6, rel=1e-6)
         assert max(exact.values()) == exact["average_sandwich_zero"]
@@ -371,8 +372,8 @@ class TestStructureReport:
         # slow branch lives on low Hermite modes; truncation level is inert
         rates = []
         for n_v in (12, 20):
-            ops = make_ops(hl.quadratic(1.0), n_x=64, n_v=n_v)
-            L = hl.compose_generator(ops, 4.0).toarray()
+            ops = make_ops(model.quadratic(1.0), n_x=64, n_v=n_v)
+            L = discretize.compose_generator(ops, 4.0).toarray()
             ev = np.sort(-np.linalg.eigvals(L).real)
             rates.append(ev[ev > 1e-9][0])
         assert abs(rates[0] - rates[1]) <= 1e-6 * rates[1]

@@ -6,8 +6,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.linalg.blas import dtbsv
 
-import hypolab as hl
 import hypolab.cli as cli
+from hypolab import corrector, discretize, evolve, model, tuning
 from hypolab.evolve import DT_GUARD, band_lu, lyapunov_identity
 from hypolab.errors import (
     ConfigurationError,
@@ -19,9 +19,9 @@ from hypolab.errors import (
 from conftest import make_ops, phase_lo, random_mean_zero
 
 POTENTIALS = {
-    "quadratic": lambda: hl.quadratic(1.0),
-    "double_well": hl.double_well,
-    "cosine_bump": lambda: hl.cosine_bump(2.0),
+    "quadratic": lambda: model.quadratic(1.0),
+    "double_well": model.double_well,
+    "cosine_bump": lambda: model.cosine_bump(2.0),
 }
 
 
@@ -29,11 +29,11 @@ def tuned_system(kind, n_x, n_v):
     """(ops, corrector, tuning, M = I - (dt/2) L, L, dt) at gamma_star and the
     largest step the guard allows, dt = DT_GUARD / gamma_star."""
     ops = make_ops(POTENTIALS[kind](), n_x=n_x, n_v=n_v)
-    tuned = hl.optimize_friction(ops.m_h, ops.grid.potential.K)
+    tuned = tuning.optimize_friction(ops.m_h, ops.grid.potential.K)
     dt = DT_GUARD / tuned.gamma_star
-    L = hl.compose_generator(ops, tuned.gamma_star)
+    L = discretize.compose_generator(ops, tuned.gamma_star)
     M = sp.identity(ops.n, format="csr") - (dt / 2) * L
-    return ops, hl.build_corrector(ops), tuned, M, L, dt
+    return ops, corrector.build_corrector(ops), tuned, M, L, dt
 
 
 def dense_factors(lu, n):
@@ -49,7 +49,7 @@ def dense_factors(lu, n):
 
 def synthetic_trace(times, norms):
     n = len(times)
-    return hl.DecayTrace(
+    return evolve.DecayTrace(
         dt=times[1] - times[0],
         times=np.asarray(times, dtype=float),
         norm=np.asarray(norms, dtype=float),
@@ -64,28 +64,28 @@ def synthetic_trace(times, norms):
 class TestInitialConditions:
     @pytest.mark.parametrize("kind", ["gap", "velocity", "random"])
     def test_mean_zero_unit_norm(self, ops_quad_small, kind):
-        f = hl.initial_condition(ops_quad_small, kind, seed=3)
+        f = evolve.initial_condition(ops_quad_small, kind, seed=3)
         assert abs(ops_quad_small.mean(f)) <= 1e-12
         assert np.linalg.norm(f) == pytest.approx(1.0, rel=1e-12)
 
     def test_zero_kind(self, ops_quad_small):
         # f = 0 would meet every evolve verdict by construction
         with pytest.raises(ConfigurationError, match="'zero'"):
-            hl.initial_condition(ops_quad_small, "zero")
+            evolve.initial_condition(ops_quad_small, "zero")
 
     def test_unknown_kind(self, ops_quad_small):
         with pytest.raises(ConfigurationError):
-            hl.initial_condition(ops_quad_small, "plume")
+            evolve.initial_condition(ops_quad_small, "plume")
 
     def test_gap_kind_is_eigenvector(self, ops_quad_small):
-        f = hl.initial_condition(ops_quad_small, "gap")
+        f = evolve.initial_condition(ops_quad_small, "gap")
         resid = -(phase_lo(ops_quad_small) @ f) - ops_quad_small.m_h * f
         assert np.linalg.norm(resid) <= 1e-10
 
     @pytest.mark.parametrize("potential", sorted(POTENTIALS))
     def test_gap_kind_matches_dense_eigenvector_with_pinned_sign(self, potential):
         ops = make_ops(POTENTIALS[potential](), n_x=128, n_v=4)
-        vec = hl.initial_condition(ops, "gap")[::ops.n_v]
+        vec = evolve.initial_condition(ops, "gap")[::ops.n_v]
         dense = sla.eigh(-ops.lo_x.toarray())[1][:, 1]
         assert min(np.abs(vec - dense).max(), np.abs(vec + dense).max()) <= 1e-12
         # positively correlated with position, far from roundoff
@@ -97,8 +97,8 @@ class TestIntegrate:
         # dt is the largest step: above DT_GUARD / gamma it is clamped there
         f = random_mean_zero(ops_quad_small, 0)
         for dt, taken in ((0.05, DT_GUARD / 4.0), (0.02, 0.02)):
-            cn = hl.crank_nicolson(ops_quad_small, 4.0, dt)
-            trace = hl.integrate(ops_quad_small, f, cn, 1.0,
+            cn = evolve.crank_nicolson(ops_quad_small, 4.0, dt)
+            trace = evolve.integrate(ops_quad_small, f, cn, 1.0,
                                  corrector=corr_quad_small, eps=0.3, Lambda=0.05)
             assert trace.dt == taken
             assert trace.times[1] == taken
@@ -107,20 +107,20 @@ class TestIntegrate:
     def test_mean_zero_precondition(self, ops_quad_small, corr_quad_small,
                                     cn_small):
         with pytest.raises(PreconditionError):
-            hl.integrate(ops_quad_small, ops_quad_small.const_vec, cn_small, 1.0,
+            evolve.integrate(ops_quad_small, ops_quad_small.const_vec, cn_small, 1.0,
                          corrector=corr_quad_small, eps=0.3, Lambda=0.05)
 
     def test_zero_state_trace(self, ops_quad_small, corr_quad_small, cn_small):
-        trace = hl.integrate(ops_quad_small, np.zeros(ops_quad_small.n), cn_small,
+        trace = evolve.integrate(ops_quad_small, np.zeros(ops_quad_small.n), cn_small,
                              1.0, corrector=corr_quad_small, eps=0.3, Lambda=0.05)
         assert np.all(trace.norm == 0.0)
         # the bound holds by construction, so there is no margin to report
         with pytest.raises(PreconditionError, match="zero state"):
-            hl.verify_decay_bound(trace)
+            evolve.verify_decay_bound(trace)
 
     def test_eigenvector_decays_at_its_eigenvalue(self, ops_quad_small,
                                                   corr_quad_small):
-        L = hl.compose_generator(ops_quad_small, 4.0).toarray()
+        L = discretize.compose_generator(ops_quad_small, 4.0).toarray()
         vals, vecs = sla.eig(L)
         order = np.argsort(-vals.real)
         slow = next(i for i in order if -vals[i].real > 1e-9)
@@ -128,8 +128,8 @@ class TestIntegrate:
         f0 = np.real(vecs[:, slow])
         f0 = ops_quad_small.project_mean_zero(f0)
         f0 /= np.linalg.norm(f0)
-        trace = hl.integrate(ops_quad_small, f0,
-                             hl.crank_nicolson(ops_quad_small, 4.0, 0.01), 5.0,
+        trace = evolve.integrate(ops_quad_small, f0,
+                             evolve.crank_nicolson(ops_quad_small, 4.0, 0.01), 5.0,
                              corrector=corr_quad_small, eps=0.29, Lambda=0.05)
         predicted = np.exp(-mu * trace.times)
         assert np.abs(trace.norm / trace.norm[0] - predicted).max() <= 1e-4
@@ -192,12 +192,12 @@ class TestBandLU:
 
     @pytest.mark.parametrize("n_x, n_v", [(128, 20), (256, 64)])
     def test_crank_nicolson_holds_one_band_array(self, n_x, n_v):
-        ops = make_ops(hl.double_well(), n_x=n_x, n_v=n_v)
-        gamma = hl.optimize_friction(ops.m_h, ops.grid.potential.K).gamma_star
-        hl.crank_nicolson(ops, gamma, 0.02)  # the first call allocates one-time caches
+        ops = make_ops(model.double_well(), n_x=n_x, n_v=n_v)
+        gamma = tuning.optimize_friction(ops.m_h, ops.grid.potential.K).gamma_star
+        evolve.crank_nicolson(ops, gamma, 0.02)  # the first call allocates one-time caches
         tracemalloc.start()
         try:
-            cn = hl.crank_nicolson(ops, gamma, 0.02)
+            cn = evolve.crank_nicolson(ops, gamma, 0.02)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -244,12 +244,12 @@ class TestBandLU:
     @pytest.mark.parametrize("kind", sorted(POTENTIALS))
     def test_integrate_matches_dense_crank_nicolson(self, kind):
         ops, corr, tuned, M, L, dt = tuned_system(kind, 32, 8)
-        f0 = hl.initial_condition(ops, "random", seed=11)
-        cn = hl.crank_nicolson(ops, tuned.gamma_star, dt)
-        trace = hl.integrate(ops, f0, cn, 50 * dt, corrector=corr,
+        f0 = evolve.initial_condition(ops, "random", seed=11)
+        cn = evolve.crank_nicolson(ops, tuned.gamma_star, dt)
+        trace = evolve.integrate(ops, f0, cn, 50 * dt, corrector=corr,
                              eps=tuned.eps_star, Lambda=tuned.Lambda)
         assert len(trace.times) == 51
-        functional = hl.ModifiedFunctional(corr, L, tuned.eps_star)
+        functional = corrector.ModifiedFunctional(corr, L, tuned.eps_star)
         forward = np.eye(ops.n) + (dt / 2) * L.toarray()
         f, ref = f0, []
         for _ in range(51):
@@ -272,24 +272,24 @@ class TestLyapunovIdentity:
     def test_holds_off_the_tuned_point(self, kind):
         # the identity is algebraic: any (gamma, eps) satisfies it
         ops, corr, tuned, _, _, _ = tuned_system(kind, 32, 8)
-        f0 = hl.initial_condition(ops, "velocity")
-        trace = hl.integrate(ops, f0, hl.crank_nicolson(ops, 2.0, 0.02), 2.0,
+        f0 = evolve.initial_condition(ops, "velocity")
+        trace = evolve.integrate(ops, f0, evolve.crank_nicolson(ops, 2.0, 0.02), 2.0,
                              corrector=corr, eps=0.05, Lambda=tuned.Lambda)
         assert lyapunov_identity(trace) <= 1e-12
 
     def test_detects_a_wrong_step(self, quad_trace):
         lyap = quad_trace.lyap.copy()
         lyap[7] *= 1 + 1e-9
-        doctored = hl.DecayTrace(**{**quad_trace.__dict__, "lyap": lyap})
+        doctored = evolve.DecayTrace(**{**quad_trace.__dict__, "lyap": lyap})
         assert lyapunov_identity(doctored) >= 0.5e-9 * lyap[7] / lyap[0]
 
     def test_zero_state_and_no_steps(self, ops_quad_small, corr_quad_small,
                                      cn_small):
-        trace = hl.integrate(ops_quad_small, np.zeros(ops_quad_small.n), cn_small,
+        trace = evolve.integrate(ops_quad_small, np.zeros(ops_quad_small.n), cn_small,
                              1.0, corrector=corr_quad_small, eps=0.3, Lambda=0.05)
         assert lyapunov_identity(trace) == 0.0
-        f0 = hl.initial_condition(ops_quad_small, "random")
-        trace = hl.integrate(ops_quad_small, f0, cn_small, 0.0,
+        f0 = evolve.initial_condition(ops_quad_small, "random")
+        trace = evolve.integrate(ops_quad_small, f0, cn_small, 0.0,
                              corrector=corr_quad_small, eps=0.3, Lambda=0.05)
         assert len(trace.diss_mid) == 0
         assert lyapunov_identity(trace) == 0.0
@@ -298,12 +298,12 @@ class TestLyapunovIdentity:
 class TestEstimateRate:
     def test_pure_exponential(self):
         t = np.linspace(0.0, 10.0, 401)
-        rate = hl.estimate_rate(synthetic_trace(t, np.exp(-0.3 * t)))
+        rate = evolve.estimate_rate(synthetic_trace(t, np.exp(-0.3 * t)))
         assert rate == pytest.approx(0.3, abs=1e-6)
 
     def test_constant_trace(self):
         t = np.linspace(0.0, 10.0, 101)
-        rate = hl.estimate_rate(synthetic_trace(t, np.ones_like(t)))
+        rate = evolve.estimate_rate(synthetic_trace(t, np.ones_like(t)))
         assert abs(rate) <= 1e-12
 
     def test_zero_norm_rejected(self):
@@ -311,23 +311,23 @@ class TestEstimateRate:
         t = np.linspace(0.0, 1.0, 11)
         norms = np.r_[np.ones(5), np.zeros(6)]
         with pytest.raises(DegenerateTraceError):
-            hl.estimate_rate(synthetic_trace(t, norms))
+            evolve.estimate_rate(synthetic_trace(t, norms))
 
     def test_roundoff_floor_excluded(self):
         # a trace that decays like e^{-t} until it sinks into a 1e-16 floor
         t = np.linspace(0.0, 100.0, 1001)
-        rate = hl.estimate_rate(synthetic_trace(t, np.maximum(np.exp(-t), 1e-16)))
+        rate = evolve.estimate_rate(synthetic_trace(t, np.maximum(np.exp(-t), 1e-16)))
         assert rate == pytest.approx(1.0, rel=1e-9)
 
     def test_tuned_quadratic_rate(self, quad_trace, tuned_quad):
-        fitted = hl.estimate_rate(quad_trace)
+        fitted = evolve.estimate_rate(quad_trace)
         assert fitted >= tuned_quad.Lambda * (1 - 1e-6)
         assert fitted == pytest.approx(2.0 - np.sqrt(3.0), rel=0.05)
 
 
 class TestDecayBound:
     def test_holds_on_tuned_run(self, quad_trace):
-        margin, binds_at = hl.verify_decay_bound(quad_trace)
+        margin, binds_at = evolve.verify_decay_bound(quad_trace)
         assert margin > 0.0
         # t = 0 is left out: its margin is 1 - 1/sqrt(3) by construction
         rel = (quad_trace.bound - quad_trace.norm) / quad_trace.bound
@@ -338,7 +338,7 @@ class TestDecayBound:
         # a norm 1e-9 above the envelope is a failure, with a negative margin
         trace = synthetic_trace([0.0, 1.0], [1.0, 1.0])
         trace.bound = np.array([np.sqrt(3.0), 1.0 - 1e-9])
-        margin, binds_at = hl.verify_decay_bound(trace)
+        margin, binds_at = evolve.verify_decay_bound(trace)
         assert margin == pytest.approx(-1e-9, rel=1e-6)
         assert binds_at == 1.0
 
@@ -346,22 +346,22 @@ class TestDecayBound:
         trace = synthetic_trace([0.0, 1.0], [1.0, 1.0])
         trace.times, trace.norm = trace.times[:1], trace.norm[:1]
         with pytest.raises(PreconditionError, match="t > 0"):
-            hl.verify_decay_bound(trace)
+            evolve.verify_decay_bound(trace)
 
 
 class TestLyapunovDerivative:
     def test_zero_trace_residual(self, ops_quad_small, corr_quad_small, cn_small):
-        trace = hl.integrate(ops_quad_small, np.zeros(ops_quad_small.n), cn_small,
+        trace = evolve.integrate(ops_quad_small, np.zeros(ops_quad_small.n), cn_small,
                              1.0, corrector=corr_quad_small, eps=0.3, Lambda=0.05)
-        resid = hl.lyapunov_derivative_check(trace, monotone=False)
+        resid = evolve.lyapunov_derivative_check(trace, monotone=False)
         assert resid == 0.0
 
     def test_residual_small_on_tuned_run(self, quad_trace):
-        resid = hl.lyapunov_derivative_check(quad_trace, monotone=True, t_min=2.0)
+        resid = evolve.lyapunov_derivative_check(quad_trace, monotone=True, t_min=2.0)
         assert resid <= 1e-4
 
     def test_monotonicity_enforced_on_tuned_runs(self, quad_trace):
-        doctored = hl.DecayTrace(
+        doctored = evolve.DecayTrace(
             dt=quad_trace.dt,
             times=quad_trace.times[:5],
             norm=quad_trace.norm[:5],
@@ -372,18 +372,18 @@ class TestLyapunovDerivative:
             mean=quad_trace.mean[:5],
         )
         with pytest.raises(NumericalError):
-            hl.lyapunov_derivative_check(doctored, monotone=True)
+            evolve.lyapunov_derivative_check(doctored, monotone=True)
         # off the tuned point the functional may rise; only the residual counts
-        assert hl.lyapunov_derivative_check(doctored, monotone=False) > 0.0
+        assert evolve.lyapunov_derivative_check(doctored, monotone=False) > 0.0
 
     def test_short_trace_rejected(self):
         trace = synthetic_trace([0.0, 0.1], [1.0, 0.9])
         with pytest.raises(PreconditionError):
-            hl.lyapunov_derivative_check(trace, monotone=False)
+            evolve.lyapunov_derivative_check(trace, monotone=False)
         # the interior samples of a longer trace end at t = 0.2
         trace = synthetic_trace([0.0, 0.1, 0.2, 0.3], [1.0, 0.9, 0.8, 0.7])
         with pytest.raises(PreconditionError, match="t_min excludes"):
-            hl.lyapunov_derivative_check(trace, monotone=False, t_min=0.25)
+            evolve.lyapunov_derivative_check(trace, monotone=False, t_min=0.25)
 
 
 class TestCsvRows:

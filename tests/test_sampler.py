@@ -4,8 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-import hypolab as hl
-from hypolab import sampler
+from hypolab import model, sampler, tuning
 from hypolab.errors import DivergenceError, InsufficientSignalError
 from hypolab.model import potential_gradient
 from hypolab.sampler import (OBSERVABLES, _baoab_inplace, _force,
@@ -29,7 +28,7 @@ def ensemble_peak(cfg):
     """The most bytes tracemalloc sees held during run_ensemble(cfg)."""
     tracemalloc.start()
     try:
-        hl.run_ensemble(cfg)
+        sampler.run_ensemble(cfg)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -49,19 +48,19 @@ def baoab_step(state, potential, gamma, dt, noise):
 
 class TestConfig:
     def test_default_observables_present(self):
-        cfg = hl.SdeConfig(potential=hl.quadratic(), particles=100, steps=10)
-        assert set(hl.run_ensemble(cfg).means) >= {"x0", "x_sq", "v_sq", "energy"}
+        cfg = sampler.SdeConfig(potential=model.quadratic(), particles=100, steps=10)
+        assert set(sampler.run_ensemble(cfg).means) >= {"x0", "x_sq", "v_sq", "energy"}
 
 
 class TestStepBaoab:
     def test_frictionless_step_is_velocity_verlet(self):
-        x, v = baoab_step((1.0, 0.0), hl.quadratic(1.0), gamma=1e-300,
+        x, v = baoab_step((1.0, 0.0), model.quadratic(1.0), gamma=1e-300,
                           dt=0.1, noise=0.0)
         assert float(x) == pytest.approx(0.995, abs=1e-12)
         assert float(v) == pytest.approx(-0.09975, abs=1e-12)
 
     def test_critical_point_is_fixed(self):
-        x, v = baoab_step((0.0, 0.0), hl.double_well(), gamma=1e-300,
+        x, v = baoab_step((0.0, 0.0), model.double_well(), gamma=1e-300,
                           dt=0.05, noise=0.0)
         assert float(x) == 0.0 and float(v) == 0.0
 
@@ -71,7 +70,7 @@ class TestStepBaoab:
         xs, vs = x, v
         for _ in range(50):
             xi = rng.standard_normal()
-            x, v = baoab_step((x, v), hl.quadratic(1.0), 4.0, 0.01, xi)
+            x, v = baoab_step((x, v), model.quadratic(1.0), 4.0, 0.01, xi)
             xs, vs = scalar_baoab_reference(xs, vs, 1.0, 4.0, 0.01, xi)
         assert float(x) == pytest.approx(xs, abs=1e-14)
         assert float(v) == pytest.approx(vs, abs=1e-14)
@@ -80,7 +79,7 @@ class TestStepBaoab:
         rng = np.random.default_rng(0)
         x = rng.standard_normal((32, 3))
         v = rng.standard_normal((32, 3))
-        xn, vn = baoab_step((x, v), hl.quadratic(1.0), 2.0, 0.01,
+        xn, vn = baoab_step((x, v), model.quadratic(1.0), 2.0, 0.01,
                             rng.standard_normal((32, 3)))
         assert xn.shape == vn.shape == (32, 3)
 
@@ -88,7 +87,7 @@ class TestStepBaoab:
         # x and v are advanced in place, force leaves holding U' at the new x
         # (the next step's starting force), and the noise is only read
         rng = np.random.default_rng(1)
-        pot = hl.double_well()
+        pot = model.double_well()
         x, v = rng.standard_normal((2, 8, 2))
         noise = rng.standard_normal((8, 2))
         expected = baoab_step((x, v), pot, 2.0, 0.01, noise)
@@ -103,7 +102,7 @@ class TestStepBaoab:
         np.testing.assert_array_equal(noise, noise0)
 
     @pytest.mark.parametrize("pot, arrays", [
-        (hl.quadratic(), 1), (hl.double_well(), 2), (hl.cosine_bump(2.0), 2),
+        (model.quadratic(), 1), (model.double_well(), 2), (model.cosine_bump(2.0), 2),
     ], ids=["quadratic", "double_well", "cosine_bump"])
     def test_steps_allocate_only_the_force(self, pot, arrays):
         # a full chunk at d = 4: the arithmetic writes into the scratch array,
@@ -134,7 +133,7 @@ class TestForce:
         x = np.full((4, 2), 1e308)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            np.testing.assert_array_equal(_force(hl.quadratic(), x), x)
+            np.testing.assert_array_equal(_force(model.quadratic(), x), x)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_force_names_its_flat_coordinate(self, bad):
@@ -144,7 +143,7 @@ class TestForce:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DivergenceError) as err:
-                _force(hl.quadratic(), x)
+                _force(model.quadratic(), x)
         assert err.value.coordinate == 1
 
 
@@ -167,10 +166,10 @@ class TestRunEnsemble:
         # ends, and must equal the reduction of the whole (records, particles)
         # array bit for bit.
         monkeypatch.setattr("hypolab.sampler.CHUNK", 128)
-        for pot in (hl.quadratic(), hl.double_well(), hl.cosine_bump(2.0)):
-            cfg = hl.SdeConfig(potential=pot, d=2, particles=100,
+        for pot in (model.quadratic(), model.double_well(), model.cosine_bump(2.0)):
+            cfg = sampler.SdeConfig(potential=pot, d=2, particles=100,
                                steps=600, gamma=2.0, seed=5, init_shift=0.5)
-            trace = hl.run_ensemble(cfg)
+            trace = sampler.run_ensemble(cfg)
             x = np.full((cfg.particles, cfg.d), cfg.init_shift)
             v = np.empty_like(x)
             ref = np.empty((len(OBSERVABLES), len(trace.times), cfg.particles))
@@ -195,39 +194,39 @@ class TestRunEnsemble:
             np.testing.assert_array_equal(trace.final_v_var, v.var(axis=0))
 
     def test_same_seed_is_bitwise_identical(self):
-        cfg = hl.SdeConfig(potential=hl.quadratic(), particles=300, steps=100,
+        cfg = sampler.SdeConfig(potential=model.quadratic(), particles=300, steps=100,
                            gamma=4.0, seed=7)
-        a = hl.run_ensemble(cfg)
-        b = hl.run_ensemble(cfg)
+        a = sampler.run_ensemble(cfg)
+        b = sampler.run_ensemble(cfg)
         for name in a.means:
             np.testing.assert_array_equal(a.means[name], b.means[name])
         np.testing.assert_array_equal(a.final_x_mean, b.final_x_mean)
         assert a.divergence is None and not a.diverged
 
     def test_chunking_does_not_change_results(self, monkeypatch):
-        cfg = hl.SdeConfig(potential=hl.quadratic(), particles=300, steps=80,
+        cfg = sampler.SdeConfig(potential=model.quadratic(), particles=300, steps=80,
                            gamma=4.0, seed=13)
-        a = hl.run_ensemble(cfg)
+        a = sampler.run_ensemble(cfg)
         monkeypatch.setattr("hypolab.sampler.CHUNK", 64)
-        assert_traces_equal(a, hl.run_ensemble(cfg))
+        assert_traces_equal(a, sampler.run_ensemble(cfg))
 
     @pytest.mark.parametrize("block", [7, 80, 256])
     def test_noise_block_length_does_not_change_results(self, block, monkeypatch):
         # at record_every 1 every step is a record, and at 3 records fall on
         # either side of the block edges
-        cfgs = [hl.SdeConfig(potential=hl.double_well(), d=3, particles=150,
+        cfgs = [sampler.SdeConfig(potential=model.double_well(), d=3, particles=150,
                              steps=80, gamma=3.0, seed=21, init_shift=1.0,
                              record_every=every) for every in (10, 1, 3)]
-        traces = [hl.run_ensemble(cfg) for cfg in cfgs]
+        traces = [sampler.run_ensemble(cfg) for cfg in cfgs]
         monkeypatch.setattr("hypolab.sampler.BLOCK", block)
         for cfg, trace in zip(cfgs, traces):
-            assert_traces_equal(trace, hl.run_ensemble(cfg))
+            assert_traces_equal(trace, sampler.run_ensemble(cfg))
 
     def test_memory_does_not_grow_with_steps(self):
         """Only the per-record means and stderrs grow with the steps."""
 
         def peak(steps):
-            return ensemble_peak(hl.SdeConfig(potential=hl.double_well(), d=2,
+            return ensemble_peak(sampler.SdeConfig(potential=model.double_well(), d=2,
                                               particles=1000, steps=steps,
                                               gamma=2.0, seed=3))
 
@@ -239,7 +238,7 @@ class TestRunEnsemble:
         p = 1024
 
         def peak(every):
-            return ensemble_peak(hl.SdeConfig(potential=hl.quadratic(), particles=p,
+            return ensemble_peak(sampler.SdeConfig(potential=model.quadratic(), particles=p,
                                               steps=sampler.BLOCK, seed=3,
                                               record_every=every))
 
@@ -249,12 +248,12 @@ class TestRunEnsemble:
     def test_chunk_counts_coordinates_not_trajectories(self, monkeypatch):
         # at d = 4, CHUNK = 4 * 4096 is the 4096-trajectory partition that a
         # CHUNK of trajectories gave; 4096 coordinates are 1024 trajectories
-        cfg = hl.SdeConfig(potential=hl.double_well(), d=4, particles=2500,
+        cfg = sampler.SdeConfig(potential=model.double_well(), d=4, particles=2500,
                            steps=40, gamma=3.0, seed=17, init_shift=0.5)
         traces = []
         for chunk in (4 * 4096, 4096):
             monkeypatch.setattr("hypolab.sampler.CHUNK", chunk)
-            traces.append(hl.run_ensemble(cfg))
+            traces.append(sampler.run_ensemble(cfg))
         assert_traces_equal(*traces)
 
     def test_memory_beyond_the_state_does_not_grow_with_dimension(self):
@@ -264,7 +263,7 @@ class TestRunEnsemble:
         p = sampler.CHUNK  # a full chunk at d = 1
 
         def peak_beyond_state(d):
-            cfg = hl.SdeConfig(potential=hl.quadratic(), d=d, particles=p,
+            cfg = sampler.SdeConfig(potential=model.quadratic(), d=d, particles=p,
                                steps=sampler.BLOCK, seed=3)
             return ensemble_peak(cfg) - 4 * 8 * p * d
 
@@ -278,7 +277,7 @@ class TestRunEnsemble:
         # 4100 particles at d = 1 and 700 at d = 16 leave a last chunk part
         # full; at 8 particles the formula stays above the peak only with
         # RUN_BYTES
-        cfg = hl.SdeConfig(potential=hl.double_well(), d=d, particles=particles,
+        cfg = sampler.SdeConfig(potential=model.double_well(), d=d, particles=particles,
                            steps=300, gamma=2.0, seed=3, init_shift=1.0,
                            record_every=every)
         peak = ensemble_peak(cfg)
@@ -289,13 +288,13 @@ class TestRunEnsemble:
         # record stays above the noise floor and the fit holds all of them;
         # a short BLOCK makes the records, not the block buffers, set the peak
         monkeypatch.setattr(sampler, "BLOCK", 16)
-        cfg = hl.SdeConfig(potential=hl.quadratic(), particles=100, steps=4000,
+        cfg = sampler.SdeConfig(potential=model.quadratic(), particles=100, steps=4000,
                            gamma=50.0, seed=3, init_shift=1000.0, record_every=1)
         tracemalloc.start()
         try:
-            trace = hl.run_ensemble(cfg)
+            trace = sampler.run_ensemble(cfg)
             ensemble = tracemalloc.get_traced_memory()[1]
-            hl.estimate_observable_decay(trace)
+            sampler.estimate_observable_decay(trace)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -317,13 +316,13 @@ class TestRunEnsemble:
 
     def test_ensemble_bytes_counts_in_python_ints(self):
         # 3 * 10**12 * 10**8 * 8 bytes overflows int64
-        cfg = hl.SdeConfig(potential=hl.quadratic(), d=10**12, particles=10**8)
+        cfg = sampler.SdeConfig(potential=model.quadratic(), d=10**12, particles=10**8)
         assert sampler.ensemble_bytes(cfg) > 24 * 10**20
 
     def test_equilibrium_moments_quadratic(self):
-        cfg = hl.SdeConfig(potential=hl.quadratic(1.0), particles=4000,
+        cfg = sampler.SdeConfig(potential=model.quadratic(1.0), particles=4000,
                            steps=1200, dt=0.01, gamma=4.0, seed=2024)
-        trace = hl.run_ensemble(cfg)
+        trace = sampler.run_ensemble(cfg)
         se = np.sqrt(2.0 / cfg.particles)
         v_sq = float((trace.final_v_var + trace.final_v_mean**2).mean())
         x_sq = float((trace.final_x_var + trace.final_x_mean**2).mean())
@@ -333,15 +332,15 @@ class TestRunEnsemble:
     @pytest.mark.parametrize(
         "pot,m_h,K,seed",
         [
-            (hl.double_well(), 0.7917922360, 1.0, 5),
-            (hl.cosine_bump(2.0), 0.2039779318, 1.0, 6),
+            (model.double_well(), 0.7917922360, 1.0, 5),
+            (model.cosine_bump(2.0), 0.2039779318, 1.0, 6),
         ],
     )
     def test_equilibrium_velocity_all_potentials(self, pot, m_h, K, seed):
         gamma_star = np.sqrt(16 * m_h + 2 * K)
-        cfg = hl.SdeConfig(potential=pot, particles=4000, steps=1500, dt=0.01,
+        cfg = sampler.SdeConfig(potential=pot, particles=4000, steps=1500, dt=0.01,
                            gamma=gamma_star, seed=seed)
-        trace = hl.run_ensemble(cfg)
+        trace = sampler.run_ensemble(cfg)
         se = np.sqrt(2.0 / cfg.particles)
         v_sq = float((trace.final_v_var + trace.final_v_mean**2).mean())
         assert abs(v_sq - 1.0) <= 3 * se
@@ -353,32 +352,32 @@ class TestRunEnsemble:
         assert spread <= 0.1 * abs(energy[-1])
 
     def test_multidimensional_moments(self):
-        cfg = hl.SdeConfig(potential=hl.quadratic(1.0), d=3, particles=2000,
+        cfg = sampler.SdeConfig(potential=model.quadratic(1.0), d=3, particles=2000,
                            steps=800, dt=0.01, gamma=4.0, seed=3)
-        trace = hl.run_ensemble(cfg)
+        trace = sampler.run_ensemble(cfg)
         se = np.sqrt(2.0 / (cfg.particles * cfg.d))
         v_sq = float((trace.final_v_var + trace.final_v_mean**2).mean())
         assert abs(v_sq - 1.0) <= 4 * se
         assert trace.final_x_mean.shape == (3,)
 
     def test_divergence_flagged(self):
-        cfg = hl.SdeConfig(potential=hl.double_well(), particles=200, steps=200,
+        cfg = sampler.SdeConfig(potential=model.double_well(), particles=200, steps=200,
                            dt=0.2, gamma=4.0, seed=0, init_shift=20.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            trace = hl.run_ensemble(cfg)
+            trace = sampler.run_ensemble(cfg)
         assert trace.diverged
         assert len(trace.times) < cfg.steps // cfg.record_every + 1
 
     def test_divergence_names_trajectory_and_step(self):
         # near the stability edge only some trajectories blow up; the report
         # names the first to do so, in step and then trajectory order
-        cfg = hl.SdeConfig(potential=hl.double_well(), d=2, particles=200,
+        cfg = sampler.SdeConfig(potential=model.double_well(), d=2, particles=200,
                            steps=200, dt=0.2, gamma=4.0, seed=0, init_shift=11.4)
         first = {}
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            trace = hl.run_ensemble(cfg)
+            trace = sampler.run_ensemble(cfg)
             for i in range(cfg.particles):
                 gen = np.random.Generator(np.random.Philox(key=[cfg.seed, i]))
                 draws = gen.standard_normal((cfg.steps + 1, cfg.d))
@@ -403,7 +402,7 @@ class TestRunEnsemble:
         # at CHUNK = 128 (chunks of 64 trajectories at d = 2) every chunk
         # diverges, chunk 1 first (step 8) and chunk 0 at step 9; BLOCK = 8
         # ends the run before chunk 0 diverges
-        cfg = hl.SdeConfig(potential=hl.double_well(), d=2, particles=300,
+        cfg = sampler.SdeConfig(potential=model.double_well(), d=2, particles=300,
                            steps=200, dt=0.2, gamma=4.0, seed=0, init_shift=11.4)
         traces = []
         with warnings.catch_warnings():
@@ -412,7 +411,7 @@ class TestRunEnsemble:
                                  (128, 8)]:
                 monkeypatch.setattr("hypolab.sampler.CHUNK", chunk)
                 monkeypatch.setattr("hypolab.sampler.BLOCK", block)
-                traces.append(hl.run_ensemble(cfg))
+                traces.append(sampler.run_ensemble(cfg))
         first = traces[0]
         step = first.divergence["step"]
         assert len(first.times) == max(step - 1, 0) // cfg.record_every + 1
@@ -424,31 +423,31 @@ class TestRunEnsemble:
 
 class TestObservableDecay:
     def test_overdamped_regime_rate(self):
-        cfg = hl.SdeConfig(potential=hl.quadratic(1.0), particles=10000,
+        cfg = sampler.SdeConfig(potential=model.quadratic(1.0), particles=10000,
                            steps=2000, dt=0.01, gamma=4.0, seed=2024,
                            init_shift=2.0)
-        r = hl.estimate_observable_decay(hl.run_ensemble(cfg))
+        r = sampler.estimate_observable_decay(sampler.run_ensemble(cfg))
         oracle = 2.0 - np.sqrt(3.0)
         assert abs(r - oracle) <= 0.15 * oracle
 
     def test_underdamped_regime_rate(self):
-        cfg = hl.SdeConfig(potential=hl.quadratic(1.0), particles=10000,
+        cfg = sampler.SdeConfig(potential=model.quadratic(1.0), particles=10000,
                            steps=4000, dt=0.01, gamma=0.2, seed=2024,
                            init_shift=2.0)
-        r = hl.estimate_observable_decay(hl.run_ensemble(cfg))
+        r = sampler.estimate_observable_decay(sampler.run_ensemble(cfg))
         assert abs(r - 0.1) <= 0.2 * 0.1
 
     def test_no_signal_rejected(self):
-        cfg = hl.SdeConfig(potential=hl.quadratic(1.0), particles=500,
+        cfg = sampler.SdeConfig(potential=model.quadratic(1.0), particles=500,
                            steps=100, dt=0.01, gamma=4.0, seed=1)
         with pytest.raises(InsufficientSignalError, match="at t = 0"):
-            hl.estimate_observable_decay(hl.run_ensemble(cfg))
+            sampler.estimate_observable_decay(sampler.run_ensemble(cfg))
         # a shifted start, but 6 records: fewer than MIN_FIT_SAMPLES = 8 to fit
-        cfg = hl.SdeConfig(potential=hl.quadratic(1.0), particles=500,
+        cfg = sampler.SdeConfig(potential=model.quadratic(1.0), particles=500,
                            steps=5, dt=0.01, gamma=4.0, seed=1, init_shift=2.0,
                            record_every=1)
         with pytest.raises(InsufficientSignalError, match="fewer than 8"):
-            hl.estimate_observable_decay(hl.run_ensemble(cfg))
+            sampler.estimate_observable_decay(sampler.run_ensemble(cfg))
 
 
 class TestGammaSweep:
@@ -458,10 +457,10 @@ class TestGammaSweep:
         for gamma in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0):
             theory = gamma / 2 if gamma <= 2 else (gamma - np.sqrt(gamma**2 - 4)) / 2
             steps = int(min(40.0 / theory, 60.0) / 0.01)
-            cfg = hl.SdeConfig(potential=hl.quadratic(1.0), particles=4000,
+            cfg = sampler.SdeConfig(potential=model.quadratic(1.0), particles=4000,
                                steps=steps, dt=0.01, gamma=gamma, seed=11,
                                init_shift=2.0)
-            rates[gamma] = hl.estimate_observable_decay(hl.run_ensemble(cfg))
+            rates[gamma] = sampler.estimate_observable_decay(sampler.run_ensemble(cfg))
         assert max(rates, key=rates.get) == 2.0
         tuned = rates[4.0]
-        assert tuned >= hl.rate(1.0, 0.0)[1]  # certified rate is a lower bound
+        assert tuned >= tuning.rate(1.0, 0.0)[1]  # certified rate is a lower bound
