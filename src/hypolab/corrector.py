@@ -104,15 +104,17 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
 
-from .discretize import OperatorSet, compose_generator
-from .errors import NumericalError, PreconditionError
+from .discretize import OperatorSet, compose_generator, grad_bands, lo_bands
+from .errors import NumericalError
 from .model import eval_potential
 from .tuning import curvature_roots
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 NEWTON_CAP = 50  # secular Newton steps before NumericalError
 NEWTON_FLOOR = 8 * np.finfo(float).eps  # rounding level of mu, per unit of S
@@ -135,6 +137,8 @@ class Corrector:
     @functools.cached_property
     def matrix(self) -> sp.csr_matrix:
         """A = kron(B, e_0 e_1^T) on the phase space."""
+        import scipy.sparse as sp
+
         n_v = self.ops.n_v
         e01 = sp.csr_matrix(([1.0], ([0], [1])), shape=(n_v, n_v))
         return sp.kron(self.block, e01, format="csr")
@@ -151,10 +155,10 @@ class Corrector:
 
 def build_corrector(ops: OperatorSet) -> Corrector:
     """A = (m_h I - L_o)^{-1} (L_a Pi_v)^T = kron(B, e_0 e_1^T) by one
-    banded Cholesky solve for its block B; needs m_h from poincare_constant."""
-    if ops.m_h is None:
-        raise PreconditionError("corrector needs m_h; run poincare_constant")
-    diag, upper = ops.lo_bands
+    banded Cholesky solve for its block B."""
+    import scipy.linalg as sla
+
+    diag, upper = lo_bands(ops.grid)
     bands = np.vstack((np.r_[0.0, upper], ops.m_h + diag))  # upper form
     # the dense Grad^T of a CSC matrix is F-ordered: LAPACK solves it in place
     rhs = ops.grad_x.T.toarray()
@@ -237,6 +241,8 @@ def operator_norm(matrix) -> float:
     non-finite entries, which would hold an n_x^2 mask: the blocks are
     products of the finite B, and a NaN makes LAPACK raise LinAlgError.
     """
+    import scipy.linalg as sla
+
     n = matrix.shape[1]
     gram = matrix.T @ matrix
     return float(np.sqrt(sla.eigvalsh(gram.T, overwrite_a=True, check_finite=False,
@@ -319,7 +325,7 @@ def _grad_dense(ops: OperatorSet, x: np.ndarray) -> np.ndarray:
     for a broadcast or strided 2-D product.  The C order keeps the bits
     downstream: BLAS takes another path for the syrk and gemv of an
     F-ordered U or C^T."""
-    d0, d1 = ops.grad_x.diagonal(), ops.grad_x.diagonal(1)
+    d0, d1 = grad_bands(ops.grid)
     out = np.empty(x.shape)
     out[-1] = 0.0  # Grad's last row is empty
     row = np.empty(x.shape[1])
@@ -333,7 +339,9 @@ def _singular_pairs(ops: OperatorSet):
     """The gradient's singular pairs but the kernel's, as (sigma^2, V, U)
     with Grad V = U diag(sigma), from one tridiagonal eigensolve with vectors.
     A second call returns the same bits."""
-    sigma2, right = sla.eigh_tridiagonal(*ops.lo_bands)
+    import scipy.linalg as sla
+
+    sigma2, right = sla.eigh_tridiagonal(*lo_bands(ops.grid))
     sigma2, right = sigma2[1:], right[:, 1:]  # the kernel's pair is (u, gamma)
     if not sigma2[0] > 0:
         raise NumericalError(
@@ -361,6 +369,8 @@ def _secular_root(ops: OperatorSet, eps: float, gamma: float):
     the root vector y; returns the coordinates (y, b y / (c - lam),
     -C^T y / (2 gamma - lam)) of its lift and the number of eigensolves.
     C^T and S are its only n_x^2 arrays, and both are freed on return."""
+    import scipy.linalg as sla
+
     sigma, t, c_t = _secular_blocks(ops, eps)
     a = eps * sigma * t
     b = eps * gamma / 2 * t

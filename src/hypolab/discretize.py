@@ -31,18 +31,25 @@ discrete Bochner inequality ||Grad^2 h||^2 <= ||L_o h||^2 + K ||Grad h||^2
 holds for every h exactly when max c <= K.  check_structure asserts these
 identities on the assembled matrices; the phase-space L_o and Pi_v are never
 assembled.
+
+The grid, the bands of Grad and -L_o and the gap m_h need numpy alone, so a
+run that needs only m_h (the gap, the tuning, the sampler at gamma*) never
+loads scipy: scipy.sparse is imported inside the functions that assemble or
+check the sparse operators.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
 
 from .errors import (DegenerateGapError, DomainTooSmallError, PreconditionError,
                      WeightUnderflowError)
 from .model import Potential, potential_value
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 CONFINEMENT_MARGIN = 10.0
 
@@ -103,20 +110,73 @@ class HermiteBasis:
 
 
 def build_velocity_basis(n_v: int) -> HermiteBasis:
+    import scipy.sparse as sp
+
     k = np.arange(n_v, dtype=float)
     return HermiteBasis(n_v=n_v, eigenvalues=k,
                         lowering=sp.diags(np.sqrt(k[1:]), 1, format="csr"))
 
 
+def grad_bands(grid: WeightedGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and superdiagonal of Grad in orthonormalized coordinates:
+    -1/h, and sqrt(w_i / w_{i+1}) / h; the last row is zero (the gradient
+    stops at the last node)."""
+    h, sq = grid.spacing, grid.sqrt_weights
+    return np.r_[np.full(grid.n_x - 1, -1.0 / h), 0.0], sq[:-1] / sq[1:] / h
+
+
+def lo_bands(grid: WeightedGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and superdiagonal of -L_o = Grad^T Grad, which is tridiagonal
+    because Grad is bidiagonal: the one formula of -L_o, which lo_x, the gap
+    and every position solve read.  Each entry is one product of Grad's
+    bands or a sum of two, so it has the bits of the sparse product."""
+    d0, d1 = grad_bands(grid)
+    return np.r_[0.0, d1 * d1] + d0 * d0, d0[:-1] * d1
+
+
+def poincare_constant(grid: WeightedGrid) -> float:
+    """m_h, the smallest nonzero eigenvalue of -L_o on the position grid.
+
+    numpy's dense symmetric eigensolve of the n_x x n_x matrix with
+    lo_bands on its three diagonals.  Its bits are those of scipy's
+    tridiagonal eigensolve of the bands: LAPACK's Householder
+    tridiagonalization (dsytrd) leaves a tridiagonal matrix as it is, since
+    every reflector it would form has a zero vector to annihilate, and both
+    paths then end in the same root-free QR (dsterf).  The dense solve costs
+    O(n_x^3) time and, for a moment, 16 n_x^2 bytes (the array and numpy's
+    copy of it) where the tridiagonal one takes O(n_x^2), but it needs numpy
+    alone:
+
+        n_x                     128     512     1024    2048
+        dense eigvalsh          0.6     15      103     788   ms
+        scipy tridiagonal       0.3     4.6     18      66    ms
+
+    (best of 2-50 calls, double_well, 2-core x86-64 Linux, numpy 2.4 and
+    scipy 1.17 on one OpenBLAS thread).  It is value-only on purpose: an
+    eigenvector variant moves m_h in the last digits.
+    """
+    diag, upper = lo_bands(grid)
+    n = grid.n_x
+    dense = np.zeros((n, n))
+    dense.flat[::n + 1] = diag
+    dense.flat[1::n + 1] = upper
+    dense.flat[n::n + 1] = upper
+    m_h = float(np.linalg.eigvalsh(dense)[1])
+    if m_h < 1e-10:
+        raise DegenerateGapError(
+            f"second eigenvalue of -L_o is {m_h:.3e}; grid or domain degenerate"
+        )
+    return m_h
+
+
 @dataclass
 class OperatorSet:
-    """The discretized operators the run uses, plus the discrete gap.
+    """The discretized operators the run uses, plus the discrete gap m_h.
 
     Every matrix is sparse CSR: the position factors grad_x (bidiagonal)
     and lo_x = -Grad_x^T Grad_x (tridiagonal, negative semidefinite,
     matching the sign of the overdamped generator), which stands for L_o on
     mode 0, and the phase-space la and ls, the two parts of the generator.
-    m_h is filled by poincare_constant.
     """
 
     grid: WeightedGrid
@@ -127,7 +187,7 @@ class OperatorSet:
     la: sp.csr_matrix
     ls: sp.csr_matrix
     const_vec: np.ndarray
-    m_h: float | None = field(default=None)
+    m_h: float
 
     @property
     def n_x(self) -> int:
@@ -136,12 +196,6 @@ class OperatorSet:
     @property
     def n_v(self) -> int:
         return self.basis.n_v
-
-    @property
-    def lo_bands(self) -> tuple[np.ndarray, np.ndarray]:
-        """Diagonal and superdiagonal of -L_o = Grad^T Grad, which is
-        tridiagonal because Grad is bidiagonal: what its solves read."""
-        return -self.lo_x.diagonal(), -self.lo_x.diagonal(1)
 
     def mean(self, f: np.ndarray) -> float:
         """Weighted mean <1, f>_mu in orthonormalized coordinates."""
@@ -152,22 +206,24 @@ class OperatorSet:
         return f - self.const_vec * (self.const_vec @ f)
 
 
-def assemble_operators(grid: WeightedGrid, basis: HermiteBasis) -> OperatorSet:
-    n_x, n_v = grid.n_x, basis.n_v
-    h, sq = grid.spacing, grid.sqrt_weights
+def assemble_operators(grid: WeightedGrid, basis: HermiteBasis,
+                       m_h: float) -> OperatorSet:
+    """The operator set on grid x basis, with the grid's gap m_h from
+    poincare_constant."""
+    import scipy.sparse as sp
 
+    n_x, n_v = grid.n_x, basis.n_v
     # the last row is empty (stops at the last node): CSR drops its 0.0
-    grad_x = sp.diags([np.r_[np.full(n_x - 1, -1.0 / h), 0.0], sq[:-1] / sq[1:] / h],
-                      [0, 1], format="csr")
-    # each entry is one product or a sum of two: symmetric exactly as built
-    lo_x = -(grad_x.T @ grad_x).tocsr()
+    grad_x = sp.diags(grad_bands(grid), [0, 1], format="csr")
+    diag, upper = lo_bands(grid)
+    lo_x = sp.diags([-upper, -diag, -upper], [-1, 0, 1], format="csr")
 
     low = basis.lowering
     la = (sp.kron(grad_x, low.T) - sp.kron(grad_x.T, low)).tocsr()
     ls = sp.kron(sp.identity(n_x), sp.diags(-basis.eigenvalues), format="csr")
 
     const = np.zeros((n_x, n_v))
-    const[:, 0] = sq
+    const[:, 0] = grid.sqrt_weights
 
     return OperatorSet(
         grid=grid,
@@ -178,24 +234,8 @@ def assemble_operators(grid: WeightedGrid, basis: HermiteBasis) -> OperatorSet:
         la=la,
         ls=ls,
         const_vec=const.ravel(),
+        m_h=m_h,
     )
-
-
-def poincare_constant(ops: OperatorSet) -> float:
-    """Smallest nonzero eigenvalue of -L_o on the position factor; stores the
-    result into ops.m_h.
-
-    A tridiagonal eigensolve of ops.lo_bands: O(n_x^2) instead of a dense
-    O(n_x^3) solve, to the same digits.  It is value-only on purpose: the
-    eigenvector variant moves m_h in the last digits.
-    """
-    ev = sla.eigvalsh_tridiagonal(*ops.lo_bands)
-    if ev[1] < 1e-10:
-        raise DegenerateGapError(
-            f"second eigenvalue of -L_o is {ev[1]:.3e}; grid or domain degenerate"
-        )
-    ops.m_h = float(ev[1])
-    return ops.m_h
 
 
 def compose_generator(ops: OperatorSet, gamma: float) -> sp.csr_matrix:
@@ -234,6 +274,8 @@ def check_structure(ops: OperatorSet) -> dict:
     bochner_identity, (Grad^T Grad - Grad Grad^T) on the range of Grad
     against diag(discrete_curvature) over max |L_o|.
     """
+    import scipy.sparse as sp
+
     la, n_v, g = ops.la, ops.n_v, ops.grad_x
     la0 = la[:, ::n_v]  # L_a Pi_v as a map from mode 0's position vector
     square = (sp.kron(np.sqrt(2.0) * (g @ g), sp.eye(n_v, 1, k=-2))

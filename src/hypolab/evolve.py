@@ -37,15 +37,13 @@ and checks every solve.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
 from numpy.lib.stride_tricks import as_strided
-from scipy.linalg.blas import dtbsv
 
 from .corrector import Corrector, ModifiedFunctional
-from .discretize import OperatorSet, compose_generator
+from .discretize import OperatorSet, compose_generator, lo_bands
 from .errors import (
     ConfigurationError,
     DegenerateTraceError,
@@ -54,6 +52,9 @@ from .errors import (
 )
 from .sampler import MIN_FIT_SAMPLES
 from .tuning import PREFACTOR
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 DT_GUARD = 0.1
 INITIAL_KINDS = ("gap", "velocity", "random")  # the kinds initial_condition builds
@@ -97,7 +98,9 @@ def initial_condition(ops: OperatorSet, kind: str, seed: int = 0) -> np.ndarray:
     vector.
     """
     if kind == "gap":
-        (_,), vec = sla.eigh_tridiagonal(*ops.lo_bands, select="i",
+        import scipy.linalg as sla
+
+        (_,), vec = sla.eigh_tridiagonal(*lo_bands(ops.grid), select="i",
                                          select_range=(1, 1))
         # v is orthogonal to sqrt(w) and changes sign once, at some c (-L_o
         # is tridiagonal with negative off-diagonal, and this is its second
@@ -129,7 +132,9 @@ class BandLU:
     Both are F-ordered (ldab, n) views, ldab = kl + ku + 1, of one buffer of
     ldab n + ku doubles; dtbsv reads only rows 0..k of each.  upper, at
     offset 0, holds U with its diagonal in row ku; lower, at offset ku, holds
-    the unit-lower factor with its unreferenced diagonal in row 0.
+    the unit-lower factor with its unreferenced diagonal in row 0.  dtbsv is
+    BLAS's banded triangular solve, bound by band_lu, so that a step runs
+    no import.
     """
 
     kl: int
@@ -138,11 +143,12 @@ class BandLU:
     upper: np.ndarray
     growth: float
     min_pivot: float
+    dtbsv: Callable
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """M^{-1} b by two banded triangular solves."""
-        y = dtbsv(self.kl, self.lower, b, lower=1, diag=1)
-        return dtbsv(self.ku, self.upper, y, overwrite_x=1)
+        y = self.dtbsv(self.kl, self.lower, b, lower=1, diag=1)
+        return self.dtbsv(self.ku, self.upper, y, overwrite_x=1)
 
     def diagnostics(self) -> dict:
         return {"kl": self.kl, "ku": self.ku, "growth": self.growth,
@@ -161,6 +167,9 @@ def band_lu(matrix: sp.spmatrix) -> BandLU:
     Raises NumericalError unless every pivot is finite and positive (the
     errstate keeps a zero pivot from surfacing as a warning first).
     """
+    import scipy.sparse as sp
+    from scipy.linalg.blas import dtbsv
+
     dia = sp.dia_matrix(matrix)
     n = dia.shape[0]
     kl, ku = max(0, -int(dia.offsets.min())), max(0, int(dia.offsets.max()))
@@ -191,6 +200,7 @@ def band_lu(matrix: sp.spmatrix) -> BandLU:
         upper=ab,
         growth=float(max(ab.max(), -ab.min()) / scale),
         min_pivot=float(pivots.min()),
+        dtbsv=dtbsv,
     )
 
 
@@ -213,6 +223,8 @@ def step_size(dt: float, gamma: float) -> float:
 
 def crank_nicolson(ops: OperatorSet, gamma: float, dt: float) -> CrankNicolson:
     """Factor the trapezoidal map at gamma by band_lu, at step_size(dt, gamma)."""
+    import scipy.sparse as sp
+
     dt = step_size(dt, gamma)
     L = compose_generator(ops, gamma)
     lu = band_lu(sp.identity(ops.n, format="csr") - (dt / 2) * L)

@@ -19,9 +19,7 @@ def make_ops(potential, l_dom=None, n_x=DEFAULT_NX, n_v=DEFAULT_NV):
         l_dom = potential.domain
     grid = discretize.build_grid(potential, l_dom, n_x)
     basis = discretize.build_velocity_basis(n_v)
-    ops = discretize.assemble_operators(grid, basis)
-    discretize.poincare_constant(ops)
-    return ops
+    return discretize.assemble_operators(grid, basis, discretize.poincare_constant(grid))
 
 
 @pytest.fixture(scope="session")

@@ -510,16 +510,16 @@ class TestStageTable:
 
     @pytest.mark.parametrize("command", ["sample", "all"])
     def test_first_stage_carries_the_set_up(self, command, monkeypatch):
-        # the sampler's check reads gamma*, which builds the operators before
-        # any stage runs: that time is the first stage's
+        # the sampler's check reads gamma*, which needs the gap before any
+        # stage runs: that time is the first stage's
         pause = 0.2
-        assemble_operators = cli.assemble_operators
+        poincare_constant = cli.poincare_constant
 
         def slow(*args):
             time.sleep(pause)
-            return assemble_operators(*args)
+            return poincare_constant(*args)
 
-        monkeypatch.setattr(cli, "assemble_operators", slow)
+        monkeypatch.setattr(cli, "poincare_constant", slow)
         report = cli.run_experiment(command, cli.build_config(RULE_CONFIGS[command]))
         assert report.timings[cli.COMMANDS[command][0]] >= pause
 
@@ -1066,8 +1066,8 @@ class TestMain:
                                                       capsys):
         assemble_operators = cli.assemble_operators
 
-        def broken(grid, basis):
-            ops = assemble_operators(grid, basis)
+        def broken(*args):
+            ops = assemble_operators(*args)
             la = ops.la.tolil()
             la[0, 1] += 1e-6
             ops.la = la.tocsr()
@@ -1090,8 +1090,8 @@ class TestMain:
         # measured on the assembled generator, is 4x its rounding level
         assemble_operators = cli.assemble_operators
 
-        def broken(grid, basis):
-            ops = assemble_operators(grid, basis)
+        def broken(*args):
+            ops = assemble_operators(*args)
             la = ops.la.tolil()
             la[0, ops.n_v] += 1e-6
             la[ops.n_v, 0] -= 1e-6
@@ -1180,13 +1180,14 @@ class TestBlasThreads:
 
 
 class TestImportSurface:
-    """The package imports none of its modules, so each module loads only
-    what it needs: the package alone no numpy, and the modules without a
-    LAPACK call no scipy."""
+    """The package imports none of its modules, and no module imports scipy
+    at the top, so each loads only what it needs: the package alone no
+    numpy, every module no scipy.  The commands that read the gap alone run
+    without it."""
 
-    def heavy_modules(self, module):
+    def heavy_modules(self, module, then=""):
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-        code = (f"import sys, {module}; "
+        code = (f"import sys, {module}\n{then}"
                 "print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'}))")
         done = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, check=True)
@@ -1195,6 +1196,21 @@ class TestImportSurface:
     def test_package_loads_neither_numpy_nor_scipy(self):
         assert self.heavy_modules("hypolab") == []
 
-    @pytest.mark.parametrize("module", ["hypolab.model", "hypolab.tuning", "hypolab.sampler"])
+    @pytest.mark.parametrize("module", ["hypolab.model", "hypolab.tuning", "hypolab.sampler",
+                                        "hypolab.discretize", "hypolab.corrector",
+                                        "hypolab.evolve", "hypolab.cli"])
     def test_module_loads_no_scipy(self, module):
         assert self.heavy_modules(module) == ["numpy"]
+
+    def test_gap_tune_and_sampling_load_no_scipy(self, tmp_path):
+        # m_h comes from the grid by numpy's eigensolve, and a sample sweep
+        # does not read it: none of these builds an operator
+        conf = tmp_path / "small.conf"
+        conf.write_text("sde.particles = 400\nsde.steps = 300\nsweep.target = sample\n")
+        runs = [["gap"], ["tune"], ["sample", "--config", str(conf)],
+                ["sweep", "--config", str(conf)]]
+        then = ("import contextlib, io\n"
+                f"for argv in {runs!r}:\n"
+                "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                "        assert hypolab.cli.main(argv) in (0, 1), argv\n")
+        assert self.heavy_modules("hypolab.cli", then) == ["numpy"]

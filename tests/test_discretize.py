@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -156,7 +158,7 @@ class TestSparseFormat:
         assert (ops.lo_x != ops.lo_x.T).nnz == 0  # symmetric as built
         g = ops.grad_x.toarray()
         gtg = g.T @ g
-        diag, upper = ops.lo_bands
+        diag, upper = discretize.lo_bands(ops.grid)
         scale = np.abs(gtg).max()
         assert np.abs(diag - np.diag(gtg)).max() <= 1e-14 * scale
         assert np.abs(upper - np.diag(gtg, 1)).max() <= 1e-14 * scale
@@ -215,12 +217,31 @@ class TestPoincare:
         assert abs(ops.m_h - dense) <= 1e-13 * dense
 
     def test_degenerate_gap_detected(self, ops_quad_small):
-        import copy
-
-        broken = copy.copy(ops_quad_small)
-        broken.lo_x = sp.csr_matrix(ops_quad_small.lo_x.shape)
+        # a spacing of 1e8 scales -L_o, and with it m_h, down to about 1e-16
+        broken = dataclasses.replace(ops_quad_small.grid, spacing=1e8)
         with pytest.raises(DegenerateGapError):
             discretize.poincare_constant(broken)
+
+    @pytest.mark.parametrize("n_x", [16, 17, 64, 128, 129, 512])
+    @pytest.mark.parametrize(
+        "pot", [model.quadratic(1.0), model.double_well(), model.cosine_bump(2.0)],
+        ids=lambda pot: pot.kind,
+    )
+    def test_gap_has_the_bits_of_the_tridiagonal_solve(self, pot, n_x):
+        """lo_bands are the diagonals of lo_x and of the sparse product
+        Grad^T Grad, and the dense eigensolve of poincare_constant gives m_h
+        bit for bit as scipy's tridiagonal one.  The second holds because
+        LAPACK's dsytrd leaves a tridiagonal matrix as it is and both paths
+        end in dsterf; every sampler byte at gamma* depends on m_h, so a
+        LAPACK build that breaks it fails here, at the grid named in the
+        test id."""
+        grid = discretize.build_grid(pot, pot.domain, n_x)
+        diag, upper = discretize.lo_bands(grid)
+        ops = discretize.assemble_operators(grid, discretize.build_velocity_basis(4), 1.0)
+        for matrix in (-ops.lo_x, ops.grad_x.T @ ops.grad_x):
+            assert np.array_equal(diag, matrix.diagonal())
+            assert np.array_equal(upper, matrix.diagonal(1))
+        assert discretize.poincare_constant(grid) == sla.eigvalsh_tridiagonal(diag, upper)[1]
 
 
 class TestComposeGenerator:
