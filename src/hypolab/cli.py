@@ -297,8 +297,8 @@ class _Workspace:
         # at 2048x8 peaked at 204.6 MiB of RSS instead of 172.4 (glibc's
         # allocator kept an n_x^2 block of the corrector stage resident)
         m_h = self.m_h
-        basis = build_velocity_basis(self.cfg.grid_n_v)
-        return assemble_operators(self.grid, basis, m_h)
+        lowering = build_velocity_basis(self.cfg.grid_n_v)
+        return assemble_operators(self.grid, lowering, m_h)
 
     @cached_property
     def tuned(self) -> TuningResult:

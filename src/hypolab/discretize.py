@@ -11,8 +11,8 @@ Operator factorization over kron(position, velocity), every factor sparse:
     Grad    = forward-difference gradient on the position factor, bidiagonal
               (stops at the last node; kills the constant exactly)
     L_o     = -Grad^T Grad     (tridiagonal, self-adjoint, <= 0, simple kernel)
-    L_s     = -number operator            (diagonal, entry -k on Hermite mode k)
-    L_a     = kron(Grad, raise) - kron(Grad^T, lower)
+    L_a     = kron(Grad, raise) - kron(Grad^T, lower),   raise = lower^T
+    L_s     = -N, N the number vector: k on Hermite mode k, at every node
 
 The ladder form of L_a discretizes v d_x - U'(x) d_v through
 v = lower + raise, d_v = lower, d_x ~ Grad, d_x^* ~ Grad^T.  It is
@@ -29,8 +29,8 @@ mode-0 columns, kron(Grad, e_1) on the position vector h of mode 0, so
 the last) Grad^T Grad - Grad Grad^T = diag(discrete_curvature), so the
 discrete Bochner inequality ||Grad^2 h||^2 <= ||L_o h||^2 + K ||Grad h||^2
 holds for every h exactly when max c <= K.  check_structure asserts these
-identities on the assembled matrices; the phase-space L_o and Pi_v are never
-assembled.
+identities on the assembled matrices; the phase-space L_o, L_s and Pi_v are
+never assembled.
 
 The grid, the bands of Grad and -L_o and the gap m_h need numpy alone, so a
 run that needs only m_h (the gap, the tuning, the sampler at gamma*) never
@@ -95,26 +95,13 @@ def build_grid(potential: Potential, half_width: float, n_x: int) -> WeightedGri
     )
 
 
-@dataclass
-class HermiteBasis:
-    """Truncated Hermite ladder data in velocity.
-
-    lowering, one CSR superdiagonal, maps mode k to sqrt(k) * mode (k-1)
-    (the derivative d/dv); its transpose raises; eigenvalues k of the number
-    operator lowering.T @ lowering.
-    """
-
-    n_v: int
-    eigenvalues: np.ndarray
-    lowering: sp.csr_matrix
-
-
-def build_velocity_basis(n_v: int) -> HermiteBasis:
+def build_velocity_basis(n_v: int) -> sp.csr_matrix:
+    """The truncated Hermite lowering matrix, n_v x n_v: one CSR
+    superdiagonal that maps mode k to sqrt(k) * mode (k-1) (the derivative
+    d/dv); its transpose raises."""
     import scipy.sparse as sp
 
-    k = np.arange(n_v, dtype=float)
-    return HermiteBasis(n_v=n_v, eigenvalues=k,
-                        lowering=sp.diags(np.sqrt(k[1:]), 1, format="csr"))
+    return sp.diags(np.sqrt(np.arange(1, n_v, dtype=float)), 1, format="csr")
 
 
 def grad_bands(grid: WeightedGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -176,16 +163,14 @@ class OperatorSet:
     Every matrix is sparse CSR: the position factors grad_x (bidiagonal)
     and lo_x = -Grad_x^T Grad_x (tridiagonal, negative semidefinite,
     matching the sign of the overdamped generator), which stands for L_o on
-    mode 0, and the phase-space la and ls, the two parts of the generator.
+    mode 0, and the phase-space la; n_v is the number of Hermite modes.
     """
 
     grid: WeightedGrid
-    basis: HermiteBasis
-    n: int
+    n_v: int
     grad_x: sp.csr_matrix
     lo_x: sp.csr_matrix
     la: sp.csr_matrix
-    ls: sp.csr_matrix
     const_vec: np.ndarray
     m_h: float
 
@@ -194,8 +179,8 @@ class OperatorSet:
         return self.grid.n_x
 
     @property
-    def n_v(self) -> int:
-        return self.basis.n_v
+    def n(self) -> int:
+        return self.n_x * self.n_v
 
     def mean(self, f: np.ndarray) -> float:
         """Weighted mean <1, f>_mu in orthonormalized coordinates."""
@@ -206,41 +191,41 @@ class OperatorSet:
         return f - self.const_vec * (self.const_vec @ f)
 
 
-def assemble_operators(grid: WeightedGrid, basis: HermiteBasis,
+def assemble_operators(grid: WeightedGrid, lowering: sp.csr_matrix,
                        m_h: float) -> OperatorSet:
-    """The operator set on grid x basis, with the grid's gap m_h from
-    poincare_constant."""
+    """The operator set on grid x the Hermite modes of lowering (from
+    build_velocity_basis), with the grid's gap m_h from poincare_constant."""
     import scipy.sparse as sp
 
-    n_x, n_v = grid.n_x, basis.n_v
+    n_x, n_v = grid.n_x, lowering.shape[0]
     # the last row is empty (stops at the last node): CSR drops its 0.0
     grad_x = sp.diags(grad_bands(grid), [0, 1], format="csr")
     diag, upper = lo_bands(grid)
     lo_x = sp.diags([-upper, -diag, -upper], [-1, 0, 1], format="csr")
 
-    low = basis.lowering
-    la = (sp.kron(grad_x, low.T) - sp.kron(grad_x.T, low)).tocsr()
-    ls = sp.kron(sp.identity(n_x), sp.diags(-basis.eigenvalues), format="csr")
+    la = (sp.kron(grad_x, lowering.T) - sp.kron(grad_x.T, lowering)).tocsr()
 
     const = np.zeros((n_x, n_v))
     const[:, 0] = grid.sqrt_weights
 
     return OperatorSet(
         grid=grid,
-        basis=basis,
-        n=n_x * n_v,
+        n_v=n_v,
         grad_x=grad_x,
         lo_x=lo_x,
         la=la,
-        ls=ls,
         const_vec=const.ravel(),
         m_h=m_h,
     )
 
 
 def compose_generator(ops: OperatorSet, gamma: float) -> sp.csr_matrix:
-    """L = L_a + gamma * L_s."""
-    return (ops.la + gamma * ops.ls).tocsr()
+    """L = L_a + gamma L_s = L_a - gamma N, with the number vector N (k on
+    mode k, at every node) on the diagonal, which la leaves empty."""
+    import scipy.sparse as sp
+
+    number = np.tile(np.arange(ops.n_v, dtype=float), ops.n_x)
+    return ops.la - sp.diags(gamma * number, format="csr")
 
 
 def bochner_test_suite(grid: WeightedGrid) -> dict:
@@ -269,9 +254,9 @@ def check_structure(ops: OperatorSet) -> dict:
     the assembled matrices, as the {"exact"} report section; the caller
     judges them: la's antisymmetry (the band LU's pivot-free argument and the
     Lyapunov identity use it), its mode-0 -> mode-0 block Pi_v L_a Pi_v (zero
-    in the corrector algebra), L 1 = 0, la_square, L_a (L_a Pi_v) against
-    sqrt(2) Grad^2 (x) e_2 + L_o (x) e_0 over that matrix's largest entry, and
-    bochner_identity, (Grad^T Grad - Grad Grad^T) on the range of Grad
+    in the corrector algebra), L_a 1 = 0 (N kills mode 0, so L_s 1 = 0
+    exactly), la_square, L_a (L_a Pi_v) against sqrt(2) Grad^2 (x) e_2 +
+    L_o (x) e_0 over that matrix's largest entry, and bochner_identity, (Grad^T Grad - Grad Grad^T) on the range of Grad
     against diag(discrete_curvature) over max |L_o|.
     """
     import scipy.sparse as sp
@@ -284,9 +269,7 @@ def check_structure(ops: OperatorSet) -> dict:
     return {"exact": {
         "la_antisymmetry": _spmax(la + la.T),
         "average_sandwich_zero": _spmax(la[::n_v, ::n_v]),
-        "generator_kills_constants": float(
-            np.abs(la @ ops.const_vec).max() + np.abs(ops.ls @ ops.const_vec).max()
-        ),
+        "generator_kills_constants": float(np.abs(la @ ops.const_vec).max()),
         "la_square": _spmax(la @ la0 - square) / _spmax(square),
         "bochner_identity": _spmax(commutator - sp.diags(discrete_curvature(ops.grid)))
         / _spmax(ops.lo_x),

@@ -299,12 +299,17 @@ def integrate(
     )
 
 
+def _above_floor(trace: DecayTrace) -> int:
+    """How many samples precede the norm's first drop to ROUNDOFF_FLOOR
+    ||f(0)||, below which the trace decays no further (a NaN never drops)."""
+    low = np.flatnonzero(trace.norm <= ROUNDOFF_FLOOR * trace.norm[0])
+    return int(low[0]) if low.size else len(trace.norm)
+
+
 def estimate_rate(trace: DecayTrace) -> float:
     """Least-squares slope of -log||f(t)|| over the trailing half of the
-    samples taken before the norm first drops to the roundoff floor
-    ROUNDOFF_FLOOR ||f(0)||, below which the trace decays no further."""
-    above = trace.norm > ROUNDOFF_FLOOR * trace.norm[0]
-    n = len(above) if above.all() else int(np.argmin(above))
+    samples above the roundoff floor (_above_floor)."""
+    n = _above_floor(trace)
     if n < MIN_FIT_SAMPLES:
         raise DegenerateTraceError(f"only {n} samples above the roundoff floor")
     start = (n - 1) // 2
@@ -314,16 +319,20 @@ def estimate_rate(trace: DecayTrace) -> float:
 
 def verify_decay_bound(trace: DecayTrace):
     """(margin, time): the smallest relative margin (bound - norm) / bound of
-    norm <= sqrt(3) e^{-Lambda t} norm0 over the samples with t > 0, negative
-    where the bound fails, and the time of the sample where it binds.  At
-    t = 0 the margin is 1 - 1/sqrt(3) by construction, so that sample is left
-    out.  The zero state meets the bound by construction, so it is rejected,
-    as is a trace with no step."""
+    norm <= sqrt(3) e^{-Lambda t} norm0 over the samples with t > 0 above the
+    roundoff floor (_above_floor), negative where the bound fails, and the
+    time of the sample where it binds.  At t = 0 the margin is 1 - 1/sqrt(3)
+    by construction; on the floor the norm stalls while the envelope falls.
+    The zero state meets the bound by construction, so it is rejected, as is
+    a trace with no step; one with no such sample raises DegenerateTraceError."""
     if trace.norm[0] == 0.0:
         raise PreconditionError("the zero state meets the decay bound trivially")
     if len(trace.times) < 2:
         raise PreconditionError("the decay bound needs a sample with t > 0")
-    rel = (trace.bound[1:] - trace.norm[1:]) / trace.bound[1:]
+    n = _above_floor(trace)
+    if n < 2:
+        raise DegenerateTraceError("no sample with t > 0 above the roundoff floor")
+    rel = (trace.bound[1:n] - trace.norm[1:n]) / trace.bound[1:n]
     i = int(np.argmin(rel))
     return float(rel[i]), float(trace.times[i + 1])
 

@@ -618,6 +618,29 @@ class TestVerdictRule:
             assert margins[f"decay_bound_{kind}"] == rel[1:].min() != rel[0]
             assert binds_at[kind] == trace.times[1 + np.argmin(rel[1:])] > 0
 
+    def test_decay_bound_judges_the_samples_above_the_roundoff_floor(self):
+        # at t_end_factor 40 each norm stalls at the roundoff of the conserved
+        # mean (about 1e-15 ||f0|| from t ~ 220) while the envelope keeps
+        # falling: judged on the floor, the kinds read -844, -143 and -158
+        cfg = cli.build_config({**SMALL, "evolve.f0": "all",
+                                "evolve.t_end_factor": "40"})
+        report = cli.run_experiment("evolve", cfg)
+        assert not report.failed
+        margins = {v["name"]: v["margin"] for v in report.verdicts}
+        binds_at = report.results["evolve"]["decay_bound_time"]
+        Lambda = report.results["evolve"]["Lambda"]
+        for kind, (_, trace) in zip(evolve.INITIAL_KINDS, report.traces):
+            floor = evolve.ROUNDOFF_FLOOR * trace.norm[0]
+            n = int(np.argmax(trace.norm <= floor))
+            assert n > 1 and trace.norm[-1] <= floor
+            rel = (trace.bound - trace.norm) / trace.bound
+            assert margins[f"decay_bound_{kind}"] == rel[1:n].min() > 0 > rel[n:].min()
+            assert 0 < binds_at[kind] < trace.times[n]
+            # an envelope above the generator's decay rate still fails there
+            steep = replace(trace, bound=tuning_module.PREFACTOR * trace.norm[0]
+                            * np.exp(-10 * Lambda * trace.times))
+            assert evolve.verify_decay_bound(steep)[0] < 0
+
     def test_coercivity_skipped_off_the_tuned_point(self, capsys):
         # the paper states lambda_coer at (gamma*, eps*) only; at gamma = 16
         # the form's smallest eigenvalue is 0.79 lambda_coer

@@ -14,6 +14,7 @@ from conftest import (
     make_ops,
     phase_identities,
     phase_lo,
+    phase_ls,
     phase_pi_v,
     random_mean_zero,
     spmax,
@@ -69,20 +70,24 @@ class TestGrid:
 
 class TestVelocityBasis:
     def test_number_operator_eigenvalues(self):
-        b = discretize.build_velocity_basis(4)
-        np.testing.assert_array_equal(b.eigenvalues, [0.0, 1.0, 2.0, 3.0])
+        # the number operator lowering^T lowering has the eigenvalues k that
+        # compose_generator's number vector puts on every node
+        low = discretize.build_velocity_basis(4)
+        assert sp.issparse(low) and low.shape == (4, 4)
+        np.testing.assert_allclose(sla.eigvalsh((low.T @ low).toarray()),
+                                   [0.0, 1.0, 2.0, 3.0], rtol=0, atol=1e-15)
 
     def test_lowering_coefficient(self):
-        b = discretize.build_velocity_basis(8)
-        assert b.lowering[3, 4] == 2.0  # sqrt(4)
+        low = discretize.build_velocity_basis(8)
+        assert low[3, 4] == 2.0  # sqrt(4)
 
     def test_ladder_actions_exact(self):
-        b = discretize.build_velocity_basis(6)
+        low = discretize.build_velocity_basis(6)
         eye = np.eye(6)
-        assert np.all(b.lowering @ eye[0] == 0.0)
+        assert np.all(low @ eye[0] == 0.0)
         for k in range(1, 6):
             np.testing.assert_array_equal(
-                b.lowering @ eye[k], np.sqrt(k) * eye[k - 1]
+                low @ eye[k], np.sqrt(k) * eye[k - 1]
             )
         for k in range(6):
             expected = np.zeros(6)
@@ -90,14 +95,12 @@ class TestVelocityBasis:
                 expected += np.sqrt(k + 1) * eye[k + 1]
             if k >= 1:
                 expected += np.sqrt(k) * eye[k - 1]
-            np.testing.assert_array_equal((b.lowering + b.lowering.T) @ eye[k],
-                                          expected)
+            np.testing.assert_array_equal((low + low.T) @ eye[k], expected)
 
     def test_number_operator_is_raise_lower(self):
-        b = discretize.build_velocity_basis(9)
+        low = discretize.build_velocity_basis(9)
         np.testing.assert_allclose(
-            (b.lowering.T @ b.lowering).toarray(), np.diag(b.eigenvalues),
-            atol=1e-15
+            (low.T @ low).toarray(), np.diag(np.arange(9.0)), atol=1e-15
         )
 
 
@@ -136,7 +139,9 @@ class TestAssembly:
         assert ev[0] <= 1e-12 and ev[1] > 1e-3  # simple kernel
 
     def test_ls_spectrum(self, ops_quad):
-        diag = ops_quad.ls.diagonal()
+        # la's diagonal is empty, so L's at gamma = 1 is L_s's: -k on mode k
+        diag = discretize.compose_generator(ops_quad, 1.0).diagonal()
+        assert np.array_equal(diag, phase_ls(ops_quad).diagonal())
         vals, counts = np.unique(diag, return_counts=True)
         np.testing.assert_array_equal(vals, -np.arange(ops_quad.n_v)[::-1].astype(float))
         assert np.all(counts == ops_quad.n_x)
@@ -152,7 +157,7 @@ class TestSparseFormat:
     @pytest.mark.parametrize("name", ["quad", "dw", "cos"])
     def test_every_factor_is_sparse_and_exact(self, name, request):
         ops = request.getfixturevalue(f"ops_{name}")
-        lowering = ops.basis.lowering
+        lowering = discretize.build_velocity_basis(ops.n_v)
         for matrix in (ops.grad_x, ops.lo_x, lowering):
             assert sp.issparse(matrix)
         assert (ops.lo_x != ops.lo_x.T).nnz == 0  # symmetric as built
@@ -170,7 +175,7 @@ class TestSparseFormat:
         # within an ulp or so, not exactly (sqrt(2)^2 = 2 + 4.4e-16)
         number = (lowering.T @ lowering).tocoo()
         assert np.array_equal(number.row, number.col)
-        np.testing.assert_allclose(number.toarray(), np.diag(ops.basis.eigenvalues),
+        np.testing.assert_allclose(number.toarray(), np.diag(np.arange(float(ops.n_v))),
                                    rtol=2 * np.finfo(float).eps, atol=0)
 
 
@@ -238,6 +243,7 @@ class TestPoincare:
         grid = discretize.build_grid(pot, pot.domain, n_x)
         diag, upper = discretize.lo_bands(grid)
         ops = discretize.assemble_operators(grid, discretize.build_velocity_basis(4), 1.0)
+        assert (ops.n_v, ops.n) == (4, 4 * n_x)
         for matrix in (-ops.lo_x, ops.grad_x.T @ ops.grad_x):
             assert np.array_equal(diag, matrix.diagonal())
             assert np.array_equal(upper, matrix.diagonal(1))
@@ -245,12 +251,32 @@ class TestPoincare:
 
 
 class TestComposeGenerator:
+    @pytest.mark.parametrize("pot,n_x,n_v", [
+        (model.quadratic(1.0), 128, 20), (model.double_well(), 512, 32),
+        (model.cosine_bump(2.0), 64, 12),
+    ], ids=lambda value: str(getattr(value, "kind", value)))
+    def test_bits_of_la_plus_gamma_ls(self, pot, n_x, n_v):
+        # L = L_a - gamma N from the number vector is the sparse sum with the
+        # assembled L_s bit for bit: the same data, indices and indptr
+        ops = make_ops(pot, n_x=n_x, n_v=n_v)
+        ls = phase_ls(ops)
+        for gamma in (3.9837, 0.5, 16.0):
+            L = discretize.compose_generator(ops, gamma)
+            reference = (ops.la + gamma * ls).tocsr()
+            assert L.format == "csr"
+            for part in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(L, part), getattr(reference, part))
+            assert np.array_equal(np.signbit(L.data), np.signbit(reference.data))
+        # the |L_s 1| term check_structure no longer adds is exactly zero
+        assert np.abs(ls @ ops.const_vec).max() == 0.0
+
     def test_quadratic_form_sees_only_ls(self, ops_quad_small):
         L = discretize.compose_generator(ops_quad_small, 2.5)
+        ls = phase_ls(ops_quad_small)
         for seed in range(5):
             f = random_mean_zero(ops_quad_small, seed)
             lhs = f @ (L @ f)
-            rhs = 2.5 * (f @ (ops_quad_small.ls @ f))
+            rhs = 2.5 * (f @ (ls @ f))
             assert abs(lhs - rhs) <= 1e-12 * max(abs(rhs), 1.0)
 
     def test_single_site_mode_one(self, ops_quad_small):
@@ -264,7 +290,7 @@ class TestComposeGenerator:
     def test_symmetric_part_is_gamma_ls(self, ops_quad_small):
         gamma = 1.7
         L = discretize.compose_generator(ops_quad_small, gamma)
-        sym = (L + L.T) / 2 - gamma * ops_quad_small.ls
+        sym = (L + L.T) / 2 - gamma * phase_ls(ops_quad_small)
         assert abs(sym).max() <= 1e-14
 
 
@@ -287,7 +313,7 @@ class TestStructureReport:
         f = state.ravel()
         fast = f - phase_pi_v(ops) @ f
         assert np.linalg.norm(fast) ** 2 == pytest.approx(1.0, rel=1e-12)
-        gv = state @ ops.basis.lowering.T
+        gv = state @ discretize.build_velocity_basis(ops.n_v).T
         assert np.linalg.norm(gv) ** 2 == pytest.approx(3.0, rel=1e-12)
 
     def test_lift_identity_is_exact(self, ops_quad):

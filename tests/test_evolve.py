@@ -313,6 +313,13 @@ class TestEstimateRate:
         with pytest.raises(DegenerateTraceError):
             evolve.estimate_rate(synthetic_trace(t, norms))
 
+    def test_nan_norm_gives_a_nan_rate(self):
+        # a NaN never drops to the floor, so the fit sees it
+        t = np.linspace(0.0, 10.0, 101)
+        norms = np.exp(-0.3 * t)
+        norms[-1] = np.nan
+        assert np.isnan(evolve.estimate_rate(synthetic_trace(t, norms)))
+
     def test_roundoff_floor_excluded(self):
         # a trace that decays like e^{-t} until it sinks into a 1e-16 floor
         t = np.linspace(0.0, 100.0, 1001)
@@ -347,6 +354,30 @@ class TestDecayBound:
         trace.times, trace.norm = trace.times[:1], trace.norm[:1]
         with pytest.raises(PreconditionError, match="t > 0"):
             evolve.verify_decay_bound(trace)
+
+    def test_samples_on_the_roundoff_floor_are_left_out(self):
+        # e^{-t} until it stalls at 1e-16, under the envelope sqrt(3) e^{-t/2},
+        # which falls below the stalled norm from t ~ 72.6 on
+        t = np.linspace(0.0, 100.0, 1001)
+        trace = synthetic_trace(t, np.maximum(np.exp(-t), 1e-16))
+        trace.bound = np.sqrt(3.0) * np.exp(-t / 2)
+        margin, binds_at = evolve.verify_decay_bound(trace)
+        assert margin == (trace.bound[1] - trace.norm[1]) / trace.bound[1] > 0
+        assert binds_at == t[1]
+        # the same envelope fails on a trace that decays slower than it
+        trace.norm = np.exp(-0.4 * t)
+        assert evolve.verify_decay_bound(trace)[0] < 0
+
+    def test_trace_on_the_floor_after_t0_is_rejected(self):
+        trace = synthetic_trace([0.0, 1.0, 2.0], [1.0, 1e-13, 1e-13])
+        with pytest.raises(DegenerateTraceError, match="t > 0"):
+            evolve.verify_decay_bound(trace)
+
+    def test_nan_norm_is_judged(self):
+        # a NaN never drops to the floor, so it stays in the margin
+        trace = synthetic_trace([0.0, 1.0, 2.0], [1.0, 0.5, np.nan])
+        trace.bound = np.array([np.sqrt(3.0), 1.0, 1.0])
+        assert np.isnan(evolve.verify_decay_bound(trace)[0])
 
 
 class TestLyapunovDerivative:
