@@ -268,7 +268,7 @@ def verify_corrector_bounds(c: Corrector) -> dict:
     norms = (
         operator_norm(c.block),
         operator_norm(_grad_dense(ops, c.block)),
-        float(np.sqrt(2.0)) * operator_norm(c.block @ ops.grad_x.T),
+        float(np.sqrt(2.0)) * operator_norm(_grad_dense(ops, c.block.T).T),
     )
     bounds = (_norm_a(m), 1.0, curvature_roots(m, ops.grid.potential.K)[0])
     names = ("A", "LaA", "ALa_fast")
@@ -414,9 +414,7 @@ def _lift(ops: OperatorSet, y0, y1, x2) -> np.ndarray:
     _, right, left = _singular_pairs(ops)
     x = np.zeros((ops.n_x, ops.n_v))
     x[:, :3] = np.column_stack((right @ y0, left @ y1, x2))
-    x = ops.project_mean_zero(x.ravel())
-    x /= np.linalg.norm(x)
-    return x
+    return ops.mean_zero_unit(x.ravel())
 
 
 def bochner_residual(ops: OperatorSet, h_values: np.ndarray) -> float:

@@ -190,6 +190,11 @@ class OperatorSet:
         """Apply P_0, removing the mu-mean component."""
         return f - self.const_vec * (self.const_vec @ f)
 
+    def mean_zero_unit(self, f: np.ndarray) -> np.ndarray:
+        """P_0 f / ||P_0 f||, the state every check starts from."""
+        f = self.project_mean_zero(f)
+        return f / np.linalg.norm(f)
+
 
 def assemble_operators(grid: WeightedGrid, lowering: sp.csr_matrix,
                        m_h: float) -> OperatorSet:

@@ -94,9 +94,12 @@ def initial_condition(ops: OperatorSet, kind: str, seed: int = 0) -> np.ndarray:
 
     gap: the spectral-gap eigenvector of -L_o lifted to phase space, from
     the tridiagonal eigensolve, with the sign that correlates it positively
-    with position;  velocity: Hermite mode 1;  random: seeded mean-zero unit
-    vector.
+    with position;  velocity: sqrt(w) on Hermite mode 1;  random: a seeded
+    normal vector.  Each is made mean-zero and unit by ops.mean_zero_unit.
     """
+    if kind == "random":
+        return ops.mean_zero_unit(np.random.default_rng(seed).standard_normal(ops.n))
+    state = np.zeros((ops.n_x, ops.n_v))
     if kind == "gap":
         import scipy.linalg as sla
 
@@ -110,19 +113,12 @@ def initial_condition(ops: OperatorSet, kind: str, seed: int = 0) -> np.ndarray:
         vec = vec[:, 0]
         if (ops.grid.sqrt_weights * ops.grid.nodes) @ vec < 0:
             vec = -vec
-        state = np.zeros((ops.n_x, ops.n_v))
         state[:, 0] = vec
-        return state.ravel()
-    if kind == "velocity":
-        state = np.zeros((ops.n_x, ops.n_v))
+    elif kind == "velocity":
         state[:, 1] = ops.grid.sqrt_weights
-        return state.ravel()
-    if kind == "random":
-        rng = np.random.default_rng(seed)
-        f = rng.standard_normal(ops.n)
-        f = ops.project_mean_zero(f)
-        return f / np.linalg.norm(f)
-    raise ConfigurationError(f"unknown initial-condition kind {kind!r}")
+    else:
+        raise ConfigurationError(f"unknown initial-condition kind {kind!r}")
+    return ops.mean_zero_unit(state.ravel())
 
 
 @dataclass

@@ -174,7 +174,4 @@ def dissipation_block(corrector, eps, gamma):
 
 
 def random_mean_zero(ops, seed):
-    rng = np.random.default_rng(seed)
-    f = rng.standard_normal(ops.n)
-    f = ops.project_mean_zero(f)
-    return f / np.linalg.norm(f)
+    return evolve.initial_condition(ops, "random", seed)

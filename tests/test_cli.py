@@ -199,6 +199,16 @@ class TestRunExperiment:
         assert gap["L_dom"] == 50.0
         assert gap["m_h"] == pytest.approx(0.00997, abs=1e-5)
 
+    def test_evolve_from_the_gap_state_of_a_steep_double_well(self):
+        # the select eigensolve's gap vector has weighted mean 1.3e-9 here,
+        # above MEAN_TOL: unprojected, integrate refused it
+        cfg = cli.build_config({"potential.kind": "double_well",
+                                "potential.params": "7", "evolve.f0": "gap",
+                                "evolve.t_end_factor": "1"})
+        report = cli.run_experiment("evolve", cfg)
+        statuses = {v["name"]: v["status"] for v in report.verdicts}
+        assert set(statuses.values()) == {"pass"}, statuses
+
     def test_evolve_reports_identity_and_band(self):
         cfg = cli.build_config(
             {"grid.N_x": "32", "grid.N_v": "6", "evolve.f0": "all",

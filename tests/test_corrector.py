@@ -138,9 +138,7 @@ class TestLyapunov:
         for t in (0.1, 0.5, 0.9):
             eps = 0.9 * np.sqrt(m) * t
             for _ in range(33):
-                f = rng.standard_normal(ops_quad.n)
-                f = ops_quad.project_mean_zero(f)
-                f /= np.linalg.norm(f)
+                f = ops_quad.mean_zero_unit(rng.standard_normal(ops_quad.n))
                 val = lyapunov(f, corr_quad, eps)
                 lo = (1 - 2 * eps * norm_a) / 2
                 hi = (1 + 2 * eps * norm_a) / 2
@@ -503,10 +501,11 @@ class TestSameBits:
         ops = make_ops(model.double_well(), n_x=request.param, n_v=8)
         corr = corrector_module.build_corrector(ops)
         eps = tuning.optimize_friction(ops.m_h, ops.grid.potential.K).eps_star
-        b, g = corr.block, ops.grad_x
+        b = corr.block
         c_t = corrector_module._secular_blocks(ops, eps)[2]
         return corr, {"B": b, "Grad B": corrector_module._grad_dense(ops, b),
-                      "B Grad^T": b @ g.T, "C^T": c_t}
+                      "B Grad^T": corrector_module._grad_dense(ops, b.T).T,
+                      "C^T": c_t}
 
     def test_grams_are_exactly_symmetric(self, corr_blocks):
         for name, x in corr_blocks[1].items():
@@ -543,6 +542,17 @@ class TestSameBits:
             got = corrector_module._grad_dense(ops, x)
             assert np.array_equal(got, ops.grad_x @ x), name
             assert got.flags.c_contiguous, name
+
+    def test_transposed_band_product_matches_the_sparse_product(self, corr_blocks):
+        # verify_corrector_bounds forms B Grad^T as (Grad B^T)^T, F-ordered
+        # like scipy's dense-by-sparse product
+        corr = corr_blocks[0]
+        reference = corr.block @ corr.ops.grad_x.T
+        got = corr_blocks[1]["B Grad^T"]
+        assert np.array_equal(got, reference)
+        assert got.flags.f_contiguous and reference.flags.f_contiguous
+        norm = corrector_module.operator_norm
+        assert norm(got) == norm(reference)
 
     def test_singular_pairs_repeat_bit_for_bit(self, corr_blocks):
         # the lift rebuilds V and U by a second eigensolve

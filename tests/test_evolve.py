@@ -68,6 +68,26 @@ class TestInitialConditions:
         assert abs(ops_quad_small.mean(f)) <= 1e-12
         assert np.linalg.norm(f) == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("kind", ["gap", "velocity", "random"])
+    @pytest.mark.parametrize("potential, n_x, n_v", [
+        (model.double_well(8.0), 128, 20), (model.quadratic(8.0), 32, 6)],
+        ids=["double_well_8", "quadratic_8"])
+    def test_mean_zero_unit_norm_on_steep_grids(self, potential, n_x, n_v, kind):
+        # the select eigensolve's gap vector has weighted mean 2.5e-6 and
+        # 1.0e-7 here: every kind goes through the one projection
+        ops = make_ops(potential, n_x=n_x, n_v=n_v)
+        f = evolve.initial_condition(ops, kind, seed=3)
+        assert abs(ops.mean(f)) <= evolve.MEAN_TOL
+        assert np.linalg.norm(f) == pytest.approx(1.0, rel=1e-12)
+
+    def test_gap_kind_is_grads_gap_singular_vector_on_a_steep_grid(self):
+        # projected, the gap state is Grad's right singular vector at its
+        # smallest nonzero singular value; the last one, 0, is the constant's
+        ops = make_ops(model.double_well(8.0), n_x=128, n_v=20)
+        vec = evolve.initial_condition(ops, "gap")[::ops.n_v]
+        right = np.linalg.svd(ops.grad_x.toarray())[2][-2]
+        assert abs(right @ vec) >= 1 - 1e-12
+
     def test_zero_kind(self, ops_quad_small):
         # f = 0 would meet every evolve verdict by construction
         with pytest.raises(ConfigurationError, match="'zero'"):
@@ -125,9 +145,7 @@ class TestIntegrate:
         order = np.argsort(-vals.real)
         slow = next(i for i in order if -vals[i].real > 1e-9)
         mu = -vals[slow].real
-        f0 = np.real(vecs[:, slow])
-        f0 = ops_quad_small.project_mean_zero(f0)
-        f0 /= np.linalg.norm(f0)
+        f0 = ops_quad_small.mean_zero_unit(np.real(vecs[:, slow]))
         trace = evolve.integrate(ops_quad_small, f0,
                              evolve.crank_nicolson(ops_quad_small, 4.0, 0.01), 5.0,
                              corrector=corr_quad_small, eps=0.29, Lambda=0.05)
