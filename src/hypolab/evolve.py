@@ -92,28 +92,25 @@ class DecayTrace:
 def initial_condition(ops: OperatorSet, kind: str, seed: int = 0) -> np.ndarray:
     """Initial states exercising slow, fast, and mixed subspaces.
 
-    gap: the spectral-gap eigenvector of -L_o lifted to phase space, from
-    the tridiagonal eigensolve, with the sign that correlates it positively
-    with position;  velocity: sqrt(w) on Hermite mode 1;  random: a seeded
-    normal vector.  Each is made mean-zero and unit by ops.mean_zero_unit.
+    gap: the spectral-gap eigenvector of -L_o lifted to phase space, by one
+    step of inverse iteration at the run's m_h from sqrt(w) x (LAPACK's
+    pivoted tridiagonal solve), signed to correlate positively with that
+    start;  velocity: sqrt(w) on Hermite mode 1;  random: a seeded normal
+    vector.  Each is made mean-zero and unit by ops.mean_zero_unit.
     """
     if kind == "random":
         return ops.mean_zero_unit(np.random.default_rng(seed).standard_normal(ops.n))
     state = np.zeros((ops.n_x, ops.n_v))
     if kind == "gap":
-        import scipy.linalg as sla
+        from scipy.linalg.lapack import dgtsv
 
-        (_,), vec = sla.eigh_tridiagonal(*lo_bands(ops.grid), select="i",
-                                         select_range=(1, 1))
-        # v is orthogonal to sqrt(w) and changes sign once, at some c (-L_o
-        # is tridiagonal with negative off-diagonal, and this is its second
-        # eigenvector).  So sum sqrt(w_i) x_i v_i = sum sqrt(w_i) (x_i - c) v_i
-        # sums terms of one sign: its sign is far from roundoff and fixes
-        # v's sign whatever LAPACK driver computed it.
-        vec = vec[:, 0]
-        if (ops.grid.sqrt_weights * ops.grid.nodes) @ vec < 0:
-            vec = -vec
-        state[:, 0] = vec
+        diag, upper = lo_bands(ops.grid)
+        start = ops.grid.sqrt_weights * ops.grid.nodes
+        *_, vec, info = dgtsv(upper, diag - ops.m_h, upper, start)
+        if info != 0:
+            raise NumericalError(f"dgtsv on -L_o - m_h I returned info {info}")
+        # the gap mode changes sign once: start @ vec sums terms of one sign
+        state[:, 0] = vec if start @ vec > 0 else -vec
     elif kind == "velocity":
         state[:, 1] = ops.grid.sqrt_weights
     else:

@@ -83,6 +83,51 @@ def quad_trace(ops_quad, corr_quad, tuned_quad):
     )
 
 
+def mp_gap_vector(grid, dps=60):
+    """Unit gap eigenvector of Grad^T Grad, formed in mpmath at dps digits
+    from the floats of grad_bands, without the program's m_h: Sturm bisection
+    for the second eigenvalue, then the twisted factorization of
+    Grad^T Grad - lambda I at it (Dhillon and Parlett), whose twist index
+    minimizes the residual.  Products of doubles are exact at 60 digits, so
+    the matrix is the one the floats define."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        d0, d1 = ([mp.mpf(e) for e in band] for band in discretize.grad_bands(grid))
+        n = len(d0)
+        diag = [d0[i] ** 2 + (d1[i - 1] ** 2 if i else 0) for i in range(n)]
+        off = [d0[i] * d1[i] for i in range(n - 1)]
+
+        def pivots(a, b, tau):
+            """Pivots of the LDL^T of T - tau I, T tridiagonal (a, b)."""
+            q = [a[0] - tau]
+            for i in range(1, len(a)):
+                q.append(a[i] - tau - b[i - 1] ** 2 / q[-1])
+            return q
+
+        # as many pivots are negative as eigenvalues lie below tau (Sylvester);
+        # the trace bounds every eigenvalue of a semidefinite matrix
+        lo, hi = mp.mpf(0), mp.fsum(diag)
+        while hi - lo > lo * mp.mpf(10) ** (10 - dps):
+            mid = (lo + hi) / 2
+            if sum(q < 0 for q in pivots(diag, off, mid)) >= 2:
+                hi = mid
+            else:
+                lo = mid
+        lam = (lo + hi) / 2
+        down = pivots(diag, off, lam)
+        up = pivots(diag[::-1], off[::-1], lam)[::-1]
+        twist = min(range(n), key=lambda r: abs(down[r] + up[r] - (diag[r] - lam)))
+        vec = [mp.mpf(0)] * n
+        vec[twist] = mp.mpf(1)
+        for i in range(twist - 1, -1, -1):
+            vec[i] = -off[i] * vec[i + 1] / down[i]
+        for i in range(twist + 1, n):
+            vec[i] = -off[i - 1] * vec[i - 1] / up[i]
+        norm = mp.sqrt(mp.fsum(v * v for v in vec))
+        return np.array([float(v / norm) for v in vec])
+
+
 def phase_lo(ops):
     """L_o (x) I on the phase space, from the position factor lo_x.  The
     program never assembles it: it is the tests' phase-space reference."""

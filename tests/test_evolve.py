@@ -16,7 +16,7 @@ from hypolab.errors import (
     PreconditionError,
 )
 
-from conftest import make_ops, phase_lo, random_mean_zero
+from conftest import make_ops, mp_gap_vector, phase_lo, random_mean_zero
 
 POTENTIALS = {
     "quadratic": lambda: model.quadratic(1.0),
@@ -80,13 +80,27 @@ class TestInitialConditions:
         assert abs(ops.mean(f)) <= evolve.MEAN_TOL
         assert np.linalg.norm(f) == pytest.approx(1.0, rel=1e-12)
 
-    def test_gap_kind_is_grads_gap_singular_vector_on_a_steep_grid(self):
+    @pytest.mark.parametrize("potential, n_x", [
+        (model.double_well(8.0), 128), (model.quadratic(8.0), 16),
+        (model.quadratic(8.0), 24), (model.quadratic(8.0), 32),
+        (model.double_well(5.0), 64), (model.double_well(12.0), 64)],
+        ids=["double_well_8_128", "quadratic_8_16", "quadratic_8_24",
+             "quadratic_8_32", "double_well_5_64", "double_well_12_64"])
+    def test_gap_kind_is_grads_gap_singular_vector_on_a_steep_grid(self, potential, n_x):
         # projected, the gap state is Grad's right singular vector at its
-        # smallest nonzero singular value; the last one, 0, is the constant's
-        ops = make_ops(model.double_well(8.0), n_x=128, n_v=20)
+        # smallest nonzero singular value, against a 60-digit reference
+        # (numpy's SVD vector is 1.0 off it at double_well 12 on 64 nodes)
+        ops = make_ops(potential, n_x=n_x, n_v=4)
         vec = evolve.initial_condition(ops, "gap")[::ops.n_v]
-        right = np.linalg.svd(ops.grad_x.toarray())[2][-2]
-        assert abs(right @ vec) >= 1 - 1e-12
+        assert 1 - abs(mp_gap_vector(ops.grid) @ vec) <= 1e-12
+
+    def test_gap_kind_singular_solve_raises(self, ops_quad_small, monkeypatch):
+        # dgtsv's info > 0 names an exactly zero pivot of -L_o - m_h I
+        import scipy.linalg.lapack as lapack
+
+        monkeypatch.setattr(lapack, "dgtsv", lambda dl, d, du, b: (dl, d, du, b, 3))
+        with pytest.raises(NumericalError, match="info 3"):
+            evolve.initial_condition(ops_quad_small, "gap")
 
     def test_zero_kind(self, ops_quad_small):
         # f = 0 would meet every evolve verdict by construction
