@@ -293,12 +293,8 @@ class _Workspace:
 
     @cached_property
     def ops(self):
-        # the gap before the basis loads scipy: in the other order, verify
-        # at 2048x8 peaked at 204.6 MiB of RSS instead of 172.4 (glibc's
-        # allocator kept an n_x^2 block of the corrector stage resident)
-        m_h = self.m_h
         lowering = build_velocity_basis(self.cfg.grid_n_v)
-        return assemble_operators(self.grid, lowering, m_h)
+        return assemble_operators(self.grid, lowering, self.m_h)
 
     @cached_property
     def tuned(self) -> TuningResult:

@@ -3,21 +3,32 @@
 The corrector is the paper's A_m = (m - L_o)^{-1} (L_a Pi_v)^T, shifted by
 the discrete gap m = m_h.  (L_a Pi_v)^T = -Pi_v L_a = kron(Grad^T, e_0 e_1^T)
 maps Hermite mode 1 to mode 0 only, so A = kron(B, e_0 e_1^T) with the
-n_x x n_x position block B = (m_h - L_o)^{-1} Grad^T: one banded Cholesky
-solve of the shifted position operator, tridiagonal and SPD because m_h > 0.
+n_x x n_x position block B = (m_h - L_o)^{-1} Grad^T.  The corrector keeps
+the dpttrf factors of m_h - L_o, tridiagonal and SPD because m_h > 0, and
+Grad's two bands: O(n_x) bytes.  S = A + A^T is two tridiagonal solves,
+B x_1 = (m_h - L_o)^{-1} (Grad^T x_1) on mode 0 and
+B^T x_0 = Grad ((m_h - L_o)^{-1} x_0) on mode 1.  The dense B is formed
+only when the phase-space matrix is read.
 
-Verified bounds, each the norm of one position block of the ladder algebra
-(L_a A maps mode 1 to mode 1; A L_a (1 - Pi_v) maps mode 2 to mode 0 through
-the lowering coefficient sqrt(2)):
+Take the singular pairs of the gradient, Grad = U diag(sigma) V^T, from the
+tridiagonal eigensolve -L_o = V diag(sigma^2) V^T, with U = Grad V / sigma.
+Then B = V diag(t) U^T with t = sigma / (m_h + sigma^2), and the verified
+bounds, each the norm of one position block of the ladder algebra (L_a A
+maps mode 1 to mode 1; A L_a (1 - Pi_v) maps mode 2 to mode 0 through the
+lowering coefficient sqrt(2)), are
 
-    ||A||                 = s_max(B)                  <=  1 / (2 sqrt(m_h))
-    ||L_a A||             = s_max(Grad B)             <=  1
-    ||A L_a (1 - Pi_v)||  = sqrt(2) s_max(B Grad^T)   <=  sqrt(2 + K / (2 m_h))
+    ||A||                 = s_max(B)      = max t        <=  1 / (2 sqrt(m_h))
+    ||L_a A||             = s_max(Grad B) = max sigma t  <=  1
+    ||A L_a (1 - Pi_v)||  = sqrt(2) s_max(B Grad^T)      <=  sqrt(2 + K / (2 m_h))
 
-The first bound is attained: the singular values of B are s / (m_h + s^2)
-over the singular values s of Grad, and s = sqrt(m_h) is one of them.  Each
-norm comes from operator_norm, whose rounding error verify_corrector_bounds
-reports as ratio_allowance (derived in operator_norm's docstring).
+The first two are closed forms in the pairs and hold on every grid:
+sigma / (m_h + sigma^2) <= 1 / (2 sqrt(m_h)) by the AM-GM inequality, with
+equality at sigma^2 = m_h, and sigma^2 / (m_h + sigma^2) < 1.  The third is
+the one bound that uses K.  As V has orthonormal columns,
+s_max(B Grad^T) = s_max(V diag(t) (Grad U)^T) = s_max((Grad U) diag(t)),
+which operator_norm measures and whose rounding error
+verify_corrector_bounds reports as ratio_allowance (derived in
+operator_norm's docstring).
 Also checked: coercivity of the dissipation quadratic form of ModifiedFunctional
 
     Q = -sym(L) + eps sym(S L),   S = A + A^T,   sym(X) = (X + X^T)/2,
@@ -41,12 +52,10 @@ on modes 0-2 it is the 3 x 3 matrix of n_x x n_x position blocks
     Q_22 = 2 gamma I
 
 The smallest eigenvalue of Q on the mean-zero subspace u^perp (u = sqrt(w)
-on mode 0) needs no 3 n_x x 3 n_x matrix.  Take the singular pairs of the
-gradient, Grad = U diag(sigma) V^T, from the tridiagonal eigensolve
--L_o = V diag(sigma^2) V^T, with U = Grad V / sigma.  Then B = V diag(t) U^T,
+on mode 0) needs no 3 n_x x 3 n_x matrix.  In the singular pairs,
 B Grad = V diag(s^2) V^T and Grad B = U diag(s^2) U^T, with
-s^2 = sigma^2 / (m_h + sigma^2) and t = sigma / (m_h + sigma^2).  In the
-coordinates V^T x_0 and U^T x_1, modes 0 and 1 split into independent pairs
+s^2 = sigma t = sigma^2 / (m_h + sigma^2).  In the coordinates V^T x_0 and
+U^T x_1, modes 0 and 1 split into independent pairs
 
     [[a, -b], [-b, c]],   a = eps s^2,  b = (eps gamma / 2) t,  c = gamma - a,
 
@@ -77,27 +86,28 @@ x_0 = V y, x_1 = U (b y / (c - lam)), x_2 = -C^T y / (2 gamma - lam).
 
 Each Newton step is one (n_x - 1)-square eigensolve.  The lifted vector's
 residual is measured in phase space, by the functional's Q f on the generator
-compose_generator assembles, so it also sees faults of the assembled L that
-the blocks above cannot.  The eigenbasis of Grad^T Grad is accurate to about
-machine epsilon times ||Grad^T Grad||, so the residual grows with n_x (about
-1e-12 at n_x = 512); it is subtracted on the safe side.  It is returned
-with its rounding level, NEWTON_FLOOR times the terms apply_form sums on
-modes 0-2, of which it is a few percent at 512 x 32.  Well above that level
-it is not rounding: the closed-form blocks and the assembled generator
-disagree.
+compose_generator assembles and the corrector's two-solve S f, so it also
+sees faults of the assembled L and of S f that the blocks above cannot: it
+is the one check that reads S f.  The eigenbasis of Grad^T Grad is accurate
+to about machine epsilon times ||Grad^T Grad||, so the residual grows with
+n_x (about 1e-12 at n_x = 512); it is subtracted on the safe side.  It is
+returned with its rounding level, NEWTON_FLOOR times the terms apply_form
+sums on modes 0-2, of which it is a few percent at 512 x 32.  Well above
+that level it is not rounding: the closed-form blocks and the assembled
+generator or S f disagree.
 
 At most three dense n_x x n_x arrays are alive at once in the corrector
-stage, B included: B and the two that each phase needs (a block and its
-Gram matrix; V and the divide-and-conquer eigensolve's n_x^2 workspace,
-then V and U; U and C^T; C^T and S; V and U again).  No copy of one is
-made.  LAPACK works in place on F-ordered arrays: the dense Grad^T that
-B is solved into, and the transposed views of X^T X and of S, which are
-exactly symmetric because numpy forms X^T X by syrk and mirrors its
-triangle.  Grad X is formed from Grad's two bands a row at a time.  V
-and U live only to build C^T and to lift the root vector: they are freed
-before the Newton loop, C^T and S after it, and a second eigensolve
-rebuilds V and U bit for bit for the lift.  Each Newton step forms C C^T
-afresh into S rather than keep it beside S: one more syrk a step.
+stage, and the Corrector holds none: V and the divide-and-conquer
+eigensolve's n_x^2 workspace; V, Grad V and Grad (Grad V) while the block
+(Grad U) diag(t) is formed (U itself never is); that block and its Gram
+matrix; V, C^T and S in the Newton loop.  No copy of one is made.  LAPACK
+works in place on the transposed views of X^T X and of S, which are exactly
+symmetric because numpy forms X^T X by syrk and mirrors its triangle, and
+Grad X is formed from Grad's two bands a row at a time.  V lives through
+the Newton loop to lift the root vector, whose mode-1 part
+U y_1 = Grad (V (y_1 / sigma)) is a product with a vector; C^T and S are
+freed before the lift, V after it.  Each Newton step forms C C^T afresh
+into S rather than keep it beside S: one more syrk a step.
 """
 from __future__ import annotations
 
@@ -122,47 +132,58 @@ NEWTON_FLOOR = 8 * np.finfo(float).eps  # rounding level of mu, per unit of S
 
 @dataclass
 class Corrector:
-    """Gap-shifted corrector: its mode-1 -> mode-0 position block, with the
-    operator set.
+    """Gap-shifted corrector with the operator set: the dpttrf factors of
+    m_h - L_o, bound into solve, and Grad's two bands; no n_x^2 array.
 
-    Every computation goes through the block.  The phase-space matrix is
-    assembled only when read: the benchmark reports its nonzero count
-    (corrector.nnz_A) and the tests use it as the phase-space reference for
-    the block algebra.
+    Every computation goes through solve and the bands.  The phase-space
+    matrix, and with it the dense block B, is formed only when read: the
+    benchmark reports its nonzero count (corrector.nnz_A) and the tests use
+    it as the phase-space reference for the factor path.
     """
 
     ops: OperatorSet
-    block: np.ndarray
+    solve: functools.partial  # b -> ((m_h - L_o)^{-1} b, info) by LAPACK dpttrs
+    grad: tuple[np.ndarray, np.ndarray]
 
     @functools.cached_property
     def matrix(self) -> sp.csr_matrix:
-        """A = kron(B, e_0 e_1^T) on the phase space."""
+        """A = kron(B, e_0 e_1^T) on the phase space; B is solved in place
+        into the dense Grad^T, F-ordered as the transpose of a CSR matrix."""
         import scipy.sparse as sp
 
         n_v = self.ops.n_v
         e01 = sp.csr_matrix(([1.0], ([0], [1])), shape=(n_v, n_v))
-        return sp.kron(self.block, e01, format="csr")
+        block = self.solve(self.ops.grad_x.T.toarray(), overwrite_b=True)[0]
+        return sp.kron(block, e01, format="csr")
 
     def apply_symmetric(self, x: np.ndarray) -> np.ndarray:
-        """S x = (A + A^T) x from the position block: B takes x's Hermite
-        mode 1 to mode 0, and B^T takes its mode 0 to mode 1."""
+        """S x = (A + A^T) x by two solves: B x_1 = (m_h - L_o)^{-1} Grad^T x_1
+        of x's Hermite mode 1 goes to mode 0, and B^T x_0 =
+        Grad (m_h - L_o)^{-1} x_0 of its mode 0 to mode 1."""
         n_v = self.ops.n_v
+        d0, d1 = self.grad
+        x1 = x[1::n_v]
+        grad_t = d0 * x1
+        grad_t[1:] += d1 * x1[:-1]
+        z = self.solve(x[::n_v])[0]
         out = np.zeros_like(x)
-        out[::n_v] = self.block @ x[1::n_v]
-        out[1::n_v] = self.block.T @ x[::n_v]
+        out[::n_v] = self.solve(grad_t)[0]
+        out[1::n_v] = d0 * z
+        out[1::n_v][:-1] += d1 * z[1:]
         return out
 
 
 def build_corrector(ops: OperatorSet) -> Corrector:
-    """A = (m_h I - L_o)^{-1} (L_a Pi_v)^T = kron(B, e_0 e_1^T) by one
-    banded Cholesky solve for its block B."""
-    import scipy.linalg as sla
+    """A = (m_h I - L_o)^{-1} (L_a Pi_v)^T = kron(B, e_0 e_1^T), kept as the
+    LDL^T factors of the tridiagonal m_h - L_o by LAPACK dpttrf."""
+    from scipy.linalg.lapack import dpttrf, dpttrs
 
     diag, upper = lo_bands(ops.grid)
-    bands = np.vstack((np.r_[0.0, upper], ops.m_h + diag))  # upper form
-    # the dense Grad^T of a CSC matrix is F-ordered: LAPACK solves it in place
-    rhs = ops.grad_x.T.toarray()
-    return Corrector(ops=ops, block=sla.solveh_banded(bands, rhs, overwrite_b=True))
+    d, e, info = dpttrf(ops.m_h + diag, upper)
+    if info:
+        raise NumericalError(f"m_h - L_o is not positive definite (dpttrf info {info})")
+    return Corrector(ops=ops, solve=functools.partial(dpttrs, d, e),
+                     grad=grad_bands(ops.grid))
 
 
 @dataclass
@@ -212,8 +233,8 @@ def operator_norm(matrix) -> float:
     """Largest singular value, as the square root of the largest eigenvalue
     of the Gram matrix X^T X.
 
-    The bound checks pass the n x n position blocks of the corrector algebra
-    (n = n_x), never a phase-space matrix.  Squaring loses accuracy only at
+    verify_corrector_bounds passes the n_x x n block (Grad U) diag(t),
+    n = n_x - 1, never a phase-space matrix.  Squaring loses accuracy only at
     the bottom of the spectrum, so s = s_max comes out to roundoff, as from
     an SVD, in about a third of its time (one product and one selected
     eigenvalue).  With u = eps / 2 the unit roundoff, its relative error is
@@ -232,14 +253,16 @@ def operator_norm(matrix) -> float:
       error and rounds once more.
 
     Dividing by a bound adds a few roundings more, far inside the other
-    n^2 eps / 2 for n >= 16, so n^2 eps is the rounding allowance of each
-    norm-to-bound ratio (ratio_allowance of verify_corrector_bounds).
+    n^2 eps / 2 for n >= 16, so n_x^2 eps > n^2 eps is the rounding
+    allowance of each norm-to-bound ratio (ratio_allowance of
+    verify_corrector_bounds).
 
     numpy forms X^T X by syrk and mirrors its triangle, so the Gram matrix is
     exactly symmetric and its F-ordered transpose is the same matrix: LAPACK
     reads and overwrites that view, with no copy.  Nor is it scanned for
-    non-finite entries, which would hold an n_x^2 mask: the blocks are
-    products of the finite B, and a NaN makes LAPACK raise LinAlgError.
+    non-finite entries, which would hold an n_x^2 mask: the block is a
+    product of finite singular pairs, and a NaN makes LAPACK raise
+    LinAlgError.
     """
     import scipy.linalg as sla
 
@@ -256,21 +279,17 @@ def verify_corrector_bounds(c: Corrector) -> dict:
     is attained) and ratio_allowance = n_x^2 eps, the rounding allowance of
     each ratio that operator_norm's docstring derives.
 
-    Each norm is the largest singular value of one position block (see the
-    module docstring).  n_x^2 eps bounds operator_norm's rounding, not that of
-    B's banded solve, about kappa(m_h - L_o) eps, which nothing here bounds.
-    Measured, |ratio_A - 1| is at most 6.1e-13 at 1024 x 8 (double_well
-    s = 1, 2, 3, cosine_bump c = 3) against 2.3e-10, and 4.7e-12 at
-    double_well s = 3, 2048 x 8 against 9.3e-10.
+    All three come from one tridiagonal eigensolve (module docstring):
+    norm_A = max t and norm_LaA = max sigma t are closed forms, rounded a
+    few times, and norm_ALa_fast is sqrt(2) operator_norm((Grad U) diag(t)).
+    norm_A_exact_residual is then how far the eigensolve's smallest sigma^2
+    lies from m_h, at second order.
     """
     ops = c.ops
-    m = ops.m_h
-    norms = (
-        operator_norm(c.block),
-        operator_norm(_grad_dense(ops, c.block)),
-        float(np.sqrt(2.0)) * operator_norm(_grad_dense(ops, c.block.T).T),
-    )
-    bounds = (_norm_a(m), 1.0, curvature_roots(m, ops.grid.potential.K)[0])
+    sigma, t, block = _singular_pairs(ops)[:3]  # V is dropped here
+    norms = (float(t.max()), float((sigma * t).max()),
+             float(np.sqrt(2.0)) * operator_norm(block))
+    bounds = (_norm_a(ops.m_h), 1.0, curvature_roots(ops.m_h, ops.grid.potential.K)[0])
     names = ("A", "LaA", "ALa_fast")
     return {
         **{f"norm_{name}": norm for name, norm in zip(names, norms)},
@@ -300,8 +319,7 @@ def dissipation_form_min_eig(c: Corrector, eps: float, gamma: float):
     NEWTON_CAP steps.
     """
     ops = c.ops
-    root, steps = _secular_root(ops, eps, gamma)
-    x = _lift(ops, *root)
+    x, steps = _secular_root(ops, eps, gamma)
     qx = ModifiedFunctional(c, compose_generator(ops, gamma), eps).apply_form(x)
     rho = float(x @ qx)
     residual = float(np.linalg.norm(ops.project_mean_zero(qx) - rho * x))
@@ -311,7 +329,8 @@ def dissipation_form_min_eig(c: Corrector, eps: float, gamma: float):
 
 
 def _norm_a(m_h: float) -> float:
-    """||A|| = s_max(B) = 1 / (2 sqrt(m_h)), attained (module docstring)."""
+    """The bound 1 / (2 sqrt(m_h)) on ||A|| = max t, attained (module
+    docstring)."""
     return 1.0 / (2.0 * math.sqrt(m_h))
 
 
@@ -324,7 +343,7 @@ def _grad_dense(ops: OperatorSet, x: np.ndarray) -> np.ndarray:
     F-ordered x to C order first, and numpy buffers up to 64 KiB an operand
     for a broadcast or strided 2-D product.  The C order keeps the bits
     downstream: BLAS takes another path for the syrk and gemv of an
-    F-ordered U or C^T."""
+    F-ordered C^T."""
     d0, d1 = grad_bands(ops.grid)
     out = np.empty(x.shape)
     out[-1] = 0.0  # Grad's last row is empty
@@ -336,9 +355,10 @@ def _grad_dense(ops: OperatorSet, x: np.ndarray) -> np.ndarray:
 
 
 def _singular_pairs(ops: OperatorSet):
-    """The gradient's singular pairs but the kernel's, as (sigma^2, V, U)
-    with Grad V = U diag(sigma), from one tridiagonal eigensolve with vectors.
-    A second call returns the same bits."""
+    """The gradient's singular pairs but the kernel's, from one tridiagonal
+    eigensolve with vectors, as (sigma, t, (Grad U) diag(t), V) of the module
+    docstring: the block is s_max(B Grad^T)'s and a multiple of C^T.  U is
+    never formed: (Grad U) diag(t) = Grad (Grad V) diag(1 / (m_h + sigma^2))."""
     import scipy.linalg as sla
 
     sigma2, right = sla.eigh_tridiagonal(*lo_bands(ops.grid))
@@ -348,30 +368,22 @@ def _singular_pairs(ops: OperatorSet):
             f"the tridiagonal eigensolve with vectors gives sigma^2 = "
             f"{sigma2[0]:.3e} for the gap, which is m_h = {ops.m_h:.3e}"
         )
-    left = _grad_dense(ops, right)
-    left /= np.sqrt(sigma2)
-    return sigma2, right, left
-
-
-def _secular_blocks(ops: OperatorSet, eps: float):
-    """(sigma, t, C^T) of the module docstring; U is freed on return."""
-    sigma2, left = _singular_pairs(ops)[::2]  # V is dropped: C^T can take its place
+    block = _grad_dense(ops, _grad_dense(ops, right))
+    block /= ops.m_h + sigma2
     sigma = np.sqrt(sigma2)
-    t = sigma / (ops.m_h + sigma2)
-    c_t = _grad_dense(ops, left)
-    c_t *= -eps / math.sqrt(2.0)
-    c_t *= t
-    return sigma, t, c_t
+    return sigma, sigma / (ops.m_h + sigma2), block, right
 
 
 def _secular_root(ops: OperatorSet, eps: float, gamma: float):
     """Newton's method on mu_min(S(lam)) from above, in delta = p - lam, to
-    the root vector y; returns the coordinates (y, b y / (c - lam),
-    -C^T y / (2 gamma - lam)) of its lift and the number of eigensolves.
-    C^T and S are its only n_x^2 arrays, and both are freed on return."""
+    the root vector y; returns the lift of (y, b y / (c - lam),
+    -C^T y / (2 gamma - lam)) and the number of eigensolves.  V, C^T and S
+    are its only n_x^2 arrays: C^T and S are freed before the lift, V on
+    return."""
     import scipy.linalg as sla
 
-    sigma, t, c_t = _secular_blocks(ops, eps)
+    sigma, t, c_t, right = _singular_pairs(ops)
+    c_t *= -eps / math.sqrt(2.0)
     a = eps * sigma * t
     b = eps * gamma / 2 * t
     b2 = b * b
@@ -400,7 +412,8 @@ def _secular_root(ops: OperatorSet, eps: float, gamma: float):
         w = w[:, 0]
         z = c_t @ w
         if abs(mu) <= floor:
-            return (w, b * w / gap1, -z / gap2), step + 1
+            del c_t, s  # the lift holds V alone
+            return _lift(ops, right, w, b * w / (gap1 * sigma), -z / gap2), step + 1
         delta -= mu / (1.0 + (b2 / gap1**2) @ (w * w) + (z @ z) / gap2**2)
     raise NumericalError(
         f"secular Newton solve: |mu| = {abs(mu):.3e} is above its rounding "
@@ -408,12 +421,11 @@ def _secular_root(ops: OperatorSet, eps: float, gamma: float):
     )
 
 
-def _lift(ops: OperatorSet, y0, y1, x2) -> np.ndarray:
-    """The mean-zero unit state with modes (V y0, U y1, x2), V and U rebuilt
-    by a second eigensolve, bit for bit the first's."""
-    _, right, left = _singular_pairs(ops)
+def _lift(ops: OperatorSet, right, y0, v1, x2) -> np.ndarray:
+    """The mean-zero unit state with modes (V y0, U y1, x2), where
+    U y1 = Grad (V v1) for v1 = y1 / sigma."""
     x = np.zeros((ops.n_x, ops.n_v))
-    x[:, :3] = np.column_stack((right @ y0, left @ y1, x2))
+    x[:, :3] = np.column_stack((right @ y0, ops.grad_x @ (right @ v1), x2))
     return ops.mean_zero_unit(x.ravel())
 
 

@@ -198,11 +198,19 @@ def dissipation_form(functional):
     return q.tocsc()
 
 
+def dense_block(corrector):
+    """The dense position block B = (m_h - L_o)^{-1} Grad^T, read off the
+    phase-space A = kron(B, e_0 e_1^T) that Corrector.matrix assembles: the
+    reference for the corrector's factor path and its closed forms."""
+    n_v = corrector.ops.n_v
+    return corrector.matrix[::n_v, 1::n_v].toarray()
+
+
 def dissipation_block(corrector, eps, gamma):
     """Dense Hermite mode 0-2 block of Q in position-major order,
     block[k::3, l::3] = Q_kl (the blocks of the corrector module docstring):
     the reference for the secular solve."""
-    b, g = corrector.block, corrector.ops.grad_x
+    b, g = dense_block(corrector), corrector.ops.grad_x
     n_x = len(b)
     eye = np.eye(n_x)
     bg = b @ g

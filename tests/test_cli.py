@@ -682,18 +682,19 @@ class TestVerdictRule:
 
     @staticmethod
     def scale_block(monkeypatch, factor):
-        """build_corrector with its block B scaled by factor."""
-        build = cli.build_corrector
+        """The singular pairs' t and (Grad U) diag(t), from which the three
+        corrector norms are read, scaled by factor."""
+        pairs = corrector_module._singular_pairs
 
         def scaled(ops):
-            c = build(ops)
-            c.block *= factor
-            return c
+            sigma, t, block, right = pairs(ops)
+            return sigma, t * factor, block * factor, right
 
-        monkeypatch.setattr(cli, "build_corrector", scaled)
+        monkeypatch.setattr(corrector_module, "_singular_pairs", scaled)
 
     def test_block_off_by_1e_9_fails_bound_a(self, monkeypatch):
-        # ||A|| = 1 / (2 sqrt(m_h)) is attained, so bound_A asserts B exactly
+        # ||A|| = max t = 1 / (2 sqrt(m_h)) is attained, so bound_A asserts
+        # t exactly
         self.scale_block(monkeypatch, 1 + 1e-9)
         report = cli.run_experiment("verify", cli.build_config(SMALL))
         verdicts = {v["name"]: v for v in report.verdicts}
@@ -701,6 +702,19 @@ class TestVerdictRule:
         assert verdicts["bound_A"]["margin"] == pytest.approx(-1e-9, rel=1e-3)
         assert verdicts["bound_LaA"]["status"] == "pass"
         assert verdicts["bound_ALa_fast"]["status"] == "pass"
+
+    def test_flat_gap_passes_the_norm_bounds(self):
+        # cosine_bump 10 at 128x20 has m_h = 5.5e-7: a norm of the dense B
+        # carried the rounding of its banded solve, about kappa(m_h - L_o)
+        # eps, and bound_A failed at -2.06e-10.  The closed forms carry none.
+        # dissipation_coercive and bochner_inequality fail there for reasons
+        # of their own, so only the three bounds are asserted
+        cfg = cli.build_config({"potential.kind": "cosine_bump",
+                                "potential.params": "10"})
+        report = cli.run_experiment("verify", cfg)
+        statuses = {v["name"]: v["status"] for v in report.verdicts}
+        assert [statuses[f"bound_{name}"] for name in ("A", "LaA", "ALa_fast")] == (
+            ["pass"] * 3)
 
     def test_block_one_percent_over_fails_bound_ala_fast(self, monkeypatch):
         cfg = cli.build_config(SMALL)

@@ -13,6 +13,7 @@ from hypolab.cli import main
 from hypolab.errors import NumericalError
 
 from conftest import (
+    dense_block,
     dissipation_block,
     dissipation_form,
     make_ops,
@@ -52,15 +53,21 @@ class TestBuildCorrector:
         expected = sla.solve(
             ops_quad.m_h * np.eye(ops_quad.n_x) - ops_quad.lo_x.toarray(),
             ops_quad.grad_x.T.toarray())
-        assert np.abs(corr_quad.block - expected).max() <= (
+        assert np.abs(dense_block(corr_quad) - expected).max() <= (
             1e-12 * np.abs(expected).max())
 
     def test_matrix_is_built_only_when_read(self, ops_quad_small):
+        # the corrector holds the factors' solve and Grad's bands, O(n_x)
         corr = corrector_module.build_corrector(ops_quad_small)
         assert "matrix" not in corr.__dict__
+        n_x = ops_quad_small.n_x
+        held = [*corr.solve.args, *corr.grad]
+        assert all(isinstance(x, np.ndarray) and x.shape in {(n_x,), (n_x - 1,)}
+                   for x in held)
         e01 = np.zeros((ops_quad_small.n_v, ops_quad_small.n_v))
         e01[0, 1] = 1.0
-        assert np.array_equal(corr.matrix.toarray(), np.kron(corr.block, e01))
+        block = corr.solve(ops_quad_small.grad_x.T.toarray())[0]
+        assert np.array_equal(corr.matrix.toarray(), np.kron(block, e01))
         assert corr.matrix is corr.__dict__["matrix"]
 
     def test_annihilates_constants(self, corr_quad, ops_quad):
@@ -133,7 +140,8 @@ class TestLyapunov:
 
     def test_equivalence_brackets(self, corr_quad, ops_quad):
         m = ops_quad.m_h
-        norm_a = max(corrector_module.operator_norm(corr_quad.block), 1.0 / (2 * np.sqrt(m)))
+        norm_a = max(corrector_module.operator_norm(dense_block(corr_quad)),
+                     1.0 / (2 * np.sqrt(m)))
         rng = np.random.default_rng(11)
         for t in (0.1, 0.5, 0.9):
             eps = 0.9 * np.sqrt(m) * t
@@ -185,8 +193,9 @@ class TestOperatorNorm:
     @pytest.mark.parametrize("potential", sorted(SMALL_POTENTIALS))
     def test_gram_eigenvalue_matches_svd(self, potential, n_x, n_v):
         ops = make_ops(SMALL_POTENTIALS[potential](), n_x=n_x, n_v=n_v)
-        b, g = corrector_module.build_corrector(ops).block, ops.grad_x
-        for block in (b, g @ b, b @ g.T):
+        b, g = dense_block(corrector_module.build_corrector(ops)), ops.grad_x
+        gut = corrector_module._singular_pairs(ops)[2]  # (Grad U) diag(t)
+        for block in (b, g @ b, b @ g.T, gut):
             svd = sla.svdvals(block)[0]
             assert abs(corrector_module.operator_norm(block) - svd) <= 1e-14 * svd
 
@@ -211,8 +220,9 @@ def mode_loop_corrector(ops):
 
 
 class TestBlockReduction:
-    """The bound norms and the corrector come from n_x x n_x position blocks;
-    at 64x12 they are compared with the full phase-space matrices."""
+    """The bound norms come from the singular pairs of Grad and the corrector
+    from the factors of m_h - L_o; at 64x12 they are compared with the full
+    phase-space matrices."""
 
     @pytest.fixture(scope="class", params=sorted(SMALL_POTENTIALS))
     def corr_small(self, request):
@@ -271,6 +281,71 @@ class TestCorrectorBounds:
     def test_double_well_within_tolerance(self, corr_dw):
         report = corrector_module.verify_corrector_bounds(corr_dw)
         assert all(r - 1 <= report["ratio_allowance"] for r in report["ratios"])
+
+
+class TestFactorPath:
+    """The closed forms, the one measured norm and S f against the dense block
+    B that Corrector.matrix assembles, and the eigensolves the stage makes."""
+
+    @pytest.fixture(scope="class", params=[17, 64, 512])
+    def corr_nodes(self, request):
+        ops = make_ops(model.double_well(), n_x=request.param, n_v=8)
+        return corrector_module.build_corrector(ops)
+
+    def test_closed_forms_match_the_dense_gram_norms(self, corr_nodes):
+        ops, norm = corr_nodes.ops, corrector_module.operator_norm
+        b, g = dense_block(corr_nodes), ops.grad_x
+        dense = [norm(b), norm(g @ b), np.sqrt(2.0) * norm(b @ g.T)]
+        report = corrector_module.verify_corrector_bounds(corr_nodes)
+        got = [report["norm_A"], report["norm_LaA"], report["norm_ALa_fast"]]
+        sigma, t, block, _ = corrector_module._singular_pairs(ops)
+        assert got == [t.max(), (sigma * t).max(), np.sqrt(2.0) * norm(block)]
+        allowance = report["ratio_allowance"]
+        for name, x, y in zip(("A", "LaA", "ALa_fast"), got, dense):
+            assert abs(x - y) <= allowance * y, name
+
+    def test_factor_path_matches_the_dense_block(self, corr_nodes):
+        A = corr_nodes.matrix
+        for seed in range(3):
+            x = np.random.default_rng(40 + seed).standard_normal(corr_nodes.ops.n)
+            expected = (A + A.T) @ x
+            got = corr_nodes.apply_symmetric(x)
+            assert np.linalg.norm(got - expected) <= 5e-14 * np.linalg.norm(expected)
+
+    @staticmethod
+    def count_eigensolves(monkeypatch):
+        """Calls of scipy.linalg's tridiagonal eigensolve, of its eigvalsh
+        (operator_norm's Gram eigensolve) and of its eigh (a Newton step)."""
+        counts = {"eigh_tridiagonal": 0, "eigvalsh": 0, "eigh": 0}
+        for name in counts:
+            def counted(*args, _name=name, _solve=getattr(sla, name), **kwargs):
+                counts[_name] += 1
+                return _solve(*args, **kwargs)
+            monkeypatch.setattr(sla, name, counted)
+        return counts
+
+    def test_verify_makes_two_tridiagonal_eigensolves_and_one_gram(self, monkeypatch):
+        counts = self.count_eigensolves(monkeypatch)
+        report = cli_module.run_experiment(
+            "verify", cli_module.build_config({"grid.N_x": "64", "grid.N_v": "12"}))
+        steps = report.results["corrector"]["min_eig_newton_steps"]
+        assert counts == {"eigh_tridiagonal": 2, "eigvalsh": 1, "eigh": steps}
+
+    def test_min_eig_makes_one_tridiagonal_eigensolve(self, monkeypatch):
+        corr, eps, gamma = tuned_corrector("double_well", 64, 12)
+        counts = self.count_eigensolves(monkeypatch)
+        steps = corrector_module.dissipation_form_min_eig(corr, eps, gamma)[3]
+        assert counts == {"eigh_tridiagonal": 1, "eigvalsh": 0, "eigh": steps}
+
+    @pytest.mark.parametrize("command", ["verify", "evolve"])
+    def test_runs_never_form_the_dense_block(self, command, monkeypatch):
+        def refuse(self):
+            raise AssertionError("Corrector.matrix was read")
+
+        monkeypatch.setattr(corrector_module.Corrector, "matrix", property(refuse))
+        report = cli_module.run_experiment(command, cli_module.build_config(
+            {"grid.N_x": "32", "grid.N_v": "6", "evolve.t_end_factor": "0.5"}))
+        assert not report.failed
 
 
 class TestDissipationFormMinEig:
@@ -447,6 +522,20 @@ class TestSecularSolve:
         assert statuses["structure_exact"] == "fail"
         assert statuses["dissipation_coercive"] == "fail"
 
+    def test_residual_sees_a_wrong_symmetric_part(self, monkeypatch):
+        # the factor path's S f made 1e-6 too large: the closed-form blocks
+        # of the secular solve never read it, so the residual, measured with
+        # the corrector's S f on the assembled generator, is what sees it
+        apply = corrector_module.Corrector.apply_symmetric
+        monkeypatch.setattr(corrector_module.Corrector, "apply_symmetric",
+                            lambda self, x: apply(self, x) * (1 + 1e-6))
+        report = cli_module.run_experiment(
+            "verify", cli_module.build_config({"grid.N_x": "64", "grid.N_v": "12"}))
+        corrector = report.results["corrector"]
+        assert corrector["min_eig_residual"] > corrector["min_eig_residual_cap"]
+        failed = [v["name"] for v in report.verdicts if v["status"] == "fail"]
+        assert failed == ["dissipation_coercive"]
+
     @pytest.mark.parametrize("gamma", ["gamma_star", 16.0])
     @pytest.mark.parametrize("potential, n_x, n_v", [
         ("quadratic", 128, 20), ("double_well", 512, 32), ("cosine_bump", 128, 20)])
@@ -489,23 +578,21 @@ def allocation_peak(fn, *args):
 
 class TestSameBits:
     """The corrector stage hands LAPACK F-ordered views instead of copies: the
-    transpose of an exactly symmetric X^T X, and the dense Grad^T.  It forms
-    Grad X from Grad's two bands, C-ordered, and it rebuilds the singular
-    pairs by a second eigensolve.  That keeps every bit only while numpy
-    forms X^T X exactly symmetric, scipy solves the views in place, the band
-    product sums as csr_matvecs does and the eigensolve is deterministic; a
-    release that breaks any of them fails here."""
+    transpose of an exactly symmetric X^T X, and the dense Grad^T that
+    Corrector.matrix solves into.  It forms Grad X, and apply_symmetric's
+    Grad^T x and Grad x, from Grad's two bands, with the bits of the sparse
+    products.  That holds only while numpy forms X^T X exactly symmetric,
+    scipy solves the views in place and the band products sum as scipy's
+    sparse kernels do; a release that breaks any of them fails here."""
 
     @pytest.fixture(scope="class", params=[17, 64, 512])
     def corr_blocks(self, request):
         ops = make_ops(model.double_well(), n_x=request.param, n_v=8)
         corr = corrector_module.build_corrector(ops)
         eps = tuning.optimize_friction(ops.m_h, ops.grid.potential.K).eps_star
-        b = corr.block
-        c_t = corrector_module._secular_blocks(ops, eps)[2]
-        return corr, {"B": b, "Grad B": corrector_module._grad_dense(ops, b),
-                      "B Grad^T": corrector_module._grad_dense(ops, b.T).T,
-                      "C^T": c_t}
+        block = corrector_module._singular_pairs(ops)[2]
+        c_t = block * (-eps / np.sqrt(2.0))  # as _secular_root scales it
+        return corr, {"(Grad U) diag(t)": block, "C^T": c_t}
 
     def test_grams_are_exactly_symmetric(self, corr_blocks):
         for name, x in corr_blocks[1].items():
@@ -529,74 +616,84 @@ class TestSameBits:
         assert np.array_equal(w_view, w)
 
     def test_block_is_f_ordered(self, corr_blocks):
-        assert corr_blocks[0].block.flags.f_contiguous
+        # the dense Grad^T that Corrector.matrix solves B into, in place
+        corr = corr_blocks[0]
+        rhs = corr.ops.grad_x.T.toarray()
+        assert rhs.flags.f_contiguous
+        assert np.shares_memory(corr.solve(rhs, overwrite_b=True)[0], rhs)
 
     def test_band_product_matches_the_sparse_product(self, corr_blocks):
-        # B and V are F-ordered, U is C-ordered; the product is C-ordered for
+        # V is F-ordered and Grad V C-ordered; the product is C-ordered for
         # each, as the sparse product is, which keeps the bits of the syrk
         # and gemv that read it
-        corr = corr_blocks[0]
-        ops = corr.ops
-        _, right, left = corrector_module._singular_pairs(ops)
-        for name, x in {"B": corr.block, "V": right, "U": left}.items():
+        ops = corr_blocks[0].ops
+        right = corrector_module._singular_pairs(ops)[3]
+        for name, x in {"V": right, "Grad V": ops.grad_x @ right}.items():
             got = corrector_module._grad_dense(ops, x)
             assert np.array_equal(got, ops.grad_x @ x), name
             assert got.flags.c_contiguous, name
 
     def test_transposed_band_product_matches_the_sparse_product(self, corr_blocks):
-        # verify_corrector_bounds forms B Grad^T as (Grad B^T)^T, F-ordered
-        # like scipy's dense-by-sparse product
+        # apply_symmetric forms Grad^T x_1 and Grad z from Grad's bands, so
+        # each solve, and S x, has the bits of the sparse products
         corr = corr_blocks[0]
-        reference = corr.block @ corr.ops.grad_x.T
-        got = corr_blocks[1]["B Grad^T"]
-        assert np.array_equal(got, reference)
-        assert got.flags.f_contiguous and reference.flags.f_contiguous
-        norm = corrector_module.operator_norm
-        assert norm(got) == norm(reference)
+        ops, n_v = corr.ops, corr.ops.n_v
+        x = np.random.default_rng(5).standard_normal(ops.n)
+        got = corr.apply_symmetric(x)
+        assert np.array_equal(got[::n_v], corr.solve(ops.grad_x.T @ x[1::n_v])[0])
+        assert np.array_equal(got[1::n_v], ops.grad_x @ corr.solve(x[::n_v])[0])
 
-    def test_singular_pairs_repeat_bit_for_bit(self, corr_blocks):
-        # the lift rebuilds V and U by a second eigensolve
+    def test_lift_forms_u_y_from_v(self, corr_blocks):
+        # the lift takes U y = Grad (V (y / sigma)) without forming U or
+        # solving for the pairs a second time: U = Grad V / sigma to rounding
         ops = corr_blocks[0].ops
-        first, second = (corrector_module._singular_pairs(ops) for _ in range(2))
-        for name, x, y in zip(("sigma^2", "V", "U"), first, second):
-            assert np.array_equal(x, y), name
+        sigma, _, _, right = corrector_module._singular_pairs(ops)
+        y = np.random.default_rng(7).standard_normal(len(sigma))
+        zero = np.zeros(len(sigma))
+        got = corrector_module._lift(ops, right, zero, y / sigma, np.zeros(ops.n_x))
+        expected = np.zeros((ops.n_x, ops.n_v))
+        expected[:, 1] = (ops.grad_x @ right / sigma) @ y
+        expected = ops.mean_zero_unit(expected.ravel())
+        assert np.abs(got - expected).max() <= 1e-14
 
     def test_lapack_copies_no_dense_operand(self):
         # a copy of an n_x x n_x operand would double each peak below
         n_x = 256
         ops = make_ops(model.double_well(), n_x=n_x, n_v=8)
         unit, work = 8 * n_x * n_x, 8 * 128 * n_x
-        corr, peak = allocation_peak(corrector_module.build_corrector, ops)
-        assert peak <= unit + unit // 8 + work  # B and the finiteness mask
-        _, peak = allocation_peak(corrector_module.operator_norm, corr.block)
+        _, peak = allocation_peak(corrector_module.build_corrector, ops)
+        assert peak <= work  # the tridiagonal factors and Grad's bands
+        block = corrector_module._singular_pairs(ops)[2]
+        _, peak = allocation_peak(corrector_module.operator_norm, block)
         assert peak <= unit + work  # the Gram matrix
-        s = corr.block.T @ corr.block
+        s = block.T @ block
         _, peak = allocation_peak(functools.partial(
             sla.eigh, overwrite_a=True, check_finite=False, subset_by_index=[0, 0]), s.T)
         assert peak <= work
-        _, peak = allocation_peak(corrector_module._grad_dense, ops, corr.block)
-        assert peak <= unit + work  # the product; grad_x @ B holds two
+        _, peak = allocation_peak(corrector_module._grad_dense, ops, block)
+        assert peak <= unit + work  # the product; grad_x @ X holds two
 
 
 def corrector_stage_bytes(n_x, n_v):
     """Most bytes build_corrector, verify_corrector_bounds and
-    dissipation_form_min_eig hold at once: three dense n_x x n_x arrays (B
-    included) and 64 doubles a node, while the dense blocks live; or B and 40
-    doubles a phase-space entry, while apply_form runs on the assembled
-    generator (L, a CSR copy of L^T and L + L^T, at about five 12-byte
-    nonzeros a row, and the phase-space vectors).  The two never overlap.
+    dissipation_form_min_eig hold at once: three dense n_x x n_x arrays and
+    64 doubles a node, while the dense blocks live; or 40 doubles a
+    phase-space entry, while apply_form runs on the assembled generator (L,
+    a CSR copy of L^T and L + L^T, at about five 12-byte nonzeros a row, and
+    the phase-space vectors).  The two never overlap, and the corrector
+    itself holds O(n_x) bytes.
 
-    The 64 doubles a node are counted at the secular eigensolve, where B,
+    The 64 doubles a node are counted at the secular eigensolve, where V,
     C^T and S live: syevr's work and int32 iwork as scipy queries them, 33 n
     and 10 n (38 doubles a node), its eigenvalues, eigenvector and
     isuppz (3), and the Newton loop's twelve vectors (sigma, t, a, b, b^2,
     c, d, root, e, c - lam, the last w and z).  That is 53; the rest is for
     the interpreter's own allocations.  The other phases hold less: stevd's
-    n^2 + 4 n work and 5 n int32 iwork (6.5 doubles a node beyond three
-    arrays) beside B and V, syevr's 38 beside B, a block and its Gram
-    matrix."""
+    n^2 + 4 n work and 5 n int32 iwork beside V; V, Grad V and
+    Grad (Grad V); the block (Grad U) diag(t) and its Gram matrix with
+    syevr's 38."""
     dense = 3 * n_x * n_x + 64 * n_x
-    phase = n_x * n_x + 40 * n_x * n_v
+    phase = 40 * n_x * n_v
     return 8 * max(dense, phase)
 
 

@@ -10,6 +10,7 @@ from hypolab.errors import (DegenerateGapError, DomainTooSmallError, Preconditio
                             WeightUnderflowError)
 
 from conftest import (
+    dense_block,
     lift_position,
     make_ops,
     phase_identities,
@@ -167,8 +168,8 @@ class TestSparseFormat:
         scale = np.abs(gtg).max()
         assert np.abs(diag - np.diag(gtg)).max() <= 1e-14 * scale
         assert np.abs(upper - np.diag(gtg, 1)).max() <= 1e-14 * scale
-        # the banded solve against a dense LU solve
-        block = corrector.build_corrector(ops).block
+        # the tridiagonal factors' solve against a dense LU solve
+        block = dense_block(corrector.build_corrector(ops))
         dense = sla.solve(ops.m_h * np.eye(ops.n_x) - ops.lo_x.toarray(), g.T)
         assert np.abs(block - dense).max() <= 1e-13 * np.abs(dense).max()
         # lowering^T lowering is diagonal by pattern; sqrt(k)^2 rounds to k
