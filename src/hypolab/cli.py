@@ -60,7 +60,8 @@ from .evolve import (
 )
 from .model import POTENTIAL_KINDS, Potential
 from .sampler import (FIT_RECORD_BYTES, MIN_FIT_SAMPLES, SdeConfig, ensemble_bytes,
-                      estimate_observable_decay, record_count, run_ensemble)
+                      estimate_observable_decay, record_count, run_ensemble,
+                      worker_ranges)
 from .tuning import (
     TuningResult,
     check_ratio_consistency,
@@ -87,7 +88,7 @@ LAMBDA_RTOL = 4 * np.finfo(float).eps  # Lambda against its closed form, a few u
 # most Crank-Nicolson steps one integration may take, far above any run's need:
 # integrate keeps seven per-step arrays and peaks at nine (56-72 bytes a step)
 MAX_CN_STEPS = 10**6
-MAX_SDE_BYTES = 2**31  # most bytes of one ensemble and its decay fit
+MAX_SDE_BYTES = 2**31  # most bytes of one ensemble over its processes, with its fit
 POSITIVE = "positive"  # a range rule: the value, or each entry, is > 0
 
 
@@ -490,6 +491,7 @@ def _stage_sample(ws: _Workspace, report: RunReport):
         "final_x_mean": moment(trace.final_x_mean),
         "diverged": trace.diverged,
         "divergence": trace.divergence,
+        "workers": trace.workers,
     }
     se_v = np.sqrt(2.0 / (sde.particles * sde.d))  # var of v^2 under kappa is 2
 
@@ -561,8 +563,9 @@ def _preflight(command: str, ws: _Workspace):
     """Check, before the first stage, every limit the config sets on the
     command's stages, at each gamma the run integrates or samples; each
     message names its key.  An integration takes at most MAX_CN_STEPS steps
-    of step_size; BAOAB needs sde.dt * gamma < 1; an ensemble and its decay
-    fit hold at most MAX_SDE_BYTES; each decay fit has MIN_FIT_SAMPLES."""
+    of step_size; BAOAB needs sde.dt * gamma < 1; an ensemble, summed over
+    the processes it runs in, and its decay fit hold at most MAX_SDE_BYTES;
+    each decay fit has MIN_FIT_SAMPLES."""
     cfg, stages = ws.cfg, COMMANDS[command]
     target = cfg.sweep_target if "sweep" in stages else None
     integrates = "evolve" in stages or target == "evolve"
@@ -597,7 +600,8 @@ def _preflight(command: str, ws: _Workspace):
             raise ConfigurationError(
                 f"sde.particles, sde.d, sde.steps, sde.record_every: the ensemble needs "
                 f"{need} bytes{' with its decay fit' if fit else ''}, and at most "
-                f"MAX_SDE_BYTES = {MAX_SDE_BYTES} are allowed")
+                f"MAX_SDE_BYTES = {MAX_SDE_BYTES} are allowed (summed over the "
+                f"{len(worker_ranges(sde))} processes it runs in)")
     if fit:  # a fit samples, so sde is the last gamma's
         fits.append(("sde.steps", "steps // record_every + 1", record_count(sde)))
     for key, where, count in fits:

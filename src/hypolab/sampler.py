@@ -21,14 +21,35 @@ has finished a block, each record it completed is reduced on the spot by one
 mean and one std call along the contiguous particle axis; numpy's pairwise
 sum over a row runs in the same order as a reduction of the whole
 (records, particles) array.  Results are therefore independent of CHUNK,
-BLOCK and execution order.  A record is reduced alone because a whole
-block's std would allocate a temporary the size of the block.
+BLOCK, the number of processes and execution order.  A record is reduced
+alone because a whole block's std would allocate a temporary the size of the
+block.
 
-Memory: ensemble_bytes states what run_ensemble holds at its peak.  Two
-buffers scale with BLOCK: the noise, CHUNK BLOCK doubles (4 MiB) for d <=
-CHUNK, and the record buffer, 13 records at record_every = 10.  A step writes
-its (dt / 2) products into one scratch array per run and allocates only its
-force.
+Processes: worker_ranges(cfg) splits the particles into W = min(WORKERS,
+chunks) contiguous ranges, equal to within one trajectory, where WORKERS is
+the number of CPUs this process may run on.  The calling process is worker 0
+and forks the other W - 1 once the state and the record buffer exist, so
+each inherits them.  Every worker builds and draws only its own streams and
+runs the block and chunk loop above on its range.  After each block a forked
+worker writes to its data pipe a header, then its columns of the block's
+records; the header holds the smallest (step, trajectory) of its
+non-finite forces, if any.  It then waits for one byte on its reply pipe:
+continue or stop.  Worker 0 reads every worker's columns into the record
+buffer and reduces each record over all particles exactly as a single
+process does.  It replies stop at the first divergence or after the last
+block.  Each forked worker then sends its rows of x and v once and ends
+with os._exit.  The workers call no BLAS.  An exception in a worker is
+pickled to worker 0 and raised there with its class; a worker that ends
+without reporting raises ChildProcessError.  Every worker is reaped before
+run_ensemble returns or raises.  W = 1 is the same loop with no fork.
+
+Memory: ensemble_bytes states what run_ensemble holds at its peak, summed
+over its processes.  Two buffers scale with BLOCK: the noise, CHUNK BLOCK
+doubles (4 MiB) for d <= CHUNK, and the record buffer, 13 records at
+record_every = 10.  A step writes its (dt / 2) products into one scratch
+array per process and allocates only its force.  Each forked worker adds
+worker_bytes: its own noise, scratch and temporaries, and its copies of the
+state rows and record columns it writes.
 
 Divergence: a chunk stops at its own first non-finite force (step 0 is the
 initial force), the other chunks finish the block, and the run ends.  The
@@ -42,6 +63,8 @@ trace it is given, run from a shifted start; it runs no ensemble of its own.
 from __future__ import annotations
 
 import math
+import os
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +78,14 @@ from .model import (Potential, eval_potential, potential_gradient,
 
 CHUNK = 4096  # coordinates (trajectories x d) advanced together
 BLOCK = 128  # steps advanced, and drawn per stream, before a reduction
+# doubles after each trajectory's noise slab, one 64-byte cache line.  Unpadded,
+# a step's noise view at d = 1 strides by BLOCK * 8 = 1024 bytes and v += noise
+# takes 25.2 us a full chunk against 7.1 us padded (d = 2: 16.9 -> 14.7 us,
+# d = 4: 17.5 -> 9.2 us, d = 8: 7.8 -> 7.2 us; 2-core Xeon, numpy 2.4)
+NOISE_PAD = 8
+# processes a run may use, one per CPU this process may run on; 1 where the
+# affinity mask cannot be read (no os.sched_getaffinity, as on macOS)
+WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 MIN_FIT_SAMPLES = 8  # records above the noise floor a decay fit needs
 # estimate_observable_decay's bytes a record beyond its trace (81 to tracemalloc,
 # numpy 2.4)
@@ -111,6 +142,7 @@ class EnsembleTrace:
     # {"trajectory", "step"} of the first non-finite force (step 0 is the
     # initial position), None when every trajectory ran to the end
     divergence: dict | None = None
+    workers: int = 1  # the processes that ran it
 
     @property
     def diverged(self) -> bool:
@@ -132,35 +164,68 @@ def record_count(cfg: SdeConfig) -> int:
     return cfg.steps // cfg.record_every + 1
 
 
+def worker_ranges(cfg: SdeConfig) -> list:
+    """The (start, stop) trajectory ranges of the processes that run cfg:
+    min(WORKERS, chunks) contiguous ranges, equal to within one trajectory,
+    where a chunk is max(1, CHUNK // d) trajectories."""
+    chunks = -(-cfg.particles // max(1, CHUNK // cfg.d))
+    w = min(WORKERS, chunks)
+    bounds = [k * cfg.particles // w for k in range(w + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _process_doubles(cfg: SdeConfig, trajectories: int) -> int:
+    """The doubles of one process's chunk buffers for a range of trajectories:
+    the padded noise, the step's scratch and CHUNK_TEMPORARIES arrays for an
+    observe call, which covers a step's; each is width = min(max(1, CHUNK //
+    d), trajectories) rows."""
+    d = cfg.d
+    width = min(max(1, CHUNK // d), trajectories)
+    return width * (min(BLOCK, cfg.steps) * d + NOISE_PAD
+                    + (1 + CHUNK_TEMPORARIES) * d)
+
+
+def worker_bytes(cfg: SdeConfig, trajectories: int) -> int:
+    """The bytes a forked worker adds for its range of trajectories: its
+    copies of the rows of x, v and the force and of the record columns it
+    writes, its own chunk buffers and RUN_BYTES.  Its generators are counted
+    by ensemble_bytes with the rest, and the interpreter's own copy-on-write
+    pages are not counted."""
+    rows = BLOCK // cfg.record_every + 1
+    return (8 * (3 * trajectories * cfg.d + rows * len(OBSERVABLES) * trajectories
+                 + _process_doubles(cfg, trajectories)) + RUN_BYTES)
+
+
 def ensemble_bytes(cfg: SdeConfig) -> int:
-    """The bytes run_ensemble(cfg) holds at its peak, an upper bound, in
-    Python ints so that no size overflows.
+    """The bytes run_ensemble(cfg) holds at its peak over all its processes,
+    an upper bound, in Python ints so that no size overflows.
 
     In doubles, with width = min(max(1, CHUNK // d), particles) trajectories
-    per chunk and n = len(OBSERVABLES):
+    per chunk and n = len(OBSERVABLES), worker 0 holds:
 
-    - the state x, v and the force, 3 particles d, and the step's scratch,
-      width d;
-    - the noise, width min(BLOCK, steps) d: at most CHUNK BLOCK for d <=
-      CHUNK, one trajectory's BLOCK d above that;
+    - the state x, v and the force, 3 particles d;
+    - its chunk buffers: the noise, width (min(BLOCK, steps) d + NOISE_PAD),
+      at most CHUNK BLOCK plus the pad for d <= CHUNK and one trajectory's
+      BLOCK d above that; the step's scratch, width d; and CHUNK_TEMPORARIES
+      width d for an observe call, which covers a step's;
     - the record buffer, (BLOCK // record_every + 1) n particles;
     - the times, means and standard errors, (2 n + 1) record_count(cfg);
-    - the temporaries: a final variance's particles d, a record's std's n
-      particles, and CHUNK_TEMPORARIES width d for an observe call, which
-      covers a step's.
+    - the temporaries of a final variance, particles d, and of a record's
+      std, n particles.
 
-    Then GENERATOR_BYTES for each particle's generator and RUN_BYTES once.
-    Only the records grow with the steps, and only the state, its variance
-    and (for d > CHUNK) the noise grow with the dimension.
+    Then GENERATOR_BYTES for each particle's generator, whichever process
+    builds it, RUN_BYTES once, and worker_bytes for each forked worker's
+    range of worker_ranges(cfg).  Only the records grow with the steps, and
+    only the state, its variance and (for d > CHUNK) the noise grow with the
+    dimension.
     """
-    p, d, every, n = cfg.particles, cfg.d, cfg.record_every, len(OBSERVABLES)
-    width = min(max(1, CHUNK // d), p)
-    doubles = (3 * p * d + width * d
-               + width * min(BLOCK, cfg.steps) * d
-               + (BLOCK // every + 1) * n * p
-               + (2 * n + 1) * record_count(cfg)
-               + p * d + n * p + CHUNK_TEMPORARIES * width * d)
-    return 8 * doubles + GENERATOR_BYTES * p + RUN_BYTES
+    p, d, n = cfg.particles, cfg.d, len(OBSERVABLES)
+    doubles = (3 * p * d + _process_doubles(cfg, p)
+               + (BLOCK // cfg.record_every + 1) * n * p
+               + (2 * n + 1) * record_count(cfg) + p * d + n * p)
+    return (8 * doubles + GENERATOR_BYTES * p + RUN_BYTES
+            + sum(worker_bytes(cfg, stop - start)
+                  for start, stop in worker_ranges(cfg)[1:]))
 
 
 def _force(potential: Potential, x: np.ndarray) -> np.ndarray:
@@ -208,58 +273,49 @@ def _baoab_inplace(x, v, force, potential: Potential, dt: float, c1: float,
     v -= np.multiply(force, h, out=scratch)
 
 
-def run_ensemble(cfg: SdeConfig) -> EnsembleTrace:
-    """Evolve independent trajectories; fully deterministic given cfg.seed.
+def _block_records(cfg: SdeConfig, t0: int) -> range:
+    """The records that the block of steps from t0 completes; record j is
+    row j - start of the record buffer."""
+    every = cfg.record_every
+    return range(t0 // every + 1 if t0 else 0,
+                 min(t0 + BLOCK, cfg.steps) // every + 1)
 
-    Time blocks of BLOCK steps are the outer loop and chunks of
-    max(1, CHUNK // d) trajectories the inner one.  observe writes each
-    record's OBSERVABLES into one (observables, particles) slab of the block's
-    record buffer.  When every chunk has finished a block, each record the
-    block completed is reduced on the spot, one mean and one std along the
-    particles in fixed trajectory order, so the output is bit-identical no
-    matter how the particles are partitioned for execution.  The (observables,
-    records) results become the trace's means and stderrs by name.
 
-    A chunk stops at its own first non-finite force; the others finish the
-    block and the run ends there.  The divergence is the smallest (step,
-    trajectory) pair over all chunks, the trace keeps the records at steps
-    0 ... max(step - 1, 0), and the final moments are None.
+def _advance(cfg: SdeConfig, x, v, force, records, start: int, stop: int):
+    """Run trajectories start:stop of the state (x, v, force) block by block,
+    and yield after each block the smallest (step, trajectory) of a
+    non-finite force in it, or None.
+
+    Builds the range's generators and draws its initial velocities first.
+    Each block's chunks of max(1, CHUNK // d) trajectories run one after
+    another, and each writes its columns of the block's records.
     """
-    p, d, every = cfg.particles, cfg.d, cfg.record_every
-    width = max(1, CHUNK // d)  # trajectories per chunk
+    d, every = cfg.d, cfg.record_every
+    width = min(max(1, CHUNK // d), stop - start)  # trajectories per chunk
     c1, c2 = _ou_coefficients(cfg.gamma, cfg.dt)
-    n_rec = record_count(cfg)
-    times = np.arange(n_rec) * (cfg.dt * every)
     gens = [np.random.Generator(np.random.Philox(key=[cfg.seed, i]))
-            for i in range(p)]
-    v = np.empty((p, d))
-    for gen, row in zip(gens, v):
+            for i in range(start, stop)]
+    for gen, row in zip(gens, v[start:stop]):
         gen.standard_normal(out=row)
-    x = np.full((p, d), cfg.init_shift, dtype=float)
-    force = np.empty((p, d))
-    # one flat buffer, so that each chunk's block of b steps is a contiguous
-    # particle-major view: each stream fills one contiguous (b, d) slab, and
-    # scaling the block by c2 in place needs no ufunc buffer
-    noise = np.empty(min(width, p) * min(BLOCK, cfg.steps) * d)
-    scratch = np.empty((min(width, p), d))  # the step's (dt / 2) products
-    # the records completed in the current block, each an (observables,
-    # particles) slab with the particles contiguous
-    records = np.empty((BLOCK // every + 1, len(OBSERVABLES), p))
-    means = np.empty((len(OBSERVABLES), n_rec))
-    stderrs = np.empty((len(OBSERVABLES), n_rec))
-    hits = []  # (step, trajectory) of each chunk's first non-finite force
-    done = 0  # records reduced so far
-
+    # one row per trajectory, so that each stream fills one contiguous (b, d)
+    # slab; NOISE_PAD zeros after it keep a step's view off a power-of-two
+    # stride.  A block is scaled by c2 a whole row at a time: the rows are
+    # contiguous, so that needs no ufunc buffer, where the strided (n, b, d)
+    # view makes numpy copy the block
+    noise = np.zeros((width, min(BLOCK, cfg.steps) * d + NOISE_PAD))
+    scratch = np.empty((width, d))  # the step's (dt / 2) products
     for t0 in range(0, cfg.steps, BLOCK):
         b = min(BLOCK, cfg.steps - t0)
-        for start in range(0, p, width):
-            cols = slice(start, min(start + width, p))
+        first = _block_records(cfg, t0).start
+        hits = []  # (step, trajectory) of each chunk's first non-finite force
+        for lo in range(start, stop, width):
+            cols = slice(lo, min(lo + width, stop))
             xc, vc, fc = x[cols], v[cols], force[cols]
             sc = scratch[:len(xc)]
-            block = noise[:len(xc) * b * d].reshape(len(xc), b, d)
-            for gen, slab in zip(gens[cols], block):
+            block = noise[:len(xc), :b * d].reshape(len(xc), b, d)
+            for gen, slab in zip(gens[lo - start:cols.stop - start], block):
                 gen.standard_normal(out=slab)
-            block *= c2
+            noise[:len(xc)] *= c2
             t = t0 - 1  # a force that fails in step t belongs to position t + 1
             try:
                 if t0 == 0:
@@ -270,19 +326,198 @@ def run_ensemble(cfg: SdeConfig) -> EnsembleTrace:
                                    block[:, t - t0], sc)
                     if (t + 1) % every == 0:
                         observe(cfg.potential, xc, vc,
-                                records[(t + 1) // every - done, :, cols])
+                                records[(t + 1) // every - first, :, cols])
             except DivergenceError as err:
-                hits.append((t + 1, start + err.coordinate // d))
-        end = (t0 + b) // every + 1
-        if hits:
-            end = min(end, max(min(hits)[0] - 1, 0) // every + 1)
-        for j in range(done, end):
-            record = records[j - done]
-            means[:, j] = record.mean(axis=-1)
-            stderrs[:, j] = record.std(axis=-1, ddof=1) / np.sqrt(p)
-        done = end
-        if hits:
+                hits.append((t + 1, lo + err.coordinate // d))
+        yield min(hits, default=None)
+
+
+_CONTINUE, _STOP = b"\1", b"\0"  # worker 0's reply after each block
+
+
+def _rows(a: np.ndarray) -> list:
+    """The C-contiguous pieces of a, whose last axis is contiguous, in C
+    order: the pieces a worker sends of a view and worker 0 reads into."""
+    return [a] if a.flags.c_contiguous else [r for sub in a for r in _rows(sub)]
+
+
+def _write(fd: int, buf):
+    view = memoryview(buf).cast("B")
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _read(fd: int, buf, rank: int):
+    view = memoryview(buf).cast("B")
+    while view:
+        n = os.readv(fd, [view])
+        if not n:
+            raise ChildProcessError(f"sampler worker {rank} ended without reporting")
+        view = view[n:]
+
+
+def _send(fd: int, hit, *arrays):
+    """Write one message to a worker's data pipe: the header (0, step,
+    trajectory) of its hit, or (0, -1, 0) for none, then each array's rows."""
+    _write(fd, np.array((0, -1, 0) if hit is None else (0, *hit), dtype=np.int64))
+    for a in arrays:
+        for row in _rows(a):
+            _write(fd, row)
+
+
+def _send_error(fd: int, exc: BaseException):
+    """Write the header (1, length, 0) and then exc, pickled."""
+    try:
+        payload = pickle.dumps(exc)
+    except Exception:
+        payload = pickle.dumps(ChildProcessError(f"sampler worker raised {exc!r}"))
+    _write(fd, np.array((1, len(payload), 0), dtype=np.int64))
+    _write(fd, payload)
+
+
+@dataclass
+class _Worker:
+    """A forked worker as worker 0 sees it: its range, its pid, the read end
+    of its data pipe and the write end of its reply pipe."""
+
+    rank: int
+    start: int
+    stop: int
+    pid: int
+    data: int
+    reply: int
+
+    def receive(self, *arrays):
+        """Read one message, its rows into arrays, and return its hit; raise
+        the worker's exception if it sent one."""
+        head = np.empty(3, dtype=np.int64)
+        _read(self.data, head, self.rank)
+        error, step, trajectory = (int(h) for h in head)
+        if error:
+            payload = bytearray(step)
+            _read(self.data, payload, self.rank)
+            raise pickle.loads(payload)
+        for a in arrays:
+            for row in _rows(a):
+                _read(self.data, row, self.rank)
+        return None if step < 0 else (step, trajectory)
+
+    def reap(self):
+        """Close the pipes, so that a worker still running fails its next
+        read or write and exits, and wait for it."""
+        os.close(self.data)
+        os.close(self.reply)
+        os.waitpid(self.pid, 0)
+
+
+def _serve(cfg: SdeConfig, x, v, force, records, start: int, stop: int,
+           data: int, reply: int):
+    """A forked worker's loop: after each block, send its hit and its
+    columns of the block's records, and go on while worker 0 replies
+    _CONTINUE; then send its rows of x and v."""
+    blocks = _advance(cfg, x, v, force, records, start, stop)
+    for t0, hit in zip(range(0, cfg.steps, BLOCK), blocks):
+        _send(data, hit, records[:len(_block_records(cfg, t0)), :, start:stop])
+        if os.read(reply, 1) != _CONTINUE:
             break
+    _send(data, None, x[start:stop], v[start:stop])
+
+
+def _fork(cfg: SdeConfig, x, v, force, records, rank: int, start: int,
+          stop: int, forked: list) -> _Worker:
+    """Fork worker rank for trajectories start:stop.  The child closes the
+    pipe ends of the workers forked before it, serves, reports an exception
+    to worker 0, and always ends with os._exit."""
+    data_r, data_w = os.pipe()
+    reply_r, reply_w = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        for fd in (data_r, data_w, reply_r, reply_w):
+            os.close(fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            for fd in [data_r, reply_w] + [fd for w in forked for fd in (w.data, w.reply)]:
+                os.close(fd)
+            _serve(cfg, x, v, force, records, start, stop, data_w, reply_r)
+            status = 0
+        except BaseException as exc:
+            try:
+                _send_error(data_w, exc)
+            except BaseException:
+                pass
+        finally:
+            os._exit(status)
+    os.close(data_w)
+    os.close(reply_r)
+    return _Worker(rank, start, stop, pid, data_r, reply_w)
+
+
+def run_ensemble(cfg: SdeConfig) -> EnsembleTrace:
+    """Evolve independent trajectories; fully deterministic given cfg.seed.
+
+    The particles run in the processes of worker_ranges(cfg), each on its own
+    range; the calling process is worker 0 and forks the others.  Time blocks
+    of BLOCK steps are the outer loop and chunks of max(1, CHUNK // d)
+    trajectories the inner one.  observe writes each record's OBSERVABLES
+    into one (observables, particles) slab of the block's record buffer.
+    When every chunk has finished a block, worker 0 gathers the other
+    workers' columns and reduces each record the block completed on the
+    spot, one mean and one std along the particles in fixed trajectory
+    order, so the output is bit-identical no matter how the particles are
+    partitioned for execution.  The (observables, records) results become
+    the trace's means and stderrs by name.
+
+    A chunk stops at its own first non-finite force; the others finish the
+    block and the run ends there.  The divergence is the smallest (step,
+    trajectory) pair over all chunks, the trace keeps the records at steps
+    0 ... max(step - 1, 0), and the final moments are None.
+    """
+    p, d, every = cfg.particles, cfg.d, cfg.record_every
+    n_rec = record_count(cfg)
+    times = np.arange(n_rec) * (cfg.dt * every)
+    x = np.full((p, d), cfg.init_shift, dtype=float)
+    v = np.empty((p, d))
+    force = np.empty((p, d))
+    # the records completed in the current block, each an (observables,
+    # particles) slab with the particles contiguous
+    records = np.empty((BLOCK // every + 1, len(OBSERVABLES), p))
+    means = np.empty((len(OBSERVABLES), n_rec))
+    stderrs = np.empty((len(OBSERVABLES), n_rec))
+    ranges = worker_ranges(cfg)
+    hits = []  # (step, trajectory) of each worker's first non-finite force
+    done = 0  # records reduced so far
+    forked = []
+    try:
+        for rank, (start, stop) in enumerate(ranges[1:], 1):
+            forked.append(_fork(cfg, x, v, force, records, rank, start, stop, forked))
+        blocks = _advance(cfg, x, v, force, records, *ranges[0])
+        for t0 in range(0, cfg.steps, BLOCK):
+            block = _block_records(cfg, t0)
+            rows = records[:len(block)]
+            hits = [next(blocks)] + [w.receive(rows[:, :, w.start:w.stop])
+                                     for w in forked]
+            hits = [hit for hit in hits if hit is not None]
+            end = block.stop
+            if hits:
+                end = min(end, max(min(hits)[0] - 1, 0) // every + 1)
+            for j in range(block.start, end):
+                record = rows[j - block.start]
+                means[:, j] = record.mean(axis=-1)
+                stderrs[:, j] = record.std(axis=-1, ddof=1) / np.sqrt(p)
+            done = end
+            go = not hits and t0 + BLOCK < cfg.steps
+            for w in forked:
+                os.write(w.reply, _CONTINUE if go else _STOP)
+            if not go:
+                break
+        for w in forked:
+            w.receive(x[w.start:w.stop], v[w.start:w.stop])
+    finally:
+        for w in forked:
+            w.reap()
 
     divergence = None
     final = (None,) * 4  # a diverged ensemble has no common final state
@@ -300,6 +535,7 @@ def run_ensemble(cfg: SdeConfig) -> EnsembleTrace:
         final_v_mean=final[2],
         final_v_var=final[3],
         divergence=divergence,
+        workers=len(ranges),
     )
 
 

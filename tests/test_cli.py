@@ -1021,6 +1021,22 @@ class TestMain:
                 "sde.record_every: the ensemble needs ") in err
         assert f"MAX_SDE_BYTES = {cli.MAX_SDE_BYTES}" in err
 
+    def test_byte_cap_counts_every_worker(self, monkeypatch):
+        # 1.5 * 10^6 particles at d = 4 fit the cap in one process, about
+        # 1.9 GiB, and not in two: the forked worker's copies of its state
+        # rows and record columns add 0.36 GiB
+        ws = cli._Workspace(cli.build_config({"sde.d": "4",
+                                              "sde.particles": "1500000"}))
+        sde = cli._sde_config(ws, ws.gamma)
+        monkeypatch.setattr(sampler, "WORKERS", 1)
+        assert sampler.ensemble_bytes(sde) <= cli.MAX_SDE_BYTES - 10**6
+        cli._preflight("sample", ws)  # does not raise
+        monkeypatch.setattr(sampler, "WORKERS", 2)
+        assert sampler.ensemble_bytes(sde) > cli.MAX_SDE_BYTES
+        with pytest.raises(ConfigurationError,
+                           match=r"summed over the 2 processes it runs in"):
+            cli._preflight("sample", ws)
+
     def test_ensemble_caps_are_far_above_the_default_run(self):
         # the default run, and the d = 4 ensemble of the sample_hd benchmark
         for raw in ({}, {"sde.d": "4"}):

@@ -1,11 +1,13 @@
+import itertools
+import os
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from hypolab import model, sampler, tuning
-from hypolab.errors import DivergenceError, InsufficientSignalError
+from hypolab import cli, model, sampler, tuning
+from hypolab.errors import DivergenceError, InsufficientSignalError, NumericalError
 from hypolab.model import potential_gradient
 from hypolab.sampler import (OBSERVABLES, _baoab_inplace, _force,
                              _ou_coefficients, observe)
@@ -24,8 +26,24 @@ def scalar_baoab_reference(x, v, a, gamma, dt, xi):
     return x, v
 
 
+@pytest.fixture(autouse=True)
+def no_worker_left():
+    """Every test, whether its ensembles returned or raised, leaves no forked
+    worker behind, running or unreaped."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def one_worker(monkeypatch):
+    """Run every ensemble in this process, where tracemalloc sees all of it."""
+    monkeypatch.setattr(sampler, "WORKERS", 1)
+
+
 def ensemble_peak(cfg):
-    """The most bytes tracemalloc sees held during run_ensemble(cfg)."""
+    """The most bytes tracemalloc sees held during run_ensemble(cfg) in this
+    process."""
     tracemalloc.start()
     try:
         sampler.run_ensemble(cfg)
@@ -162,17 +180,16 @@ class TestRunEnsemble:
     def test_matches_step_baoab_per_trajectory(self, monkeypatch):
         # 600 steps cross noise blocks and end in a partial one; CHUNK = 128
         # coordinates, 64 trajectories at d = 2, splits the 100 particles into
-        # a full and a partial chunk.  Every record is reduced as its block
-        # ends, and must equal the reduction of the whole (records, particles)
-        # array bit for bit.
+        # a full and a partial chunk, and two workers into two partial chunks
+        # of 50.  Every record is reduced as its block ends, and must equal
+        # the reduction of the whole (records, particles) array bit for bit.
         monkeypatch.setattr("hypolab.sampler.CHUNK", 128)
         for pot in (model.quadratic(), model.double_well(), model.cosine_bump(2.0)):
             cfg = sampler.SdeConfig(potential=pot, d=2, particles=100,
                                steps=600, gamma=2.0, seed=5, init_shift=0.5)
-            trace = sampler.run_ensemble(cfg)
             x = np.full((cfg.particles, cfg.d), cfg.init_shift)
             v = np.empty_like(x)
-            ref = np.empty((len(OBSERVABLES), len(trace.times), cfg.particles))
+            ref = np.empty((len(OBSERVABLES), sampler.record_count(cfg), cfg.particles))
             for i in range(cfg.particles):
                 gen = np.random.Generator(np.random.Philox(key=[cfg.seed, i]))
                 draws = gen.standard_normal((cfg.steps + 1, cfg.d))
@@ -184,14 +201,18 @@ class TestRunEnsemble:
                     if t % cfg.record_every == 0:
                         observe(cfg.potential, x[i], v[i],
                                 ref[:, t // cfg.record_every, i])
-            assert list(trace.means) == list(OBSERVABLES)
-            for n, rows in zip(OBSERVABLES, ref):
-                np.testing.assert_array_equal(trace.means[n], rows.mean(axis=1))
-                np.testing.assert_array_equal(
-                    trace.stderrs[n],
-                    rows.std(axis=1, ddof=1) / np.sqrt(cfg.particles))
-            np.testing.assert_array_equal(trace.final_x_mean, x.mean(axis=0))
-            np.testing.assert_array_equal(trace.final_v_var, v.var(axis=0))
+            for workers in (1, 2):
+                monkeypatch.setattr("hypolab.sampler.WORKERS", workers)
+                trace = sampler.run_ensemble(cfg)
+                assert trace.workers == workers
+                assert list(trace.means) == list(OBSERVABLES)
+                for n, rows in zip(OBSERVABLES, ref):
+                    np.testing.assert_array_equal(trace.means[n], rows.mean(axis=1))
+                    np.testing.assert_array_equal(
+                        trace.stderrs[n],
+                        rows.std(axis=1, ddof=1) / np.sqrt(cfg.particles))
+                np.testing.assert_array_equal(trace.final_x_mean, x.mean(axis=0))
+                np.testing.assert_array_equal(trace.final_v_var, v.var(axis=0))
 
     def test_same_seed_is_bitwise_identical(self):
         cfg = sampler.SdeConfig(potential=model.quadratic(), particles=300, steps=100,
@@ -204,11 +225,19 @@ class TestRunEnsemble:
         assert a.divergence is None and not a.diverged
 
     def test_chunking_does_not_change_results(self, monkeypatch):
+        # CHUNK = 4096 is one chunk and so one worker; CHUNK = 64 is five
+        # chunks, the last partial (44 trajectories), and at 2 and 3 workers
+        # each worker's range of 150 or 100 ends in a partial chunk too
         cfg = sampler.SdeConfig(potential=model.quadratic(), particles=300, steps=80,
                            gamma=4.0, seed=13)
+        monkeypatch.setattr("hypolab.sampler.WORKERS", 1)
         a = sampler.run_ensemble(cfg)
-        monkeypatch.setattr("hypolab.sampler.CHUNK", 64)
-        assert_traces_equal(a, sampler.run_ensemble(cfg))
+        for chunk, workers in itertools.product((4096, 64), (1, 2, 3)):
+            monkeypatch.setattr("hypolab.sampler.CHUNK", chunk)
+            monkeypatch.setattr("hypolab.sampler.WORKERS", workers)
+            trace = sampler.run_ensemble(cfg)
+            assert trace.workers == (1 if chunk == 4096 else workers)
+            assert_traces_equal(a, trace)
 
     @pytest.mark.parametrize("block", [7, 80, 256])
     def test_noise_block_length_does_not_change_results(self, block, monkeypatch):
@@ -222,7 +251,7 @@ class TestRunEnsemble:
         for cfg, trace in zip(cfgs, traces):
             assert_traces_equal(trace, sampler.run_ensemble(cfg))
 
-    def test_memory_does_not_grow_with_steps(self):
+    def test_memory_does_not_grow_with_steps(self, one_worker):
         """Only the per-record means and stderrs grow with the steps."""
 
         def peak(steps):
@@ -256,7 +285,7 @@ class TestRunEnsemble:
             traces.append(sampler.run_ensemble(cfg))
         assert_traces_equal(*traces)
 
-    def test_memory_beyond_the_state_does_not_grow_with_dimension(self):
+    def test_memory_beyond_the_state_does_not_grow_with_dimension(self, one_worker):
         """The noise is CHUNK * BLOCK doubles at any d <= CHUNK; only the
         O(particles * d) state, x, v and the force plus one temporary of the
         final moments, grows with d."""
@@ -273,7 +302,8 @@ class TestRunEnsemble:
         (1, 4100, 1), (1, 1000, 10), (4, 2000, 3), (16, 300, 10), (16, 700, 1),
         (1, 8, 1),
     ])
-    def test_ensemble_bytes_bounds_the_peak_closely(self, d, particles, every):
+    def test_ensemble_bytes_bounds_the_peak_closely(self, d, particles, every,
+                                                    one_worker):
         # 4100 particles at d = 1 and 700 at d = 16 leave a last chunk part
         # full; at 8 particles the formula stays above the peak only with
         # RUN_BYTES
@@ -303,6 +333,32 @@ class TestRunEnsemble:
         # the fit sets the peak, above what ensemble_bytes alone counts
         assert ensemble < sampler.ensemble_bytes(cfg) < peak
         assert peak <= sampler.ensemble_bytes(cfg) + sampler.FIT_RECORD_BYTES * 4001
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_each_forked_worker_adds_one_worker_term(self, workers, monkeypatch):
+        # 5000 trajectories at d = 4 are five chunks of 1024: one worker at
+        # WORKERS = 1, and two or three ranges equal to within one trajectory
+        cfg = sampler.SdeConfig(potential=model.double_well(), d=4, particles=5000,
+                                steps=300, record_every=3)
+        monkeypatch.setattr(sampler, "WORKERS", 1)
+        assert sampler.worker_ranges(cfg) == [(0, 5000)]
+        single = sampler.ensemble_bytes(cfg)
+        monkeypatch.setattr(sampler, "WORKERS", workers)
+        ranges = sampler.worker_ranges(cfg)
+        assert len(ranges) == workers
+        assert [r[0] for r in ranges[1:]] == [r[1] for r in ranges[:-1]]
+        assert ranges[0][0] == 0 and ranges[-1][1] == cfg.particles
+        sizes = [stop - start for start, stop in ranges]
+        assert max(sizes) - min(sizes) <= 1
+        assert sampler.ensemble_bytes(cfg) - single == sum(
+            sampler.worker_bytes(cfg, size) for size in sizes[1:])
+
+    def test_workers_are_capped_by_the_chunks(self, monkeypatch):
+        monkeypatch.setattr(sampler, "WORKERS", 64)
+        cfg = sampler.SdeConfig(potential=model.quadratic(), d=4, particles=2000)
+        assert sampler.worker_ranges(cfg) == [(0, 1000), (1000, 2000)]
+        cfg = sampler.SdeConfig(potential=model.quadratic(), particles=4096)
+        assert sampler.worker_ranges(cfg) == [(0, 4096)]
 
     def test_generator_fits_its_constant(self):
         tracemalloc.start()
@@ -399,26 +455,103 @@ class TestRunEnsemble:
 
 
     def test_divergence_does_not_depend_on_partitioning(self, monkeypatch):
-        # at CHUNK = 128 (chunks of 64 trajectories at d = 2) every chunk
-        # diverges, chunk 1 first (step 8) and chunk 0 at step 9; BLOCK = 8
-        # ends the run before chunk 0 diverges
-        cfg = sampler.SdeConfig(potential=model.double_well(), d=2, particles=300,
-                           steps=200, dt=0.2, gamma=4.0, seed=0, init_shift=11.4)
-        traces = []
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for chunk, block in [(4096, 256), (128, 256), (4096, 7), (128, 7),
-                                 (128, 8)]:
-                monkeypatch.setattr("hypolab.sampler.CHUNK", chunk)
-                monkeypatch.setattr("hypolab.sampler.BLOCK", block)
-                traces.append(sampler.run_ensemble(cfg))
-        first = traces[0]
-        step = first.divergence["step"]
-        assert len(first.times) == max(step - 1, 0) // cfg.record_every + 1
-        for name in ("final_x_mean", "final_x_var", "final_v_mean", "final_v_var"):
-            assert getattr(first, name) is None
-        for trace in traces[1:]:
-            assert_traces_equal(first, trace)
+        # at CHUNK = 128 (chunks of 64 trajectories at d = 2) seed 0 diverges
+        # in every chunk, chunk 1 first (step 8) and chunk 0 at step 9; seed 7
+        # diverges first at trajectory 211, in the last worker's range at 2
+        # and 3 workers, and in chunk 0 only at step 9.  BLOCK = 8 ends the
+        # run before chunk 0 diverges.  CHUNK = 4096 is one chunk, one worker.
+        for seed, shift, divergence in [(0, 11.4, {"trajectory": 113, "step": 8}),
+                                        (7, 11.38, {"trajectory": 211, "step": 8})]:
+            cfg = sampler.SdeConfig(potential=model.double_well(), d=2, particles=300,
+                                    steps=200, dt=0.2, gamma=4.0, seed=seed,
+                                    init_shift=shift)
+            traces = []
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                for (chunk, block), workers in itertools.product(
+                        [(4096, 256), (128, 256), (4096, 7), (128, 7), (128, 8)],
+                        (1, 2, 3)):
+                    monkeypatch.setattr("hypolab.sampler.CHUNK", chunk)
+                    monkeypatch.setattr("hypolab.sampler.BLOCK", block)
+                    monkeypatch.setattr("hypolab.sampler.WORKERS", workers)
+                    traces.append(sampler.run_ensemble(cfg))
+                    assert traces[-1].workers == (1 if chunk == 4096 else workers)
+            first = traces[0]
+            assert first.divergence == divergence
+            step = first.divergence["step"]
+            assert len(first.times) == max(step - 1, 0) // cfg.record_every + 1
+            for name in ("final_x_mean", "final_x_var", "final_v_mean", "final_v_var"):
+                assert getattr(first, name) is None
+            for trace in traces[1:]:
+                assert_traces_equal(first, trace)
+
+
+class TestWorkers:
+    """Failures in forked workers reach the caller, and no worker outlives
+    its run (no_worker_left checks after every test)."""
+
+    CFG = dict(particles=300, steps=300, seed=4)
+
+    @pytest.fixture(autouse=True)
+    def three_workers(self, monkeypatch):
+        monkeypatch.setattr(sampler, "CHUNK", 64)
+        monkeypatch.setattr(sampler, "WORKERS", 3)
+
+    def kernel_in(self, monkeypatch, worker, action):
+        """Make the BAOAB step call action() in worker 0 or in the forked
+        workers, mid-block: each runs two chunks of its 100 trajectories, so
+        its step call 2 BLOCK + 5 is the fifth step of its second block."""
+        parent, kernel = os.getpid(), sampler._baoab_inplace
+        calls = itertools.count()
+
+        def step(*args):
+            if ((os.getpid() == parent) == (worker == 0)
+                    and next(calls) == 2 * sampler.BLOCK + 5):
+                action()
+            kernel(*args)
+
+        monkeypatch.setattr(sampler, "_baoab_inplace", step)
+
+    def test_worker_exception_keeps_its_class(self, monkeypatch):
+        def fail():
+            raise InsufficientSignalError("raised in a worker")
+
+        self.kernel_in(monkeypatch, 1, fail)
+        cfg = sampler.SdeConfig(potential=model.quadratic(), **self.CFG)
+        with pytest.raises(InsufficientSignalError, match="raised in a worker"):
+            sampler.run_ensemble(cfg)
+
+    def test_worker_that_dies_mid_block_raises_child_process_error(self, monkeypatch):
+        self.kernel_in(monkeypatch, 1, lambda: os._exit(0))
+        cfg = sampler.SdeConfig(potential=model.quadratic(), **self.CFG)
+        with pytest.raises(ChildProcessError, match="ended without reporting"):
+            sampler.run_ensemble(cfg)
+
+    def test_exception_in_worker_0_reaps_the_others(self, monkeypatch):
+        def fail():
+            raise NumericalError("raised in worker 0")
+
+        self.kernel_in(monkeypatch, 0, fail)
+        cfg = sampler.SdeConfig(potential=model.quadratic(), **self.CFG)
+        with pytest.raises(NumericalError, match="raised in worker 0"):
+            sampler.run_ensemble(cfg)
+
+    @pytest.mark.parametrize("action, code, message", [
+        ("raise", 3, "numerical failure: NumericalError: raised in a worker"),
+        ("exit", 4, "io error: sampler worker 1 ended without reporting"),
+    ])
+    def test_worker_failures_exit_through_main(self, action, code, message,
+                                               monkeypatch, tmp_path, capsys):
+        def fail():
+            if action == "exit":
+                os._exit(0)
+            raise NumericalError("raised in a worker")
+
+        self.kernel_in(monkeypatch, 1, fail)
+        conf = tmp_path / "small.conf"
+        conf.write_text("sde.particles = 300\nsde.steps = 300\n")
+        assert cli.main(["sample", "--config", str(conf)]) == code
+        assert message in capsys.readouterr().err
 
 
 class TestObservableDecay:
