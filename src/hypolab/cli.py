@@ -10,9 +10,10 @@ Command-line flags override file values.  COMMANDS lists the stages each
 subcommand runs, in order; run_experiment runs them and times each one into
 report.timings[stage], so a stage function only computes and judges.  Before
 the first stage _preflight checks every limit the config sets on the stages,
-so a stage raises no ConfigurationError from a config value.  The
-full report is printed as JSON; with --out it is also written to report.json
-plus one CSV per trace and a summary.txt digest.  Each verdict is skipped, or
+so a stage raises no ConfigurationError from a config value; then a command
+that samples runs its ensemble, before any stage loads scipy.  The full report
+is printed as JSON; with --out it is also written to report.json plus one CSV
+per trace and a summary.txt digest.  Each verdict is skipped, or
 passes if and only if its margin is a finite number >= 0.  Exit codes: 0 ok,
 1 a verdict failed, 2 config error, 3 numerical failure, 4 IO error.
 """
@@ -259,11 +260,14 @@ def report_json(report: RunReport) -> str:
 
 
 class _Workspace:
-    """Lazily built grid, gap, operators and the operating point shared
+    """Lazily built grid, gap, operators, operating point and ensemble shared
     across subcommand stages; each is resolved once, and only here.  The gap
     and the tuning need the grid alone; the operators, and with them scipy,
     are built by the first stage that reads them (structure, corrector,
-    bochner, evolve or an evolve sweep)."""
+    bochner, evolve or an evolve sweep).  The ensemble needs no scipy, and
+    run_experiment resolves it before the first stage, so that a run that
+    samples and builds operators holds the larger of the two at its peak,
+    not their sum."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
@@ -334,6 +338,11 @@ class _Workspace:
     @cached_property
     def corrector(self):
         return build_corrector(self.ops)
+
+    @cached_property
+    def ensemble(self):
+        """The sample stage's ensemble, at the operating point's gamma."""
+        return run_ensemble(_sde_config(self, self.gamma))
 
 
 def _stage_gap(ws: _Workspace, report: RunReport):
@@ -475,8 +484,7 @@ def _first_moment_rate(gamma: float, a: float) -> float:
 
 
 def _stage_sample(ws: _Workspace, report: RunReport):
-    sde = _sde_config(ws, ws.gamma)
-    trace = run_ensemble(sde)
+    sde, trace = _sde_config(ws, ws.gamma), ws.ensemble
     report.traces.append((f"sde_{ws.potential.kind}_{sde.gamma:g}.csv", trace))
 
     def moment(values):
@@ -611,19 +619,32 @@ def _preflight(command: str, ws: _Workspace):
 
 
 def run_experiment(command: str, cfg: ExperimentConfig) -> RunReport:
+    """Run the command's stages in COMMANDS order, each timed under its name.
+
+    A command whose stages include sample runs its ensemble right after
+    _preflight, before any stage loads scipy, so its error surfaces before
+    any stage's; the sample stage reads it where it stands in the order and
+    its time is charged to timings["sample"]."""
     if command not in SUBCOMMANDS:
         raise ConfigurationError(f"unknown subcommand {command!r}")
     report = RunReport(version=__version__, command=command, config=dict(cfg.echo()))
     ws = _Workspace(cfg)
+    stages = COMMANDS[command]
     # the clock runs from before the preflight, whose gamma and t_end may build
     # the grid, the gap and the tuning: the first stage carries that set-up
     clock = time.perf_counter
     t0 = clock()
     _preflight(command, ws)
-    for stage in COMMANDS[command]:
+    sampled = 0.0  # the ensemble's seconds, spent before the first stage
+    if "sample" in stages:
+        t1 = clock()
+        ws.ensemble  # resolved here, read by the sample stage
+        sampled = clock() - t1
+        t0 += sampled
+    for stage in stages:
         _STAGES[stage](ws, report)
         t1 = clock()
-        report.timings[stage] = t1 - t0
+        report.timings[stage] = t1 - t0 + (sampled if stage == "sample" else 0.0)
         t0 = t1
     return report
 

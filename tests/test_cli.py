@@ -20,7 +20,7 @@ import hypolab.evolve as evolve
 import hypolab.model as model
 import hypolab.sampler as sampler
 import hypolab.tuning as tuning_module
-from hypolab.errors import ConfigurationError, DivergenceError
+from hypolab.errors import ConfigurationError, DivergenceError, NumericalError
 from hypolab.evolve import DT_GUARD
 
 
@@ -533,6 +533,46 @@ class TestStageTable:
         report = cli.run_experiment(command, cli.build_config(RULE_CONFIGS[command]))
         assert report.timings[cli.COMMANDS[command][0]] >= pause
 
+    @pytest.mark.parametrize("command", ["sample", "all"])
+    def test_ensemble_time_is_the_sample_stage(self, command, monkeypatch):
+        # the ensemble runs before the first stage, and its time is sample's;
+        # scipy is loaded first, so that no stage carries its import
+        import scipy.linalg
+        import scipy.sparse
+        pause = 0.2
+        run_ensemble = cli.run_ensemble
+
+        def slow(cfg):
+            time.sleep(pause)
+            return run_ensemble(cfg)
+
+        monkeypatch.setattr(cli, "run_ensemble", slow)
+        raw = {**RULE_CONFIGS[command], "evolve.t_end_factor": "0.3"}
+        report = cli.run_experiment(command, cli.build_config(raw))
+        assert list(report.timings) == list(cli.COMMANDS[command])
+        assert report.timings.pop("sample") >= pause
+        assert all(t < pause for t in report.timings.values()), report.timings
+
+    def test_all_keeps_the_report_of_its_stage_order(self):
+        # the reference runs the stages in COMMANDS order on a fresh
+        # workspace, the ensemble inside the sample stage
+        cfg = cli.build_config(RULE_CONFIGS["all"])
+        report = cli.run_experiment("all", cfg)
+        reference = cli.RunReport(version=cli.__version__, command="all",
+                                  config=dict(cfg.echo()))
+        ws = cli._Workspace(cfg)
+        for stage in cli.COMMANDS["all"]:
+            cli._STAGES[stage](ws, reference)
+        got, want = report.as_dict(), reference.as_dict()
+        del got["timings"], want["timings"]
+        assert json.dumps(got) == json.dumps(want)
+        assert len(report.traces) == len(reference.traces)
+        for (name, trace), (ref_name, ref) in zip(report.traces, reference.traces):
+            assert name == ref_name
+            assert list(trace.columns) == list(ref.columns)
+            for key, column in trace.columns.items():
+                assert np.array_equal(column, ref.columns[key]), (name, key)
+
 
 class TestVerdictRule:
     @pytest.mark.parametrize("command", cli.SUBCOMMANDS)
@@ -844,6 +884,26 @@ class TestMain:
         monkeypatch.setattr(cli, "run_experiment", diverge)
         assert cli.main(["gap"]) == 3
         assert "DivergenceError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error, code", [
+        (NumericalError("ensemble failed"), 3),
+        (ChildProcessError("a worker ended without reporting"), 4),
+    ], ids=["numerical", "worker"])
+    def test_ensemble_error_exits_before_any_operator_stage(
+            self, error, code, tmp_path, monkeypatch, capsys):
+        def fail(cfg):
+            raise error
+
+        built = []
+        assemble_operators = cli.assemble_operators
+        monkeypatch.setattr(cli, "run_ensemble", fail)
+        monkeypatch.setattr(cli, "assemble_operators",
+                            lambda *args: built.append(args) or assemble_operators(*args))
+        conf = tmp_path / "small.conf"
+        conf.write_text("".join(f"{k} = {v}\n" for k, v in RULE_CONFIGS["all"].items()))
+        assert cli.main(["all", "--config", str(conf)]) == code
+        assert built == []
+        assert capsys.readouterr().out == ""
 
     def test_diverged_sample_fails(self, tmp_path, capsys):
         conf = tmp_path / "diverge.conf"
@@ -1277,3 +1337,24 @@ class TestImportSurface:
                 "    with contextlib.redirect_stdout(io.StringIO()):\n"
                 "        assert hypolab.cli.main(argv) in (0, 1), argv\n")
         assert self.heavy_modules("hypolab.cli", then) == ["numpy"]
+
+    def test_all_samples_before_scipy_loads(self, tmp_path):
+        # the ensemble runs before structure, the first stage that loads scipy
+        conf = tmp_path / "small.conf"
+        conf.write_text("grid.N_x = 32\ngrid.N_v = 6\n"
+                        "sde.particles = 1000\nsde.steps = 600\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        code = ("import contextlib, io, sys\n"
+                "import hypolab.cli as cli\n"
+                "seen, run_ensemble = [], cli.run_ensemble\n"
+                "def recorded(cfg):\n"
+                "    seen.append('scipy' in sys.modules)\n"
+                "    return run_ensemble(cfg)\n"
+                "cli.run_ensemble = recorded\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    assert cli.main(['all', '--config', {str(conf)!r}]) == 0\n"
+                "assert 'scipy' in sys.modules\n"
+                "print(seen)")
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert ast.literal_eval(done.stdout) == [False]
