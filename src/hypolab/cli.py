@@ -11,7 +11,9 @@ subcommand runs, in order; run_experiment runs them and times each one into
 report.timings[stage], so a stage function only computes and judges.  Before
 the first stage _preflight checks every limit the config sets on the stages,
 so a stage raises no ConfigurationError from a config value; then a command
-that samples runs its ensemble, before any stage loads scipy.  The full report
+that runs operator stages beside its sample stage (all) forks its ensemble
+into a process of its own, before any stage loads scipy, and runs the
+operator stages while it samples.  The full report
 is printed as JSON; with --out it is also written to report.json plus one CSV
 per trace and a summary.txt digest.  Each verdict is skipped, or
 passes if and only if its margin is a finite number >= 0.  Exit codes: 0 ok,
@@ -35,6 +37,7 @@ from .corrector import (
     bochner_residual,
     build_corrector,
     dissipation_form_min_eig,
+    singular_pairs,
     verify_corrector_bounds,
 )
 from .discretize import (
@@ -62,7 +65,7 @@ from .evolve import (
 from .model import POTENTIAL_KINDS, Potential
 from .sampler import (FIT_RECORD_BYTES, MIN_FIT_SAMPLES, SdeConfig, ensemble_bytes,
                       estimate_observable_decay, record_count, run_ensemble,
-                      worker_ranges)
+                      start_ensemble, worker_ranges)
 from .tuning import (
     TuningResult,
     check_ratio_consistency,
@@ -264,10 +267,9 @@ class _Workspace:
     across subcommand stages; each is resolved once, and only here.  The gap
     and the tuning need the grid alone; the operators, and with them scipy,
     are built by the first stage that reads them (structure, corrector,
-    bochner, evolve or an evolve sweep).  The ensemble needs no scipy, and
-    run_experiment resolves it before the first stage, so that a run that
-    samples and builds operators holds the larger of the two at its peak,
-    not their sum."""
+    bochner, evolve or an evolve sweep).  The ensemble needs no scipy: the
+    sample stage runs it here, unless run_experiment has set it from the
+    ensemble process it forked before the first stage."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
@@ -396,9 +398,11 @@ def _stage_structure(ws: _Workspace, report: RunReport):
 
 
 def _stage_corrector(ws: _Workspace, report: RunReport):
-    norms = verify_corrector_bounds(ws.corrector)
+    # one eigensolve: the bounds read the pairs, then the min-eig empties them
+    pairs = singular_pairs(ws.ops)
+    norms = verify_corrector_bounds(ws.corrector, pairs)
     min_eig, residual, cap, steps = dissipation_form_min_eig(
-        ws.corrector, ws.eps, ws.gamma)
+        ws.corrector, ws.eps, ws.gamma, pairs)
     lambda_coer = ws.tuned.lambda_coer
     report.results["corrector"] = {
         **norms,
@@ -621,10 +625,14 @@ def _preflight(command: str, ws: _Workspace):
 def run_experiment(command: str, cfg: ExperimentConfig) -> RunReport:
     """Run the command's stages in COMMANDS order, each timed under its name.
 
-    A command whose stages include sample runs its ensemble right after
-    _preflight, before any stage loads scipy, so its error surfaces before
-    any stage's; the sample stage reads it where it stands in the order and
-    its time is charged to timings["sample"]."""
+    A command that runs other stages beside sample (all) forks its ensemble
+    process right after _preflight, before any stage loads scipy, and runs
+    its other stages while the ensemble runs.  The sample stage waits for the
+    result where it stands in the order, so errors surface in COMMANDS
+    order, and timings["sample"] is the ensemble's own seconds plus the
+    stage's, without the wait; the stage times therefore overlap.  If a
+    stage raises, the ensemble process and its workers are stopped and
+    reaped before the error propagates."""
     if command not in SUBCOMMANDS:
         raise ConfigurationError(f"unknown subcommand {command!r}")
     report = RunReport(version=__version__, command=command, config=dict(cfg.echo()))
@@ -635,17 +643,24 @@ def run_experiment(command: str, cfg: ExperimentConfig) -> RunReport:
     clock = time.perf_counter
     t0 = clock()
     _preflight(command, ws)
-    sampled = 0.0  # the ensemble's seconds, spent before the first stage
-    if "sample" in stages:
-        t1 = clock()
-        ws.ensemble  # resolved here, read by the sample stage
-        sampled = clock() - t1
-        t0 += sampled
-    for stage in stages:
-        _STAGES[stage](ws, report)
-        t1 = clock()
-        report.timings[stage] = t1 - t0 + (sampled if stage == "sample" else 0.0)
-        t0 = t1
+    ensemble = None
+    if "sample" in stages and len(stages) > 1:
+        # the process calls this module's run_ensemble, as the sample stage would
+        ensemble = start_ensemble(_sde_config(ws, ws.gamma), run_ensemble)
+    try:
+        for stage in stages:
+            if stage == "sample" and ensemble is not None:
+                t1 = clock()
+                ws.ensemble, sampled = ensemble.result()
+                # the wait is no stage's time; the ensemble's own seconds are
+                t0 += clock() - t1 - sampled
+            _STAGES[stage](ws, report)
+            t1 = clock()
+            report.timings[stage] = t1 - t0
+            t0 = t1
+    finally:
+        if ensemble is not None:
+            ensemble.stop()
     return report
 
 

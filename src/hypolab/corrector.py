@@ -96,10 +96,12 @@ sums on modes 0-2, of which it is a few percent at 512 x 32.  Well above
 that level it is not rounding: the closed-form blocks and the assembled
 generator or S f disagree.
 
-At most three dense n_x x n_x arrays are alive at once in the corrector
-stage, and the Corrector holds none: V and the divide-and-conquer
+The corrector stage makes one tridiagonal eigensolve, singular_pairs: the
+bounds read its block first, and the secular solve then scales that block
+into C^T in place.  At most three dense n_x x n_x arrays are alive at once
+in the stage, and the Corrector holds none: V and the divide-and-conquer
 eigensolve's n_x^2 workspace; V, Grad V and Grad (Grad V) while the block
-(Grad U) diag(t) is formed (U itself never is); that block and its Gram
+(Grad U) diag(t) is formed (U itself never is); V, that block and its Gram
 matrix; V, C^T and S in the Newton loop.  No copy of one is made.  LAPACK
 works in place on the transposed views of X^T X and of S, which are exactly
 symmetric because numpy forms X^T X by syrk and mirrors its triangle, and
@@ -272,7 +274,7 @@ def operator_norm(matrix) -> float:
                                       subset_by_index=[n - 1, n - 1])[0]))
 
 
-def verify_corrector_bounds(c: Corrector) -> dict:
+def verify_corrector_bounds(c: Corrector, pairs: list | None = None) -> dict:
     """Measure ||A||, ||L_a A||, ||A L_a (1 - Pi_v)|| against the bounds, as
     the norm entries of the report's corrector section: each norm, each
     bound, their ratios, |norm_A - bound_A| / bound_A (the bound on ||A||
@@ -283,10 +285,13 @@ def verify_corrector_bounds(c: Corrector) -> dict:
     norm_A = max t and norm_LaA = max sigma t are closed forms, rounded a
     few times, and norm_ALa_fast is sqrt(2) operator_norm((Grad U) diag(t)).
     norm_A_exact_residual is then how far the eigensolve's smallest sigma^2
-    lies from m_h, at second order.
+    lies from m_h, at second order.  pairs is singular_pairs(c.ops), solved
+    here if not given; it is only read.
     """
     ops = c.ops
-    sigma, t, block = _singular_pairs(ops)[:3]  # V is dropped here
+    if pairs is None:
+        pairs = singular_pairs(ops)
+    sigma, t, block = pairs[:3]
     norms = (float(t.max()), float((sigma * t).max()),
              float(np.sqrt(2.0)) * operator_norm(block))
     bounds = (_norm_a(ops.m_h), 1.0, curvature_roots(ops.m_h, ops.grid.potential.K)[0])
@@ -300,7 +305,8 @@ def verify_corrector_bounds(c: Corrector) -> dict:
     }
 
 
-def dissipation_form_min_eig(c: Corrector, eps: float, gamma: float):
+def dissipation_form_min_eig(c: Corrector, eps: float, gamma: float,
+                             pairs: list | None = None):
     """Smallest eigenvalue of the dissipation form Q on the mean-zero subspace,
     as (value, residual, cap, steps); value - residual is a lower bound on it
     while residual <= cap, the residual's rounding level, and steps is the
@@ -316,10 +322,15 @@ def dissipation_form_min_eig(c: Corrector, eps: float, gamma: float):
     eigenvector of the assembled form, and value - residual bounds nothing.
     Raises NumericalError if the eigensolve with vectors does not give a
     positive gap sigma^2, or if |mu| is not at its rounding level within
-    NEWTON_CAP steps.
+    NEWTON_CAP steps.  pairs is singular_pairs(c.ops), solved here if not
+    given, and is emptied: the solve scales its block in place and frees the
+    block and V as soon as it is done with them, which a list it still held
+    would keep alive.
     """
     ops = c.ops
-    x, steps = _secular_root(ops, eps, gamma)
+    if pairs is None:
+        pairs = singular_pairs(ops)
+    x, steps = _secular_root(ops, eps, gamma, pairs)
     qx = ModifiedFunctional(c, compose_generator(ops, gamma), eps).apply_form(x)
     rho = float(x @ qx)
     residual = float(np.linalg.norm(ops.project_mean_zero(qx) - rho * x))
@@ -354,11 +365,12 @@ def _grad_dense(ops: OperatorSet, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _singular_pairs(ops: OperatorSet):
+def singular_pairs(ops: OperatorSet) -> list:
     """The gradient's singular pairs but the kernel's, from one tridiagonal
-    eigensolve with vectors, as (sigma, t, (Grad U) diag(t), V) of the module
+    eigensolve with vectors, as [sigma, t, (Grad U) diag(t), V] of the module
     docstring: the block is s_max(B Grad^T)'s and a multiple of C^T.  U is
-    never formed: (Grad U) diag(t) = Grad (Grad V) diag(1 / (m_h + sigma^2))."""
+    never formed: (Grad U) diag(t) = Grad (Grad V) diag(1 / (m_h + sigma^2)).
+    A list, so that dissipation_form_min_eig can empty it."""
     import scipy.linalg as sla
 
     sigma2, right = sla.eigh_tridiagonal(*lo_bands(ops.grid))
@@ -371,18 +383,20 @@ def _singular_pairs(ops: OperatorSet):
     block = _grad_dense(ops, _grad_dense(ops, right))
     block /= ops.m_h + sigma2
     sigma = np.sqrt(sigma2)
-    return sigma, sigma / (ops.m_h + sigma2), block, right
+    return [sigma, sigma / (ops.m_h + sigma2), block, right]
 
 
-def _secular_root(ops: OperatorSet, eps: float, gamma: float):
+def _secular_root(ops: OperatorSet, eps: float, gamma: float, pairs: list):
     """Newton's method on mu_min(S(lam)) from above, in delta = p - lam, to
     the root vector y; returns the lift of (y, b y / (c - lam),
-    -C^T y / (2 gamma - lam)) and the number of eigensolves.  V, C^T and S
+    -C^T y / (2 gamma - lam)) and the number of eigensolves.  It takes the
+    arrays of singular_pairs out of pairs, which it empties.  V, C^T and S
     are its only n_x^2 arrays: C^T and S are freed before the lift, V on
     return."""
     import scipy.linalg as sla
 
-    sigma, t, c_t, right = _singular_pairs(ops)
+    sigma, t, c_t, right = pairs
+    pairs.clear()
     c_t *= -eps / math.sqrt(2.0)
     a = eps * sigma * t
     b = eps * gamma / 2 * t

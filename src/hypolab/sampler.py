@@ -42,6 +42,11 @@ with os._exit.  The workers call no BLAS.  An exception in a worker is
 pickled to worker 0 and raised there with its class; a worker that ends
 without reporting raises ChildProcessError.  Every worker is reaped before
 run_ensemble returns or raises.  W = 1 is the same loop with no fork.
+start_ensemble forks one more process that calls run_ensemble as worker 0,
+with the same ranges, and sends back the pickled trace with its seconds, or
+its exception like a worker's.  Its parent reads it with .result(), or
+ends it with .stop(): SIGTERM raises in it, so that run_ensemble reaps its
+workers within one block before the process exits.
 
 Memory: ensemble_bytes states what run_ensemble holds at its peak, summed
 over its processes.  Two buffers scale with BLOCK: the noise, CHUNK BLOCK
@@ -65,6 +70,8 @@ from __future__ import annotations
 import math
 import os
 import pickle
+import signal
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -347,12 +354,12 @@ def _write(fd: int, buf):
         view = view[os.write(fd, view):]
 
 
-def _read(fd: int, buf, rank: int):
+def _read(fd: int, buf, sender: str):
     view = memoryview(buf).cast("B")
     while view:
         n = os.readv(fd, [view])
         if not n:
-            raise ChildProcessError(f"sampler worker {rank} ended without reporting")
+            raise ChildProcessError(f"{sender} ended without reporting")
         view = view[n:]
 
 
@@ -390,16 +397,17 @@ class _Worker:
     def receive(self, *arrays):
         """Read one message, its rows into arrays, and return its hit; raise
         the worker's exception if it sent one."""
+        sender = f"sampler worker {self.rank}"
         head = np.empty(3, dtype=np.int64)
-        _read(self.data, head, self.rank)
+        _read(self.data, head, sender)
         error, step, trajectory = (int(h) for h in head)
         if error:
             payload = bytearray(step)
-            _read(self.data, payload, self.rank)
+            _read(self.data, payload, sender)
             raise pickle.loads(payload)
         for a in arrays:
             for row in _rows(a):
-                _read(self.data, row, self.rank)
+                _read(self.data, row, sender)
         return None if step < 0 else (step, trajectory)
 
     def reap(self):
@@ -537,6 +545,92 @@ def run_ensemble(cfg: SdeConfig) -> EnsembleTrace:
         divergence=divergence,
         workers=len(ranges),
     )
+
+
+class _Stopped(BaseException):
+    """Raised in an ensemble process by the SIGTERM its parent sends to stop
+    it; a BaseException, so that nothing on the way catches it."""
+
+
+def _raise_stopped(signum, frame):
+    raise _Stopped(f"ensemble process stopped by signal {signum}")
+
+
+@dataclass
+class EnsembleProcess:
+    """An ensemble running in a forked process, as start_ensemble returns it:
+    its pid, None once reaped, and the read end of its pipe."""
+
+    pid: int | None
+    data: int
+
+    def result(self) -> tuple:
+        """(trace, seconds): the ensemble and the seconds run took in its
+        process.  Raises the process's exception with its class, or
+        ChildProcessError if it ended without reporting; reaps it either way."""
+        sender = "the ensemble process"
+        try:
+            head = np.empty(3, dtype=np.int64)
+            _read(self.data, head, sender)
+            error, length, _ = (int(h) for h in head)
+            payload = bytearray(length)
+            _read(self.data, payload, sender)
+        finally:
+            self.stop()
+        value = pickle.loads(payload)
+        if error:
+            raise value
+        return value
+
+    def stop(self):
+        """Stop the process if it still runs, and reap it; a no-op once
+        reaped.  Closing the pipe makes its report fail, and SIGTERM raises
+        _Stopped in it, so that run_ensemble stops and reaps its workers
+        within one block, and the process exits."""
+        if self.pid is None:
+            return
+        os.close(self.data)
+        os.kill(self.pid, signal.SIGTERM)
+        os.waitpid(self.pid, 0)
+        self.pid = None
+
+
+def start_ensemble(cfg: SdeConfig, run=run_ensemble) -> EnsembleProcess:
+    """Fork a process that returns run(cfg), run_ensemble by default, with
+    the seconds it took; read both with .result(), or end the process with
+    .stop().  The process is worker 0 of its ensemble and forks the others,
+    so the trace, worker_ranges and its workers are as in this process.  It
+    reports an exception to this one, pickled like a worker's, and always
+    ends with os._exit."""
+    data_r, data_w = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(data_r)
+        os.close(data_w)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(data_r)
+            signal.signal(signal.SIGTERM, _raise_stopped)
+            t0 = time.perf_counter()
+            payload = pickle.dumps((run(cfg), time.perf_counter() - t0))
+            # the workers are reaped: from here a SIGTERM ends the process
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
+            _write(data_w, np.array((0, len(payload), 0), dtype=np.int64))
+            _write(data_w, payload)
+            status = 0
+        except BaseException as exc:
+            try:
+                signal.signal(signal.SIGTERM, signal.SIG_DFL)
+                _send_error(data_w, exc)
+            except BaseException:
+                pass
+        finally:
+            os._exit(status)
+    os.close(data_w)
+    return EnsembleProcess(pid, data_r)
 
 
 def estimate_observable_decay(trace: EnsembleTrace) -> float:

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -535,7 +536,8 @@ class TestStageTable:
 
     @pytest.mark.parametrize("command", ["sample", "all"])
     def test_ensemble_time_is_the_sample_stage(self, command, monkeypatch):
-        # the ensemble runs before the first stage, and its time is sample's;
+        # the ensemble's own seconds are sample's, whether it runs in the
+        # stage (sample) or in its own process beside the others (all);
         # scipy is loaded first, so that no stage carries its import
         import scipy.linalg
         import scipy.sparse
@@ -552,6 +554,31 @@ class TestStageTable:
         assert list(report.timings) == list(cli.COMMANDS[command])
         assert report.timings.pop("sample") >= pause
         assert all(t < pause for t in report.timings.values()), report.timings
+
+    def test_all_samples_beside_the_operator_stages(self, monkeypatch):
+        # the ensemble process runs while the operator stages do: a pause in
+        # each costs the run one pause, not two
+        import scipy.linalg
+        import scipy.sparse
+        pause = 0.4
+        run_ensemble, check_structure = cli.run_ensemble, cli.check_structure
+
+        def slow_ensemble(cfg):
+            time.sleep(pause)
+            return run_ensemble(cfg)
+
+        def slow_structure(ops):
+            time.sleep(pause)
+            return check_structure(ops)
+
+        monkeypatch.setattr(cli, "run_ensemble", slow_ensemble)
+        monkeypatch.setattr(cli, "check_structure", slow_structure)
+        cfg = cli.build_config({**RULE_CONFIGS["all"], "evolve.t_end_factor": "0.3"})
+        t0 = time.perf_counter()
+        report = cli.run_experiment("all", cfg)
+        assert time.perf_counter() - t0 < 0.7
+        assert report.timings["structure"] >= pause
+        assert report.timings["sample"] >= pause
 
     def test_all_keeps_the_report_of_its_stage_order(self):
         # the reference runs the stages in COMMANDS order on a fresh
@@ -724,13 +751,13 @@ class TestVerdictRule:
     def scale_block(monkeypatch, factor):
         """The singular pairs' t and (Grad U) diag(t), from which the three
         corrector norms are read, scaled by factor."""
-        pairs = corrector_module._singular_pairs
+        pairs = corrector_module.singular_pairs
 
         def scaled(ops):
             sigma, t, block, right = pairs(ops)
-            return sigma, t * factor, block * factor, right
+            return [sigma, t * factor, block * factor, right]
 
-        monkeypatch.setattr(corrector_module, "_singular_pairs", scaled)
+        monkeypatch.setattr(cli, "singular_pairs", scaled)
 
     def test_block_off_by_1e_9_fails_bound_a(self, monkeypatch):
         # ||A|| = max t = 1 / (2 sqrt(m_h)) is attained, so bound_A asserts
@@ -889,21 +916,53 @@ class TestMain:
         (NumericalError("ensemble failed"), 3),
         (ChildProcessError("a worker ended without reporting"), 4),
     ], ids=["numerical", "worker"])
-    def test_ensemble_error_exits_before_any_operator_stage(
+    def test_ensemble_error_exits_with_its_message(
             self, error, code, tmp_path, monkeypatch, capsys):
+        # raised in the ensemble process, and again here with its class
         def fail(cfg):
             raise error
 
-        built = []
-        assemble_operators = cli.assemble_operators
         monkeypatch.setattr(cli, "run_ensemble", fail)
-        monkeypatch.setattr(cli, "assemble_operators",
-                            lambda *args: built.append(args) or assemble_operators(*args))
         conf = tmp_path / "small.conf"
         conf.write_text("".join(f"{k} = {v}\n" for k, v in RULE_CONFIGS["all"].items()))
         assert cli.main(["all", "--config", str(conf)]) == code
-        assert built == []
-        assert capsys.readouterr().out == ""
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert str(error) in err
+
+    @pytest.mark.parametrize("failing", ["structure", "ensemble"])
+    def test_no_process_outlives_main(self, failing, tmp_path):
+        # an operator stage fails while the ensemble runs (10^4 particles
+        # over 4 x 10^4 steps, 14 s or more on two CPUs), or the ensemble
+        # fails: main exits 3 with the message, without waiting out the
+        # ensemble, and every process of its session has been reaped
+        conf = tmp_path / "long.conf"
+        conf.write_text("grid.N_x = 32\ngrid.N_v = 6\nsde.steps = 40000\n")
+        patch = {
+            "structure": ("def check_structure(ops):\n"
+                          "    time.sleep(0.3)\n"
+                          "    raise NumericalError('structure failed')\n"
+                          "cli.check_structure = check_structure\n"),
+            "ensemble": ("def run_ensemble(cfg):\n"
+                         "    raise NumericalError('ensemble failed')\n"
+                         "cli.run_ensemble = run_ensemble\n"),
+        }[failing]
+        code = ("import sys, time\n"
+                "import hypolab.cli as cli\n"
+                "from hypolab.errors import NumericalError\n"
+                f"{patch}"
+                f"sys.exit(cli.main(['all', '--config', {str(conf)!r}]))\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        t0 = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, "-c", code], env=env, text=True,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                start_new_session=True)
+        _, err = proc.communicate(timeout=120)
+        assert time.perf_counter() - t0 < 8.0
+        assert proc.returncode == 3, err
+        assert f"numerical failure: NumericalError: {failing} failed" in err
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
 
     def test_diverged_sample_fails(self, tmp_path, capsys):
         conf = tmp_path / "diverge.conf"
@@ -1141,18 +1200,24 @@ class TestMain:
         ("sweep", {**SMALL_SDE, "sweep.gammas": "2,4"}, 2),
     ], ids=["sample", "all", "sample-sweep"])
     def test_one_ensemble_per_sampled_gamma(self, command, raw, ensembles,
-                                            monkeypatch):
-        # the shifted quadratic: the decay fit reads the stage's own trace
-        calls = []
+                                            tmp_path, monkeypatch):
+        # the shifted quadratic: the decay fit reads the stage's own trace.
+        # all samples in a forked process, so each call is recorded in a file
+        log = tmp_path / "calls.pickle"
         original = sampler.run_ensemble
 
         def counted(cfg):
-            calls.append(cfg)
+            with open(log, "ab") as fh:
+                pickle.dump(cfg, fh)
             return original(cfg)
 
         monkeypatch.setattr(sampler, "run_ensemble", counted)
         monkeypatch.setattr(cli, "run_ensemble", counted)
         cli.run_experiment(command, cli.build_config(raw))
+        calls = []
+        with open(log, "rb") as fh:
+            while fh.peek(1):
+                calls.append(pickle.load(fh))
         assert len(calls) == len({c.gamma for c in calls}) == ensembles
 
     def test_first_moment_rate_is_the_fit_of_the_stage_trace(self):
@@ -1339,22 +1404,25 @@ class TestImportSurface:
         assert self.heavy_modules("hypolab.cli", then) == ["numpy"]
 
     def test_all_samples_before_scipy_loads(self, tmp_path):
-        # the ensemble runs before structure, the first stage that loads scipy
+        # the ensemble process forks before structure, the first stage that
+        # loads scipy; it records what it finds in a file
         conf = tmp_path / "small.conf"
         conf.write_text("grid.N_x = 32\ngrid.N_v = 6\n"
                         "sde.particles = 1000\nsde.steps = 600\n")
+        log = tmp_path / "seen.txt"
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-        code = ("import contextlib, io, sys\n"
+        code = ("import ast, contextlib, io, sys\n"
                 "import hypolab.cli as cli\n"
-                "seen, run_ensemble = [], cli.run_ensemble\n"
+                "run_ensemble = cli.run_ensemble\n"
                 "def recorded(cfg):\n"
-                "    seen.append('scipy' in sys.modules)\n"
+                f"    with open({str(log)!r}, 'a') as fh:\n"
+                "        fh.write(repr('scipy' in sys.modules) + '\\n')\n"
                 "    return run_ensemble(cfg)\n"
                 "cli.run_ensemble = recorded\n"
                 "with contextlib.redirect_stdout(io.StringIO()):\n"
                 f"    assert cli.main(['all', '--config', {str(conf)!r}]) == 0\n"
                 "assert 'scipy' in sys.modules\n"
-                "print(seen)")
+                f"print([ast.literal_eval(line) for line in open({str(log)!r})])")
         done = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, check=True)
         assert ast.literal_eval(done.stdout) == [False]

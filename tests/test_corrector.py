@@ -194,7 +194,7 @@ class TestOperatorNorm:
     def test_gram_eigenvalue_matches_svd(self, potential, n_x, n_v):
         ops = make_ops(SMALL_POTENTIALS[potential](), n_x=n_x, n_v=n_v)
         b, g = dense_block(corrector_module.build_corrector(ops)), ops.grad_x
-        gut = corrector_module._singular_pairs(ops)[2]  # (Grad U) diag(t)
+        gut = corrector_module.singular_pairs(ops)[2]  # (Grad U) diag(t)
         for block in (b, g @ b, b @ g.T, gut):
             svd = sla.svdvals(block)[0]
             assert abs(corrector_module.operator_norm(block) - svd) <= 1e-14 * svd
@@ -298,7 +298,7 @@ class TestFactorPath:
         dense = [norm(b), norm(g @ b), np.sqrt(2.0) * norm(b @ g.T)]
         report = corrector_module.verify_corrector_bounds(corr_nodes)
         got = [report["norm_A"], report["norm_LaA"], report["norm_ALa_fast"]]
-        sigma, t, block, _ = corrector_module._singular_pairs(ops)
+        sigma, t, block, _ = corrector_module.singular_pairs(ops)
         assert got == [t.max(), (sigma * t).max(), np.sqrt(2.0) * norm(block)]
         allowance = report["ratio_allowance"]
         for name, x, y in zip(("A", "LaA", "ALa_fast"), got, dense):
@@ -324,12 +324,13 @@ class TestFactorPath:
             monkeypatch.setattr(sla, name, counted)
         return counts
 
-    def test_verify_makes_two_tridiagonal_eigensolves_and_one_gram(self, monkeypatch):
+    def test_verify_makes_one_tridiagonal_eigensolve_and_one_gram(self, monkeypatch):
+        # the bounds and the min-eig share the singular pairs
         counts = self.count_eigensolves(monkeypatch)
         report = cli_module.run_experiment(
             "verify", cli_module.build_config({"grid.N_x": "64", "grid.N_v": "12"}))
         steps = report.results["corrector"]["min_eig_newton_steps"]
-        assert counts == {"eigh_tridiagonal": 2, "eigvalsh": 1, "eigh": steps}
+        assert counts == {"eigh_tridiagonal": 1, "eigvalsh": 1, "eigh": steps}
 
     def test_min_eig_makes_one_tridiagonal_eigensolve(self, monkeypatch):
         corr, eps, gamma = tuned_corrector("double_well", 64, 12)
@@ -590,7 +591,7 @@ class TestSameBits:
         ops = make_ops(model.double_well(), n_x=request.param, n_v=8)
         corr = corrector_module.build_corrector(ops)
         eps = tuning.optimize_friction(ops.m_h, ops.grid.potential.K).eps_star
-        block = corrector_module._singular_pairs(ops)[2]
+        block = corrector_module.singular_pairs(ops)[2]
         c_t = block * (-eps / np.sqrt(2.0))  # as _secular_root scales it
         return corr, {"(Grad U) diag(t)": block, "C^T": c_t}
 
@@ -627,7 +628,7 @@ class TestSameBits:
         # each, as the sparse product is, which keeps the bits of the syrk
         # and gemv that read it
         ops = corr_blocks[0].ops
-        right = corrector_module._singular_pairs(ops)[3]
+        right = corrector_module.singular_pairs(ops)[3]
         for name, x in {"V": right, "Grad V": ops.grad_x @ right}.items():
             got = corrector_module._grad_dense(ops, x)
             assert np.array_equal(got, ops.grad_x @ x), name
@@ -647,7 +648,7 @@ class TestSameBits:
         # the lift takes U y = Grad (V (y / sigma)) without forming U or
         # solving for the pairs a second time: U = Grad V / sigma to rounding
         ops = corr_blocks[0].ops
-        sigma, _, _, right = corrector_module._singular_pairs(ops)
+        sigma, _, _, right = corrector_module.singular_pairs(ops)
         y = np.random.default_rng(7).standard_normal(len(sigma))
         zero = np.zeros(len(sigma))
         got = corrector_module._lift(ops, right, zero, y / sigma, np.zeros(ops.n_x))
@@ -663,7 +664,7 @@ class TestSameBits:
         unit, work = 8 * n_x * n_x, 8 * 128 * n_x
         _, peak = allocation_peak(corrector_module.build_corrector, ops)
         assert peak <= work  # the tridiagonal factors and Grad's bands
-        block = corrector_module._singular_pairs(ops)[2]
+        block = corrector_module.singular_pairs(ops)[2]
         _, peak = allocation_peak(corrector_module.operator_norm, block)
         assert peak <= unit + work  # the Gram matrix
         s = block.T @ block
@@ -711,6 +712,26 @@ def test_corrector_stage_peak_holds_three_position_arrays(potential, n_x, n_v):
         corrector_module.verify_corrector_bounds(corr)
         return corrector_module.dissipation_form_min_eig(
             corr, tuned.eps_star, tuned.gamma_star)
+
+    _, peak = allocation_peak(stage)
+    assert peak <= corrector_stage_bytes(n_x, n_v)
+
+
+@pytest.mark.parametrize("n_x, n_v", [(512, 32), (1024, 8)])
+def test_shared_pairs_peak_holds_three_position_arrays(n_x, n_v):
+    # the CLI's stage: one eigensolve, whose V lives through the bounds, and
+    # which the min-eig empties so that apply_form runs without V or C^T
+    ops = make_ops(model.double_well(), n_x=n_x, n_v=n_v)
+    tuned = tuning.optimize_friction(ops.m_h, ops.grid.potential.K)
+
+    def stage():
+        corr = corrector_module.build_corrector(ops)
+        pairs = corrector_module.singular_pairs(ops)
+        corrector_module.verify_corrector_bounds(corr, pairs)
+        result = corrector_module.dissipation_form_min_eig(
+            corr, tuned.eps_star, tuned.gamma_star, pairs)
+        assert pairs == []
+        return result
 
     _, peak = allocation_peak(stage)
     assert peak <= corrector_stage_bytes(n_x, n_v)

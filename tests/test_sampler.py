@@ -1,5 +1,6 @@
 import itertools
 import os
+import time
 import tracemalloc
 import warnings
 
@@ -552,6 +553,55 @@ class TestWorkers:
         conf.write_text("sde.particles = 300\nsde.steps = 300\n")
         assert cli.main(["sample", "--config", str(conf)]) == code
         assert message in capsys.readouterr().err
+
+
+class TestEnsembleProcess:
+    """start_ensemble runs an ensemble in a forked process, which forks its
+    own workers; no_worker_left checks that it is reaped."""
+
+    CFG = dict(particles=300, steps=300, seed=4)
+
+    @pytest.fixture(autouse=True)
+    def three_workers(self, monkeypatch):
+        monkeypatch.setattr(sampler, "CHUNK", 64)
+        monkeypatch.setattr(sampler, "WORKERS", 3)
+
+    def test_result_is_the_ensemble_run_here(self):
+        cfg = sampler.SdeConfig(potential=model.double_well(), init_shift=0.5,
+                                **self.CFG)
+        ensemble = sampler.start_ensemble(cfg)
+        trace, seconds = ensemble.result()
+        assert ensemble.pid is None
+        ensemble.stop()  # a no-op once reaped
+        assert_traces_equal(trace, sampler.run_ensemble(cfg))
+        assert trace.workers == 3
+        assert seconds > 0
+
+    def test_exception_keeps_its_class(self):
+        def fail(cfg):
+            raise InsufficientSignalError("raised in the ensemble process")
+
+        cfg = sampler.SdeConfig(potential=model.quadratic(), **self.CFG)
+        with pytest.raises(InsufficientSignalError, match="in the ensemble process"):
+            sampler.start_ensemble(cfg, fail).result()
+
+    def test_process_that_ends_without_reporting(self):
+        cfg = sampler.SdeConfig(potential=model.quadratic(), **self.CFG)
+        with pytest.raises(ChildProcessError,
+                           match="the ensemble process ended without reporting"):
+            sampler.start_ensemble(cfg, lambda cfg: os._exit(0)).result()
+
+    def test_stop_does_not_wait_out_the_ensemble(self):
+        # 10^6 steps take minutes; stop ends the process and its workers
+        # within a block
+        cfg = sampler.SdeConfig(potential=model.quadratic(), particles=300,
+                                steps=10**6, seed=4)
+        ensemble = sampler.start_ensemble(cfg)
+        time.sleep(0.2)
+        t0 = time.perf_counter()
+        ensemble.stop()
+        assert time.perf_counter() - t0 < 2.0
+        assert ensemble.pid is None
 
 
 class TestObservableDecay:
